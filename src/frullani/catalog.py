@@ -20,16 +20,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
+# base_frequency, STATUSES and VerificationRecord are re-exported as part of
+# this module's API.  The oracles are called through this module's names.
 from .quadrature import (
-    IntegrandError,
-    OscillatorySpec,
+    base_frequency,
     integrate_adaptive,
     integrate_decaying,
     integrate_frullani_oscillatory,
+    oscillatory_plan,
 )
+from .records import STATUSES, VerificationRecord, judge, skipped
 from .series import gr_4_324_2_closed
 
 __all__ = [
@@ -48,8 +50,6 @@ __all__ = [
     "parse_grid_file",
     "base_frequency",
 ]
-
-STATUSES = ("PASS", "FAIL", "NOT_APPLICABLE", "ORACLE_FAILED", "CONSTRAINT_VIOLATION")
 
 CLASS_TOLERANCE = {
     "smooth-decay": 1e-6,
@@ -95,56 +95,9 @@ class CatalogEntry:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
-    entry_id: str
-    params: dict
-    expected: float
-    numeric: float
-    abs_error: float
-    oracle_error: float
-    status: str
-    wall_time: float
-    detail: str = ""
-
-
 def _positive(*names: str) -> Constraint:
     prose = ", ".join(names) + (" is" if len(names) == 1 else " are") + " positive"
     return Constraint(prose, lambda p, ns=names: all(p[n] > 0 for n in ns))
-
-
-def base_frequency(freqs: Sequence[float]) -> float:
-    """Greatest common divisor of the frequency content, so that every
-    component either alternates or returns to fixed phase on the segment
-    grid of half-period pi/base.  Rationalizes through Fraction; falls back
-    to the smallest frequency if the values do not rationalize sensibly."""
-    pos = sorted(f for f in freqs if f > 0)
-    if not pos:
-        raise ValueError("need at least one positive frequency")
-    try:
-        fracs = [Fraction(f).limit_denominator(10**6) for f in pos]
-        if any(fr <= 0 for fr in fracs):
-            return pos[0]
-        num = 0
-        den = 1
-        for fr in fracs:
-            num = math.gcd(num, fr.numerator)
-            den = math.lcm(den, fr.denominator)
-        base = num / den
-    except (OverflowError, ValueError):
-        return pos[0]
-    if not 0 < base <= pos[0] * (1 + 1e-12):
-        return pos[0]
-    return base
-
-
-def _oscillatory_plan(freqs: Sequence[float]) -> OscillatorySpec:
-    pos = [f for f in freqs if f > 0]
-    if not pos:
-        # identically zero integrand (all scales equal); any plan works
-        return OscillatorySpec(1.0, math.pi)
-    start = max(math.pi / min(pos), 1.0)
-    return OscillatorySpec(start, math.pi / base_frequency(pos))
 
 
 def _fmt(v: float) -> str:
@@ -891,7 +844,8 @@ def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> Ve
     """Instantiate, integrate with the class-appropriate oracle, compare.
 
     All failures are embedded in the record's status, never raised (except
-    for an unknown entry id, which is a caller error).
+    for an unknown entry id, which is a caller error).  The record's params
+    keep the entry's declaration order and only its declared names.
     """
     entry = get_entry(entry_id)
     if tol is None:
@@ -902,44 +856,22 @@ def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> Ve
     try:
         clean = _check_params(entry, params)
     except ValueError as exc:
-        return VerificationRecord(
-            entry_id, dict(params), math.nan, math.nan, math.nan, math.nan,
-            "CONSTRAINT_VIOLATION", time.perf_counter() - start, str(exc),
-        )
+        shown = {k: params[k] for k in entry.param_names if k in params}
+        return skipped(entry_id, shown, "CONSTRAINT_VIOLATION", start, str(exc))
     try:
         integrand, expected = instantiate(entry_id, clean)
     except ConstraintViolation as exc:
-        return VerificationRecord(
-            entry_id, clean, math.nan, math.nan, math.nan, math.nan,
-            "CONSTRAINT_VIOLATION", time.perf_counter() - start, exc.prose,
-        )
-    try:
+        return skipped(entry_id, clean, "CONSTRAINT_VIOLATION", start, exc.prose)
+
+    def oracle():
         if entry.eval_class == "smooth-decay":
-            res = integrate_decaying(integrand, tol * 0.25)
-        elif entry.eval_class == "finite-interval":
-            res = integrate_adaptive(integrand, 0.0, 1.0, tol * 0.25)
-        else:
-            plan = _oscillatory_plan(entry.frequencies(clean))
-            res = integrate_frullani_oscillatory(integrand, plan, tol * 0.25)
-    except (ArithmeticError, IntegrandError, ValueError) as exc:
-        return VerificationRecord(
-            entry_id, clean, expected, math.nan, math.nan, math.nan,
-            "ORACLE_FAILED", time.perf_counter() - start, f"oracle raised: {exc}",
-        )
-    abs_error = abs(expected - res.value)
-    if not res.converged:
-        status = "ORACLE_FAILED"
-        detail = f"oracle did not converge: {res.diagnostic}"
-    elif abs_error <= tol:
-        status = "PASS"
-        detail = ""
-    else:
-        status = "FAIL"
-        detail = f"|closed - oracle| = {abs_error:.3e} > tol = {tol:.3e}"
-    return VerificationRecord(
-        entry_id, clean, expected, res.value, abs_error, res.error_estimate,
-        status, time.perf_counter() - start, detail,
-    )
+            return integrate_decaying(integrand, tol * 0.25)
+        if entry.eval_class == "finite-interval":
+            return integrate_adaptive(integrand, 0.0, 1.0, tol * 0.25)
+        plan = oscillatory_plan(entry.frequencies(clean))
+        return integrate_frullani_oscillatory(integrand, plan, tol * 0.25)
+
+    return judge(entry_id, clean, expected, oracle, tol, start)
 
 
 def parse_grid_file(text: str) -> dict[str, list[dict]]:

@@ -31,6 +31,7 @@ from . import catalog
 from .engine import FrullaniProblem, evaluate_pipeline
 from .expr import ExprError, evaluate, free_variables, parse as parse_expr
 from .limits import ProbeError, limit_at_infinity, limit_at_zero_plus
+from .records import VerificationRecord
 from .series import gr_4_324_2_closed, gr_4_324_2_series
 
 _BAD_STATUSES = ("FAIL", "ORACLE_FAILED")
@@ -75,22 +76,18 @@ def _parse_bindings(text: str) -> dict:
     return params
 
 
-def _record_line(rec: catalog.VerificationRecord) -> str:
-    entry = catalog.get_entry(rec.entry_id) if rec.entry_id in catalog.entry_ids() else None
-    names = entry.param_names if entry is not None else sorted(rec.params)
-    params = ";".join(f"{k}={rec.params[k]!r}" for k in names if k in rec.params)
+def _record_line(rec: VerificationRecord) -> str:
+    params = ";".join(f"{k}={v!r}" for k, v in rec.params.items())
     return (
         f"entry={rec.entry_id} params={params} expected={rec.expected!r} "
         f"numeric={rec.numeric!r} abs_err={rec.abs_error:.3e} status={rec.status}"
     )
 
 
-def _record_object(rec: catalog.VerificationRecord) -> dict:
-    entry = catalog.get_entry(rec.entry_id) if rec.entry_id in catalog.entry_ids() else None
-    names = entry.param_names if entry is not None else sorted(rec.params)
+def _record_object(rec: VerificationRecord) -> dict:
     return {
         "entry": rec.entry_id,
-        "params": {k: rec.params[k] for k in names if k in rec.params},
+        "params": rec.params,
         "expected": rec.expected,
         "numeric": rec.numeric,
         "abs_err": rec.abs_error,

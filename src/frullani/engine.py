@@ -15,14 +15,15 @@ import math
 import time
 from dataclasses import dataclass
 
-from .expr import Expression, ExprError, evaluate, free_variables, unparse
+from .expr import Expression, evaluate, free_variables, unparse
 from .limits import (
     LimitVerdict,
     ProbeConfig,
     limit_at_infinity,
     limit_at_zero_plus,
 )
-from .quadrature import IntegrandError, integrate_decaying
+from .quadrature import integrate_decaying
+from .records import VerificationRecord, judge, skipped
 
 __all__ = [
     "FrullaniProblem",
@@ -108,7 +109,7 @@ def closed_form(prob: FrullaniProblem, f0: float, finf: float) -> float:
     return (f0 - finf) * spread / prob.power
 
 
-def evaluate_pipeline(prob: FrullaniProblem, tol: float):
+def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
     """Diagnose, evaluate the closed form from the probed limits, and verify
     against the quadrature oracle.  Returns a VerificationRecord with entry
     id "eval"; the detail field records that the limits came from the probe.
@@ -117,25 +118,13 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float):
     oracle that fails to converge (or cannot evaluate the integrand) yields
     ORACLE_FAILED.
     """
-    from .catalog import VerificationRecord  # record type lives with the catalog
-
     if not tol > 0:
         raise ValueError("tol must be positive")
     params = {"a": prob.a, "b": prob.b, "power": prob.power}
     start = time.perf_counter()
     report = diagnose(prob)
     if not report.applicable:
-        return VerificationRecord(
-            entry_id="eval",
-            params=params,
-            expected=math.nan,
-            numeric=math.nan,
-            abs_error=math.nan,
-            oracle_error=math.nan,
-            status="NOT_APPLICABLE",
-            wall_time=time.perf_counter() - start,
-            detail=report.reason,
-        )
+        return skipped("eval", params, "NOT_APPLICABLE", start, report.reason)
 
     f0 = report.verdict_at_zero.value
     finf = report.verdict_at_infinity.value
@@ -150,38 +139,7 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float):
         fb = evaluate(prob.f, {"x": b * xp})
         return (fa - fb) / x
 
-    try:
-        oracle = integrate_decaying(integrand, tol * 0.25)
-    except (ArithmeticError, ExprError, IntegrandError, ValueError) as exc:
-        return VerificationRecord(
-            entry_id="eval",
-            params=params,
-            expected=expected,
-            numeric=math.nan,
-            abs_error=math.nan,
-            oracle_error=math.nan,
-            status="ORACLE_FAILED",
-            wall_time=time.perf_counter() - start,
-            detail=f"{provenance}; oracle raised: {exc}",
-        )
-    abs_error = abs(expected - oracle.value)
-    if not oracle.converged:
-        status = "ORACLE_FAILED"
-        detail = f"{provenance}; oracle did not converge: {oracle.diagnostic}"
-    elif abs_error <= tol:
-        status = "PASS"
-        detail = provenance
-    else:
-        status = "FAIL"
-        detail = provenance
-    return VerificationRecord(
-        entry_id="eval",
-        params=params,
-        expected=expected,
-        numeric=oracle.value,
-        abs_error=abs_error,
-        oracle_error=oracle.error_estimate,
-        status=status,
-        wall_time=time.perf_counter() - start,
-        detail=detail,
+    return judge(
+        "eval", params, expected, lambda: integrate_decaying(integrand, tol * 0.25),
+        tol, start, provenance,
     )

@@ -88,6 +88,13 @@ Expression = Union[Const, Var, Neg, BinOp, Call]
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "atan", "sqrt", "abs")
 
+# Deepest nesting parse accepts.  Every parenthesis group, function call,
+# unary minus and binary operator puts what it encloses one level deeper, so
+# "x+x+x" reaches level 2 and "((x))" level 2 as well.  Input past the limit
+# raises ParseError; the limit keeps the recursive parser and tree walks
+# (evaluate, free_variables, unparse) well inside Python's recursion limit.
+MAX_DEPTH = 100
+
 _NUMBER = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
@@ -108,8 +115,17 @@ class _Parser:
     def _fail(self, message: str, expected: str | None = None) -> ParseError:
         return ParseError(min(self.pos, len(self.source)), message, expected)
 
+    def _deeper(self, level: int) -> int:
+        """level + 1, refused past MAX_DEPTH at the current offset."""
+        if level >= MAX_DEPTH:
+            raise self._fail(f"expression nested more than {MAX_DEPTH} levels deep")
+        return level + 1
+
+    # Each method below takes the level its node sits at and returns the node
+    # with the deepest level any of its leaves sits at.
+
     def parse(self) -> Expression:
-        node = self.expression()
+        node, _ = self.expression(0)
         self._skip_ws()
         if self.pos < len(self.source):
             ch = self.source[self.pos]
@@ -121,50 +137,55 @@ class _Parser:
             raise self._fail(f"unexpected '{ch}'", "an operator or end of input")
         return node
 
-    def expression(self) -> Expression:
-        node = self.term()
+    def expression(self, level: int) -> tuple[Expression, int]:
+        node, reach = self.term(level)
         while self._peek() in ("+", "-"):
             op = self.source[self.pos]
             self.pos += 1
-            node = BinOp(op, node, self.term())
-        return node
+            # the new node pushes everything parsed so far one level down
+            right, right_reach = self.term(self._deeper(level))
+            node, reach = BinOp(op, node, right), max(self._deeper(reach), right_reach)
+        return node, reach
 
-    def term(self) -> Expression:
-        node = self.factor()
+    def term(self, level: int) -> tuple[Expression, int]:
+        node, reach = self.factor(level)
         while self._peek() in ("*", "/"):
             op = self.source[self.pos]
             self.pos += 1
-            node = BinOp(op, node, self.factor())
-        return node
+            right, right_reach = self.factor(self._deeper(level))
+            node, reach = BinOp(op, node, right), max(self._deeper(reach), right_reach)
+        return node, reach
 
-    def factor(self) -> Expression:
+    def factor(self, level: int) -> tuple[Expression, int]:
         if self._peek() == "-":
             self.pos += 1
-            return Neg(self.factor())
-        return self.power()
+            operand, reach = self.factor(self._deeper(level))
+            return Neg(operand), reach
+        return self.power(level)
 
-    def power(self) -> Expression:
-        base = self.atom()
+    def power(self, level: int) -> tuple[Expression, int]:
+        base, reach = self.atom(level)
         if self._peek() == "^":
             self.pos += 1
             # right-associative, and the exponent may carry a unary minus
-            return BinOp("^", base, self.factor())
-        return base
+            exponent, exponent_reach = self.factor(self._deeper(level))
+            return BinOp("^", base, exponent), max(self._deeper(reach), exponent_reach)
+        return base, reach
 
-    def atom(self) -> Expression:
+    def atom(self, level: int) -> tuple[Expression, int]:
         ch = self._peek()
         if ch == "(":
             self.pos += 1
-            node = self.expression()
+            node, reach = self.expression(self._deeper(level))
             if self._peek() != ")":
                 raise self._fail("unbalanced parenthesis", "')'")
             self.pos += 1
-            return node
+            return node, reach
         if ch.isdigit():
             m = _NUMBER.match(self.source, self.pos)
             assert m is not None
             self.pos = m.end()
-            return Const(float(m.group()))
+            return Const(float(m.group())), level
         if ch.isalpha() or ch == "_":
             m = _NAME.match(self.source, self.pos)
             assert m is not None
@@ -177,14 +198,14 @@ class _Parser:
                         "one of " + ", ".join(FUNCTIONS),
                     )
                 self.pos += 1
-                arg = self.expression()
+                arg, reach = self.expression(self._deeper(level))
                 if self._peek() != ")":
                     raise self._fail("unbalanced parenthesis", "')'")
                 self.pos += 1
-                return Call(name, arg)
+                return Call(name, arg), reach
             if name in FUNCTIONS:
                 raise self._fail(f"function '{name}' must be called", "'('")
-            return Var(name)
+            return Var(name), level
         if ch == "":
             raise self._fail("unexpected end of input", "a number, name or '('")
         if ch == ".":
@@ -198,7 +219,7 @@ def parse(source: str) -> Expression:
     """Parse source text into an expression tree.
 
     Raises ParseError (with offset and an expected-token hint) on malformed
-    input.
+    input, and on input nested more than MAX_DEPTH levels deep.
     """
     return _Parser(source).parse()
 

@@ -121,14 +121,13 @@ def _probe(f: Callable[[float], float], abscissas: list[float], tolerance: float
         if math.isnan(s):
             raise ProbeError(x, ValueError("evaluated to NaN"))
         samples.append(s)
-        evidence = tuple(zip(abscissas[: len(samples)], samples))
 
         if (
             abs(s) > OVERFLOW_GUARD
             and len(samples) >= 3
             and abs(samples[-1]) > abs(samples[-2]) > abs(samples[-3])
         ):
-            return LimitVerdict.diverges(1 if s > 0 else -1, evidence)
+            return LimitVerdict.diverges(1 if s > 0 else -1, tuple(zip(abscissas, samples)))
 
         if len(samples) >= 3:
             a = _aitken(samples[-3], samples[-2], samples[-1])
@@ -140,7 +139,9 @@ def _probe(f: Callable[[float], float], abscissas: list[float], tolerance: float
                         agree_streak += 1
                         # two consecutive agreements guard against a lucky pair
                         if agree_streak >= 2:
-                            return LimitVerdict.finite(extrapolants[-1], diff, evidence)
+                            return LimitVerdict.finite(
+                                extrapolants[-1], diff, tuple(zip(abscissas, samples))
+                            )
                     else:
                         agree_streak = 0
             else:

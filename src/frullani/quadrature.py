@@ -14,7 +14,9 @@ Three layers:
                               of the phase-locked remainder in 1/x.
 
 integrate_frullani_oscillatory splits a whole-line oscillatory integral at a
-point c into an adaptive head on (0, c] and an accelerated tail.
+point c into an adaptive head on (0, c] and an accelerated tail;
+oscillatory_plan picks c and the segment grid from the integrand's
+frequencies.
 """
 
 from __future__ import annotations
@@ -22,12 +24,15 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 __all__ = [
     "QuadratureResult",
     "OscillatorySpec",
     "IntegrandError",
+    "base_frequency",
+    "oscillatory_plan",
     "integrate_adaptive",
     "integrate_decaying",
     "integrate_oscillatory_tail",
@@ -89,6 +94,43 @@ class OscillatorySpec:
             raise ValueError("half_period must be positive and finite")
         if self.max_segments < 8:
             raise ValueError("max_segments must be at least 8")
+
+
+def base_frequency(freqs: Sequence[float]) -> float:
+    """Greatest common divisor of the frequency content, so that every
+    component either alternates or returns to fixed phase on the segment
+    grid of half-period pi/base.  Rationalizes through Fraction; falls back
+    to the smallest frequency if the values do not rationalize sensibly."""
+    pos = sorted(f for f in freqs if f > 0)
+    if not pos:
+        raise ValueError("need at least one positive frequency")
+    try:
+        fracs = [Fraction(f).limit_denominator(10**6) for f in pos]
+        if any(fr <= 0 for fr in fracs):
+            return pos[0]
+        num = 0
+        den = 1
+        for fr in fracs:
+            num = math.gcd(num, fr.numerator)
+            den = math.lcm(den, fr.denominator)
+        base = num / den
+    except (OverflowError, ValueError):
+        return pos[0]
+    if not 0 < base <= pos[0] * (1 + 1e-12):
+        return pos[0]
+    return base
+
+
+def oscillatory_plan(freqs: Sequence[float]) -> OscillatorySpec:
+    """Tail plan for an integrand with the given nominal frequencies: start
+    after the slowest component's first half-period (and no earlier than 1),
+    segment on the half-period of the base frequency."""
+    pos = [f for f in freqs if f > 0]
+    if not pos:
+        # identically zero integrand (all scales equal); any plan works
+        return OscillatorySpec(1.0, math.pi)
+    start = max(math.pi / min(pos), 1.0)
+    return OscillatorySpec(start, math.pi / base_frequency(pos))
 
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre (QUADPACK dqk15).
@@ -244,6 +286,12 @@ def integrate_decaying(
     return integrate_adaptive(mapped, 0.0, 1.0, tol, max_panels)
 
 
+# Tail accelerator: Euler averaging passes over the partial sums, and the
+# most nodes the Neville extrapolation in 1/x uses.
+_AVERAGING_DEPTH = 8
+_EXTRAPOLATION_NODES = 7
+
+
 def _euler_averaged(sums: Sequence[float], depth: int) -> list[float]:
     """depth iterated pairwise averagings of a partial-sum sequence."""
     out = list(sums)
@@ -258,8 +306,6 @@ def _accelerate_tail(
     partial_sums: Sequence[float],
     start: float,
     half_period: float,
-    depth: int,
-    nodes: int,
 ) -> tuple[float, float]:
     """Extrapolate tail partial sums to infinity.
 
@@ -269,7 +315,7 @@ def _accelerate_tail(
     tableau extrapolates to 1/x = 0.  Returns (value, error_estimate).
     """
     n = len(partial_sums)
-    depth = min(depth, max(0, n - 3))
+    depth = min(_AVERAGING_DEPTH, max(0, n - 3))
     averaged = _euler_averaged(partial_sums, depth)
     # effective reciprocal abscissa of each averaged entry: the binomially
     # weighted mean of the reciprocals it mixes (exact for the 1/x component)
@@ -295,7 +341,7 @@ def _accelerate_tail(
         if x <= target:
             picked.append(m)
             target = x / 1.45
-        if len(picked) >= nodes:
+        if len(picked) >= _EXTRAPOLATION_NODES:
             break
     picked.reverse()
     if len(picked) < 2:
@@ -320,19 +366,16 @@ def integrate_oscillatory_tail(
     f: Callable[[float], float],
     spec: OscillatorySpec,
     tol: float,
-    depth: int = 8,
-    nodes: int = 7,
 ) -> QuadratureResult:
     """Integrate f over [spec.start, inf) for a conditionally convergent tail.
 
     Successive segments [c + j*h, c + (j+1)*h] are integrated adaptively and
-    the partial-sum sequence is accelerated (averaging depth capped at 12,
-    at most spec.max_segments segment sums).  converged means the accelerated
-    remainder estimate dropped to tol or below.
+    the partial-sum sequence is accelerated (at most spec.max_segments
+    segment sums).  converged means the accelerated remainder estimate
+    dropped to tol or below.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    depth = min(depth, 12)
     c, h, max_seg = spec.start, spec.half_period, spec.max_segments
     seg_tol = tol / (2.0 * max_seg)
 
@@ -369,8 +412,8 @@ def integrate_oscillatory_tail(
             else:
                 sign_run = 0
 
-        if len(sums) >= max(10, depth + 3):
-            value, acc_est = _accelerate_tail(sums, c, h, depth, nodes)
+        if len(sums) >= max(10, _AVERAGING_DEPTH + 3):
+            value, acc_est = _accelerate_tail(sums, c, h)
             total_est = acc_est + seg_err
             if math.isfinite(value) and total_est <= tol:
                 stable += 1

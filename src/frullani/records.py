@@ -1,0 +1,91 @@
+"""Verification records and the one rule that gives them their status.
+
+Both verification routes, the catalog (catalog.verify_entry) and the
+probe-then-verify pipeline (engine.evaluate_pipeline), end in a
+VerificationRecord built here: skipped() for a binding that never reached an
+oracle, judge() for one that did.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+from dataclasses import dataclass
+from typing import Callable
+
+from .expr import ExprError
+from .quadrature import IntegrandError, QuadratureResult
+
+__all__ = ["VerificationRecord", "STATUSES", "skipped", "judge"]
+
+STATUSES = ("PASS", "FAIL", "NOT_APPLICABLE", "ORACLE_FAILED", "CONSTRAINT_VIOLATION")
+
+# what an oracle may raise and still end in an ORACLE_FAILED record
+_ORACLE_ERRORS = (ArithmeticError, ExprError, IntegrandError, ValueError)
+
+
+@dataclass(frozen=True)
+class VerificationRecord:
+    """One checked binding.  params holds the binding in print order."""
+
+    entry_id: str
+    params: dict
+    expected: float
+    numeric: float
+    abs_error: float
+    oracle_error: float
+    status: str
+    wall_time: float
+    detail: str = ""
+
+
+def skipped(
+    entry_id: str, params: dict, status: str, start: float, detail: str
+) -> VerificationRecord:
+    """A record for a binding that never reached an oracle
+    (CONSTRAINT_VIOLATION, NOT_APPLICABLE).  start is the perf_counter
+    reading the record's wall time counts from."""
+    return VerificationRecord(
+        entry_id, params, math.nan, math.nan, math.nan, math.nan,
+        status, time.perf_counter() - start, detail,
+    )
+
+
+def judge(
+    entry_id: str,
+    params: dict,
+    expected: float,
+    oracle: Callable[[], QuadratureResult],
+    tol: float,
+    start: float,
+    provenance: str = "",
+) -> VerificationRecord:
+    """Run the oracle and compare its value with the closed form.
+
+    ORACLE_FAILED when the oracle raises or does not converge, PASS when
+    |expected - value| <= tol, FAIL otherwise.  The detail names the reason
+    for every status but PASS, after the provenance when one is given.
+    """
+    try:
+        res = oracle()
+    except _ORACLE_ERRORS as exc:
+        return VerificationRecord(
+            entry_id, params, expected, math.nan, math.nan, math.nan,
+            "ORACLE_FAILED", time.perf_counter() - start,
+            _join(provenance, f"oracle raised: {exc}"),
+        )
+    abs_error = abs(expected - res.value)
+    if not res.converged:
+        status, reason = "ORACLE_FAILED", f"oracle did not converge: {res.diagnostic}"
+    elif abs_error <= tol:
+        status, reason = "PASS", ""
+    else:
+        status, reason = "FAIL", f"|closed - oracle| = {abs_error:.3e} > tol = {tol:.3e}"
+    return VerificationRecord(
+        entry_id, params, expected, res.value, abs_error, res.error_estimate,
+        status, time.perf_counter() - start, _join(provenance, reason),
+    )
+
+
+def _join(provenance: str, reason: str) -> str:
+    return "; ".join(s for s in (provenance, reason) if s)

@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .quadrature import integrate_frullani_oscillatory, oscillatory_plan
+
 __all__ = [
     "SeriesParams",
     "log_series_partial",
@@ -207,27 +209,12 @@ def imaginary_exponential_check(
     the kernel and the reason only the real part survives.  Returns the
     (cos, sin) value pair; raises if either oscillatory integration fails
     to converge.  p = q short-circuits to (0, 0), the zero integrand.
-    Deferred import keeps this module usable without quadrature for pure
-    series work.
     """
-    from fractions import Fraction
-
-    from .quadrature import OscillatorySpec, integrate_frullani_oscillatory
-
     if not (p > 0 and q > 0):
         raise ValueError("p and q must be positive")
     if p == q:
         return 0.0, 0.0
-    fp = Fraction(p).limit_denominator(10**6)
-    fq = Fraction(q).limit_denominator(10**6)
-    base = math.gcd(fp.numerator, fq.numerator) / math.lcm(
-        fp.denominator, fq.denominator
-    )
-    if base <= 0:
-        base = min(p, q)
-    spec = OscillatorySpec(
-        start=max(math.pi / min(p, q), 1.0), half_period=math.pi / base
-    )
+    spec = oscillatory_plan((p, q))
 
     def cos_diff(x: float) -> float:
         return (math.cos(p * x) - math.cos(q * x)) / x

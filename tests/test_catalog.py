@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frullani import catalog
+from frullani import catalog, records
 from frullani.catalog import (
     CLASS_TOLERANCE,
     ConstraintViolation,
@@ -189,6 +189,17 @@ class TestParamChecking:
         rec = verify_entry("GR-3.434.2", {"a": 1.0})
         assert rec.status == "CONSTRAINT_VIOLATION"
         assert "missing b" in rec.detail
+
+    def test_record_params_keep_declared_names_in_order(self):
+        rec = verify_entry("R-3.2", {"b": 2.0, "a": 1.0, "q": 1.0, "p": 2.0})
+        assert list(rec.params) == ["p", "q", "a", "b"]
+        rec = verify_entry("R-3.4", {"c": 2.0, "a": 1.0})
+        assert rec.status == "CONSTRAINT_VIOLATION"
+        assert rec.params == {"a": 1.0}
+
+    def test_record_type_is_shared_with_the_pipeline(self):
+        assert catalog.VerificationRecord is records.VerificationRecord
+        assert catalog.STATUSES is records.STATUSES
 
     def test_unexpected_parameter_raises_on_instantiate(self):
         with pytest.raises(ValueError, match="unexpected c"):

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from frullani.cli import main
+from frullani.expr import MAX_DEPTH
 from frullani.series import gr_4_324_2_closed
 
 RECORD_RE = re.compile(
@@ -57,6 +58,15 @@ class TestVerify:
         main(["verify", "R-3.2", "--params", "a=1,b=2,p=2,q=1"])
         f = fields(capsys.readouterr().out.splitlines()[0])
         assert f["params"] == "p=2.0;q=1.0;a=1.0;b=2.0"
+
+    def test_undeclared_params_are_not_printed(self, capsys):
+        rc = main(["verify", "R-3.4", "--params", "a=1,c=2"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        f = fields(captured.out.splitlines()[0])
+        assert f["params"] == "a=1.0"
+        assert f["status"] == "CONSTRAINT_VIOLATION"
+        assert "missing b; unexpected c" in captured.err
 
     def test_unknown_entry_is_usage_error(self, capsys):
         rc = main(["verify", "GR-9.999"])
@@ -204,6 +214,11 @@ class TestEval:
         rc = main(["eval", "exp(-y)", "--a", "1", "--b", "2"])
         assert rc == 2
 
+    def test_long_sum_is_bad_expression(self, capsys):
+        rc = main(["eval", "+".join(["x"] * 3000), "--a", "1", "--b", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: bad expression: ")
+
 
 class TestSeries:
     def test_closed_partial_residual(self, capsys):
@@ -254,6 +269,17 @@ class TestLimits:
     def test_bad_expression(self, capsys):
         rc = main(["limits", "1 +"])
         assert rc == 2
+
+    def test_deep_parentheses_are_bad_expression(self, capsys):
+        rc = main(["limits", "(" * 1200 + "x" + ")" * 1200])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: bad expression: ")
+
+    def test_parentheses_at_the_depth_limit_parse(self, capsys):
+        rc = main(["limits", "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert out[0].startswith("at 0+: finite(")
 
 
 class TestTopLevel:

@@ -159,6 +159,8 @@ class TestPipeline:
         rec = evaluate_pipeline(prob("exp(-x)"), 1e-13)
         assert rec.status == "FAIL"
         assert rec.abs_error > 1e-13
+        assert "limits=probe" in rec.detail
+        assert "|closed - oracle|" in rec.detail
 
     def test_pole_in_integrand_is_oracle_failure(self):
         # 1/(x-3) probes finite at both ends but the oracle must cross the

@@ -11,6 +11,7 @@ from frullani.expr import (
     Const,
     DomainError,
     FUNCTIONS,
+    MAX_DEPTH,
     Neg,
     ParseError,
     UnboundVariableError,
@@ -95,6 +96,21 @@ class TestParseErrors:
             with pytest.raises(ParseError) as info:
                 parse(bad)
             assert 0 <= info.value.offset <= len(bad)
+
+    @pytest.mark.parametrize("nest", [
+        lambda n: "(" * n + "x" + ")" * n,
+        lambda n: "abs(" * n + "x" + ")" * n,
+        lambda n: "-" * n + "x",
+        lambda n: "x" + "^x" * n,
+        lambda n: "+".join(["x"] * (n + 1)),
+        lambda n: "/".join(["x"] * (n + 1)),
+    ])
+    def test_nesting_limit(self, nest):
+        parse(nest(MAX_DEPTH))
+        too_deep = nest(MAX_DEPTH + 1)
+        with pytest.raises(ParseError, match="nested more than") as info:
+            parse(too_deep)
+        assert 0 < info.value.offset <= len(too_deep)
 
 
 class TestEvaluate:

@@ -138,9 +138,10 @@ def test_custom_config_is_used():
         calls.append(x)
         return 0.0
 
-    limit_at_infinity(f, ProbeConfig(x0=3.0, grow=3.0, max_samples=12))
+    v = limit_at_infinity(f, ProbeConfig(x0=3.0, grow=3.0, max_samples=12))
     assert calls[0] == 3.0 and calls[1] == 9.0
     assert len(calls) <= 12
+    assert v.evidence == tuple((x, 0.0) for x in calls)
 
 
 @settings(max_examples=60, deadline=None)
