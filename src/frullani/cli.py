@@ -29,7 +29,7 @@ import sys
 
 from . import catalog
 from .engine import FrullaniProblem, evaluate_pipeline
-from .expr import ExprError, evaluate, free_variables, parse as parse_expr
+from .expr import ExprError, compile_kernel, free_variables, parse as parse_expr
 from .limits import ProbeError, limit_at_infinity, limit_at_zero_plus
 from .records import VerificationRecord
 from .series import gr_4_324_2_closed, gr_4_324_2_series
@@ -211,10 +211,7 @@ def _cmd_limits(args) -> int:
             "expression may only use the variable x, found "
             + ", ".join(sorted(free - {"x"}))
         )
-
-    def kernel(x: float) -> float:
-        return evaluate(tree, {"x": x})
-
+    kernel = compile_kernel(tree)
     try:
         at_zero = limit_at_zero_plus(kernel)
         at_inf = limit_at_infinity(kernel)

@@ -13,9 +13,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
-from .expr import Expression, evaluate, free_variables, unparse
+from .expr import Expression, compile_kernel, free_variables, unparse
+
+# Not called here, since kernels are compiled; the benchmark's tracer wraps
+# the name engine.evaluate, so it must stay importable from this module.
+from .expr import evaluate  # noqa: F401
 from .limits import (
     LimitVerdict,
     ProbeConfig,
@@ -37,12 +42,16 @@ __all__ = [
 @dataclass(frozen=True)
 class FrullaniProblem:
     """One integral: the kernel f (an expression in x, parameters already
-    bound to numbers), the two scale factors, and the argument power."""
+    bound to numbers), the two scale factors, and the argument power.
+
+    kernel is f compiled once (expr.compile_kernel) when the problem is made;
+    it takes no part in equality, hashing or repr."""
 
     f: Expression
     a: float
     b: float
     power: float = 1.0
+    kernel: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("a", "b", "power"):
@@ -55,6 +64,7 @@ class FrullaniProblem:
                 f"kernel must have exactly the free variable x, got "
                 f"{sorted(names) or 'none'}"
             )
+        object.__setattr__(self, "kernel", compile_kernel(self.f))
 
 
 @dataclass(frozen=True)
@@ -73,12 +83,8 @@ def diagnose(
     Expression evaluation failures inside the probe propagate as ProbeError
     with the offending abscissa.
     """
-
-    def kernel(x: float) -> float:
-        return evaluate(prob.f, {"x": x})
-
-    at_zero = limit_at_zero_plus(kernel, cfg)
-    at_inf = limit_at_infinity(kernel, cfg)
+    at_zero = limit_at_zero_plus(prob.kernel, cfg)
+    at_inf = limit_at_infinity(prob.kernel, cfg)
     applicable = at_zero.is_finite and at_inf.is_finite
     if applicable:
         reason = "both limits finite"
@@ -131,13 +137,11 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
     expected = closed_form(prob, f0, finf)
     provenance = f"limits=probe f0={f0!r} finf={finf!r} kernel={unparse(prob.f)}"
 
-    a, b, p = prob.a, prob.b, prob.power
+    f, a, b, p = prob.kernel, prob.a, prob.b, prob.power
 
     def integrand(x: float) -> float:
         xp = x if p == 1.0 else math.pow(x, p)
-        fa = evaluate(prob.f, {"x": a * xp})
-        fb = evaluate(prob.f, {"x": b * xp})
-        return (fa - fb) / x
+        return (f(a * xp) - f(b * xp)) / x
 
     return judge(
         "eval", params, expected, lambda: integrate_decaying(integrand, tol * 0.25),

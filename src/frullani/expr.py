@@ -4,10 +4,20 @@ The grammar is deliberately tiny: decimal literals, named variables, the
 functions exp/ln/sin/cos/atan/sqrt/abs, and infix arithmetic with the usual
 precedence (^ binds tighter than unary minus, which binds tighter than * and /,
 which bind tighter than + and -; ^ is right-associative).  Implicit
-multiplication ("2x") is a parse error, never a guess.
+multiplication ("2x") is a parse error, never a guess, and so is a literal
+that overflows to infinity.
 
-Trees are immutable dataclasses, so structural equality is plain ==, and
-evaluation is a pure function of (tree, bindings).
+Three ways to use a tree:
+
+  parse / unparse  recursive-descent parser with offsets in its errors, and
+                   the printer that round-trips its trees
+  evaluate         the reference evaluator: walks the tree under a dict of
+                   bindings, a pure function of (tree, bindings)
+  compile_kernel   lowers a tree in x, once, to a straight-line Python
+                   function that returns exactly what evaluate returns; the
+                   probe-then-verify pipeline calls kernels this way
+
+Trees are immutable dataclasses, so structural equality is plain ==.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 
 class ExprError(Exception):
@@ -184,8 +194,14 @@ class _Parser:
         if ch.isdigit():
             m = _NUMBER.match(self.source, self.pos)
             assert m is not None
+            value = float(m.group())
+            if math.isinf(value):
+                # unparse could not print it back: repr gives "inf", a name
+                raise self._fail(
+                    f"number {m.group()} overflows double precision", "a finite number"
+                )
             self.pos = m.end()
-            return Const(float(m.group())), level
+            return Const(value), level
         if ch.isalpha() or ch == "_":
             m = _NAME.match(self.source, self.pos)
             assert m is not None
@@ -311,6 +327,116 @@ def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
     if op == "^":
         return _pow(a, b)
     raise EvaluationError(f"unknown operator '{op}'")
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+# Names the generated source may use; it sees nothing else, not even builtins.
+_HELPERS = {
+    "__builtins__": {},
+    "_DomainError": DomainError,
+    "_pow": _pow,
+    "_exp": _exp,
+    "_log": math.log,
+    "_sin": math.sin,
+    "_cos": math.cos,
+    "_atan": math.atan,
+    "_sqrt": math.sqrt,
+    "_abs": abs,
+    "_isinf": math.isinf,
+    "_inf": math.inf,
+    "_nan": math.nan,
+}
+
+# (domain check or None, value) per function, over the argument's operand text
+_CALL_LINES = {
+    "exp": (None, "_exp({0})"),
+    "ln": ("{0} <= 0.0", "_log({0})"),
+    "sin": ("_isinf({0})", "_sin({0})"),
+    "cos": ("_isinf({0})", "_cos({0})"),
+    "atan": (None, "_atan({0})"),
+    "sqrt": ("{0} < 0.0", "_sqrt({0})"),
+    "abs": (None, "_abs({0})"),
+}
+
+
+def _operand(value: float) -> str:
+    """Source text for a constant: its repr, or a helper name when repr is
+    not a Python literal."""
+    if math.isfinite(value):
+        return repr(value)
+    if math.isnan(value):
+        return "_nan"
+    return "_inf" if value > 0 else "-_inf"
+
+
+def compile_kernel(expr: Expression) -> Callable[[float], float]:
+    """Compile a tree in the one variable x into a function of a float x.
+
+    The tree is lowered once, in the left-to-right post-order evaluate walks
+    it in, to straight-line Python with one single-assignment line per
+    interior node and the domain checks inlined, so the function returns
+    exactly what evaluate(expr, {"x": x}) returns and raises the same
+    DomainError.  The walk keeps its own stack, so tree depth is not bounded
+    by Python's recursion limit.  Any other variable raises
+    UnboundVariableError here rather than at call time.
+    """
+    lines: list[str] = []
+    operands: list[str] = []  # operand text of every finished subtree
+    pending: list[tuple[Expression, bool]] = [(expr, False)]
+    while pending:
+        node, children_done = pending.pop()
+        if isinstance(node, Const):
+            operands.append(_operand(node.value))
+            continue
+        if isinstance(node, Var):
+            if node.name != "x":
+                raise UnboundVariableError(node.name)
+            operands.append("x")
+            continue
+        if not children_done:
+            pending.append((node, True))
+            if isinstance(node, BinOp):
+                pending.append((node.right, False))
+                pending.append((node.left, False))
+            else:
+                pending.append((node.operand if isinstance(node, Neg) else node.arg, False))
+            continue
+        target = f"t{len(lines)}"
+        if isinstance(node, Neg):
+            lines.append(f"{target} = -{operands.pop()}")
+        elif isinstance(node, Call):
+            if node.func not in _CALL_LINES:
+                raise EvaluationError(f"unknown function '{node.func}'")
+            check, value = _CALL_LINES[node.func]
+            arg = operands.pop()
+            if check is not None:
+                lines.append(
+                    f"if {check.format(arg)}: raise _DomainError({node.func!r}, {arg})"
+                )
+            lines.append(f"{target} = {value.format(arg)}")
+        else:
+            right = operands.pop()
+            left = operands.pop()
+            if node.op in ("+", "-", "*"):
+                lines.append(f"{target} = {left} {node.op} {right}")
+            elif node.op == "/":
+                lines.append(f"if {right} == 0.0: raise _DomainError('/', {right})")
+                lines.append(f"{target} = {left} / {right}")
+            elif node.op == "^":
+                lines.append(f"{target} = _pow({left}, {right})")
+            else:
+                raise EvaluationError(f"unknown operator '{node.op}'")
+        operands.append(target)
+    body = "".join(f"    {line}\n" for line in lines)
+    namespace = dict(_HELPERS)
+    exec(f"def kernel(x):\n{body}    return {operands.pop()}\n", namespace)
+    return namespace["kernel"]
 
 
 # precedence levels used by unparse; higher binds tighter

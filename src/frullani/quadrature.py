@@ -227,7 +227,9 @@ def integrate_adaptive(
     """Globally adaptive G7/K15 integration of f over the finite [lo, hi].
 
     When converged is True the returned error_estimate is at most tol.  The
-    estimate on failure is the honest panel-error sum.
+    estimate on failure is the honest panel-error sum, and the diagnostic
+    names why refinement stopped: the panel cap, or panels too narrow to
+    split at floating-point resolution.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("need finite lo < hi")
@@ -239,6 +241,7 @@ def integrate_adaptive(
     panels = [(-err, 0, lo, hi, value, err)]
     counter = 1
     err_total = err
+    at_resolution = False
     while err_total > tol and len(panels) < max_panels:
         neg_err, _, plo, phi, pval, perr = heapq.heappop(panels)
         mid = 0.5 * (plo + phi)
@@ -248,6 +251,7 @@ def integrate_adaptive(
             counter += 1
             err_total = sum(p[5] for p in panels)
             if all(p[0] == 0.0 for p in panels):
+                at_resolution = True
                 break
             continue
         lval, lerr, _ = gauss_kronrod_panel(f, plo, mid)
@@ -261,7 +265,15 @@ def integrate_adaptive(
     ordered = sorted(panels, key=lambda p: p[2])
     total = sum(p[4] for p in ordered)
     err_total = sum(p[5] for p in ordered)
-    return QuadratureResult(total, err_total, evals, err_total <= tol)
+    if err_total <= tol:
+        return QuadratureResult(total, err_total, evals, True)
+    if len(panels) >= max_panels:
+        diagnostic = f"panel cap of {max_panels} panels reached"
+    elif at_resolution:
+        diagnostic = "the error left sits in panels at floating-point resolution"
+    else:
+        diagnostic = "panel error sum rounded above tolerance"
+    return QuadratureResult(total, err_total, evals, False, diagnostic)
 
 
 def integrate_decaying(
@@ -276,7 +288,14 @@ def integrate_decaying(
 
     def mapped(t: float) -> float:
         u = 1.0 - t
-        x = t / u
+        try:
+            x = t / u
+        except ZeroDivisionError:
+            # a node so close to 1 that 1 - t rounds to 0 maps to x = inf
+            raise IntegrandError(
+                math.inf, math.nan,
+                "was not evaluated: the map x = t/(1-t) reached t = 1,",
+            ) from None
         v = f(x)
         if v == 0.0:
             return 0.0

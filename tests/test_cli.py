@@ -214,6 +214,30 @@ class TestEval:
         rc = main(["eval", "exp(-y)", "--a", "1", "--b", "2"])
         assert rc == 2
 
+    def test_overflowing_literal_is_bad_expression(self, capsys):
+        rc = main(["eval", "atan(1e999)+exp(-x)", "--a", "1", "--b", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: bad expression: ")
+
+    def test_mapped_abscissa_reaching_one_is_named(self, capsys):
+        rc = main(["eval", "exp(-x)", "--a", "1", "--b", "2", "--power", "0.05"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert fields(captured.out.splitlines()[0])["status"] == "ORACLE_FAILED"
+        assert captured.err.rstrip().endswith(
+            "oracle raised: integrand was not evaluated: "
+            "the map x = t/(1-t) reached t = 1, at x = inf"
+        )
+
+    def test_non_convergence_names_the_panel_cap(self, capsys):
+        rc = main(["eval", "cos(x)/(1+x)", "--a", "1", "--b", "2"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert fields(captured.out.splitlines()[0])["status"] == "ORACLE_FAILED"
+        assert captured.err.rstrip().endswith(
+            "oracle did not converge: panel cap of 2000 panels reached"
+        )
+
     def test_long_sum_is_bad_expression(self, capsys):
         rc = main(["eval", "+".join(["x"] * 3000), "--a", "1", "--b", "2"])
         assert rc == 2
@@ -269,6 +293,15 @@ class TestLimits:
     def test_bad_expression(self, capsys):
         rc = main(["limits", "1 +"])
         assert rc == 2
+
+    @pytest.mark.parametrize("expr", ["1e999*x", "x + 2e308"])
+    def test_overflowing_literal_is_bad_expression(self, expr, capsys):
+        # the literal used to parse as inf and report diverges(+inf)
+        rc = main(["limits", expr])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad expression: ")
 
     def test_deep_parentheses_are_bad_expression(self, capsys):
         rc = main(["limits", "(" * 1200 + "x" + ")" * 1200])

@@ -41,6 +41,14 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             prob("exp(-x) + y")
 
+    def test_compiled_kernel_is_left_out_of_equality_and_hash(self):
+        p, q = prob("exp(-x)"), prob("exp(-x)")
+        assert p.kernel is not q.kernel
+        assert p.kernel(2.0) == math.exp(-2.0)
+        assert p == q and hash(p) == hash(q)
+        assert "kernel" not in repr(p)
+        assert p != prob("exp(-2*x)")
+
     def test_rejects_constant_kernels(self):
         # a kernel without x has f(ax) = f(bx) identically; reject upfront
         with pytest.raises(ValueError):

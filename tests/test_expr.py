@@ -3,19 +3,21 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from frullani.expr import (
     BinOp,
     Call,
     Const,
     DomainError,
+    EvaluationError,
     FUNCTIONS,
     MAX_DEPTH,
     Neg,
     ParseError,
     UnboundVariableError,
     Var,
+    compile_kernel,
     evaluate,
     free_variables,
     parse,
@@ -90,6 +92,17 @@ class TestParseErrors:
     def test_dangling_operator(self):
         with pytest.raises(ParseError):
             parse("1 +")
+
+    def test_overflowing_literal_rejected_at_its_offset(self):
+        # repr(inf) is "inf", which would reparse as a variable
+        with pytest.raises(ParseError, match="overflows") as info:
+            parse("atan(1e999)")
+        assert info.value.offset == 5
+        with pytest.raises(ParseError):
+            parse("x*" + "9" * 400)
+
+    def test_underflowing_literal_is_zero(self):
+        assert parse("1e-999") == Const(0.0)
 
     def test_offset_is_within_source(self):
         for bad in ["2x", "(", "1 + * 2", "sin(x", "x @ y"]:
@@ -220,3 +233,85 @@ def test_negation_flips_sign(tree):
         assert math.isnan(w)
     else:
         assert w == -v
+
+
+class TestCompileKernel:
+    def test_matches_evaluate_on_a_kernel(self):
+        tree = parse("ln(2 + 3*exp(-x)) - sqrt(abs(sin(x)))/x + (1 + 1/x)^x")
+        kernel = compile_kernel(tree)
+        for x in (0.25, 1.0, 3.5, 1e16):
+            assert kernel(x) == evaluate(tree, {"x": x})
+
+    def test_domain_error_names_function_and_argument(self):
+        with pytest.raises(DomainError) as info:
+            compile_kernel(parse("ln(x - 3)"))(1.0)
+        assert info.value.func == "ln" and info.value.argument == -2.0
+        with pytest.raises(DomainError) as info:
+            compile_kernel(parse("1/(x - 2)"))(2.0)
+        assert info.value.func == "/" and info.value.argument == 0.0
+
+    def test_other_variables_fail_at_compile_time(self):
+        with pytest.raises(UnboundVariableError) as info:
+            compile_kernel(parse("x + y"))
+        assert info.value.name == "y"
+
+    def test_input_text_never_reaches_the_source(self):
+        with pytest.raises(UnboundVariableError):
+            compile_kernel(Var("__import__('os')"))
+        with pytest.raises(EvaluationError, match="unknown function"):
+            compile_kernel(Call("exp(x); y = (", Var("x")))
+
+    def test_deep_tree_compiles_without_recursion(self):
+        # far past Python's recursion limit, which evaluate could not walk
+        tree = Var("x")
+        for _ in range(2999):
+            tree = BinOp("+", tree, Var("x"))
+        assert compile_kernel(tree)(1.0) == 3000.0
+
+
+# trees in x only, with constants the parser cannot produce (negative, -0.0,
+# infinite, nan) as hand-built trees may hold them
+_kernel_trees = st.recursive(
+    st.one_of(
+        st.builds(Const, st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])),
+        st.builds(Const, st.floats()),
+        st.just(Var("x")),
+    ),
+    lambda kids: st.one_of(
+        st.builds(Neg, kids),
+        st.builds(Call, st.sampled_from(FUNCTIONS), kids),
+        st.builds(BinOp, st.sampled_from("+-*/^"), kids, kids),
+    ),
+    max_leaves=20,
+)
+
+# where the kernels run: signed zeros and subnormals, the probe ladders'
+# 2^-59 .. 2^59, the decaying map's 1e16, and infinities
+_abscissas = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, math.inf, -math.inf]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.integers(-59, 59).map(lambda k: 2.0**k),
+    st.floats(-(2.0**59), 2.0**59, allow_nan=False),
+)
+
+
+def _same_float(a, b):
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _outcome(fn, x):
+    try:
+        return "value", fn(x)
+    except DomainError as exc:
+        return exc.func, exc.argument
+
+
+@settings(max_examples=500, deadline=None)
+@given(_kernel_trees, _abscissas)
+def test_compiled_kernel_agrees_with_evaluate_bitwise(tree, x):
+    kind, got = _outcome(compile_kernel(tree), x)
+    want_kind, want = _outcome(lambda v: evaluate(tree, {"x": v}), x)
+    assert kind == want_kind
+    assert _same_float(got, want), (got, want)

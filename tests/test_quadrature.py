@@ -98,6 +98,24 @@ class TestAdaptive:
         with pytest.raises(IntegrandError):
             integrate_adaptive(f, 0.0, 1.0, 1e-8)
 
+    def test_converged_result_has_no_diagnostic(self):
+        res = integrate_adaptive(math.sin, 0.0, math.pi, 1e-12)
+        assert res.converged and res.diagnostic == ""
+
+    def test_panel_cap_is_named(self):
+        res = integrate_adaptive(lambda x: x**-0.9, 0.0, 1.0, 1e-12, max_panels=50)
+        assert not res.converged
+        assert res.diagnostic == "panel cap of 50 panels reached"
+
+    def test_floating_point_resolution_is_named(self):
+        # eight ulps wide: bisection reaches single-ulp panels long before
+        # the cap, and their rounded nodes keep the error estimate above 0
+        lo = 1.0
+        hi = lo + 8 * math.ulp(lo)
+        res = integrate_adaptive(lambda x: (x - 1.0) * 1e20, lo, hi, 1e-300)
+        assert not res.converged
+        assert res.diagnostic == "the error left sits in panels at floating-point resolution"
+
     @settings(max_examples=50, deadline=None)
     @given(
         a=st.floats(-50.0, 50.0, allow_nan=False),
@@ -138,6 +156,18 @@ class TestDecaying:
         # the map's jacobian must not turn that into 0 * inf
         res = integrate_decaying(lambda x: math.exp(-(x * x)) * x, 1e-9)
         assert res.value == pytest.approx(0.5, abs=1e-8)
+
+
+    def test_node_rounding_to_one_names_the_map(self):
+        # a slowly decaying integrand drives nodes so close to t = 1 that
+        # 1 - t rounds to 0; the abscissa reported is x = inf, not t
+        def f(x):
+            return (math.exp(-(x**0.05)) - math.exp(-2.0 * x**0.05)) / x
+
+        with pytest.raises(IntegrandError, match=r"t/\(1-t\) reached t = 1") as info:
+            integrate_decaying(f, 0.25e-6)
+        assert info.value.abscissa == math.inf
+        assert str(info.value).endswith("at x = inf")
 
 
 class TestOscillatorySpec:
