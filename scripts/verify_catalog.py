@@ -2,9 +2,11 @@
 
 Runs every catalog entry over its default grid at the class tolerance and
 prints one line per record plus, per evaluation class, the worst observed
-|closed - oracle| against the tolerance.  The headroom numbers are what to
-watch after touching quadrature.py or the tail accelerator: the suite can
-stay green while the margin quietly erodes.
+|closed - oracle| against the tolerance and the total integrand evaluations.
+The headroom numbers are what to watch after touching quadrature.py or the
+tail accelerator: the suite can stay green while the margin quietly erodes.
+The evaluation totals are deterministic, so a quadrature change can quote
+them on any machine.
 
 Exit status follows the CLI convention: 1 if anything FAILs, else 0.
 """
@@ -26,6 +28,7 @@ def main() -> int:
 
     worst = defaultdict(float)
     slowest = defaultdict(float)
+    evaluations = defaultdict(int)
     for rec in records:
         entry = catalog.get_entry(rec.entry_id)
         binding = " ".join(f"{k}={v:g}" for k, v in rec.params.items())
@@ -34,13 +37,15 @@ def main() -> int:
         if rec.status == "PASS":
             worst[entry.eval_class] = max(worst[entry.eval_class], rec.abs_error)
         slowest[entry.eval_class] = max(slowest[entry.eval_class], rec.wall_time)
+        evaluations[entry.eval_class] += rec.evaluations
 
     print()
     for eval_class in sorted(worst):
         tol = catalog.class_tolerance(eval_class)
         margin = tol / worst[eval_class] if worst[eval_class] > 0 else float("inf")
         print(f"{eval_class:<16} worst abs_err {worst[eval_class]:.3e} vs tol {tol:.0e} "
-              f"(headroom {margin:.0f}x, slowest record {slowest[eval_class] * 1e3:.1f} ms)")
+              f"(headroom {margin:.0f}x, {evaluations[eval_class]} evaluations, "
+              f"slowest record {slowest[eval_class] * 1e3:.1f} ms)")
 
     bad = [r for r in records if r.status in ("FAIL", "ORACLE_FAILED")]
     print(f"\n{len(records)} records, {len(records) - len(bad)} good, {len(bad)} bad")

@@ -16,7 +16,8 @@ Record lines are stable:
 floats print via repr (shortest round-trip), error magnitudes as %.3e, so
 two runs over the same inputs produce byte-identical reports.  Exit status
 is 0 when no record is FAIL or ORACLE_FAILED, 1 otherwise, 2 for usage
-errors.  FRULLANI_TOL overrides the default tolerance when --tol is absent.
+errors.  FRULLANI_TOL overrides the default tolerance when --tol is absent;
+either must be a finite positive number.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class UsageError(Exception):
 def _default_tol(fallback: float | None) -> float | None:
     # an explicit --tol always wins; the environment fills the gap
     if fallback is not None:
+        if not (math.isfinite(fallback) and fallback > 0):
+            raise UsageError(f"--tol must be a positive number, got {fallback!r}")
         return fallback
     env = os.environ.get("FRULLANI_TOL")
     if env is None:

@@ -5,13 +5,17 @@ Three layers:
   integrate_adaptive          Gauss-Kronrod 7/15 panels, globally adaptive
                               bisection of the worst panel.  The rule is open
                               (no endpoint evaluations), so integrands with a
-                              removable endpoint singularity just work.
+                              removable endpoint singularity just work.  The
+                              panel is straight-line code: one loop over the
+                              15 nodes, one finiteness check, unrolled sums.
   integrate_decaying          semi-infinite integrals of decaying integrands,
                               mapped onto (0, 1) by x = t/(1-t).
   integrate_oscillatory_tail  conditionally convergent tails: fixed-width
                               half-period segments, partial sums accelerated
                               by iterated Euler averaging plus extrapolation
-                              of the phase-locked remainder in 1/x.
+                              of the phase-locked remainder in 1/x.  The
+                              averaging levels grow by one entry per segment
+                              instead of being recomputed.
 
 integrate_frullani_oscillatory splits a whole-line oscillatory integral at a
 point c into an adaptive head on (0, c] and an accelerated tail;
@@ -52,18 +56,6 @@ class IntegrandError(RuntimeError):
         super().__init__(f"integrand {what} at x = {abscissa!r}")
 
 
-def _eval_checked(f: Callable[[float], float], x: float) -> float:
-    try:
-        v = f(x)
-    except IntegrandError:
-        raise
-    except (ArithmeticError, ValueError) as exc:
-        raise IntegrandError(x, math.nan, f"raised {exc!r}") from exc
-    if not math.isfinite(v):
-        raise IntegrandError(x, v)
-    return v
-
-
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
@@ -71,6 +63,17 @@ class QuadratureResult:
     function_evaluations: int
     converged: bool
     diagnostic: str = ""
+
+
+# Tail accelerator: Euler averaging passes over the partial sums, and the
+# most nodes the Neville extrapolation in 1/x uses.  The first estimate
+# needs three fully averaged entries; convergence needs two in a row.
+_AVERAGING_DEPTH = 8
+_EXTRAPOLATION_NODES = 7
+_FIRST_ESTIMATE = _AVERAGING_DEPTH + 3
+# binomial weights of the depth-fold average of neighbouring partial sums
+_EULER_WEIGHTS = tuple(math.comb(_AVERAGING_DEPTH, i) for i in range(_AVERAGING_DEPTH + 1))
+_EULER_WSUM = float(sum(_EULER_WEIGHTS))
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,10 @@ class OscillatorySpec:
             raise ValueError("start must be positive and finite")
         if not (self.half_period > 0 and math.isfinite(self.half_period)):
             raise ValueError("half_period must be positive and finite")
-        if self.max_segments < 8:
-            raise ValueError("max_segments must be at least 8")
+        if self.max_segments <= _FIRST_ESTIMATE:
+            # fewer segments never give the two tail estimates in a row
+            # that convergence needs
+            raise ValueError(f"max_segments must be at least {_FIRST_ESTIMATE + 1}")
 
 
 def base_frequency(freqs: Sequence[float]) -> float:
@@ -163,6 +168,11 @@ _WG = (
 )
 
 
+_X0, _X1, _X2, _X3, _X4, _X5, _X6 = _XGK[:7]
+_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
+_G0, _G1, _G2, _G3 = _WG
+
+
 def gauss_kronrod_panel(
     f: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, float, float]:
@@ -170,51 +180,69 @@ def gauss_kronrod_panel(
 
     Returns (kronrod_value, error_estimate, resasc).  All 15 nodes are
     interior, so f is never evaluated at lo or hi.  A non-finite f value
-    raises IntegrandError carrying the abscissa.
+    raises IntegrandError carrying the abscissa; when several nodes fail,
+    the first in evaluation order (+d0, -d0, ..., +d6, -d6, center) is named.
     """
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
+    d0, d1, d2, d3 = half * _X0, half * _X1, half * _X2, half * _X3
+    d4, d5, d6 = half * _X4, half * _X5, half * _X6
+    xs = (
+        center + d0, center - d0, center + d1, center - d1,
+        center + d2, center - d2, center + d3, center - d3,
+        center + d4, center - d4, center + d5, center - d5,
+        center + d6, center - d6, center,
+    )
+    vals: list[float] = []
+    append = vals.append
+    try:
+        for x in xs:
+            append(f(x))
+    except Exception as exc:
+        # a non-finite value at an earlier node wins over the raise
+        _raise_first_nonfinite(xs, vals)
+        if not isinstance(exc, (ArithmeticError, ValueError)):
+            raise
+        raise IntegrandError(xs[len(vals)], math.nan, f"raised {exc!r}") from exc
+    if not math.isfinite(sum(vals)):
+        # finite values whose sum overflows raise nothing here
+        _raise_first_nonfinite(xs, vals)
+    p0, m0, p1, m1, p2, m2, p3, m3, p4, m4, p5, m5, p6, m6, fc = vals
 
-    fodd = [0.0] * 8  # f(center + half*x) + f(center - half*x), center counted once
-    values = [0.0] * 15
-    idx = 0
-    for i, xg in enumerate(_XGK):
-        if xg == 0.0:
-            v = _eval_checked(f, center)
-            fodd[i] = v
-            values[idx] = v
-            idx += 1
-            continue
-        xp = center + half * xg
-        xm = center - half * xg
-        vp = _eval_checked(f, xp)
-        vm = _eval_checked(f, xm)
-        fodd[i] = vp + vm
-        values[idx] = vp
-        values[idx + 1] = vm
-        idx += 2
-
-    kron = sum(w * s for w, s in zip(_WGK, fodd))
-    gauss = sum(w * fodd[i] for w, i in zip(_WG, (1, 3, 5, 7)))
+    # left-to-right sums from 0, so an all -0.0 panel sums to +0.0
+    s1, s3, s5 = p1 + m1, p3 + m3, p5 + m5
+    kron = (
+        0 + _K0 * (p0 + m0) + _K1 * s1 + _K2 * (p2 + m2) + _K3 * s3
+        + _K4 * (p4 + m4) + _K5 * s5 + _K6 * (p6 + m6) + _K7 * fc
+    )
+    gauss = 0 + _G0 * s1 + _G1 * s3 + _G2 * s5 + _G3 * fc
     result_k = kron * half
     raw_err = abs((kron - gauss) * half)
 
     # QUADPACK-style sharpening: scale by the variation of f over the panel
     mean = kron * 0.5
-    resasc = 0.0
-    j = 0
-    for i, w in enumerate(_WGK):
-        if _XGK[i] == 0.0:
-            resasc += w * abs(values[j] - mean)
-            j += 1
-        else:
-            resasc += w * (abs(values[j] - mean) + abs(values[j + 1] - mean))
-            j += 2
+    resasc = (
+        0.0
+        + _K0 * (abs(p0 - mean) + abs(m0 - mean))
+        + _K1 * (abs(p1 - mean) + abs(m1 - mean))
+        + _K2 * (abs(p2 - mean) + abs(m2 - mean))
+        + _K3 * (abs(p3 - mean) + abs(m3 - mean))
+        + _K4 * (abs(p4 - mean) + abs(m4 - mean))
+        + _K5 * (abs(p5 - mean) + abs(m5 - mean))
+        + _K6 * (abs(p6 - mean) + abs(m6 - mean))
+        + _K7 * abs(fc - mean)
+    )
     resasc *= abs(half)
     err = raw_err
     if resasc != 0.0 and raw_err != 0.0:
         err = resasc * min(1.0, (200.0 * raw_err / resasc) ** 1.5)
     return result_k, err, resasc
+
+
+def _raise_first_nonfinite(xs: Sequence[float], vals: Sequence[float]) -> None:
+    for x, v in zip(xs, vals):
+        if not math.isfinite(v):
+            raise IntegrandError(x, v) from None
 
 
 def integrate_adaptive(
@@ -305,56 +333,21 @@ def integrate_decaying(
     return integrate_adaptive(mapped, 0.0, 1.0, tol, max_panels)
 
 
-# Tail accelerator: Euler averaging passes over the partial sums, and the
-# most nodes the Neville extrapolation in 1/x uses.
-_AVERAGING_DEPTH = 8
-_EXTRAPOLATION_NODES = 7
-
-
-def _euler_averaged(sums: Sequence[float], depth: int) -> list[float]:
-    """depth iterated pairwise averagings of a partial-sum sequence."""
-    out = list(sums)
-    for _ in range(depth):
-        if len(out) < 2:
-            break
-        out = [0.5 * (a + b) for a, b in zip(out, out[1:])]
-    return out
-
-
 def _accelerate_tail(
-    partial_sums: Sequence[float],
-    start: float,
-    half_period: float,
+    averaged: Sequence[float], ts: Sequence[float]
 ) -> tuple[float, float]:
-    """Extrapolate tail partial sums to infinity.
+    """Extrapolate the averaged tail partial sums to infinity.
 
-    partial_sums[m] = integral over [start, start + (m+1)h].  Alternating
+    averaged[m] is the _AVERAGING_DEPTH-fold Euler average of the partial
+    sums m .. m + depth, ts[m] its effective reciprocal abscissa.  Alternating
     error components are annihilated by the averaging stage; what survives
     is, on the half-period grid, a smooth series in 1/x, which a Neville
     tableau extrapolates to 1/x = 0.  Returns (value, error_estimate).
     """
-    n = len(partial_sums)
-    depth = min(_AVERAGING_DEPTH, max(0, n - 3))
-    averaged = _euler_averaged(partial_sums, depth)
-    # effective reciprocal abscissa of each averaged entry: the binomially
-    # weighted mean of the reciprocals it mixes (exact for the 1/x component)
-    m_count = len(averaged)
-    weights = [math.comb(depth, i) for i in range(depth + 1)]
-    wsum = float(sum(weights))
-    ts = []
-    for m in range(m_count):
-        t = sum(
-            w / (start + (m + i + 1.0) * half_period) for i, w in enumerate(weights)
-        )
-        ts.append(t / wsum)
-
-    if m_count == 1:
-        return averaged[0], abs(averaged[0]) + 1.0
-
     # geometric subsample of the averaged sequence, biased to the far tail
+    m_count = len(averaged)
     picked = [m_count - 1]
-    x_last = 1.0 / ts[m_count - 1]
-    target = x_last / 1.45
+    target = 1.0 / ts[m_count - 1] / 1.45
     for m in range(m_count - 2, -1, -1):
         x = 1.0 / ts[m]
         if x <= target:
@@ -364,21 +357,19 @@ def _accelerate_tail(
             break
     picked.reverse()
     if len(picked) < 2:
-        picked = list(range(max(0, m_count - 2), m_count))
+        picked = [m_count - 2, m_count - 1]
 
     # Neville tableau in t, extrapolated to t = 0
     t_nodes = [ts[m] for m in picked]
     table = [averaged[m] for m in picked]
     best = table[-1]
-    prev = None
     for level in range(1, len(table)):
         for i in range(len(table) - 1, level - 1, -1):
             denom = t_nodes[i - level] - t_nodes[i]
             table[i] = table[i] + t_nodes[i] * (table[i] - table[i - 1]) / denom
         prev = best
         best = table[-1]
-    est = abs(best - prev) if prev is not None else abs(best)
-    return best, est
+    return best, abs(best - prev)
 
 
 def integrate_oscillatory_tail(
@@ -398,7 +389,11 @@ def integrate_oscillatory_tail(
     c, h, max_seg = spec.start, spec.half_period, spec.max_segments
     seg_tol = tol / (2.0 * max_seg)
 
-    sums: list[float] = []
+    # levels[0] holds the partial sums, levels[k] their k-fold pairwise
+    # averages; every level and ts grow by one entry per segment
+    levels: list[list[float]] = [[] for _ in range(_AVERAGING_DEPTH + 1)]
+    averaged = levels[-1]
+    ts: list[float] = []
     seg_values: list[float] = []
     seg_err = 0.0
     evals = 0
@@ -418,7 +413,18 @@ def integrate_oscillatory_tail(
         seg_err += res.error_estimate
         running += res.value
         seg_values.append(res.value)
-        sums.append(running)
+        levels[0].append(running)
+        for below, level in zip(levels, levels[1:]):
+            if len(below) < 2:
+                break
+            level.append(0.5 * (below[-2] + below[-1]))
+        if len(ts) < len(averaged):
+            # effective reciprocal abscissa of the new averaged entry: the
+            # binomially weighted mean of the reciprocals it mixes (exact
+            # for the 1/x component)
+            m = len(ts)
+            t = sum(w / (c + (m + i + 1.0) * h) for i, w in enumerate(_EULER_WEIGHTS))
+            ts.append(t / _EULER_WSUM)
 
         if len(seg_values) >= 2 and abs(seg_values[-1]) > floor and abs(seg_values[-2]) > floor:
             if seg_values[-1] * seg_values[-2] > 0:
@@ -431,8 +437,8 @@ def integrate_oscillatory_tail(
             else:
                 sign_run = 0
 
-        if len(sums) >= max(10, _AVERAGING_DEPTH + 3):
-            value, acc_est = _accelerate_tail(sums, c, h)
+        if len(seg_values) >= _FIRST_ESTIMATE:
+            value, acc_est = _accelerate_tail(averaged, ts)
             total_est = acc_est + seg_err
             if math.isfinite(value) and total_est <= tol:
                 stable += 1

@@ -26,7 +26,9 @@ _ORACLE_ERRORS = (ArithmeticError, ExprError, IntegrandError, ValueError)
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """One checked binding.  params holds the binding in print order."""
+    """One checked binding.  params holds the binding in print order;
+    evaluations counts the oracle's integrand evaluations (0 when no oracle
+    ran or it raised)."""
 
     entry_id: str
     params: dict
@@ -37,6 +39,7 @@ class VerificationRecord:
     status: str
     wall_time: float
     detail: str = ""
+    evaluations: int = 0
 
 
 def skipped(
@@ -84,6 +87,7 @@ def judge(
     return VerificationRecord(
         entry_id, params, expected, res.value, abs_error, res.error_estimate,
         status, time.perf_counter() - start, _join(provenance, reason),
+        res.function_evaluations,
     )
 
 

@@ -11,12 +11,28 @@ fraction in complex arithmetic, via
 Used by the quadrature tests to pin oscillatory tail integrals such as
 int_pi^inf cos(x)/x dx = -Ci(pi) against an implementation that is
 independent of the package's extrapolation machinery.
+
+Also holds loop-form reference copies of the G7/K15 panel and the
+oscillatory tail accelerator (reference_panel, reference_tail).  The
+package's versions are unrolled and incremental; the tests require them to
+return the same bits as these plain loops.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from typing import Callable, Sequence
+
+from frullani.quadrature import (
+    _WG,
+    _WGK,
+    _XGK,
+    IntegrandError,
+    OscillatorySpec,
+    QuadratureResult,
+    integrate_adaptive,
+)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -94,3 +110,198 @@ def ci(x: float) -> float:
         return EULER_GAMMA + math.log(x) - _cin_series(x)
     e1 = _e1_imaginary(x)
     return -e1.real
+
+
+# --- G7/K15 panel, one node at a time --------------------------------------
+
+
+def _eval_checked(f: Callable[[float], float], x: float) -> float:
+    try:
+        v = f(x)
+    except IntegrandError:
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        raise IntegrandError(x, math.nan, f"raised {exc!r}") from exc
+    if not math.isfinite(v):
+        raise IntegrandError(x, v)
+    return v
+
+
+def reference_panel(
+    f: Callable[[float], float], lo: float, hi: float
+) -> tuple[float, float, float]:
+    """gauss_kronrod_panel evaluated node by node, every sum a left-to-right
+    loop (sum() of floats is compensated from Python 3.12 on)."""
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+
+    fodd = [0.0] * 8  # f(center + half*x) + f(center - half*x), center counted once
+    values = [0.0] * 15
+    idx = 0
+    for i, xg in enumerate(_XGK):
+        if xg == 0.0:
+            v = _eval_checked(f, center)
+            fodd[i] = v
+            values[idx] = v
+            idx += 1
+            continue
+        xp = center + half * xg
+        xm = center - half * xg
+        vp = _eval_checked(f, xp)
+        vm = _eval_checked(f, xm)
+        fodd[i] = vp + vm
+        values[idx] = vp
+        values[idx + 1] = vm
+        idx += 2
+
+    kron = 0
+    for w, s in zip(_WGK, fodd):
+        kron += w * s
+    gauss = 0
+    for w, i in zip(_WG, (1, 3, 5, 7)):
+        gauss += w * fodd[i]
+    result_k = kron * half
+    raw_err = abs((kron - gauss) * half)
+
+    mean = kron * 0.5
+    resasc = 0.0
+    j = 0
+    for i, w in enumerate(_WGK):
+        if _XGK[i] == 0.0:
+            resasc += w * abs(values[j] - mean)
+            j += 1
+        else:
+            resasc += w * (abs(values[j] - mean) + abs(values[j + 1] - mean))
+            j += 2
+    resasc *= abs(half)
+    err = raw_err
+    if resasc != 0.0 and raw_err != 0.0:
+        err = resasc * min(1.0, (200.0 * raw_err / resasc) ** 1.5)
+    return result_k, err, resasc
+
+
+# --- oscillatory tail, accelerated from scratch at every segment ------------
+
+_AVERAGING_DEPTH = 8
+_EXTRAPOLATION_NODES = 7
+
+
+def _euler_averaged(sums: Sequence[float], depth: int) -> list[float]:
+    out = list(sums)
+    for _ in range(depth):
+        if len(out) < 2:
+            break
+        out = [0.5 * (a + b) for a, b in zip(out, out[1:])]
+    return out
+
+
+def _accelerate_tail(
+    partial_sums: Sequence[float],
+    start: float,
+    half_period: float,
+) -> tuple[float, float]:
+    n = len(partial_sums)
+    depth = min(_AVERAGING_DEPTH, max(0, n - 3))
+    averaged = _euler_averaged(partial_sums, depth)
+    m_count = len(averaged)
+    weights = [math.comb(depth, i) for i in range(depth + 1)]
+    wsum = float(sum(weights))
+    ts = []
+    for m in range(m_count):
+        t = sum(
+            w / (start + (m + i + 1.0) * half_period) for i, w in enumerate(weights)
+        )
+        ts.append(t / wsum)
+
+    if m_count == 1:
+        return averaged[0], abs(averaged[0]) + 1.0
+
+    picked = [m_count - 1]
+    x_last = 1.0 / ts[m_count - 1]
+    target = x_last / 1.45
+    for m in range(m_count - 2, -1, -1):
+        x = 1.0 / ts[m]
+        if x <= target:
+            picked.append(m)
+            target = x / 1.45
+        if len(picked) >= _EXTRAPOLATION_NODES:
+            break
+    picked.reverse()
+    if len(picked) < 2:
+        picked = list(range(max(0, m_count - 2), m_count))
+
+    t_nodes = [ts[m] for m in picked]
+    table = [averaged[m] for m in picked]
+    best = table[-1]
+    prev = None
+    for level in range(1, len(table)):
+        for i in range(len(table) - 1, level - 1, -1):
+            denom = t_nodes[i - level] - t_nodes[i]
+            table[i] = table[i] + t_nodes[i] * (table[i] - table[i - 1]) / denom
+        prev = best
+        best = table[-1]
+    est = abs(best - prev) if prev is not None else abs(best)
+    return best, est
+
+
+def reference_tail(
+    f: Callable[[float], float],
+    spec: OscillatorySpec,
+    tol: float,
+) -> QuadratureResult:
+    """integrate_oscillatory_tail with the accelerator recomputed from the
+    whole partial-sum sequence at every segment."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    c, h, max_seg = spec.start, spec.half_period, spec.max_segments
+    seg_tol = tol / (2.0 * max_seg)
+
+    sums: list[float] = []
+    seg_values: list[float] = []
+    seg_err = 0.0
+    evals = 0
+    running = 0.0
+    best = 0.0
+    est = math.inf
+    stable = 0
+    sign_run = 0
+    non_alternating = False
+    floor = tol * 1e-3
+
+    for j in range(max_seg):
+        lo = c + j * h
+        hi = c + (j + 1) * h
+        res = integrate_adaptive(f, lo, hi, seg_tol, max_panels=200)
+        evals += res.function_evaluations
+        seg_err += res.error_estimate
+        running += res.value
+        seg_values.append(res.value)
+        sums.append(running)
+
+        if len(seg_values) >= 2 and abs(seg_values[-1]) > floor and abs(seg_values[-2]) > floor:
+            if seg_values[-1] * seg_values[-2] > 0:
+                sign_run += 1
+                if sign_run > 8:
+                    non_alternating = True
+            else:
+                sign_run = 0
+
+        if len(sums) >= max(10, _AVERAGING_DEPTH + 3):
+            value, acc_est = _accelerate_tail(sums, c, h)
+            total_est = acc_est + seg_err
+            if math.isfinite(value) and total_est <= tol:
+                stable += 1
+                if stable >= 2:
+                    return QuadratureResult(value, total_est, evals, True)
+            else:
+                stable = 0
+            best, est = value, total_est
+
+    diagnostic = "tail estimate did not reach tolerance"
+    if non_alternating:
+        diagnostic = (
+            "segment sums not alternating beyond the grace count; " + diagnostic
+        )
+    if not math.isfinite(est):
+        best = running
+    return QuadratureResult(best, est, evals, False, diagnostic)

@@ -20,6 +20,7 @@ from frullani.catalog import (
     parse_grid_file,
     verify_entry,
 )
+from frullani.quadrature import integrate_frullani_oscillatory, oscillatory_plan
 
 ALL_IDS = entry_ids()
 
@@ -116,6 +117,31 @@ class TestDefaultGridSweep:
     def test_exponential_difference_passes_everywhere(self, a, b):
         rec = verify_entry("GR-3.434.2", {"a": a, "b": b})
         assert rec.status == "PASS", rec.detail
+
+
+class TestEvaluationCount:
+    # the dearest default-grid binding; a quadrature change that moves this
+    # count changes the oracle's arithmetic
+    BINDING = {"a": 2.0, "p": 1.0, "q": 10.0}
+    EVALUATIONS = 12390
+
+    def test_worst_binding_costs_a_fixed_count(self):
+        integrand, _ = instantiate("GR-4.324.2", self.BINDING)
+        plan = oscillatory_plan(get_entry("GR-4.324.2").frequencies(self.BINDING))
+        tol = class_tolerance("oscillatory") * 0.25
+        res = integrate_frullani_oscillatory(integrand, plan, tol)
+        assert res.converged
+        assert res.function_evaluations == self.EVALUATIONS
+
+    def test_record_carries_the_count(self):
+        rec = verify_entry("GR-4.324.2", self.BINDING)
+        assert rec.status == "PASS"
+        assert rec.evaluations == self.EVALUATIONS
+
+    def test_skipped_record_counts_nothing(self):
+        rec = verify_entry("GR-4.324.2", {"a": 1.0, "p": 1.0})
+        assert rec.status == "CONSTRAINT_VIOLATION"
+        assert rec.evaluations == 0
 
 
 class TestZeroLaw:

@@ -100,6 +100,26 @@ class TestVerify:
         assert rc == 2
 
 
+class TestExplicitTolerance:
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "exp(-x)", "--a", "1", "--b", "2"],
+            ["verify", "GR-3.434.2", "--params", "a=1,b=2"],
+            ["verify-all"],
+        ],
+        ids=["eval", "verify", "verify-all"],
+    )
+    def test_invalid_flag_is_usage_error(self, argv, tol, capsys):
+        rc = main(argv + ["--tol", tol])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --tol must be a positive number, got ")
+        assert captured.err.count("\n") == 1
+
+
 class TestEnvironmentTolerance:
     def test_env_fills_in_when_flag_absent(self, capsys, monkeypatch):
         monkeypatch.setenv("FRULLANI_TOL", "1e-3")

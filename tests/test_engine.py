@@ -146,6 +146,7 @@ class TestPipeline:
         rec = evaluate_pipeline(prob("exp(-x)"), 1e-8)
         assert rec.status == "PASS"
         assert rec.entry_id == "eval"
+        assert rec.evaluations > 0 and rec.evaluations % 15 == 0
         assert rec.numeric == pytest.approx(math.log(2.0), abs=1e-8)
         assert "limits=probe" in rec.detail
         assert "exp(-x)" in rec.detail
@@ -160,6 +161,7 @@ class TestPipeline:
         assert rec.status == "NOT_APPLICABLE"
         assert math.isnan(rec.expected) and math.isnan(rec.numeric)
         assert "no-limit" in rec.detail
+        assert rec.evaluations == 0
 
     def test_probe_accuracy_bounds_verification(self):
         # the expected value carries probe error around 1e-11, so verifying
@@ -176,6 +178,9 @@ class TestPipeline:
         rec = evaluate_pipeline(prob("1/(x - 3)"), 1e-6)
         assert rec.status == "ORACLE_FAILED"
         assert "oracle" in rec.detail
+        # the oracle raised, so no count reached the record
+        assert "oracle raised" in rec.detail
+        assert rec.evaluations == 0
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):

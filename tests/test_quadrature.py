@@ -16,7 +16,7 @@ from frullani.quadrature import (
     integrate_frullani_oscillatory,
     integrate_oscillatory_tail,
 )
-from reference import ci, si
+from reference import ci, reference_panel, reference_tail, si
 
 
 class TestPanel:
@@ -181,6 +181,17 @@ class TestOscillatorySpec:
         with pytest.raises(ValueError):
             OscillatorySpec(math.inf, 1.0)
 
+    def test_segment_floor_allows_two_tail_estimates(self):
+        # the first tail estimate comes at segment 11 and convergence needs
+        # two in a row, so 11 segments could never converge
+        with pytest.raises(ValueError, match="at least 12"):
+            OscillatorySpec(1.0, math.pi, max_segments=11)
+        spec = OscillatorySpec(math.pi, math.pi, max_segments=12)
+        res = integrate_oscillatory_tail(lambda x: math.cos(x) / x, spec, 1e-4)
+        assert res.converged
+        assert res.function_evaluations == 12 * 15
+        assert res.value == pytest.approx(-ci(math.pi), abs=1e-4)
+
 
 class TestOscillatoryTail:
     def test_cosine_tail_matches_cosine_integral(self):
@@ -246,3 +257,125 @@ class TestWholeLineOscillatory:
         res = integrate_frullani_oscillatory(f, spec, 1e-5)
         head = integrate_adaptive(f, 0.0, math.pi, 0.4e-5)
         assert res.function_evaluations > head.function_evaluations
+
+
+# --- the unrolled panel and incremental tail against their loop forms -------
+
+
+def _outcome(fn, *args):
+    """Result as exact bits, or the IntegrandError as its observable parts."""
+    try:
+        out = fn(*args)
+    except IntegrandError as exc:
+        return ("raised", repr(exc.abscissa), repr(exc.value), str(exc))
+    if isinstance(out, QuadratureResult):
+        return (
+            out.value.hex(), out.error_estimate.hex(), out.function_evaluations,
+            out.converged, out.diagnostic,
+        )
+    return tuple(float(v).hex() for v in out)
+
+
+_intervals = st.tuples(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.floats(-12.0, 3.0),
+    st.booleans(),
+).map(lambda t: (t[0], t[0] + (-1.0 if t[2] else 1.0) * 10.0 ** t[1]))
+
+
+def _polynomial(coeffs):
+    def f(x):
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * x + c
+        return acc
+    return f
+
+
+_integrands = st.one_of(
+    st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=8).map(_polynomial),
+    st.floats(-5.0, 5.0).map(lambda k: lambda x: math.exp(k * x)),
+    st.tuples(st.floats(0.1, 50.0), st.floats(-3.0, 3.0)).map(
+        lambda wp: lambda x: math.cos(wp[0] * x + wp[1]) / (1.0 + x * x)
+    ),
+)
+
+
+class TestMatchesReference:
+    """gauss_kronrod_panel and integrate_oscillatory_tail return the same bits,
+    and raise the same errors, as the loop forms in reference.py."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_intervals, _integrands)
+    def test_panel_bits(self, interval, f):
+        lo, hi = interval
+        assert _outcome(gauss_kronrod_panel, f, lo, hi) == _outcome(reference_panel, f, lo, hi)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        _intervals,
+        st.lists(
+            st.tuples(
+                st.integers(0, 14),
+                st.sampled_from(["nan", "inf", "-inf", "zero-division", "value", "integrand"]),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_panel_failures(self, interval, faults):
+        lo, hi = interval
+        nodes = []
+        gauss_kronrod_panel(lambda x: nodes.append(x) or 1.0, lo, hi)
+        plan = {}
+        for k, mode in faults:
+            plan.setdefault(nodes[k], mode)
+
+        def f(x):
+            mode = plan.get(x)
+            if mode is None:
+                return math.sin(x)
+            if mode in ("nan", "inf", "-inf"):
+                return float(mode)
+            if mode == "zero-division":
+                return 1.0 / (x - x)
+            if mode == "value":
+                return math.sqrt(-1.0 - abs(x))
+            raise IntegrandError(2.0 * x, 7.0, "gave up")
+
+        new = _outcome(gauss_kronrod_panel, f, lo, hi)
+        assert new[0] == "raised"
+        assert new == _outcome(reference_panel, f, lo, hi)
+
+    def test_panel_sum_overflow_from_finite_values_raises_nothing(self):
+        f = lambda x: 1e308
+        assert _outcome(gauss_kronrod_panel, f, 0.0, 1.0) == _outcome(reference_panel, f, 0.0, 1.0)
+
+    def test_panel_signed_zero(self):
+        f = lambda x: -0.0
+        new = gauss_kronrod_panel(f, -1.0, 1.0)
+        assert _outcome(gauss_kronrod_panel, f, -1.0, 1.0) == _outcome(reference_panel, f, -1.0, 1.0)
+        assert math.copysign(1.0, new[0]) == 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["cos", "square", "harmonic"]),
+        st.floats(0.5, 5.0),
+        st.floats(0.5, 8.0),
+        st.integers(12, 64),
+        st.floats(-9.0, -3.0),
+    )
+    def test_tail_fields(self, kind, start, k, max_segments, log_tol):
+        if kind == "cos":
+            f = lambda x: math.cos(k * x) / x
+            spec = OscillatorySpec(start, math.pi / k, max_segments)
+        elif kind == "square":
+            f = lambda x: x**-2
+            spec = OscillatorySpec(start, k, max_segments)
+        else:
+            f = lambda x: 1.0 / x
+            spec = OscillatorySpec(start, k, max_segments)
+        tol = 10.0**log_tol
+        assert _outcome(integrate_oscillatory_tail, f, spec, tol) == _outcome(
+            reference_tail, f, spec, tol
+        )
