@@ -862,6 +862,17 @@ def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> Ve
         integrand, expected = instantiate(entry_id, clean)
     except ConstraintViolation as exc:
         return skipped(entry_id, clean, "CONSTRAINT_VIOLATION", start, exc.prose)
+    except (ArithmeticError, ValueError) as exc:
+        # constraints held, but the closed form overflows or leaves its
+        # domain in floating point (a=1e300, b=1e-300 underflows ln(b/a))
+        expected, cause = math.nan, str(exc)
+    else:
+        cause = repr(expected)
+    if not math.isfinite(expected):
+        return skipped(
+            entry_id, clean, "CONSTRAINT_VIOLATION", start,
+            f"closed form is not a finite double at this binding: {cause}",
+        )
 
     def oracle():
         if entry.eval_class == "smooth-decay":

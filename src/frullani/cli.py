@@ -29,14 +29,16 @@ import os
 import sys
 
 from . import catalog
-from .engine import FrullaniProblem, evaluate_pipeline
+from .engine import FrullaniProblem, diagnose, evaluate_pipeline
 from .expr import ExprError, compile_kernel, free_variables, parse as parse_expr
-from .limits import ProbeError, limit_at_infinity, limit_at_zero_plus
+from .limits import ProbeError
 from .records import VerificationRecord
-from .series import gr_4_324_2_closed, gr_4_324_2_series
+from .series import SeriesParams, gr_4_324_2_closed, gr_4_324_2_series
 
 _BAD_STATUSES = ("FAIL", "ORACLE_FAILED")
 _SKIP_STATUSES = ("NOT_APPLICABLE", "CONSTRAINT_VIOLATION")
+# the series is summed term by term in Python: 10**7 terms take seconds
+_MAX_TERMS = 10_000_000
 
 
 class UsageError(Exception):
@@ -192,7 +194,11 @@ def _cmd_eval(args) -> int:
 def _cmd_series(args) -> int:
     if args.terms < 1:
         raise UsageError("--terms must be at least 1")
+    if args.terms > _MAX_TERMS:
+        raise UsageError(f"--terms must be at most {_MAX_TERMS}")
     try:
+        # the closed form would take ln(q/p) of an infinite p or q unchecked
+        SeriesParams(args.a, args.p, args.q, args.terms)
         closed = gr_4_324_2_closed(args.a, args.p, args.q)
         partial = gr_4_324_2_series(args.a, args.p, args.q, args.terms)
     except ValueError as exc:
@@ -214,16 +220,13 @@ def _cmd_limits(args) -> int:
             "expression may only use the variable x, found "
             + ", ".join(sorted(free - {"x"}))
         )
-    kernel = compile_kernel(tree)
     try:
-        at_zero = limit_at_zero_plus(kernel)
-        at_inf = limit_at_infinity(kernel)
+        report = diagnose(compile_kernel(tree))
     except ProbeError as exc:
         raise UsageError(str(exc)) from None
-    print(f"at 0+: {at_zero.describe()}")
-    print(f"at infinity: {at_inf.describe()}")
-    applicable = at_zero.is_finite and at_inf.is_finite
-    print(f"applicable: {'yes' if applicable else 'no'}")
+    print(f"at 0+: {report.verdict_at_zero.describe()}")
+    print(f"at infinity: {report.verdict_at_infinity.describe()}")
+    print(f"applicable: {'yes' if report.applicable else 'no'}")
     return 0
 
 

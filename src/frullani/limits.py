@@ -1,7 +1,10 @@
 """Numerical one-sided limit classification at 0+ and at infinity.
 
-The probe samples f on a geometric abscissa ladder and accelerates the sample
-sequence with Aitken's delta-squared extrapolation.  Possible verdicts:
+Both probes follow one fixed sampling plan: the zero-side probe samples f at
+x = 0.5**k and the infinity-side probe at x = 2.0**k, for k = 0 .. 59, in
+that order, stopping early once a verdict is reached.  The sample sequence
+is accelerated with Aitken's delta-squared extrapolation, and successive
+extrapolants must agree to a relative 1e-9.  Possible verdicts:
 
   finite    successive extrapolants agreed; carries (value, uncertainty)
   diverges  |f| grew monotonically past an overflow guard; carries a sign
@@ -21,6 +24,9 @@ from typing import Callable
 
 OVERFLOW_GUARD = 1e12
 _TRAILING_WINDOW = 8
+_TOLERANCE = 1e-9
+_ZERO_LADDER = tuple(0.5**k for k in range(60))
+_INFINITY_LADDER = tuple(2.0**k for k in range(60))
 
 
 class ProbeError(RuntimeError):
@@ -29,33 +35,6 @@ class ProbeError(RuntimeError):
     def __init__(self, abscissa: float, cause: BaseException):
         self.abscissa = abscissa
         super().__init__(f"probe evaluation failed at x = {abscissa!r}: {cause}")
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Geometric sampling plan shared by both probes.
-
-    The zero-side probe samples x0 * shrink**k, the infinity-side probe
-    x0 * grow**k, for k = 0 .. max_samples-1.
-    """
-
-    x0: float = 1.0
-    shrink: float = 0.5
-    grow: float = 2.0
-    max_samples: int = 60
-    tolerance: float = 1e-9
-
-    def __post_init__(self):
-        if not (self.x0 > 0 and math.isfinite(self.x0)):
-            raise ValueError("x0 must be positive and finite")
-        if not 0 < self.shrink < 1:
-            raise ValueError("shrink must lie in (0, 1)")
-        if not self.grow > 1:
-            raise ValueError("grow must exceed 1")
-        if self.max_samples < 8:
-            raise ValueError("max_samples must be at least 8")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -109,7 +88,7 @@ def _aitken(s0: float, s1: float, s2: float) -> float | None:
     return a if math.isfinite(a) else None
 
 
-def _probe(f: Callable[[float], float], abscissas: list[float], tolerance: float) -> LimitVerdict:
+def _probe(f: Callable[[float], float], abscissas: tuple[float, ...]) -> LimitVerdict:
     samples: list[float] = []
     extrapolants: list[float] = []
     agree_streak = 0
@@ -135,7 +114,7 @@ def _probe(f: Callable[[float], float], abscissas: list[float], tolerance: float
                 extrapolants.append(a)
                 if len(extrapolants) >= 2:
                     diff = abs(extrapolants[-1] - extrapolants[-2])
-                    if diff <= tolerance * max(1.0, abs(extrapolants[-1])):
+                    if diff <= _TOLERANCE * max(1.0, abs(extrapolants[-1])):
                         agree_streak += 1
                         # two consecutive agreements guard against a lucky pair
                         if agree_streak >= 2:
@@ -156,7 +135,7 @@ def _probe(f: Callable[[float], float], abscissas: list[float], tolerance: float
         return LimitVerdict.no_limit(math.inf, evidence)
     amplitude = max(window) - min(window)
     scale = max(1.0, max(abs(w) for w in window))
-    if amplitude > tolerance * scale:
+    if amplitude > _TOLERANCE * scale:
         diffs = [b - a for a, b in zip(window, window[1:])]
         monotone = all(d > 0 for d in diffs) or all(d < 0 for d in diffs)
         if monotone and abs(window[-1]) > abs(window[0]):
@@ -168,13 +147,11 @@ def _probe(f: Callable[[float], float], abscissas: list[float], tolerance: float
     return LimitVerdict.finite(best, amplitude, evidence)
 
 
-def limit_at_zero_plus(f: Callable[[float], float], config: ProbeConfig = ProbeConfig()) -> LimitVerdict:
+def limit_at_zero_plus(f: Callable[[float], float]) -> LimitVerdict:
     """Classify the limit of f(x) as x -> 0+."""
-    xs = [config.x0 * config.shrink**k for k in range(config.max_samples)]
-    return _probe(f, xs, config.tolerance)
+    return _probe(f, _ZERO_LADDER)
 
 
-def limit_at_infinity(f: Callable[[float], float], config: ProbeConfig = ProbeConfig()) -> LimitVerdict:
+def limit_at_infinity(f: Callable[[float], float]) -> LimitVerdict:
     """Classify the limit of f(x) as x -> +infinity."""
-    xs = [config.x0 * config.grow**k for k in range(config.max_samples)]
-    return _probe(f, xs, config.tolerance)
+    return _probe(f, _INFINITY_LADDER)

@@ -304,9 +304,7 @@ def integrate_adaptive(
     return QuadratureResult(total, err_total, evals, False, diagnostic)
 
 
-def integrate_decaying(
-    f: Callable[[float], float], tol: float, max_panels: int = 2000
-) -> QuadratureResult:
+def integrate_decaying(f: Callable[[float], float], tol: float) -> QuadratureResult:
     """Integrate f over (0, inf) for integrands decaying at infinity.
 
     Uses the substitution x = t/(1-t), dx = dt/(1-t)^2, then the adaptive
@@ -330,7 +328,7 @@ def integrate_decaying(
         jac = 1.0 / u
         return (v * jac) * jac
 
-    return integrate_adaptive(mapped, 0.0, 1.0, tol, max_panels)
+    return integrate_adaptive(mapped, 0.0, 1.0, tol)
 
 
 def _accelerate_tail(

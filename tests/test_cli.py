@@ -1,13 +1,18 @@
 """End-to-end CLI behavior: record lines, exit codes, reports, overrides."""
 
+import contextlib
+import io
 import json
 import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from frullani import catalog
 from frullani.cli import main
 from frullani.expr import MAX_DEPTH
+from frullani.records import STATUSES
 from frullani.series import gr_4_324_2_closed
 
 RECORD_RE = re.compile(
@@ -67,6 +72,24 @@ class TestVerify:
         assert f["params"] == "a=1.0"
         assert f["status"] == "CONSTRAINT_VIOLATION"
         assert "missing b; unexpected c" in captured.err
+
+    @pytest.mark.parametrize("entry, binding, cause", [
+        ("GR-3.232", "a=1,b=2,c=0.001,mu=200", "math range error"),
+        ("GR-3.434.2", "a=1e300,b=1e-300", "math domain error"),
+        ("GR-4.297.7", "a=1e200,b=1e200", "nan"),
+    ])
+    def test_closed_form_off_the_doubles_is_a_constraint_violation(
+        self, entry, binding, cause, capsys
+    ):
+        # each binding passes its constraints, but its closed form overflows,
+        # leaves its domain or is nan in floating point
+        rc = main(["verify", entry, "--params", binding])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert fields(captured.out.splitlines()[0])["status"] == "CONSTRAINT_VIOLATION"
+        assert captured.err == (
+            f"  closed form is not a finite double at this binding: {cause}\n"
+        )
 
     def test_unknown_entry_is_usage_error(self, capsys):
         rc = main(["verify", "GR-9.999"])
@@ -186,6 +209,18 @@ class TestVerifyAll:
         # 60 defaults - 3 replaced + 2 overrides, one of which is skipped
         assert out[-1] == "total=59 pass=58 fail=0 skipped=1"
 
+    def test_closed_form_off_the_doubles_in_a_grid_file(self, capsys, tmp_path):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("GR-3.434.2 a=1e300 b=1e-300\n", encoding="utf-8")
+        rc = main(["verify-all", "--grid", str(grid)])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert out[-1] == "total=58 pass=57 fail=0 skipped=1"
+        assert [ln for ln in out if "CONSTRAINT_VIOLATION" in ln] == [
+            "entry=GR-3.434.2 params=a=1e+300;b=1e-300 expected=nan "
+            "numeric=nan abs_err=nan status=CONSTRAINT_VIOLATION"
+        ]
+
     def test_missing_grid_file(self, capsys):
         rc = main(["verify-all", "--grid", "/no/such/file"])
         assert rc == 2
@@ -239,8 +274,23 @@ class TestEval:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: bad expression: ")
 
+    @pytest.mark.parametrize("power", ["0.05", "0.2", "0.5", "2", "5"])
+    def test_power_is_divided_out_after_integrating(self, power, capsys):
+        # the integrand used to raise x to the power, which sent the
+        # adaptive nodes of the x = t/(1-t) map to t = 1 at power 0.05
+        rc = main(["eval", "exp(-x)", "--a", "1", "--b", "2", "--power", power])
+        f = fields(capsys.readouterr().out.splitlines()[0])
+        assert rc == 0
+        assert f["status"] == "PASS"
+        assert float(f["numeric"]) == pytest.approx(
+            math.log(2.0) / float(power), abs=1e-6
+        )
+
     def test_mapped_abscissa_reaching_one_is_named(self, capsys):
-        rc = main(["eval", "exp(-x)", "--a", "1", "--b", "2", "--power", "0.05"])
+        rc = main([
+            "eval", "sqrt(x)/(1+sqrt(x))",
+            "--a", "2.49255", "--b", "0.595583", "--power", "0.5",
+        ])
         captured = capsys.readouterr()
         assert rc == 1
         assert fields(captured.out.splitlines()[0])["status"] == "ORACLE_FAILED"
@@ -287,6 +337,22 @@ class TestSeries:
         assert rc == 2
         rc = main(["series", "--a", "0.5", "--p", "0", "--q", "2", "--terms", "10"])
         assert rc == 2
+
+    def test_infinite_frequency_is_named(self, capsys):
+        # the closed form used to take ln(q/p) = ln(0) first
+        rc = main(["series", "--a", "0.5", "--p", "inf", "--q", "2", "--terms", "3"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: p must be positive and finite\n"
+
+    def test_terms_above_the_limit_are_refused(self, capsys):
+        rc = main(["series", "--a", "0.5", "--p", "1", "--q", "2",
+                   "--terms", "100000000000"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: --terms must be at most 10000000\n"
 
 
 class TestLimits:
@@ -345,3 +411,75 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+
+def _run_quietly(argv):
+    """main(argv) with stdout and stderr captured: (exit code, stdout)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+def _assert_documented_outcome(rc, out):
+    assert rc in (0, 1, 2)
+    for line in out.splitlines():
+        assert RECORD_RE.match(line), line
+        assert fields(line)["status"] in STATUSES, line
+
+
+@st.composite
+def _magnitudes(draw):
+    """+-10^U[-300, 300] or +-10^U[-3, 3], negative one time in four so
+    that most bindings pass the catalog's positivity constraints."""
+    span = draw(st.sampled_from((300.0, 3.0)))
+    value = 10.0 ** draw(st.floats(-span, span))
+    return -value if draw(st.integers(0, 3)) == 0 else value
+
+
+_FUZZ_KERNELS = (
+    "2",
+    "3 + 2*exp(-x)",
+    "atan(x)",
+    "ln(1 + exp(-x))",
+    "1/(1 + x)^2",
+    "(1 + x)^(-0.5)",
+    "1/(1 + x^0.1)",
+    "(1 + 2/x)^x",
+    "sqrt(x)/(1 + sqrt(x))",
+    "sin(x)",
+    "1/x",
+    "exp(x)",
+)
+
+
+class TestFuzz:
+    """Random inputs through main end in a record with a documented status
+    or a usage error, never in a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_verify_random_binding(self, data):
+        entry = catalog.get_entry(data.draw(st.sampled_from(catalog.entry_ids())))
+        params = {name: data.draw(_magnitudes()) for name in entry.param_names}
+        if entry.scale_params is not None and data.draw(st.booleans()):
+            first, second = entry.scale_params
+            params[second] = params[first]
+        binding = ",".join(f"{k}={v!r}" for k, v in params.items())
+        _assert_documented_outcome(
+            *_run_quietly(["verify", entry.entry_id, "--params", binding])
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kernel=st.sampled_from(_FUZZ_KERNELS),
+        a=st.floats(-3.0, 3.0),
+        b=st.floats(-3.0, 3.0),
+        power=st.floats(-1.3, 0.7),
+    )
+    def test_eval_random_kernel(self, kernel, a, b, power):
+        argv = [
+            "eval", kernel, "--a", repr(10.0**a), "--b", repr(10.0**b),
+            "--power", repr(10.0**power),
+        ]
+        _assert_documented_outcome(*_run_quietly(argv))

@@ -13,11 +13,15 @@ from frullani.engine import (
     diagnose,
     evaluate_pipeline,
 )
-from frullani.expr import parse
+from frullani.expr import compile_kernel, parse
 
 
 def prob(src, a=1.0, b=2.0, power=1.0):
     return FrullaniProblem(parse(src), a, b, power)
+
+
+def kernel(src):
+    return compile_kernel(parse(src))
 
 
 class TestProblemValidation:
@@ -57,7 +61,7 @@ class TestProblemValidation:
 
 class TestDiagnose:
     def test_decaying_kernel_is_applicable(self):
-        rep = diagnose(prob("exp(-x)"))
+        rep = diagnose(kernel("exp(-x)"))
         assert isinstance(rep, ApplicabilityReport)
         assert rep.applicable
         assert rep.verdict_at_zero.value == pytest.approx(1.0, abs=1e-9)
@@ -65,24 +69,24 @@ class TestDiagnose:
         assert rep.reason == "both limits finite"
 
     def test_oscillatory_kernel_is_rejected_at_infinity(self):
-        rep = diagnose(prob("cos(x)"))
+        rep = diagnose(kernel("cos(x)"))
         assert not rep.applicable
         assert "at infinity" in rep.reason
         assert "no-limit" in rep.reason
 
     def test_log_cosine_kernel_is_rejected(self):
-        rep = diagnose(prob("ln(1 + 2*0.5*cos(x) + 0.25)"))
+        rep = diagnose(kernel("ln(1 + 2*0.5*cos(x) + 0.25)"))
         assert not rep.applicable
         assert "no-limit" in rep.reason
 
     def test_divergent_kernel_is_rejected_at_zero(self):
-        rep = diagnose(prob("1/x"))
+        rep = diagnose(kernel("1/x"))
         assert not rep.applicable
         assert "at 0+" in rep.reason
         assert "diverges" in rep.reason
 
     def test_compound_interest_kernel(self):
-        rep = diagnose(prob("(1 + 1/x)^x"))
+        rep = diagnose(kernel("(1 + 1/x)^x"))
         assert rep.applicable
         assert rep.verdict_at_infinity.value == pytest.approx(math.e, abs=1e-6)
 

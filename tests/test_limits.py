@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from frullani.limits import (
     LimitVerdict,
-    ProbeConfig,
     ProbeError,
     limit_at_infinity,
     limit_at_zero_plus,
@@ -114,34 +113,24 @@ def test_verdict_constructors():
     assert n.kind == "no-limit" and n.amplitude == 2.0
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"x0": 0.0},
-        {"x0": math.inf},
-        {"shrink": 1.0},
-        {"shrink": 0.0},
-        {"grow": 1.0},
-        {"max_samples": 4},
-        {"tolerance": 0.0},
-    ],
-)
-def test_probe_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        ProbeConfig(**kwargs)
-
-
-def test_custom_config_is_used():
+def test_evidence_holds_the_default_ladder():
+    """Both probes sample the one fixed plan, 0.5**k and 2.0**k for
+    k = 0 .. 59, and the evidence holds exactly the samples taken."""
     calls = []
 
     def f(x):
         calls.append(x)
         return 0.0
 
-    v = limit_at_infinity(f, ProbeConfig(x0=3.0, grow=3.0, max_samples=12))
-    assert calls[0] == 3.0 and calls[1] == 9.0
-    assert len(calls) <= 12
+    v = limit_at_infinity(f)
+    assert calls == [2.0**k for k in range(len(calls))]
     assert v.evidence == tuple((x, 0.0) for x in calls)
+
+    # an undamped oscillation never settles, so the whole ladder is sampled
+    v = limit_at_infinity(math.cos)
+    assert [x for x, _ in v.evidence] == [2.0**k for k in range(60)]
+    v = limit_at_zero_plus(lambda x: math.cos(1.0 / x))
+    assert [x for x, _ in v.evidence] == [0.5**k for k in range(60)]
 
 
 @settings(max_examples=60, deadline=None)
