@@ -4,7 +4,9 @@ Twenty entries: eleven from Gradshteyn & Ryzhik (GR-*), nine from volume 1
 of Ramanujan's Notebooks (R-*).  Each entry carries the printed integrand
 (as a builder from parameter bindings to a callable), the printed closed
 form, parameter constraints with prose, a default verification grid, and
-the metadata the oracle needs (evaluation class, oscillation frequencies).
+the metadata the oracle needs (evaluation class; for oscillatory entries the
+spectrum, a kernel F with scale pair (alpha, beta) such that the integrand is
+[F(alpha x) - F(beta x)]/x).
 
 Entries whose integrand is f(ax)-f(bx) for a single kernel f additionally
 carry the kernel as expression source text plus the (a, b, power) mapping
@@ -25,10 +27,12 @@ from typing import Callable, Optional
 # base_frequency, STATUSES and VerificationRecord are re-exported as part of
 # this module's API.  The oracles are called through this module's names.
 from .quadrature import (
+    Spectrum,
     base_frequency,
     integrate_adaptive,
     integrate_decaying,
     integrate_frullani_oscillatory,
+    integrate_frullani_split,
     oscillatory_plan,
 )
 from .records import STATUSES, VerificationRecord, judge, skipped
@@ -83,8 +87,9 @@ class CatalogEntry:
     integrand: Callable[[dict], Callable[[float], float]]
     closed_form: Callable[[dict], float]
     default_grid: tuple[dict, ...]
-    # oscillatory entries: printed frequency content, drives the tail plan
-    frequencies: Optional[Callable[[dict], tuple[float, ...]]] = None
+    # oscillatory entries: the kernel and scale pair of the integrand; the
+    # scales drive the tail plan, the kernel the split tail
+    spectrum: Optional[Callable[[dict], Spectrum]] = None
     # single-kernel entries: f as expression source + (a, b, power) mapping
     kernel: Optional[Callable[[dict], str]] = None
     kernel_map: Optional[Callable[[dict], tuple[float, float, float]]] = None
@@ -102,6 +107,23 @@ def _positive(*names: str) -> Constraint:
 
 def _fmt(v: float) -> str:
     return repr(float(v))
+
+
+def _half_cos(u: float) -> float:
+    return 0.5 * math.cos(u)
+
+
+def _damped_sine(u: float) -> float:
+    return math.exp(-u) * math.sin(u)
+
+
+def _log_cosine(a: float) -> Callable[[float], float]:
+    sq = a * a
+
+    def f(u: float) -> float:
+        return math.log1p(2.0 * a * math.cos(u) + sq)
+
+    return f
 
 
 # ---------------------------------------------------------------- entries
@@ -512,7 +534,10 @@ def _gr_4_324_2() -> CatalogEntry:
             {"a": 2.0, "p": 1.0, "q": 10.0},
             {"a": 0.5, "p": 2.0, "q": 2.0},
         ),
-        frequencies=lambda prm: (prm["p"], prm["q"]),
+        # the mean of the kernel over a period is removed by the split
+        spectrum=lambda prm: Spectrum(
+            _log_cosine(prm["a"]), (prm["p"], prm["q"]), 2.0 * math.pi
+        ),
         kernel=lambda prm: (
             f"ln(1 + 2*{_fmt(prm['a'])}*cos(x) + {_fmt(prm['a'])}*{_fmt(prm['a'])})"
         ),
@@ -632,7 +657,7 @@ def _r_3_4() -> CatalogEntry:
         integrand=make,
         closed_form=lambda p: math.log(p["b"] / p["a"]),
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 3.0, "b": 3.0}),
-        frequencies=lambda p: (p["a"], p["b"]),
+        spectrum=lambda p: Spectrum(math.cos, (p["a"], p["b"])),
         kernel=lambda p: "cos(x)",
         kernel_map=lambda p: (p["a"], p["b"], 1.0),
         kernel_limits=None,  # cos has no limit at infinity
@@ -660,8 +685,8 @@ def _r_3_5() -> CatalogEntry:
         integrand=make,
         closed_form=lambda p: 0.5 * math.log(p["b"] / p["a"]),
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 2.0, "b": 2.0}),
-        # the product expands to (cos ax - cos bx)/2: spectrum {a, b}
-        frequencies=lambda p: (p["a"], p["b"]),
+        # the product expands to (cos ax - cos bx)/2
+        spectrum=lambda p: Spectrum(_half_cos, (p["a"], p["b"])),
         scale_params=("a", "b"),
     )
 
@@ -689,8 +714,8 @@ def _r_3_6() -> CatalogEntry:
         integrand=make,
         closed_form=lambda prm: 0.5 * math.log((prm["p"] + prm["q"]) / (prm["p"] - prm["q"])),
         default_grid=({"p": 3.0, "q": 1.0}, {"p": 11.0, "q": 9.0}, {"p": 2.0, "q": 1.0}),
-        # product of sines: spectrum {p-q, p+q}
-        frequencies=lambda prm: (prm["p"] - prm["q"], prm["p"] + prm["q"]),
+        # the product expands to (cos (p-q)x - cos (p+q)x)/2
+        spectrum=lambda prm: Spectrum(_half_cos, (prm["p"] - prm["q"], prm["p"] + prm["q"])),
         scale_params=None,
         note="p > q is required but not printed alongside the entry",
     )
@@ -716,7 +741,7 @@ def _r_3_8() -> CatalogEntry:
         integrand=make,
         closed_form=lambda p: 0.0,
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 2.0, "b": 2.0}),
-        frequencies=lambda p: (p["a"], p["b"]),
+        spectrum=lambda p: Spectrum(_damped_sine, (p["a"], p["b"])),
         kernel=lambda p: "exp(-x)*sin(x)",
         kernel_map=lambda p: (p["a"], p["b"], 1.0),
         kernel_limits=lambda p: (0.0, 0.0),
@@ -879,7 +904,10 @@ def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> Ve
             return integrate_decaying(integrand, tol * 0.25)
         if entry.eval_class == "finite-interval":
             return integrate_adaptive(integrand, 0.0, 1.0, tol * 0.25)
-        plan = oscillatory_plan(entry.frequencies(clean))
+        spectrum = entry.spectrum(clean)
+        plan = oscillatory_plan(spectrum.scales)
+        if plan is None:
+            return integrate_frullani_split(integrand, spectrum, tol * 0.25)
         return integrate_frullani_oscillatory(integrand, plan, tol * 0.25)
 
     return judge(entry_id, clean, expected, oracle, tol, start)

@@ -17,10 +17,20 @@ Three layers:
                               averaging levels grow by one entry per segment
                               instead of being recomputed.
 
-integrate_frullani_oscillatory splits a whole-line oscillatory integral at a
-point c into an adaptive head on (0, c] and an accelerated tail;
-oscillatory_plan picks c and the segment grid from the integrand's
-frequencies.
+Two whole-line routes for an oscillatory Frullani integrand
+g(x) = [f(alpha x) - f(beta x)]/x, both with an adaptive head on (0, c]:
+
+  integrate_frullani_oscillatory  one accelerated tail of g on a common
+                                  half-period grid, pi over the base
+                                  frequency of the integrand's spectrum.
+  integrate_frullani_split        no common period: the tails of f(alpha x)/x
+                                  and f(beta x)/x, each on its own grid
+                                  pi/alpha or pi/beta, with the mean of f
+                                  removed (Ostrowski, 1949).
+
+oscillatory_plan picks c and the common grid from the frequencies, and
+returns None when no common grid can serve: when a segment would hold more
+than SEGMENT_PANELS half-periods of the fastest component.
 """
 
 from __future__ import annotations
@@ -29,18 +39,21 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 __all__ = [
     "QuadratureResult",
     "OscillatorySpec",
+    "Spectrum",
     "IntegrandError",
+    "SEGMENT_PANELS",
     "base_frequency",
     "oscillatory_plan",
     "integrate_adaptive",
     "integrate_decaying",
     "integrate_oscillatory_tail",
     "integrate_frullani_oscillatory",
+    "integrate_frullani_split",
     "gauss_kronrod_panel",
 ]
 
@@ -74,16 +87,25 @@ _FIRST_ESTIMATE = _AVERAGING_DEPTH + 3
 # binomial weights of the depth-fold average of neighbouring partial sums
 _EULER_WEIGHTS = tuple(math.comb(_AVERAGING_DEPTH, i) for i in range(_AVERAGING_DEPTH + 1))
 _EULER_WSUM = float(sum(_EULER_WEIGHTS))
+# Most panels one tail segment may spend.  A common segment grid serves an
+# integrand only while a segment holds at most this many half-periods of its
+# fastest component.
+SEGMENT_PANELS = 200
+# Share of the split's tolerance by which the mean of a periodic kernel may
+# miss.  An error d in the mean leaves a drift -d ln(x) in each tail; the two
+# drifts cancel but for d times the log-ratio of where the two tails stop.
+_MEAN_TOL = 1e-3
 
 
 @dataclass(frozen=True)
 class OscillatorySpec:
     """Tail plan: start point, half-period of the segment grid, max segments.
 
-    half_period should be pi divided by the base frequency of the integrand's
+    half_period should be pi divided by the base frequency of the tail's
     oscillation (the gcd of its nominal frequencies), so that every spectral
     component of the tail either alternates segment-to-segment or returns to
-    a fixed phase every second segment.
+    a fixed phase every second segment.  A tail with one frequency w, as in
+    each piece of integrate_frullani_split, has half_period pi/w.
     """
 
     start: float
@@ -101,11 +123,25 @@ class OscillatorySpec:
             raise ValueError(f"max_segments must be at least {_FIRST_ESTIMATE + 1}")
 
 
+@dataclass(frozen=True)
+class Spectrum:
+    """The oscillatory integrand g(x) = [f(alpha x) - f(beta x)]/x as its
+    kernel f and scale pair (alpha, beta).  f must have mean value zero at
+    infinity, or be periodic with the given period, over which
+    integrate_frullani_split then computes its mean and removes it."""
+
+    kernel: Callable[[float], float]
+    scales: tuple[float, float]
+    period: Optional[float] = None
+
+
 def base_frequency(freqs: Sequence[float]) -> float:
     """Greatest common divisor of the frequency content, so that every
     component either alternates or returns to fixed phase on the segment
     grid of half-period pi/base.  Rationalizes through Fraction; falls back
-    to the smallest frequency if the values do not rationalize sensibly."""
+    to the smallest frequency if the values do not rationalize sensibly.
+    A ratio typed to nine decimals, such as 1.414213562, rationalizes to a
+    base near 1e-6, which oscillatory_plan refuses as a grid."""
     pos = sorted(f for f in freqs if f > 0)
     if not pos:
         raise ValueError("need at least one positive frequency")
@@ -126,16 +162,25 @@ def base_frequency(freqs: Sequence[float]) -> float:
     return base
 
 
-def oscillatory_plan(freqs: Sequence[float]) -> OscillatorySpec:
+def _tail_start(pos: Sequence[float]) -> float:
+    """After the slowest component's first half-period, and no earlier than 1."""
+    return max(math.pi / min(pos), 1.0)
+
+
+def oscillatory_plan(freqs: Sequence[float]) -> Optional[OscillatorySpec]:
     """Tail plan for an integrand with the given nominal frequencies: start
     after the slowest component's first half-period (and no earlier than 1),
-    segment on the half-period of the base frequency."""
+    segment on the half-period of the base frequency.  None when the
+    frequencies share no period a segment can resolve: when the fastest
+    divided by the base frequency exceeds SEGMENT_PANELS."""
     pos = [f for f in freqs if f > 0]
     if not pos:
         # identically zero integrand (all scales equal); any plan works
         return OscillatorySpec(1.0, math.pi)
-    start = max(math.pi / min(pos), 1.0)
-    return OscillatorySpec(start, math.pi / base_frequency(pos))
+    base = base_frequency(pos)
+    if not max(pos) / base <= SEGMENT_PANELS:
+        return None
+    return OscillatorySpec(_tail_start(pos), math.pi / base)
 
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre (QUADPACK dqk15).
@@ -406,7 +451,7 @@ def integrate_oscillatory_tail(
     for j in range(max_seg):
         lo = c + j * h
         hi = c + (j + 1) * h
-        res = integrate_adaptive(f, lo, hi, seg_tol, max_panels=200)
+        res = integrate_adaptive(f, lo, hi, seg_tol, max_panels=SEGMENT_PANELS)
         evals += res.function_evaluations
         seg_err += res.error_estimate
         running += res.value
@@ -471,4 +516,49 @@ def integrate_frullani_oscillatory(
         head.function_evaluations + tail.function_evaluations,
         head.converged and tail.converged,
         "; ".join(d for d in (head.diagnostic, tail.diagnostic) if d),
+    )
+
+
+def integrate_frullani_split(
+    g: Callable[[float], float],
+    spectrum: Spectrum,
+    tol: float,
+) -> QuadratureResult:
+    """Integral of g(x) = [f(alpha x) - f(beta x)]/x over (0, inf), for
+    scales that share no common period.
+
+    The head of g on (0, c] is integrated adaptively, and beyond c the tails
+    of f(alpha x)/x and f(beta x)/x separately, each on its own half-period
+    grid.  A periodic f first has its mean over one period removed: the mean
+    cancels between the two tails and is taken out only so that each
+    converges.  Budgets are 40% for the head and 30% per tail; the
+    diagnostic names each piece that did not converge.
+    """
+    alpha, beta = spectrum.scales
+    start = _tail_start((alpha, beta))
+    f = spectrum.kernel
+    mean, mean_evals = 0.0, 0
+    if spectrum.period is not None:
+        period = spectrum.period
+        mean_res = integrate_adaptive(f, 0.0, period, _MEAN_TOL * tol * period)
+        mean, mean_evals = mean_res.value / period, mean_res.function_evaluations
+
+    def tail(scale: float) -> QuadratureResult:
+        def piece(x: float) -> float:
+            return (f(scale * x) - mean) / x
+
+        return integrate_oscillatory_tail(piece, OscillatorySpec(start, math.pi / scale), 0.3 * tol)
+
+    head, tail_a, tail_b = integrate_adaptive(g, 0.0, start, 0.4 * tol), tail(alpha), tail(beta)
+    pieces = (
+        (f"head on (0, {start!r}]", head),
+        (f"tail at scale {alpha!r}", tail_a),
+        (f"tail at scale {beta!r}", tail_b),
+    )
+    return QuadratureResult(
+        head.value + (tail_a.value - tail_b.value),
+        math.fsum(res.error_estimate for _, res in pieces),
+        mean_evals + sum(res.function_evaluations for _, res in pieces),
+        all(res.converged for _, res in pieces),
+        "; ".join(f"{name}: {res.diagnostic}" for name, res in pieces if not res.converged),
     )

@@ -26,7 +26,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .quadrature import integrate_frullani_oscillatory, oscillatory_plan
+from .quadrature import (
+    Spectrum,
+    integrate_frullani_oscillatory,
+    integrate_frullani_split,
+    oscillatory_plan,
+)
 
 __all__ = [
     "SeriesParams",
@@ -208,7 +213,9 @@ def imaginary_exponential_check(
     these are the real and imaginary parts of the a -> 0 linearisation of
     the kernel and the reason only the real part survives.  Returns the
     (cos, sin) value pair; raises if either oscillatory integration fails
-    to converge.  p = q short-circuits to (0, 0), the zero integrand.
+    to converge.  p = q short-circuits to (0, 0), the zero integrand.  When
+    p and q share no period a tail segment can resolve, both parts go
+    through the split tail instead of a common grid.
     """
     if not (p > 0 and q > 0):
         raise ValueError("p and q must be positive")
@@ -222,8 +229,12 @@ def imaginary_exponential_check(
     def sin_diff(x: float) -> float:
         return (math.sin(p * x) - math.sin(q * x)) / x
 
-    cos_res = integrate_frullani_oscillatory(cos_diff, spec, tol)
-    sin_res = integrate_frullani_oscillatory(sin_diff, spec, tol)
+    if spec is None:
+        cos_res = integrate_frullani_split(cos_diff, Spectrum(math.cos, (p, q)), tol)
+        sin_res = integrate_frullani_split(sin_diff, Spectrum(math.sin, (p, q)), tol)
+    else:
+        cos_res = integrate_frullani_oscillatory(cos_diff, spec, tol)
+        sin_res = integrate_frullani_oscillatory(sin_diff, spec, tol)
     for label, res in (("cos", cos_res), ("sin", sin_res)):
         if not res.converged:
             raise RuntimeError(

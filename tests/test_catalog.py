@@ -20,7 +20,11 @@ from frullani.catalog import (
     parse_grid_file,
     verify_entry,
 )
-from frullani.quadrature import integrate_frullani_oscillatory, oscillatory_plan
+from frullani.quadrature import (
+    SEGMENT_PANELS,
+    integrate_frullani_oscillatory,
+    oscillatory_plan,
+)
 
 ALL_IDS = entry_ids()
 
@@ -73,10 +77,19 @@ class TestInventory:
     def test_oscillatory_entries_declare_frequencies(self):
         for eid in ALL_IDS:
             e = get_entry(eid)
-            if e.eval_class == "oscillatory":
-                assert e.frequencies is not None
-                freqs = e.frequencies(e.default_grid[0])
-                assert all(f > 0 for f in freqs)
+            if e.eval_class != "oscillatory":
+                assert e.spectrum is None
+                continue
+            assert e.spectrum is not None
+            for params in e.default_grid:
+                spec = e.spectrum(params)
+                assert all(f > 0 for f in spec.scales)
+                # the kernel and scales rebuild the printed integrand
+                f, (alpha, beta) = spec.kernel, spec.scales
+                g = e.integrand(params)
+                for x in (0.3, 1.7, 12.5):
+                    rebuilt = (f(alpha * x) - f(beta * x)) / x
+                    assert rebuilt == pytest.approx(g(x), rel=1e-12, abs=1e-14)
 
 
 def _sweep_cases():
@@ -119,6 +132,61 @@ class TestDefaultGridSweep:
         assert rec.status == "PASS", rec.detail
 
 
+OSCILLATORY_IDS = tuple(e for e in ALL_IDS if get_entry(e).eval_class == "oscillatory")
+# irrational frequency ratios, typed to nine decimals
+IRRATIONAL = (1.414213562, 1.732050808, 2.236067977, 1.618033989, 2.718281828)
+HALVES = st.integers(1, 20).map(lambda k: 0.5 * k)
+AMPLITUDES = st.sampled_from((0.1, 0.5, 0.9, 1.5, 2.0, 4.0, -0.5, -3.0))
+
+
+def _binding(eid, alpha, beta, a):
+    """Parameters whose spectrum has the scale pair (alpha, beta); R-3.6
+    needs alpha < beta."""
+    if eid == "R-3.6":
+        return {"p": 0.5 * (alpha + beta), "q": 0.5 * (beta - alpha)}
+    if eid == "GR-4.324.2":
+        return {"a": a, "p": alpha, "q": beta}
+    return {"a": alpha, "b": beta}
+
+
+class TestIncommensurateScales:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        eid=st.sampled_from(OSCILLATORY_IDS),
+        alpha=HALVES,
+        ratio=st.sampled_from(IRRATIONAL),
+        swap=st.booleans(),
+        a=AMPLITUDES,
+    )
+    def test_split_tail_never_fails(self, eid, alpha, ratio, swap, a):
+        beta = round(alpha * ratio, 9)
+        if swap and eid != "R-3.6":
+            alpha, beta = beta, alpha
+        assert oscillatory_plan((alpha, beta)) is None
+        rec = verify_entry(eid, _binding(eid, alpha, beta, a))
+        assert rec.status != "FAIL", rec.detail
+        assert rec.evaluations <= TestEvaluationCount.EVALUATIONS
+        if eid == "R-3.4":
+            assert rec.status == "PASS", rec.detail
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        eid=st.sampled_from(OSCILLATORY_IDS),
+        pair=st.tuples(HALVES, HALVES).filter(lambda ab: ab[0] != ab[1]),
+        a=AMPLITUDES,
+    )
+    def test_commensurate_scales_keep_the_common_grid(self, eid, pair, a):
+        params = _binding(eid, *sorted(pair), a)
+        tol = class_tolerance("oscillatory")
+        rec = verify_entry(eid, params)
+        integrand, _ = instantiate(eid, params)
+        plan = oscillatory_plan(get_entry(eid).spectrum(params).scales)
+        assert plan is not None
+        res = integrate_frullani_oscillatory(integrand, plan, tol * 0.25)
+        assert repr(rec.numeric) == repr(res.value)
+        assert rec.evaluations == res.function_evaluations
+
+
 class TestEvaluationCount:
     # the dearest default-grid binding; a quadrature change that moves this
     # count changes the oracle's arithmetic
@@ -127,7 +195,7 @@ class TestEvaluationCount:
 
     def test_worst_binding_costs_a_fixed_count(self):
         integrand, _ = instantiate("GR-4.324.2", self.BINDING)
-        plan = oscillatory_plan(get_entry("GR-4.324.2").frequencies(self.BINDING))
+        plan = oscillatory_plan(get_entry("GR-4.324.2").spectrum(self.BINDING).scales)
         tol = class_tolerance("oscillatory") * 0.25
         res = integrate_frullani_oscillatory(integrand, plan, tol)
         assert res.converged
@@ -262,6 +330,21 @@ class TestBaseFrequency:
             base_frequency(())
         with pytest.raises(ValueError):
             base_frequency((0.0, -3.0))
+
+
+class TestOscillatoryPlan:
+    @pytest.mark.parametrize("freqs", [(1.0, 10.0), (2.0, 20.0), (0.5, 11.5), (1.0, 200.0)])
+    def test_common_grid(self, freqs):
+        plan = oscillatory_plan(freqs)
+        assert plan is not None
+        assert plan.half_period == pytest.approx(math.pi / base_frequency(freqs), rel=1e-12)
+
+    @pytest.mark.parametrize("freqs", [(1.5, 2.121320343), (1.0, 1.414213562), (1.0, 201.0)])
+    def test_no_common_grid(self, freqs):
+        # the fastest component would need more half-periods per segment
+        # than a segment may spend panels
+        assert max(freqs) / base_frequency(freqs) > SEGMENT_PANELS
+        assert oscillatory_plan(freqs) is None
 
 
 class TestGridFile:

@@ -122,6 +122,31 @@ class TestVerify:
         rc = main(["verify", "GR-3.434.2", "--params", "a=1,b=2", "--tol", "-1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("entry,params", [
+        # a true identity (value 0) that the common grid judged FAIL
+        ("R-3.8", "a=1.5,b=2.121320343"),
+        # the common grid returned -0.0746 against ln(1.414213562)
+        ("R-3.4", "a=1,b=1.414213562"),
+    ])
+    def test_incommensurate_scales_pass(self, entry, params, capsys):
+        rc = main(["verify", entry, "--params", params])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        f = fields(out[0])
+        assert f["status"] == "PASS"
+        assert float(f["abs_err"]) <= 1e-5
+
+    def test_split_tail_names_the_pieces_that_stopped(self, capsys):
+        rc = main(["verify", "R-3.4", "--params", "a=1,b=1.414213562", "--tol", "1e-8"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert fields(captured.out.splitlines()[0])["status"] == "ORACLE_FAILED"
+        assert captured.err.strip() == (
+            "oracle did not converge: "
+            "tail at scale 1.0: tail estimate did not reach tolerance; "
+            "tail at scale 1.414213562: tail estimate did not reach tolerance"
+        )
+
 
 class TestExplicitTolerance:
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

@@ -10,10 +10,12 @@ from frullani.quadrature import (
     IntegrandError,
     OscillatorySpec,
     QuadratureResult,
+    Spectrum,
     gauss_kronrod_panel,
     integrate_adaptive,
     integrate_decaying,
     integrate_frullani_oscillatory,
+    integrate_frullani_split,
     integrate_oscillatory_tail,
 )
 from reference import ci, reference_panel, reference_tail, si
@@ -257,6 +259,41 @@ class TestWholeLineOscillatory:
         res = integrate_frullani_oscillatory(f, spec, 1e-5)
         head = integrate_adaptive(f, 0.0, math.pi, 0.4e-5)
         assert res.function_evaluations > head.function_evaluations
+
+
+class TestSplitTail:
+    ALPHA, BETA = 1.0, 1.414213562
+
+    def g(self, x):
+        return (math.cos(self.ALPHA * x) - math.cos(self.BETA * x)) / x
+
+    def test_incommensurate_cosine_pair(self):
+        res = integrate_frullani_split(self.g, Spectrum(math.cos, (self.ALPHA, self.BETA)), 1e-5)
+        assert res.converged, res.diagnostic
+        assert res.value == pytest.approx(math.log(self.BETA / self.ALPHA), abs=1e-5)
+
+    def test_periodic_mean_is_removed_and_counted(self):
+        def shifted(u):
+            return 1.0 + math.cos(u)
+
+        plain = integrate_frullani_split(self.g, Spectrum(math.cos, (self.ALPHA, self.BETA)), 1e-5)
+        res = integrate_frullani_split(
+            self.g, Spectrum(shifted, (self.ALPHA, self.BETA), 2.0 * math.pi), 1e-5
+        )
+        assert res.converged, res.diagnostic
+        assert res.value == pytest.approx(math.log(self.BETA / self.ALPHA), abs=1e-5)
+        assert res.function_evaluations > plain.function_evaluations
+
+    def test_diagnostic_names_each_piece_that_stopped(self):
+        # with its mean of 1 left in, neither tail of 1 + cos u converges
+        def shifted(u):
+            return 1.0 + math.cos(u)
+
+        res = integrate_frullani_split(self.g, Spectrum(shifted, (self.ALPHA, self.BETA)), 1e-5)
+        assert not res.converged
+        assert res.diagnostic.startswith("tail at scale 1.0: ")
+        assert "; tail at scale 1.414213562: " in res.diagnostic
+        assert "head" not in res.diagnostic
 
 
 # --- the unrolled panel and incremental tail against their loop forms -------

@@ -254,6 +254,12 @@ class TestImaginaryExponentialCheck:
         assert cos_part == pytest.approx(math.log(2.0), abs=1e-4)
         assert sin_part == pytest.approx(0.0, abs=1e-4)
 
+    def test_incommensurate_pair(self):
+        # no common period a tail segment resolves: the split tail serves
+        cos_part, sin_part = imaginary_exponential_check(1.0, 1.414213562)
+        assert cos_part == pytest.approx(math.log(1.414213562), abs=1e-4)
+        assert sin_part == pytest.approx(0.0, abs=1e-4)
+
     def test_rejects_bad_frequencies(self):
         with pytest.raises(ValueError):
             imaginary_exponential_check(0.0, 1.0)
