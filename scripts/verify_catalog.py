@@ -8,7 +8,8 @@ tail accelerator: the suite can stay green while the margin quietly erodes.
 The evaluation totals are deterministic, so a quadrature change can quote
 them on any machine.
 
-Exit status follows the CLI convention: 1 if anything FAILs, else 0.
+Exit status follows the CLI convention: 1 if any record is FAIL or
+ORACLE_FAILED, else 0.
 """
 
 import os

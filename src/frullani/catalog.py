@@ -35,7 +35,7 @@ from .quadrature import (
     integrate_frullani_split,
     oscillatory_plan,
 )
-from .records import STATUSES, VerificationRecord, judge, skipped
+from .records import STATUSES, VerificationRecord, judge, nonfinite_closed_form, skipped
 from .series import gr_4_324_2_closed
 
 __all__ = [
@@ -894,10 +894,7 @@ def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> Ve
     else:
         cause = repr(expected)
     if not math.isfinite(expected):
-        return skipped(
-            entry_id, clean, "CONSTRAINT_VIOLATION", start,
-            f"closed form is not a finite double at this binding: {cause}",
-        )
+        return nonfinite_closed_form(entry_id, clean, start, cause)
 
     def oracle():
         if entry.eval_class == "smooth-decay":

@@ -21,9 +21,9 @@ from .expr import Expression, compile_kernel, free_variables, unparse
 # Not called here, since kernels are compiled; the benchmark's tracer wraps
 # the name engine.evaluate, so it must stay importable from this module.
 from .expr import evaluate  # noqa: F401
-from .limits import LimitVerdict, limit_at_infinity, limit_at_zero_plus
-from .quadrature import integrate_decaying
-from .records import VerificationRecord, judge, skipped
+from .limits import LimitVerdict, ProbeError, limit_at_infinity, limit_at_zero_plus
+from .quadrature import MAX_PANELS, SEGMENT_PANELS, QuadratureResult, integrate_decaying
+from .records import VerificationRecord, judge, nonfinite_closed_form, skipped
 
 __all__ = [
     "FrullaniProblem",
@@ -115,9 +115,17 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
     against the quadrature oracle.  Returns a VerificationRecord with entry
     id "eval"; the detail field records that the limits came from the probe.
 
-    Not-applicable problems short-circuit with status NOT_APPLICABLE; an
-    oracle that fails to converge (or cannot evaluate the integrand) yields
-    ORACLE_FAILED.
+    Not-applicable problems short-circuit with status NOT_APPLICABLE, and a
+    closed form that is not a finite double ends CONSTRAINT_VIOLATION, as in
+    the catalog; an oracle that fails to converge (or cannot evaluate the
+    integrand) yields ORACLE_FAILED.
+
+    The oracle is integrate_decaying, first with SEGMENT_PANELS panels.  If
+    that does not converge, it reruns with MAX_PANELS panels, unless the
+    mapped integrand has no limit at t = 1 (x [f(ax) - f(bx)] probes
+    no-limit at infinity) and the error estimate, cut in proportion to the
+    panel count, would still miss the tolerance at MAX_PANELS.  The record
+    then ends ORACLE_FAILED after the first pass.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -130,6 +138,9 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
     f0 = report.verdict_at_zero.value
     finf = report.verdict_at_infinity.value
     expected = closed_form(prob, f0, finf)
+    if not math.isfinite(expected):
+        # a scale ratio such as 1e300/1e-300 overflows ln(b/a)
+        return nonfinite_closed_form("eval", params, start, repr(expected))
     provenance = f"limits=probe f0={f0!r} finf={finf!r} kernel={unparse(prob.f)}"
 
     f, a, b, p = prob.kernel, prob.a, prob.b, prob.power
@@ -140,8 +151,39 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
     def integrand(x: float) -> float:
         return (f(a * x) - f(b * x)) / x
 
+    def far(x: float) -> float:
+        return x * (f(a * x) - f(b * x))
+
     def oracle():
-        res = integrate_decaying(integrand, tol * 0.25 * p)
+        res = _decaying_oracle(integrand, far, tol * 0.25 * p)
         return replace(res, value=res.value / p, error_estimate=res.error_estimate / p)
 
     return judge("eval", params, expected, oracle, tol, start, provenance)
+
+
+def _decaying_oracle(
+    integrand: Callable[[float], float], far: Callable[[float], float], tol: float
+) -> QuadratureResult:
+    """integrate_decaying within SEGMENT_PANELS panels, else within
+    MAX_PANELS, unless far (the mapped integrand as t -> 1, up to a factor
+    tending to 1) probes no-limit and the projected error misses tol."""
+    first = integrate_decaying(integrand, tol, SEGMENT_PANELS)
+    if first.converged:
+        return first
+    try:
+        verdict = limit_at_infinity(far)
+    except ProbeError:
+        verdict = None
+    # bisection of a bounded, oscillating mapped integrand cuts the error
+    # estimate at best in proportion to the panel count
+    projected = first.error_estimate * SEGMENT_PANELS / MAX_PANELS
+    if verdict is not None and verdict.kind == "no-limit" and projected > tol:
+        return replace(first, diagnostic=(
+            f"{first.diagnostic}; x*[f(ax) - f(bx)] at infinity: {verdict.describe()}, "
+            f"so the mapped integrand has no limit at t = 1 and {MAX_PANELS} panels "
+            f"would leave an error estimate near {projected:.3e} > {tol:.3e}"
+        ))
+    full = integrate_decaying(integrand, tol)
+    return replace(
+        full, function_evaluations=first.function_evaluations + full.function_evaluations
+    )

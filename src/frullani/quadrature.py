@@ -47,6 +47,7 @@ __all__ = [
     "Spectrum",
     "IntegrandError",
     "SEGMENT_PANELS",
+    "MAX_PANELS",
     "base_frequency",
     "oscillatory_plan",
     "integrate_adaptive",
@@ -89,8 +90,11 @@ _EULER_WEIGHTS = tuple(math.comb(_AVERAGING_DEPTH, i) for i in range(_AVERAGING_
 _EULER_WSUM = float(sum(_EULER_WEIGHTS))
 # Most panels one tail segment may spend.  A common segment grid serves an
 # integrand only while a segment holds at most this many half-periods of its
-# fastest component.
+# fastest component.  The pipeline's decaying oracle spends as many on its
+# first pass.
 SEGMENT_PANELS = 200
+# Most panels one integrate_adaptive call may spend by default.
+MAX_PANELS = 2000
 # Share of the split's tolerance by which the mean of a periodic kernel may
 # miss.  An error d in the mean leaves a drift -d ln(x) in each tail; the two
 # drifts cancel but for d times the log-ratio of where the two tails stop.
@@ -295,7 +299,7 @@ def integrate_adaptive(
     lo: float,
     hi: float,
     tol: float,
-    max_panels: int = 2000,
+    max_panels: int = MAX_PANELS,
 ) -> QuadratureResult:
     """Globally adaptive G7/K15 integration of f over the finite [lo, hi].
 
@@ -349,12 +353,21 @@ def integrate_adaptive(
     return QuadratureResult(total, err_total, evals, False, diagnostic)
 
 
-def integrate_decaying(f: Callable[[float], float], tol: float) -> QuadratureResult:
+def integrate_decaying(
+    f: Callable[[float], float], tol: float, max_panels: int = MAX_PANELS
+) -> QuadratureResult:
     """Integrate f over (0, inf) for integrands decaying at infinity.
 
     Uses the substitution x = t/(1-t), dx = dt/(1-t)^2, then the adaptive
-    rule on (0, 1).  Suited to integrable endpoint behaviour at 0 and decay
-    at least as fast as 1/x^2; slower decay shows up as non-convergence.
+    rule on (0, 1) with at most max_panels panels.  Suited to integrable
+    endpoint behaviour at 0 and decay at least as fast as 1/x^2; slower
+    decay shows up as non-convergence.  The mapped integrand near t = 1 is
+    x^2 f(x) (1 + 1/x)^2: when x^2 f(x) keeps oscillating as x grows, the
+    mapped integrand has no limit at t = 1 and bisection cuts the error
+    estimate at best in proportion to the panel count.
+
+    Bisection is deterministic, so a run that converges within a smaller
+    max_panels returns the same result, bit for bit, as one with a larger.
     """
 
     def mapped(t: float) -> float:
@@ -373,7 +386,7 @@ def integrate_decaying(f: Callable[[float], float], tol: float) -> QuadratureRes
         jac = 1.0 / u
         return (v * jac) * jac
 
-    return integrate_adaptive(mapped, 0.0, 1.0, tol)
+    return integrate_adaptive(mapped, 0.0, 1.0, tol, max_panels)
 
 
 def _accelerate_tail(

@@ -16,7 +16,7 @@ from typing import Callable
 from .expr import ExprError
 from .quadrature import IntegrandError, QuadratureResult
 
-__all__ = ["VerificationRecord", "STATUSES", "skipped", "judge"]
+__all__ = ["VerificationRecord", "STATUSES", "skipped", "nonfinite_closed_form", "judge"]
 
 STATUSES = ("PASS", "FAIL", "NOT_APPLICABLE", "ORACLE_FAILED", "CONSTRAINT_VIOLATION")
 
@@ -51,6 +51,18 @@ def skipped(
     return VerificationRecord(
         entry_id, params, math.nan, math.nan, math.nan, math.nan,
         status, time.perf_counter() - start, detail,
+    )
+
+
+def nonfinite_closed_form(
+    entry_id: str, params: dict, start: float, cause: str
+) -> VerificationRecord:
+    """The CONSTRAINT_VIOLATION record for a binding whose constraints hold
+    but whose closed form overflows or leaves its domain in floating point;
+    cause is the non-finite value or the error that stopped it."""
+    return skipped(
+        entry_id, params, "CONSTRAINT_VIOLATION", start,
+        f"closed form is not a finite double at this binding: {cause}",
     )
 
 

@@ -325,12 +325,35 @@ class TestEval:
         )
 
     def test_non_convergence_names_the_panel_cap(self, capsys):
+        # the mapped integrand oscillates without limit at t = 1, so the
+        # oracle stops at its first 200 panels and says why
         rc = main(["eval", "cos(x)/(1+x)", "--a", "1", "--b", "2"])
         captured = capsys.readouterr()
         assert rc == 1
         assert fields(captured.out.splitlines()[0])["status"] == "ORACLE_FAILED"
-        assert captured.err.rstrip().endswith(
-            "oracle did not converge: panel cap of 2000 panels reached"
+        assert (
+            "oracle did not converge: panel cap of 200 panels reached; "
+            "x*[f(ax) - f(bx)] at infinity: no-limit(amplitude=1.877e+00), "
+            "so the mapped integrand has no limit at t = 1 and 2000 panels "
+            "would leave an error estimate near "
+        ) in captured.err
+
+    @pytest.mark.parametrize("kernel, a, b, cause", [
+        ("exp(-x)", "1e300", "1e-300", "-inf"),
+        ("atan(x)", "1e200", "1e-200", "inf"),
+    ])
+    def test_closed_form_off_the_doubles_is_a_constraint_violation(
+        self, kernel, a, b, cause, capsys
+    ):
+        # the same rule as verify: ln(b/a) overflows at this scale ratio
+        rc = main(["eval", kernel, "--a", a, "--b", b])
+        captured = capsys.readouterr()
+        assert rc == 0
+        f = fields(captured.out.splitlines()[0])
+        assert f["status"] == "CONSTRAINT_VIOLATION"
+        assert f["expected"] == "nan"
+        assert captured.err == (
+            f"  closed form is not a finite double at this binding: {cause}\n"
         )
 
     def test_long_sum_is_bad_expression(self, capsys):

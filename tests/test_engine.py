@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frullani import catalog
+from frullani import catalog, engine
 from frullani.engine import (
     ApplicabilityReport,
     FrullaniProblem,
@@ -14,6 +14,8 @@ from frullani.engine import (
     evaluate_pipeline,
 )
 from frullani.expr import compile_kernel, parse
+from frullani.limits import ProbeError
+from frullani.quadrature import integrate_decaying
 
 
 def prob(src, a=1.0, b=2.0, power=1.0):
@@ -189,6 +191,60 @@ class TestPipeline:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             evaluate_pipeline(prob("exp(-x)"), 0.0)
+
+
+def _full_budget(src, a, b, tol):
+    """The oracle result of one full-budget integrate_decaying call, as the
+    pipeline's power-1 integrand and tolerance share make it."""
+    f = kernel(src)
+    return integrate_decaying(lambda x: (f(a * x) - f(b * x)) / x, tol * 0.25)
+
+
+class TestOracleBudget:
+    """The pipeline's oracle runs 200 panels first, and the 2000-panel
+    budget only when the far probe leaves it a chance."""
+
+    def test_no_limit_at_t_one_stops_after_200_panels(self):
+        rec = evaluate_pipeline(prob("cos(x)/(1+x)", a=1.3, b=2.7), 1e-6)
+        assert rec.status == "ORACLE_FAILED"
+        # 200 panels: the first panel and 199 bisections of 30 evaluations
+        assert rec.evaluations == 5985
+        assert "panel cap of 200 panels reached" in rec.detail
+        assert "at infinity: no-limit(amplitude=" in rec.detail
+
+    @pytest.mark.parametrize("src, tol", [
+        # no-limit, but err x 200/2000 would meet the tolerance
+        ("cos(x)/(1+x)", 3e-3),
+        ("abs(sin(x))/x", 1e-2),
+        # a finite far limit: the full budget converges near 272 panels
+        ("cos(x)/(1+x)^2", 1e-6),
+    ])
+    def test_rerun_matches_one_full_budget_call(self, src, tol):
+        rec = evaluate_pipeline(prob(src, a=1.3, b=2.7), tol)
+        full = _full_budget(src, 1.3, 2.7, tol)
+        assert full.converged
+        assert rec.status == "PASS"
+        assert rec.numeric == full.value
+        assert rec.evaluations == 5985 + full.function_evaluations
+
+    def test_raising_far_probe_falls_back_to_the_full_budget(self, monkeypatch):
+        real = engine.limit_at_infinity
+        probed = []
+
+        def far_probe_raises(fn):
+            probed.append(fn)
+            if len(probed) == 1:  # diagnose's probe of the kernel itself
+                return real(fn)
+            raise ProbeError(2.0**40, ValueError("math domain error"))
+
+        monkeypatch.setattr(engine, "limit_at_infinity", far_probe_raises)
+        rec = evaluate_pipeline(prob("cos(x)/(1+x)", a=1.3, b=2.7), 1e-6)
+        full = _full_budget("cos(x)/(1+x)", 1.3, 2.7, 1e-6)
+        assert len(probed) == 2
+        assert rec.status == "ORACLE_FAILED"
+        assert rec.detail.endswith("oracle did not converge: panel cap of 2000 panels reached")
+        assert rec.numeric == full.value
+        assert rec.evaluations == 5985 + full.function_evaluations == 5985 + 59985
 
 
 def _kernel_cases():

@@ -153,6 +153,21 @@ class TestDecaying:
         res = integrate_decaying(lambda x: math.exp(-x * x), 1e-10)
         assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-9)
 
+    def test_converged_run_is_independent_of_the_budget(self):
+        # bisection is deterministic: a run that converges within 200
+        # panels is the full-budget run, bit for bit
+        f = lambda x: (math.exp(-x) - math.exp(-2.0 * x)) / x
+        assert integrate_decaying(f, 1e-10, 200) == integrate_decaying(f, 1e-10)
+
+    def test_budget_names_its_cap(self):
+        # bounded and oscillating on the mapped axis: no budget converges
+        k = lambda x: math.cos(x) / (1.0 + x)
+        f = lambda x: (k(1.3 * x) - k(2.7 * x)) / x
+        res = integrate_decaying(f, 1e-12, 20)
+        assert not res.converged
+        assert res.function_evaluations == 15 + 30 * 19
+        assert res.diagnostic == "panel cap of 20 panels reached"
+
     def test_survives_fast_underflow(self):
         # exp(-x^2) underflows to exactly 0 far out on the mapped axis;
         # the map's jacobian must not turn that into 0 * inf
