@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .expr import Expression, compile_kernel, free_variables, unparse
+from .expr import Expression, compile_frullani, free_variables, unparse
 
 # Not called here, since kernels are compiled; the benchmark's tracer wraps
 # the name engine.evaluate, so it must stay importable from this module.
@@ -39,14 +39,16 @@ class FrullaniProblem:
     """One integral: the kernel f (an expression in x, parameters already
     bound to numbers), the two scale factors, and the argument power.
 
-    kernel is f compiled once (expr.compile_kernel) when the problem is made;
-    it takes no part in equality, hashing or repr."""
+    kernel is f and integrand is (f(a x) - f(b x)) / x, both compiled once
+    (expr.compile_frullani) when the problem is made; they take no part in
+    equality, hashing or repr."""
 
     f: Expression
     a: float
     b: float
     power: float = 1.0
     kernel: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    integrand: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("a", "b", "power"):
@@ -59,7 +61,9 @@ class FrullaniProblem:
                 f"kernel must have exactly the free variable x, got "
                 f"{sorted(names) or 'none'}"
             )
-        object.__setattr__(self, "kernel", compile_kernel(self.f))
+        kernel, integrand = compile_frullani(self.f, self.a, self.b)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "integrand", integrand)
 
 
 @dataclass(frozen=True)
@@ -145,17 +149,16 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
 
     f, a, b, p = prob.kernel, prob.a, prob.b, prob.power
 
-    # u = x^p turns dx/x into du/(p u): integrate the power-1 integrand and
-    # divide by p last, as closed_form does; the quadrature tolerance is
-    # scaled by p so the divided error still meets tol / 4
-    def integrand(x: float) -> float:
-        return (f(a * x) - f(b * x)) / x
-
     def far(x: float) -> float:
         return x * (f(a * x) - f(b * x))
 
+    # u = x^p turns dx/x into du/(p u): integrate the power-1 integrand and
+    # divide by p last, as closed_form does; the quadrature tolerance is
+    # scaled by p so the divided error still meets tol / 4
     def oracle():
-        res = _decaying_oracle(integrand, far, tol * 0.25 * p)
+        if tol * 0.25 * p == 0.0:
+            raise ValueError(f"oracle tolerance tol*power/4 = {tol!r}*{p!r}/4 underflows to 0.0")
+        res = _decaying_oracle(prob.integrand, far, tol * 0.25 * p)
         return replace(res, value=res.value / p, error_estimate=res.error_estimate / p)
 
     return judge("eval", params, expected, oracle, tol, start, provenance)

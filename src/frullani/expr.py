@@ -13,15 +13,19 @@ Three ways to use a tree:
                    the printer that round-trips its trees
   evaluate         the reference evaluator: walks the tree under a dict of
                    bindings, a pure function of (tree, bindings)
-  compile_kernel   lowers a tree in x, once, to a straight-line Python
-                   function that returns exactly what evaluate returns; the
-                   probe-then-verify pipeline calls kernels this way
+  compile_kernel   lowers a tree in x to a straight-line Python function
+                   that returns exactly what evaluate returns, compiling
+                   each tree shape once with its constants as arguments;
+                   compile_frullani also gives the Frullani integrand
+                   (f(a x) - f(b x))/x of that kernel f, which the
+                   probe-then-verify pipeline integrates
 
 Trees are immutable dataclasses, so structural equality is plain ==.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -349,12 +353,11 @@ _HELPERS = {
     "_sqrt": math.sqrt,
     "_abs": abs,
     "_isinf": math.isinf,
-    "_inf": math.inf,
-    "_nan": math.nan,
 }
 
-# (domain check or None, value) per function, over the argument's operand text
-_CALL_LINES = {
+# (domain check or None, value) per interior node, over its operands' text
+# {0} and {1}; a failed check raises DomainError with the last operand
+_NODE_LINES = {
     "exp": (None, "_exp({0})"),
     "ln": ("{0} <= 0.0", "_log({0})"),
     "sin": ("_isinf({0})", "_sin({0})"),
@@ -362,81 +365,129 @@ _CALL_LINES = {
     "atan": (None, "_atan({0})"),
     "sqrt": ("{0} < 0.0", "_sqrt({0})"),
     "abs": (None, "_abs({0})"),
+    "neg": (None, "-{0}"),
+    "+": (None, "{0} + {1}"),
+    "-": (None, "{0} - {1}"),
+    "*": (None, "{0} * {1}"),
+    "/": ("{1} == 0.0", "{0} / {1}"),
+    "^": (None, "_pow({0}, {1})"),
 }
+_OPERATORS = ("+", "-", "*", "/", "^")
+
+# Distinct tree shapes whose compiled builders are kept; a shape pushed out
+# is compiled again when it comes back.
+_SHAPE_CACHE_SIZE = 128
 
 
-def _operand(value: float) -> str:
-    """Source text for a constant: its repr, or a helper name when repr is
-    not a Python literal."""
-    if math.isfinite(value):
-        return repr(value)
-    if math.isnan(value):
-        return "_nan"
-    return "_inf" if value > 0 else "-_inf"
-
-
-def compile_kernel(expr: Expression) -> Callable[[float], float]:
-    """Compile a tree in the one variable x into a function of a float x.
-
-    The tree is lowered once, in the left-to-right post-order evaluate walks
-    it in, to straight-line Python with one single-assignment line per
-    interior node and the domain checks inlined, so the function returns
-    exactly what evaluate(expr, {"x": x}) returns and raises the same
-    DomainError.  The walk keeps its own stack, so tree depth is not bounded
-    by Python's recursion limit.  Any other variable raises
-    UnboundVariableError here rather than at call time.
-    """
-    lines: list[str] = []
-    operands: list[str] = []  # operand text of every finished subtree
+def _shape(expr: Expression) -> tuple[tuple[str, ...], list[float]]:
+    """The nodes of a tree in x in the left-to-right post-order evaluate
+    walks them in ("c" for a constant, "x", "neg", a function name or an
+    operator, each name checked, so no input text reaches generated source),
+    and its constants in the same order.  The walk keeps its own stack, so
+    tree depth is not bounded by Python's recursion limit."""
+    shape: list[str] = []
+    constants: list[float] = []
     pending: list[tuple[Expression, bool]] = [(expr, False)]
     while pending:
         node, children_done = pending.pop()
         if isinstance(node, Const):
-            operands.append(_operand(node.value))
-            continue
-        if isinstance(node, Var):
+            shape.append("c")
+            constants.append(node.value)
+        elif isinstance(node, Var):
             if node.name != "x":
                 raise UnboundVariableError(node.name)
-            operands.append("x")
-            continue
-        if not children_done:
+            shape.append("x")
+        elif not children_done:
             pending.append((node, True))
             if isinstance(node, BinOp):
                 pending.append((node.right, False))
                 pending.append((node.left, False))
             else:
                 pending.append((node.operand if isinstance(node, Neg) else node.arg, False))
-            continue
-        target = f"t{len(lines)}"
-        if isinstance(node, Neg):
-            lines.append(f"{target} = -{operands.pop()}")
+        elif isinstance(node, Neg):
+            shape.append("neg")
         elif isinstance(node, Call):
-            if node.func not in _CALL_LINES:
+            if node.func not in FUNCTIONS:
                 raise EvaluationError(f"unknown function '{node.func}'")
-            check, value = _CALL_LINES[node.func]
-            arg = operands.pop()
-            if check is not None:
-                lines.append(
-                    f"if {check.format(arg)}: raise _DomainError({node.func!r}, {arg})"
-                )
-            lines.append(f"{target} = {value.format(arg)}")
+            shape.append(node.func)
+        elif node.op in _OPERATORS:
+            shape.append(node.op)
         else:
-            right = operands.pop()
-            left = operands.pop()
-            if node.op in ("+", "-", "*"):
-                lines.append(f"{target} = {left} {node.op} {right}")
-            elif node.op == "/":
-                lines.append(f"if {right} == 0.0: raise _DomainError('/', {right})")
-                lines.append(f"{target} = {left} / {right}")
-            elif node.op == "^":
-                lines.append(f"{target} = _pow({left}, {right})")
-            else:
-                raise EvaluationError(f"unknown operator '{node.op}'")
-        operands.append(target)
-    body = "".join(f"    {line}\n" for line in lines)
+            raise EvaluationError(f"unknown operator '{node.op}'")
+    return tuple(shape), constants
+
+
+def _block(shape: tuple[str, ...], var: str, prefix: str, indent: str) -> tuple[str, str]:
+    """Straight-line source for shape applied to var, one single-assignment
+    line per interior node (prefix0, prefix1, ...) with the domain checks
+    inlined and constant i read as ci; and the result's operand text."""
+    lines: list[str] = []
+    operands: list[str] = []
+    read = 0  # constants read so far
+    for token in shape:
+        if token == "c":
+            operands.append(f"c{read}")
+            read += 1
+        elif token == "x":
+            operands.append(var)
+        else:
+            check, value = _NODE_LINES[token]
+            arity = 2 if token in _OPERATORS else 1
+            args = operands[-arity:]
+            del operands[-arity:]
+            if check is not None:
+                condition = check.format(*args)
+                lines.append(f"if {condition}: raise _DomainError({token!r}, {args[-1]})")
+            operands.append(f"{prefix}{len(lines)}")
+            lines.append(f"{operands[-1]} = {value.format(*args)}")
+    return "".join(f"{indent}{line}\n" for line in lines), operands.pop()
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _builder(shape: tuple[str, ...]) -> Callable[..., tuple[Callable, Callable]]:
+    """build(c0, c1, ...) for one shape: it returns the kernel over those
+    constants and frullani(a, b), which returns the Frullani integrand."""
+    kernel, result = _block(shape, "x", "t", " " * 8)
+    at_a, result_a = _block(shape, "xa", "u", " " * 12)
+    at_b, result_b = _block(shape, "xb", "v", " " * 12)
+    constants = ", ".join(f"c{i}" for i in range(shape.count("c")))
     namespace = dict(_HELPERS)
-    exec(f"def kernel(x):\n{body}    return {operands.pop()}\n", namespace)
-    return namespace["kernel"]
+    exec(
+        f"def build({constants}):\n"
+        f"    def kernel(x):\n{kernel}        return {result}\n"
+        "    def frullani(a, b):\n"
+        "        def integrand(x):\n"
+        f"            xa = a * x\n{at_a}            xb = b * x\n{at_b}"
+        f"            return ({result_a} - {result_b}) / x\n"
+        "        return integrand\n"
+        "    return kernel, frullani\n",
+        namespace,
+    )
+    return namespace["build"]
+
+
+def compile_kernel(expr: Expression) -> Callable[[float], float]:
+    """Compile a tree in the one variable x into a function of a float x.
+
+    The function runs the tree as straight-line Python, in the order
+    evaluate walks it, so it returns exactly what evaluate(expr, {"x": x})
+    returns and raises the same DomainError.  Each tree shape is compiled
+    once, with its constants as arguments, so trees that differ only in
+    their constants share one code object.  Any other variable raises
+    UnboundVariableError here rather than at call time.
+    """
+    shape, constants = _shape(expr)
+    return _builder(shape)(*constants)[0]
+
+
+def compile_frullani(expr: Expression, a: float, b: float) -> tuple[Callable, Callable]:
+    """compile_kernel(expr), and the Frullani integrand of that kernel f at
+    scales a and b: x -> (f(a*x) - f(b*x)) / x with f's body inlined twice,
+    in that order, so it returns and raises exactly what that expression
+    does."""
+    shape, constants = _shape(expr)
+    kernel, frullani = _builder(shape)(*constants)
+    return kernel, frullani(a, b)
 
 
 # precedence levels used by unparse; higher binds tighter

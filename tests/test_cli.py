@@ -299,6 +299,17 @@ class TestEval:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: bad expression: ")
 
+    def test_underflowed_oracle_tolerance_is_named(self, capsys):
+        # tol*power/4 = 2.5e-331 rounds to 0.0, below the least subnormal
+        rc = main(["eval", "exp(-x)", "--a", "1", "--b", "2",
+                   "--tol", "1e-30", "--power", "1e-300"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert fields(captured.out.splitlines()[0])["status"] == "ORACLE_FAILED"
+        assert ("oracle raised: oracle tolerance tol*power/4 = 1e-30*1e-300/4 "
+                "underflows to 0.0") in captured.err
+        assert "tol must be positive" not in captured.err
+
     @pytest.mark.parametrize("power", ["0.05", "0.2", "0.5", "2", "5"])
     def test_power_is_divided_out_after_integrating(self, power, capsys):
         # the integrand used to raise x to the power, which sent the

@@ -52,7 +52,8 @@ class TestProblemValidation:
         assert p.kernel is not q.kernel
         assert p.kernel(2.0) == math.exp(-2.0)
         assert p == q and hash(p) == hash(q)
-        assert "kernel" not in repr(p)
+        assert "kernel" not in repr(p) and "integrand" not in repr(p)
+        assert p.integrand(1.0) == math.exp(-1.0) - math.exp(-2.0)
         assert p != prob("exp(-2*x)")
 
     def test_rejects_constant_kernels(self):
@@ -191,6 +192,19 @@ class TestPipeline:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             evaluate_pipeline(prob("exp(-x)"), 0.0)
+
+    @pytest.mark.parametrize("src, a, b, power, numeric, evaluations", [
+        ("1.2*exp(-x)+0.7", 1.3, 2.9, 1.0, "0x1.ecf6302eeef06p-1", 105),
+        ("sqrt(x)/(1+sqrt(x))", 1.35394, 7.95975, 0.930343, "-0x1.e76cf12ae5ffdp+0", 2745),
+        ("(1+2.5/x)^x", 0.8, 3.1, 1.0, "-0x1.e4b5da08beb09p+3", 705),
+    ])
+    def test_oracle_arithmetic_is_pinned(self, src, a, b, power, numeric, evaluations):
+        # the compiled integrand must do the arithmetic of
+        # (f(a*x) - f(b*x)) / x in that order, bit for bit
+        rec = evaluate_pipeline(prob(src, a, b, power), 1e-6)
+        assert rec.status == "PASS"
+        assert rec.numeric.hex() == numeric
+        assert rec.evaluations == evaluations
 
 
 def _full_budget(src, a, b, tol):

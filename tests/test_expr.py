@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frullani import expr
 from frullani.expr import (
     BinOp,
     Call,
@@ -17,6 +18,7 @@ from frullani.expr import (
     ParseError,
     UnboundVariableError,
     Var,
+    compile_frullani,
     compile_kernel,
     evaluate,
     free_variables,
@@ -315,3 +317,63 @@ def test_compiled_kernel_agrees_with_evaluate_bitwise(tree, x):
     want_kind, want = _outcome(lambda v: evaluate(tree, {"x": v}), x)
     assert kind == want_kind
     assert _same_float(got, want), (got, want)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    _kernel_trees,
+    _abscissas,
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+def test_frullani_integrand_agrees_with_the_kernel_bitwise(tree, x, a, b):
+    kernel, integrand = compile_frullani(tree, a, b)
+
+    def outcome(fn):
+        try:
+            return "value", fn(x)
+        except DomainError as exc:
+            return exc.func, exc.argument
+        except ZeroDivisionError:
+            return "ZeroDivisionError", 0.0
+
+    kind, got = outcome(integrand)
+    want_kind, want = outcome(lambda v: (kernel(a * v) - kernel(b * v)) / v)
+    assert kind == want_kind
+    assert _same_float(got, want), (got, want)
+
+
+class TestShapeCache:
+    @pytest.mark.parametrize("constants", [
+        (2.0, 3.0),
+        (0.0, -0.0),
+        (-0.0, 0.5),
+        (math.inf, -math.inf),
+        (math.nan, 1.0),
+        (-math.inf, math.nan),
+    ])
+    def test_trees_differing_in_constants_share_code(self, constants):
+        def tree(c, d):
+            return BinOp("+", BinOp("*", Const(c), Call("exp", Neg(Var("x")))), Const(d))
+
+        reference = compile_kernel(tree(1.5, 0.25))
+        kernel = compile_kernel(tree(*constants))
+        assert kernel.__code__ is reference.__code__
+        for x in (0.0, -0.0, 0.5, 3.0, math.inf, -math.inf):
+            want = evaluate(tree(*constants), {"x": x})
+            assert _same_float(kernel(x), want), (x, kernel(x), want)
+            assert _same_float(reference(x), evaluate(tree(1.5, 0.25), {"x": x}))
+
+    def test_integrands_share_code_across_scales(self):
+        _, first = compile_frullani(parse("1.2*exp(-x) + 0.7"), 1.3, 2.9)
+        _, second = compile_frullani(parse("0.4*exp(-x) + 2"), 0.5, 8.0)
+        assert first.__code__ is second.__code__
+        assert first(0.5) != second(0.5)
+
+    def test_cache_stays_bounded(self):
+        # x, x+x, x+x+x, ...: every sum length is its own shape
+        tree = Var("x")
+        for n in range(1, expr._SHAPE_CACHE_SIZE + 11):
+            assert compile_kernel(tree)(1.0) == n
+            tree = BinOp("+", tree, Var("x"))
+        assert expr._builder.cache_info().currsize <= expr._SHAPE_CACHE_SIZE
