@@ -1,17 +1,22 @@
 """Machine-checkable catalog of Frullani-type integral identities.
 
 Twenty entries: eleven from Gradshteyn & Ryzhik (GR-*), nine from volume 1
-of Ramanujan's Notebooks (R-*).  Each entry carries the printed integrand
-(as a builder from parameter bindings to a callable), the printed closed
-form, parameter constraints with prose, a default verification grid, and
-the metadata the oracle needs (evaluation class; for oscillatory entries the
-spectrum, a kernel F with scale pair (alpha, beta) such that the integrand is
-[F(alpha x) - F(beta x)]/x).
+of Ramanujan's Notebooks (R-*).  Each entry carries the printed closed form,
+parameter constraints with prose, a default verification grid, its
+evaluation class, and the reduction the paper states: a kernel f as
+expression text in x and the entry's parameters, with a scale pair (alpha,
+beta), so that the printed integrand is [f(alpha x) - f(beta x)]/x.  The
+text is compiled like a typed kernel (expr.compile_family), once per entry,
+and bound to each binding's numbers; for oscillatory entries the kernel and
+pair are also the spectrum the tail oracle splits.
 
-Entries whose integrand is f(ax)-f(bx) for a single kernel f additionally
-carry the kernel as expression source text plus the (a, b, power) mapping
-and the analytic limit pair, so the probe-based engine pipeline can be
-cross-checked against the catalog's analytic closed forms.
+Four entries give the printed integrand as its own text, where it is not
+written through the kernel: GR-3.476.1 (x^p), GR-4.297.7 (over x^2), R-3.5
+and R-3.6 (sine products).  Four keep hand-built Python for numerics the
+expression language lacks: GR-3.436 (a joint Taylor branch), GR-3.329 and
+GR-3.412.1 (cut-offs before exp overflows) and GR-4.267.8 (a removable
+point).  Kernels with finite limits also carry them, so the probe-based
+engine pipeline can be cross-checked against the catalog's closed forms.
 
 Verification routes through the quadrature oracle appropriate to the
 evaluation class and never lets an exception escape a VerificationRecord.
@@ -19,10 +24,11 @@ evaluation class and never lets an exception escape a VerificationRecord.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 # base_frequency, STATUSES and VerificationRecord are re-exported as part of
 # this module's API.  The oracles are called through this module's names.
@@ -35,6 +41,7 @@ from .quadrature import (
     integrate_frullani_split,
     oscillatory_plan,
 )
+from .expr import compile_family, evaluate, parse
 from .records import STATUSES, VerificationRecord, judge, nonfinite_closed_form, skipped
 from .series import gr_4_324_2_closed
 
@@ -84,20 +91,32 @@ class CatalogEntry:
     eval_class: str
     param_names: tuple[str, ...]
     constraints: tuple[Constraint, ...]
-    integrand: Callable[[dict], Callable[[float], float]]
     closed_form: Callable[[dict], float]
     default_grid: tuple[dict, ...]
-    # oscillatory entries: the kernel and scale pair of the integrand; the
-    # scales drive the tail plan, the kernel the split tail
-    spectrum: Optional[Callable[[dict], Spectrum]] = None
-    # single-kernel entries: f as expression source + (a, b, power) mapping
-    kernel: Optional[Callable[[dict], str]] = None
-    kernel_map: Optional[Callable[[dict], tuple[float, float, float]]] = None
+    # the kernel f as expression text in x and the parameters, and the scale
+    # pair (alpha, beta) as texts in the parameters: unless integrand is
+    # given, the printed integrand is [f(alpha x) - f(beta x)]/x.  For
+    # oscillatory entries they are its spectrum; scales that are two
+    # parameters are the pair the zero law equates.
+    kernel: Optional[str] = None
+    scales: Optional[tuple[str, str]] = None
+    # the printed integrand where the kernel does not give it: expression
+    # text in x and the parameters, or a builder of hand-built Python
+    integrand: Union[str, Callable[[dict], Callable[[float], float]], None] = None
+    # (f(0+), f(inf)) of the kernel, where both exist
     kernel_limits: Optional[Callable[[dict], tuple[float, float]]] = None
-    # the Frullani scale pair, for the zero law; None when constraints
-    # forbid equal scales
-    scale_params: Optional[tuple[str, str]] = None
+    # the period of an oscillatory kernel whose mean is not zero; the split
+    # tail removes that mean
+    period: Optional[float] = None
     note: str = ""
+
+    @property
+    def scale_params(self) -> Optional[tuple[str, str]]:
+        """The scale pair as two parameter names, for the zero law; None
+        when the entry has no such pair."""
+        if self.scales is not None and all(s in self.param_names for s in self.scales):
+            return self.scales
+        return None
 
 
 def _positive(*names: str) -> Constraint:
@@ -105,51 +124,20 @@ def _positive(*names: str) -> Constraint:
     return Constraint(prose, lambda p, ns=names: all(p[n] > 0 for n in ns))
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def _half_cos(u: float) -> float:
-    return 0.5 * math.cos(u)
-
-
-def _damped_sine(u: float) -> float:
-    return math.exp(-u) * math.sin(u)
-
-
-def _log_cosine(a: float) -> Callable[[float], float]:
-    sq = a * a
-
-    def f(u: float) -> float:
-        return math.log1p(2.0 * a * math.cos(u) + sq)
-
-    return f
-
-
 # ---------------------------------------------------------------- entries
 
 def _gr_3_434_2() -> CatalogEntry:
-    def make(p):
-        a, b = p["a"], p["b"]
-
-        def g(x: float) -> float:
-            return (math.expm1(-a * x) - math.expm1(-b * x)) / x
-
-        return g
-
     return CatalogEntry(
         entry_id="GR-3.434.2",
         source="G&R 3.434.2",
         eval_class="smooth-decay",
         param_names=("a", "b"),
         constraints=(_positive("a", "b"),),
-        integrand=make,
         closed_form=lambda p: math.log(p["b"] / p["a"]),
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 3.0, "b": 3.0}),
-        kernel=lambda p: "exp(-x)",
-        kernel_map=lambda p: (p["a"], p["b"], 1.0),
-        kernel_limits=lambda p: (1.0, 0.0),
-        scale_params=("a", "b"),
+        kernel="expm1(-x)",
+        scales=("a", "b"),
+        kernel_limits=lambda p: (0.0, -1.0),
     )
 
 
@@ -171,10 +159,10 @@ def _gr_4_267_8() -> CatalogEntry:
         eval_class="finite-interval",
         param_names=("a", "b"),
         constraints=(_positive("a", "b"),),
-        integrand=make,
         closed_form=lambda p: math.log(p["b"] / p["a"]),
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 2.0, "b": 2.0}),
-        scale_params=("a", "b"),
+        scales=("a", "b"),
+        integrand=make,
         note=(
             "the printed closed form inverts the ratio; the printed integrand "
             "(t^(b-1) - t^(a-1))/ln t equals ln(b/a), e.g. +0.28768 at a=1.5, "
@@ -184,32 +172,23 @@ def _gr_4_267_8() -> CatalogEntry:
 
 
 def _gr_3_476_1() -> CatalogEntry:
-    def make(p):
-        v, u, pw = p["v"], p["u"], p["p"]
-
-        def g(x: float) -> float:
-            xp = math.pow(x, pw)
-            return (math.expm1(-v * xp) - math.expm1(-u * xp)) / x
-
-        return g
-
     return CatalogEntry(
         entry_id="GR-3.476.1",
         source="G&R 3.476.1",
         eval_class="smooth-decay",
         param_names=("v", "u", "p"),
         constraints=(_positive("v", "u", "p"),),
-        integrand=make,
         closed_form=lambda p: math.log(p["u"] / p["v"]) / p["p"],
         default_grid=(
             {"v": 1.0, "u": 2.0, "p": 1.0},
             {"v": 1.0, "u": 10.0, "p": 2.0},
             {"v": 3.0, "u": 3.0, "p": 1.5},
         ),
-        kernel=lambda p: "exp(-x)",
-        kernel_map=lambda p: (p["v"], p["u"], p["p"]),
-        kernel_limits=lambda p: (1.0, 0.0),
-        scale_params=("v", "u"),
+        # the kernel takes x^p: [f(v x^p) - f(u x^p)]/x
+        kernel="expm1(-x)",
+        scales=("v", "u"),
+        integrand="(expm1(-v*x^p) - expm1(-u*x^p))/x",
+        kernel_limits=lambda p: (0.0, -1.0),
     )
 
 
@@ -253,17 +232,16 @@ def _gr_3_436() -> CatalogEntry:
         eval_class="smooth-decay",
         param_names=("a", "b", "p", "q"),
         constraints=(_positive("a", "b", "p", "q"),),
-        integrand=make,
         closed_form=lambda p: (p["p"] - p["q"]) * math.log(p["b"] / p["a"]),
         default_grid=(
             {"a": 1.0, "b": 2.0, "p": 3.0, "q": 1.0},
             {"a": 1.0, "b": 10.0, "p": 2.0, "q": 1.0},
             {"a": 2.0, "b": 2.0, "p": 3.0, "q": 1.0},
         ),
-        kernel=lambda p: f"(exp(-{_fmt(p['q'])}*x) - exp(-{_fmt(p['p'])}*x))/x",
-        kernel_map=lambda p: (p["a"], p["b"], 1.0),
+        kernel="(exp(-q*x) - exp(-p*x))/x",
+        scales=("a", "b"),
+        integrand=make,
         kernel_limits=lambda p: (p["p"] - p["q"], 0.0),
-        scale_params=("a", "b"),
     )
 
 
@@ -292,93 +270,61 @@ def _gr_3_329() -> CatalogEntry:
             _positive("a", "b"),
             Constraint("c is positive (exp(-c e^y) must decay)", lambda p: p["c"] > 0),
         ),
-        integrand=make,
         closed_form=lambda p: math.exp(-p["c"]) * math.log(p["b"] / p["a"]),
         default_grid=(
             {"a": 1.0, "b": 2.0, "c": 1.0},
             {"a": 1.0, "b": 10.0, "c": 0.5},
             {"a": 3.0, "b": 3.0, "c": 2.0},
         ),
-        kernel=lambda p: f"x*exp(-{_fmt(p['c'])}*exp(x))/(1 - exp(-x))",
-        kernel_map=lambda p: (p["a"], p["b"], 1.0),
+        kernel="x*exp(-c*exp(x))/(1 - exp(-x))",
+        scales=("a", "b"),
+        integrand=make,
         kernel_limits=lambda p: (math.exp(-p["c"]), 0.0),
-        scale_params=("a", "b"),
         note="positivity of c is inferred from convergence, not printed",
     )
 
 
 def _gr_3_232() -> CatalogEntry:
-    def make(p):
-        a, b, c, mu = p["a"], p["b"], p["c"], p["mu"]
-
-        def g(x: float) -> float:
-            return (math.pow(a * x + c, -mu) - math.pow(b * x + c, -mu)) / x
-
-        return g
-
     return CatalogEntry(
         entry_id="GR-3.232",
         source="G&R 3.232",
         eval_class="smooth-decay",
         param_names=("a", "b", "c", "mu"),
         constraints=(_positive("a", "b", "c", "mu"),),
-        integrand=make,
         closed_form=lambda p: math.pow(p["c"], -p["mu"]) * math.log(p["b"] / p["a"]),
         default_grid=(
             {"a": 1.0, "b": 2.0, "c": 1.0, "mu": 2.0},
             {"a": 1.0, "b": 10.0, "c": 3.0, "mu": 1.0},
             {"a": 2.0, "b": 2.0, "c": 1.0, "mu": 3.0},
         ),
-        kernel=lambda p: f"(x + {_fmt(p['c'])})^(-{_fmt(p['mu'])})",
-        kernel_map=lambda p: (p["a"], p["b"], 1.0),
+        kernel="(x + c)^(-mu)",
+        scales=("a", "b"),
         kernel_limits=lambda p: (math.pow(p["c"], -p["mu"]), 0.0),
-        scale_params=("a", "b"),
     )
 
 
 def _gr_4_536_2() -> CatalogEntry:
-    def make(prm):
-        p, q = prm["p"], prm["q"]
-
-        def g(x: float) -> float:
-            return (math.atan(p * x) - math.atan(q * x)) / x
-
-        return g
-
     return CatalogEntry(
         entry_id="GR-4.536.2",
         source="G&R 4.536.2",
         eval_class="smooth-decay",
         param_names=("p", "q"),
         constraints=(_positive("p", "q"),),
-        integrand=make,
         closed_form=lambda prm: 0.5 * math.pi * math.log(prm["p"] / prm["q"]),
         default_grid=({"p": 2.0, "q": 1.0}, {"p": 10.0, "q": 1.0}, {"p": 2.0, "q": 2.0}),
-        kernel=lambda p: "atan(x)",
-        kernel_map=lambda prm: (prm["p"], prm["q"], 1.0),
+        kernel="atan(x)",
+        scales=("p", "q"),
         kernel_limits=lambda p: (0.0, 0.5 * math.pi),
-        scale_params=("p", "q"),
     )
 
 
 def _gr_4_319_3() -> CatalogEntry:
-    def make(prm):
-        a, b, p, q = prm["a"], prm["b"], prm["p"], prm["q"]
-        r = b / a
-
-        def g(x: float) -> float:
-            # ln(a+b e^{-px}) - ln(a+b e^{-qx}); the ln(a) parts cancel
-            return (math.log1p(r * math.exp(-p * x)) - math.log1p(r * math.exp(-q * x))) / x
-
-        return g
-
     return CatalogEntry(
         entry_id="GR-4.319.3",
         source="G&R 4.319.3",
         eval_class="smooth-decay",
         param_names=("a", "b", "p", "q"),
         constraints=(_positive("a", "b", "p", "q"),),
-        integrand=make,
         closed_form=lambda prm: math.log1p(prm["b"] / prm["a"])
         * math.log(prm["q"] / prm["p"]),
         default_grid=(
@@ -386,72 +332,47 @@ def _gr_4_319_3() -> CatalogEntry:
             {"a": 2.0, "b": 3.0, "p": 1.0, "q": 10.0},
             {"a": 1.0, "b": 2.0, "p": 2.0, "q": 2.0},
         ),
-        kernel=lambda prm: f"ln({_fmt(prm['a'])} + {_fmt(prm['b'])}*exp(-x))",
-        kernel_map=lambda prm: (prm["p"], prm["q"], 1.0),
-        kernel_limits=lambda prm: (
-            math.log(prm["a"] + prm["b"]),
-            math.log(prm["a"]),
-        ),
-        scale_params=("p", "q"),
+        # ln(a + b e^{-x}) less its ln(a) part, which cancels
+        kernel="log1p(b/a*exp(-x))",
+        scales=("p", "q"),
+        kernel_limits=lambda prm: (math.log1p(prm["b"] / prm["a"]), 0.0),
         note="closed form ln(a/(a+b)) ln(p/q) is evaluated as ln(1+b/a) ln(q/p)",
     )
 
 
 def _gr_4_297_7() -> CatalogEntry:
-    def make(p):
-        a, b = p["a"], p["b"]
-
-        def g(x: float) -> float:
-            return (b * math.log1p(a * x) - a * math.log1p(b * x)) / (x * x)
-
-        return g
-
     return CatalogEntry(
         entry_id="GR-4.297.7",
         source="G&R 4.297.7",
         eval_class="smooth-decay",
         param_names=("a", "b"),
         constraints=(_positive("a", "b"),),
-        integrand=make,
         closed_form=lambda p: p["a"] * p["b"] * math.log(p["b"] / p["a"]),
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 3.0, "b": 3.0}),
-        kernel=lambda p: f"{_fmt(p['a'])}*{_fmt(p['b'])}*ln(1 + x)/x",
-        kernel_map=lambda p: (p["a"], p["b"], 1.0),
+        kernel="a*b*log1p(x)/x",
+        scales=("a", "b"),
+        integrand="(b*log1p(a*x) - a*log1p(b*x))/(x*x)",
         kernel_limits=lambda p: (p["a"] * p["b"], 0.0),
-        scale_params=("a", "b"),
     )
 
 
 def _gr_3_484() -> CatalogEntry:
-    def make(prm):
-        a, p, q = prm["a"], prm["p"], prm["q"]
-
-        def pw(y: float) -> float:
-            # (1 + a/y)^y for y > 0, stable at both ends
-            return math.exp(y * math.log1p(a / y))
-
-        def g(x: float) -> float:
-            return (pw(q * x) - pw(p * x)) / x
-
-        return g
-
     return CatalogEntry(
         entry_id="GR-3.484",
         source="G&R 3.484",
         eval_class="smooth-decay",
         param_names=("a", "p", "q"),
         constraints=(_positive("a", "p", "q"),),
-        integrand=make,
         closed_form=lambda prm: math.expm1(prm["a"]) * math.log(prm["q"] / prm["p"]),
         default_grid=(
             {"a": 1.0, "p": 1.0, "q": 2.0},
             {"a": 2.0, "p": 1.0, "q": 10.0},
             {"a": 1.0, "p": 2.0, "q": 2.0},
         ),
-        kernel=lambda prm: f"(1 + {_fmt(prm['a'])}/x)^x",
-        kernel_map=lambda prm: (prm["q"], prm["p"], 1.0),
+        # (1 + a/x)^x, stable at both ends
+        kernel="exp(x*log1p(a/x))",
+        scales=("q", "p"),
         kernel_limits=lambda prm: (1.0, math.exp(prm["a"])),
-        scale_params=("q", "p"),
     )
 
 
@@ -478,7 +399,6 @@ def _gr_3_412_1() -> CatalogEntry:
         eval_class="smooth-decay",
         param_names=("a", "b", "c", "g", "h", "p", "q"),
         constraints=(_positive("a", "b", "c", "g", "h", "p", "q"),),
-        integrand=make,
         closed_form=lambda prm: (prm["a"] + prm["b"])
         / (prm["c"] + prm["g"] + prm["h"])
         * math.log(prm["q"] / prm["p"]),
@@ -487,32 +407,17 @@ def _gr_3_412_1() -> CatalogEntry:
             {"a": 1.0, "b": 1.0, "c": 1.0, "g": 1.0, "h": 1.0, "p": 1.0, "q": 10.0},
             {"a": 1.0, "b": 1.0, "c": 1.0, "g": 1.0, "h": 1.0, "p": 2.0, "q": 2.0},
         ),
-        kernel=lambda prm: (
-            f"({_fmt(prm['a'])} + {_fmt(prm['b'])}*exp(-x))/"
-            f"({_fmt(prm['c'])}*exp(x) + {_fmt(prm['g'])} + {_fmt(prm['h'])}*exp(-x))"
-        ),
-        kernel_map=lambda prm: (prm["p"], prm["q"], 1.0),
+        kernel="(a + b*exp(-x))/(c*exp(x) + g + h*exp(-x))",
+        scales=("p", "q"),
+        integrand=make,
         kernel_limits=lambda prm: (
             (prm["a"] + prm["b"]) / (prm["c"] + prm["g"] + prm["h"]),
             0.0,
         ),
-        scale_params=("p", "q"),
     )
 
 
 def _gr_4_324_2() -> CatalogEntry:
-    def make(prm):
-        a, p, q = prm["a"], prm["p"], prm["q"]
-        sq = a * a
-
-        def g(x: float) -> float:
-            return (
-                math.log1p(2.0 * a * math.cos(p * x) + sq)
-                - math.log1p(2.0 * a * math.cos(q * x) + sq)
-            ) / x
-
-        return g
-
     return CatalogEntry(
         entry_id="GR-4.324.2",
         source="G&R 4.324.2",
@@ -527,68 +432,42 @@ def _gr_4_324_2() -> CatalogEntry:
                 lambda p: abs(p["a"]) != 1.0,
             ),
         ),
-        integrand=make,
         closed_form=lambda prm: gr_4_324_2_closed(prm["a"], prm["p"], prm["q"]),
         default_grid=(
             {"a": 0.5, "p": 1.0, "q": 2.0},
             {"a": 2.0, "p": 1.0, "q": 10.0},
             {"a": 0.5, "p": 2.0, "q": 2.0},
         ),
+        # ln(1 + 2a cos x + a^2); it has no limit at infinity
+        kernel="log1p(2*a*cos(x) + a*a)",
+        scales=("p", "q"),
         # the mean of the kernel over a period is removed by the split
-        spectrum=lambda prm: Spectrum(
-            _log_cosine(prm["a"]), (prm["p"], prm["q"]), 2.0 * math.pi
-        ),
-        kernel=lambda prm: (
-            f"ln(1 + 2*{_fmt(prm['a'])}*cos(x) + {_fmt(prm['a'])}*{_fmt(prm['a'])})"
-        ),
-        kernel_map=lambda prm: (prm["p"], prm["q"], 1.0),
-        kernel_limits=None,  # the kernel has no limit at infinity
-        scale_params=("p", "q"),
+        period=2.0 * math.pi,
     )
 
 
 def _r_3_1() -> CatalogEntry:
-    def make(p):
-        a, b = p["a"], p["b"]
-
-        def g(x: float) -> float:
-            return (math.atan(a * x) - math.atan(b * x)) / x
-
-        return g
-
     return CatalogEntry(
         entry_id="R-3.1",
         source="Ramanujan Notebooks I, 3.1",
         eval_class="smooth-decay",
         param_names=("a", "b"),
         constraints=(_positive("a", "b"),),
-        integrand=make,
         closed_form=lambda p: 0.5 * math.pi * math.log(p["a"] / p["b"]),
         default_grid=({"a": 2.0, "b": 1.0}, {"a": 10.0, "b": 1.0}, {"a": 2.0, "b": 2.0}),
-        kernel=lambda p: "atan(x)",
-        kernel_map=lambda p: (p["a"], p["b"], 1.0),
+        kernel="atan(x)",
+        scales=("a", "b"),
         kernel_limits=lambda p: (0.0, 0.5 * math.pi),
-        scale_params=("a", "b"),
     )
 
 
 def _r_3_2() -> CatalogEntry:
-    def make(prm):
-        p, q, a, b = prm["p"], prm["q"], prm["a"], prm["b"]
-        r = q / p
-
-        def g(x: float) -> float:
-            return (math.log1p(r * math.exp(-a * x)) - math.log1p(r * math.exp(-b * x))) / x
-
-        return g
-
     return CatalogEntry(
         entry_id="R-3.2",
         source="Ramanujan Notebooks I, 3.2",
         eval_class="smooth-decay",
         param_names=("p", "q", "a", "b"),
         constraints=(_positive("p", "q", "a", "b"),),
-        integrand=make,
         closed_form=lambda prm: math.log1p(prm["q"] / prm["p"])
         * math.log(prm["b"] / prm["a"]),
         default_grid=(
@@ -596,35 +475,20 @@ def _r_3_2() -> CatalogEntry:
             {"p": 1.0, "q": 3.0, "a": 1.0, "b": 10.0},
             {"p": 2.0, "q": 1.0, "a": 2.0, "b": 2.0},
         ),
-        kernel=lambda prm: f"ln({_fmt(prm['p'])} + {_fmt(prm['q'])}*exp(-x))",
-        kernel_map=lambda prm: (prm["a"], prm["b"], 1.0),
-        kernel_limits=lambda prm: (
-            math.log(prm["p"] + prm["q"]),
-            math.log(prm["p"]),
-        ),
-        scale_params=("a", "b"),
+        # ln(p + q e^{-x}) less its ln(p) part, which cancels
+        kernel="log1p(q/p*exp(-x))",
+        scales=("a", "b"),
+        kernel_limits=lambda prm: (math.log1p(prm["q"] / prm["p"]), 0.0),
     )
 
 
 def _r_3_3() -> CatalogEntry:
-    def make(prm):
-        a, b, p, q, n = prm["a"], prm["b"], prm["p"], prm["q"], prm["n"]
-
-        def f(y: float) -> float:
-            return math.pow((y + p) / (y + q), n)
-
-        def g(x: float) -> float:
-            return (f(a * x) - f(b * x)) / x
-
-        return g
-
     return CatalogEntry(
         entry_id="R-3.3",
         source="Ramanujan Notebooks I, 3.3",
         eval_class="smooth-decay",
         param_names=("a", "b", "p", "q", "n"),
         constraints=(_positive("a", "b", "p", "q"),),
-        integrand=make,
         closed_form=lambda prm: (1.0 - math.pow(prm["p"] / prm["q"], prm["n"]))
         * math.log(prm["a"] / prm["b"]),
         default_grid=(
@@ -632,74 +496,43 @@ def _r_3_3() -> CatalogEntry:
             {"a": 10.0, "b": 1.0, "p": 3.0, "q": 1.0, "n": 1.0},
             {"a": 2.0, "b": 2.0, "p": 1.0, "q": 2.0, "n": 3.0},
         ),
-        kernel=lambda prm: f"((x + {_fmt(prm['p'])})/(x + {_fmt(prm['q'])}))^{_fmt(prm['n'])}",
-        kernel_map=lambda prm: (prm["a"], prm["b"], 1.0),
+        kernel="((x + p)/(x + q))^n",
+        scales=("a", "b"),
         kernel_limits=lambda prm: (math.pow(prm["p"] / prm["q"], prm["n"]), 1.0),
-        scale_params=("a", "b"),
     )
 
 
 def _r_3_4() -> CatalogEntry:
-    def make(p):
-        a, b = p["a"], p["b"]
-
-        def g(x: float) -> float:
-            return (math.cos(a * x) - math.cos(b * x)) / x
-
-        return g
-
     return CatalogEntry(
         entry_id="R-3.4",
         source="Ramanujan Notebooks I, 3.4",
         eval_class="oscillatory",
         param_names=("a", "b"),
         constraints=(_positive("a", "b"),),
-        integrand=make,
         closed_form=lambda p: math.log(p["b"] / p["a"]),
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 3.0, "b": 3.0}),
-        spectrum=lambda p: Spectrum(math.cos, (p["a"], p["b"])),
-        kernel=lambda p: "cos(x)",
-        kernel_map=lambda p: (p["a"], p["b"], 1.0),
-        kernel_limits=None,  # cos has no limit at infinity
-        scale_params=("a", "b"),
+        kernel="cos(x)",  # no limit at infinity
+        scales=("a", "b"),
     )
 
 
 def _r_3_5() -> CatalogEntry:
-    def make(p):
-        a, b = p["a"], p["b"]
-        half_diff = 0.5 * (b - a)
-        half_sum = 0.5 * (b + a)
-
-        def g(x: float) -> float:
-            return math.sin(half_diff * x) * math.sin(half_sum * x) / x
-
-        return g
-
     return CatalogEntry(
         entry_id="R-3.5",
         source="Ramanujan Notebooks I, 3.5",
         eval_class="oscillatory",
         param_names=("a", "b"),
         constraints=(_positive("a", "b"),),
-        integrand=make,
         closed_form=lambda p: 0.5 * math.log(p["b"] / p["a"]),
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 2.0, "b": 2.0}),
         # the product expands to (cos ax - cos bx)/2
-        spectrum=lambda p: Spectrum(_half_cos, (p["a"], p["b"])),
-        scale_params=("a", "b"),
+        kernel="0.5*cos(x)",
+        scales=("a", "b"),
+        integrand="sin(0.5*(b - a)*x)*sin(0.5*(b + a)*x)/x",
     )
 
 
 def _r_3_6() -> CatalogEntry:
-    def make(prm):
-        p, q = prm["p"], prm["q"]
-
-        def g(x: float) -> float:
-            return math.sin(p * x) * math.sin(q * x) / x
-
-        return g
-
     return CatalogEntry(
         entry_id="R-3.6",
         source="Ramanujan Notebooks I, 3.6",
@@ -711,68 +544,43 @@ def _r_3_6() -> CatalogEntry:
                 lambda prm: prm["p"] > prm["q"] > 0,
             ),
         ),
-        integrand=make,
         closed_form=lambda prm: 0.5 * math.log((prm["p"] + prm["q"]) / (prm["p"] - prm["q"])),
         default_grid=({"p": 3.0, "q": 1.0}, {"p": 11.0, "q": 9.0}, {"p": 2.0, "q": 1.0}),
         # the product expands to (cos (p-q)x - cos (p+q)x)/2
-        spectrum=lambda prm: Spectrum(_half_cos, (prm["p"] - prm["q"], prm["p"] + prm["q"])),
-        scale_params=None,
+        kernel="0.5*cos(x)",
+        scales=("p - q", "p + q"),
+        integrand="sin(p*x)*sin(q*x)/x",
         note="p > q is required but not printed alongside the entry",
     )
 
 
 def _r_3_8() -> CatalogEntry:
-    def make(p):
-        a, b = p["a"], p["b"]
-
-        def g(x: float) -> float:
-            return (
-                math.exp(-a * x) * math.sin(a * x) - math.exp(-b * x) * math.sin(b * x)
-            ) / x
-
-        return g
-
     return CatalogEntry(
         entry_id="R-3.8",
         source="Ramanujan Notebooks I, 3.8",
         eval_class="oscillatory",
         param_names=("a", "b"),
         constraints=(_positive("a", "b"),),
-        integrand=make,
         closed_form=lambda p: 0.0,
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 2.0, "b": 2.0}),
-        spectrum=lambda p: Spectrum(_damped_sine, (p["a"], p["b"])),
-        kernel=lambda p: "exp(-x)*sin(x)",
-        kernel_map=lambda p: (p["a"], p["b"], 1.0),
+        kernel="exp(-x)*sin(x)",
+        scales=("a", "b"),
         kernel_limits=lambda p: (0.0, 0.0),
-        scale_params=("a", "b"),
     )
 
 
 def _r_3_9() -> CatalogEntry:
-    def make(p):
-        a, b = p["a"], p["b"]
-
-        def g(x: float) -> float:
-            return (
-                math.exp(-a * x) * math.cos(a * x) - math.exp(-b * x) * math.cos(b * x)
-            ) / x
-
-        return g
-
     return CatalogEntry(
         entry_id="R-3.9",
         source="Ramanujan Notebooks I, 3.9",
         eval_class="smooth-decay",
         param_names=("a", "b"),
         constraints=(_positive("a", "b"),),
-        integrand=make,
         closed_form=lambda p: math.log(p["b"] / p["a"]),
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 3.0, "b": 3.0}),
-        kernel=lambda p: "exp(-x)*cos(x)",
-        kernel_map=lambda p: (p["a"], p["b"], 1.0),
+        kernel="exp(-x)*cos(x)",
+        scales=("a", "b"),
         kernel_limits=lambda p: (1.0, 0.0),
-        scale_params=("a", "b"),
     )
 
 
@@ -830,7 +638,10 @@ def default_grid(entry_id: str) -> tuple[dict, ...]:
     return tuple(dict(p) for p in get_entry(entry_id).default_grid)
 
 
-def _check_params(entry: CatalogEntry, params: dict) -> dict:
+def _check_params(entry: CatalogEntry, params: dict) -> tuple[dict, Optional[str]]:
+    """The binding as floats in the entry's declaration order, and the prose
+    of the first constraint it violates (None when all hold).  Raises
+    ValueError on wrong parameter names or a non-finite value."""
     given = set(params)
     wanted = set(entry.param_names)
     if given != wanted:
@@ -848,7 +659,38 @@ def _check_params(entry: CatalogEntry, params: dict) -> dict:
         if not math.isfinite(v):
             raise ValueError(f"{entry.entry_id}: parameter {name} must be finite")
         clean[name] = v
-    return clean
+    violated = next((c.prose for c in entry.constraints if not c.holds(clean)), None)
+    return clean, violated
+
+
+# Both caches are keyed by the catalog's own texts, a fixed set.
+_parsed = functools.cache(parse)
+
+
+@functools.cache
+def _compiled(text: str, names: tuple[str, ...]):
+    """The text of an entry compiled once, for every binding of names."""
+    return compile_family(_parsed(text), names)
+
+
+def _scales(entry: CatalogEntry, params: dict) -> tuple[float, float]:
+    alpha, beta = entry.scales
+    return evaluate(_parsed(alpha), params), evaluate(_parsed(beta), params)
+
+
+def _integrand(entry: CatalogEntry, params: dict) -> Callable[[float], float]:
+    """The printed integrand at a checked binding."""
+    if callable(entry.integrand):
+        return entry.integrand(params)
+    if entry.integrand is not None:
+        return _compiled(entry.integrand, entry.param_names)(params)[0]
+    _, frullani = _compiled(entry.kernel, entry.param_names)(params)
+    return frullani(*_scales(entry, params))
+
+
+def _spectrum(entry: CatalogEntry, params: dict) -> Spectrum:
+    kernel, _ = _compiled(entry.kernel, entry.param_names)(params)
+    return Spectrum(kernel, _scales(entry, params), entry.period)
 
 
 def instantiate(entry_id: str, params: dict):
@@ -858,11 +700,10 @@ def instantiate(entry_id: str, params: dict):
     parameters, ValueError on wrong parameter names.
     """
     entry = get_entry(entry_id)
-    clean = _check_params(entry, params)
-    for c in entry.constraints:
-        if not c.holds(clean):
-            raise ConstraintViolation(entry_id, c.prose)
-    return entry.integrand(clean), entry.closed_form(clean)
+    clean, violated = _check_params(entry, params)
+    if violated is not None:
+        raise ConstraintViolation(entry_id, violated)
+    return _integrand(entry, clean), entry.closed_form(clean)
 
 
 def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> VerificationRecord:
@@ -879,14 +720,14 @@ def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> Ve
         raise ValueError("tol must be positive")
     start = time.perf_counter()
     try:
-        clean = _check_params(entry, params)
+        clean, violated = _check_params(entry, params)
     except ValueError as exc:
         shown = {k: params[k] for k in entry.param_names if k in params}
         return skipped(entry_id, shown, "CONSTRAINT_VIOLATION", start, str(exc))
+    if violated is not None:
+        return skipped(entry_id, clean, "CONSTRAINT_VIOLATION", start, violated)
     try:
-        integrand, expected = instantiate(entry_id, clean)
-    except ConstraintViolation as exc:
-        return skipped(entry_id, clean, "CONSTRAINT_VIOLATION", start, exc.prose)
+        expected = entry.closed_form(clean)
     except (ArithmeticError, ValueError) as exc:
         # constraints held, but the closed form overflows or leaves its
         # domain in floating point (a=1e300, b=1e-300 underflows ln(b/a))
@@ -895,17 +736,18 @@ def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> Ve
         cause = repr(expected)
     if not math.isfinite(expected):
         return nonfinite_closed_form(entry_id, clean, start, cause)
+    integrand = _integrand(entry, clean)
 
-    def oracle():
+    def oracle(share: float):
         if entry.eval_class == "smooth-decay":
-            return integrate_decaying(integrand, tol * 0.25)
+            return integrate_decaying(integrand, share)
         if entry.eval_class == "finite-interval":
-            return integrate_adaptive(integrand, 0.0, 1.0, tol * 0.25)
-        spectrum = entry.spectrum(clean)
+            return integrate_adaptive(integrand, 0.0, 1.0, share)
+        spectrum = _spectrum(entry, clean)
         plan = oscillatory_plan(spectrum.scales)
         if plan is None:
-            return integrate_frullani_split(integrand, spectrum, tol * 0.25)
-        return integrate_frullani_oscillatory(integrand, plan, tol * 0.25)
+            return integrate_frullani_split(integrand, spectrum, share)
+        return integrate_frullani_oscillatory(integrand, plan, share)
 
     return judge(entry_id, clean, expected, oracle, tol, start)
 

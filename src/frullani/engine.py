@@ -154,11 +154,11 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
 
     # u = x^p turns dx/x into du/(p u): integrate the power-1 integrand and
     # divide by p last, as closed_form does; the quadrature tolerance is
-    # scaled by p so the divided error still meets tol / 4
-    def oracle():
-        if tol * 0.25 * p == 0.0:
+    # scaled by p so the divided error still meets the oracle's share
+    def oracle(share: float):
+        if share * p == 0.0:
             raise ValueError(f"oracle tolerance tol*power/4 = {tol!r}*{p!r}/4 underflows to 0.0")
-        res = _decaying_oracle(prob.integrand, far, tol * 0.25 * p)
+        res = _decaying_oracle(prob.integrand, far, share * p)
         return replace(res, value=res.value / p, error_estimate=res.error_estimate / p)
 
     return judge("eval", params, expected, oracle, tol, start, provenance)

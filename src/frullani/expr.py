@@ -1,11 +1,11 @@
 """Small closed-form expression language over one or more real variables.
 
 The grammar is deliberately tiny: decimal literals, named variables, the
-functions exp/ln/sin/cos/atan/sqrt/abs, and infix arithmetic with the usual
-precedence (^ binds tighter than unary minus, which binds tighter than * and /,
-which bind tighter than + and -; ^ is right-associative).  Implicit
-multiplication ("2x") is a parse error, never a guess, and so is a literal
-that overflows to infinity.
+functions exp/expm1/ln/log1p/sin/cos/atan/sqrt/abs, and infix arithmetic
+with the usual precedence (^ binds tighter than unary minus, which binds
+tighter than * and /, which bind tighter than + and -; ^ is
+right-associative).  Implicit multiplication ("2x") is a parse error, never
+a guess, and so is a literal that overflows to infinity.
 
 Three ways to use a tree:
 
@@ -13,12 +13,21 @@ Three ways to use a tree:
                    the printer that round-trips its trees
   evaluate         the reference evaluator: walks the tree under a dict of
                    bindings, a pure function of (tree, bindings)
-  compile_kernel   lowers a tree in x to a straight-line Python function
-                   that returns exactly what evaluate returns, compiling
-                   each tree shape once with its constants as arguments;
+  compile_kernel   lowers a tree in x, and in named parameters bound to
+                   numbers, to a straight-line Python function that returns
+                   exactly what evaluate returns, compiling each tree shape
+                   once with its constants and parameters as arguments;
                    compile_frullani also gives the Frullani integrand
                    (f(a x) - f(b x))/x of that kernel f, which the
-                   probe-then-verify pipeline integrates
+                   probe-then-verify pipeline and the catalog integrate;
+                   compile_family walks a tree once for many bindings
+
+The compiled code is plain floating-point Python with no domain checks.  A
+node that reads only constants and parameters runs once per binding, and a
+node that occurs twice runs once per point.  A point where the code raises
+(an overflow, a log of zero, a division by zero) runs again through
+evaluate, which gives that point's value or DomainError, so evaluate is
+both the reference and the compiled code's exceptional path.
 
 Trees are immutable dataclasses, so structural equality is plain ==.
 """
@@ -29,7 +38,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 
 class ExprError(Exception):
@@ -100,7 +109,7 @@ class Call:
 
 Expression = Union[Const, Var, Neg, BinOp, Call]
 
-FUNCTIONS = ("exp", "ln", "sin", "cos", "atan", "sqrt", "abs")
+FUNCTIONS = ("exp", "expm1", "ln", "log1p", "sin", "cos", "atan", "sqrt", "abs")
 
 # Deepest nesting parse accepts.  Every parenthesis group, function call,
 # unary minus and binary operator puts what it encloses one level deeper, so
@@ -270,11 +279,12 @@ def _pow(base: float, exponent: float) -> float:
 def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
     """Evaluate a tree under variable bindings, in double precision.
 
-    Domain violations (ln of a non-positive number, sqrt of a negative,
-    division by zero, fractional power of a negative base) raise DomainError
-    naming the function and the offending argument.  Missing bindings raise
-    UnboundVariableError.  exp overflow saturates to +inf rather than failing,
-    so limit probes can see growth.
+    Domain violations (ln of a non-positive number, log1p at or below -1,
+    sqrt of a negative, sin or cos of an infinity, division by zero,
+    fractional power of a negative base) raise DomainError naming the
+    function and the offending argument.  Missing bindings raise
+    UnboundVariableError.  exp and expm1 overflow saturates to +inf rather
+    than failing, so limit probes can see growth.
     """
     if isinstance(expr, Const):
         return expr.value
@@ -293,10 +303,19 @@ def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
                 return math.exp(x)
             except OverflowError:
                 return math.inf
+        if f == "expm1":
+            try:
+                return math.expm1(x)
+            except OverflowError:
+                return math.inf
         if f == "ln":
             if x <= 0.0:
                 raise DomainError("ln", x)
             return math.log(x)
+        if f == "log1p":
+            if x <= -1.0:
+                raise DomainError("log1p", x)
+            return math.log1p(x)
         if f == "sin":
             if math.isinf(x):
                 raise DomainError("sin", x)
@@ -333,44 +352,42 @@ def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
     raise EvaluationError(f"unknown operator '{op}'")
 
 
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 # Names the generated source may use; it sees nothing else, not even builtins.
 _HELPERS = {
     "__builtins__": {},
-    "_DomainError": DomainError,
-    "_pow": _pow,
-    "_exp": _exp,
-    "_log": math.log,
-    "_sin": math.sin,
-    "_cos": math.cos,
-    "_atan": math.atan,
-    "_sqrt": math.sqrt,
-    "_abs": abs,
-    "_isinf": math.isinf,
+    "ArithmeticError": ArithmeticError,
+    "ValueError": ValueError,
+    "exp": math.exp,
+    "expm1": math.expm1,
+    "log": math.log,
+    "log1p": math.log1p,
+    "sin": math.sin,
+    "cos": math.cos,
+    "atan": math.atan,
+    "sqrt": math.sqrt,
+    "abs": abs,
+    "pow": math.pow,
 }
 
-# (domain check or None, value) per interior node, over its operands' text
-# {0} and {1}; a failed check raises DomainError with the last operand
+# The value of each interior node over its operands' text {0} and {1}.
+# Where evaluate raises DomainError or saturates an overflow, these raise
+# ValueError or an ArithmeticError, and the point runs again through evaluate.
 _NODE_LINES = {
-    "exp": (None, "_exp({0})"),
-    "ln": ("{0} <= 0.0", "_log({0})"),
-    "sin": ("_isinf({0})", "_sin({0})"),
-    "cos": ("_isinf({0})", "_cos({0})"),
-    "atan": (None, "_atan({0})"),
-    "sqrt": ("{0} < 0.0", "_sqrt({0})"),
-    "abs": (None, "_abs({0})"),
-    "neg": (None, "-{0}"),
-    "+": (None, "{0} + {1}"),
-    "-": (None, "{0} - {1}"),
-    "*": (None, "{0} * {1}"),
-    "/": ("{1} == 0.0", "{0} / {1}"),
-    "^": (None, "_pow({0}, {1})"),
+    "exp": "exp({0})",
+    "expm1": "expm1({0})",
+    "ln": "log({0})",
+    "log1p": "log1p({0})",
+    "sin": "sin({0})",
+    "cos": "cos({0})",
+    "atan": "atan({0})",
+    "sqrt": "sqrt({0})",
+    "abs": "abs({0})",
+    "neg": "-{0}",
+    "+": "{0} + {1}",
+    "-": "{0} - {1}",
+    "*": "{0} * {1}",
+    "/": "{0} / {1}",
+    "^": "pow({0}, {1})",
 }
 _OPERATORS = ("+", "-", "*", "/", "^")
 
@@ -379,24 +396,37 @@ _OPERATORS = ("+", "-", "*", "/", "^")
 _SHAPE_CACHE_SIZE = 128
 
 
-def _shape(expr: Expression) -> tuple[tuple[str, ...], list[float]]:
-    """The nodes of a tree in x in the left-to-right post-order evaluate
-    walks them in ("c" for a constant, "x", "neg", a function name or an
-    operator, each name checked, so no input text reaches generated source),
-    and its constants in the same order.  The walk keeps its own stack, so
-    tree depth is not bounded by Python's recursion limit."""
-    shape: list[str] = []
-    constants: list[float] = []
+def _shape(
+    expr: Expression, names: frozenset[str]
+) -> tuple[tuple[Union[str, int], ...], list[Union[float, str]]]:
+    """The nodes of a tree in x and the parameters names, in the
+    left-to-right post-order evaluate walks them in ("c" for a constant or
+    a parameter's first reading, the index i of the i-th "c" for a
+    parameter read again, "x", "neg", a function name or an operator, each
+    name checked, so no input text reaches generated source), and what
+    each "c" reads in the same order: a constant's value or a parameter's
+    name.  The walk keeps its own stack, so tree depth is not bounded by
+    Python's recursion limit."""
+    shape: list[Union[str, int]] = []
+    slots: list[Union[float, str]] = []
+    first: dict[str, int] = {}  # parameter name -> index of its "c"
     pending: list[tuple[Expression, bool]] = [(expr, False)]
     while pending:
         node, children_done = pending.pop()
         if isinstance(node, Const):
             shape.append("c")
-            constants.append(node.value)
+            slots.append(node.value)
         elif isinstance(node, Var):
-            if node.name != "x":
+            if node.name == "x":
+                shape.append("x")
+            elif node.name in first:
+                shape.append(first[node.name])
+            elif node.name in names:
+                first[node.name] = len(slots)
+                shape.append("c")
+                slots.append(node.name)
+            else:
                 raise UnboundVariableError(node.name)
-            shape.append("x")
         elif not children_done:
             pending.append((node, True))
             if isinstance(node, BinOp):
@@ -414,51 +444,87 @@ def _shape(expr: Expression) -> tuple[tuple[str, ...], list[float]]:
             shape.append(node.op)
         else:
             raise EvaluationError(f"unknown operator '{node.op}'")
-    return tuple(shape), constants
+    return tuple(shape), slots
 
 
-def _block(shape: tuple[str, ...], var: str, prefix: str, indent: str) -> tuple[str, str]:
+def _block(
+    shape: tuple[Union[str, int], ...], var: str, prefix: str, indent: str
+) -> tuple[str, str, list[str]]:
     """Straight-line source for shape applied to var, one single-assignment
-    line per interior node (prefix0, prefix1, ...) with the domain checks
-    inlined and constant i read as ci; and the result's operand text."""
+    line per distinct interior node (prefix0, prefix1, ...) with constant i
+    read as ci; the result's operand text; and the lines of the nodes that
+    read constants only (k0, k1, ...), which do not depend on var.  Every
+    node is a pure function of its operands, so a node computed already,
+    such as x^p read twice, is read again rather than computed again."""
     lines: list[str] = []
+    hoisted: list[str] = []
     operands: list[str] = []
+    computed: dict[str, str] = {}  # value text -> operand holding it
     read = 0  # constants read so far
     for token in shape:
         if token == "c":
             operands.append(f"c{read}")
             read += 1
+        elif isinstance(token, int):
+            operands.append(f"c{token}")
         elif token == "x":
             operands.append(var)
         else:
-            check, value = _NODE_LINES[token]
             arity = 2 if token in _OPERATORS else 1
             args = operands[-arity:]
             del operands[-arity:]
-            if check is not None:
-                condition = check.format(*args)
-                lines.append(f"if {condition}: raise _DomainError({token!r}, {args[-1]})")
-            operands.append(f"{prefix}{len(lines)}")
-            lines.append(f"{operands[-1]} = {value.format(*args)}")
-    return "".join(f"{indent}{line}\n" for line in lines), operands.pop()
+            value = _NODE_LINES[token].format(*args)
+            if value not in computed:
+                target = hoisted if all(a[0] in "ck" for a in args) else lines
+                computed[value] = f"{'k' if target is hoisted else prefix}{len(target)}"
+                target.append(f"{computed[value]} = {value}")
+            operands.append(computed[value])
+    return "".join(f"{indent}{line}\n" for line in lines), operands.pop(), hoisted
+
+
+def _evaluated(fallback: Callable[[float], float]) -> tuple[Callable, Callable]:
+    """The kernel and frullani of a binding whose constant-only nodes
+    raise: every point runs through fallback."""
+
+    def frullani(a: float, b: float) -> Callable[[float], float]:
+        def integrand(x: float) -> float:
+            return (fallback(a * x) - fallback(b * x)) / x
+
+        return integrand
+
+    return fallback, frullani
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _builder(shape: tuple[str, ...]) -> Callable[..., tuple[Callable, Callable]]:
-    """build(c0, c1, ...) for one shape: it returns the kernel over those
-    constants and frullani(a, b), which returns the Frullani integrand."""
-    kernel, result = _block(shape, "x", "t", " " * 8)
-    at_a, result_a = _block(shape, "xa", "u", " " * 12)
-    at_b, result_b = _block(shape, "xb", "v", " " * 12)
-    constants = ", ".join(f"c{i}" for i in range(shape.count("c")))
-    namespace = dict(_HELPERS)
+def _builder(shape: tuple[Union[str, int], ...]) -> Callable[..., tuple[Callable, Callable]]:
+    """build(fallback, c0, c1, ...) for one shape: it returns the kernel
+    over those constants and frullani(a, b), which returns the Frullani
+    integrand.  Nodes that read constants only run once, in build.  A point
+    where the straight-line code raises runs again through fallback, the
+    kernel as evaluate computes it, and so does every point when a node
+    in build raises."""
+    kernel, result, hoisted = _block(shape, "x", "t", " " * 12)
+    at_a, result_a, _ = _block(shape, "xa", "u", " " * 16)
+    at_b, result_b, _ = _block(shape, "xb", "v", " " * 16)
+    constants = "".join(f", c{i}" for i in range(shape.count("c")))
+    once = "".join(f"        {line}\n" for line in hoisted)
+    namespace = dict(_HELPERS, _evaluated=_evaluated)
     exec(
-        f"def build({constants}):\n"
-        f"    def kernel(x):\n{kernel}        return {result}\n"
+        f"def build(fallback{constants}):\n"
+        f"    try:\n{once}        pass\n"
+        "    except (ArithmeticError, ValueError):\n"
+        "        return _evaluated(fallback)\n"
+        "    def kernel(x):\n"
+        f"        try:\n{kernel}            return {result}\n"
+        "        except (ArithmeticError, ValueError):\n"
+        "            return fallback(x)\n"
         "    def frullani(a, b):\n"
         "        def integrand(x):\n"
-        f"            xa = a * x\n{at_a}            xb = b * x\n{at_b}"
-        f"            return ({result_a} - {result_b}) / x\n"
+        "            try:\n"
+        f"                xa = a * x\n{at_a}                xb = b * x\n{at_b}"
+        f"                return ({result_a} - {result_b}) / x\n"
+        "            except (ArithmeticError, ValueError):\n"
+        "                return (fallback(a * x) - fallback(b * x)) / x\n"
         "        return integrand\n"
         "    return kernel, frullani\n",
         namespace,
@@ -466,27 +532,67 @@ def _builder(shape: tuple[str, ...]) -> Callable[..., tuple[Callable, Callable]]
     return namespace["build"]
 
 
-def compile_kernel(expr: Expression) -> Callable[[float], float]:
-    """Compile a tree in the one variable x into a function of a float x.
+def compile_family(
+    expr: Expression, names: Iterable[str] = ()
+) -> Callable[[Mapping[str, float]], tuple[Callable, Callable]]:
+    """Compile a tree in x and the parameters names, walking it once.
 
-    The function runs the tree as straight-line Python, in the order
-    evaluate walks it, so it returns exactly what evaluate(expr, {"x": x})
-    returns and raises the same DomainError.  Each tree shape is compiled
-    once, with its constants as arguments, so trees that differ only in
-    their constants share one code object.  Any other variable raises
-    UnboundVariableError here rather than at call time.
+    Returns bind(params), which binds every parameter to a number and gives
+    the kernel, a function of x, and frullani(a, b), which returns the
+    Frullani integrand x -> (f(a*x) - f(b*x)) / x of that kernel f.  All
+    bindings share the code of compile_kernel; a parameter the binding
+    lacks raises UnboundVariableError, and any variable that is neither x
+    nor a parameter raises it here.
     """
-    shape, constants = _shape(expr)
-    return _builder(shape)(*constants)[0]
+    shape, slots = _shape(expr, frozenset(names))
+    build = _builder(shape)
+
+    def bind(params: Mapping[str, float]) -> tuple[Callable, Callable]:
+        try:
+            constants = [float(params[s]) if isinstance(s, str) else s for s in slots]
+        except KeyError as exc:
+            raise UnboundVariableError(exc.args[0]) from None
+        bindings = dict(params)
+
+        def fallback(x: float) -> float:
+            return evaluate(expr, {**bindings, "x": x})
+
+        return build(fallback, *constants)
+
+    return bind
 
 
-def compile_frullani(expr: Expression, a: float, b: float) -> tuple[Callable, Callable]:
-    """compile_kernel(expr), and the Frullani integrand of that kernel f at
-    scales a and b: x -> (f(a*x) - f(b*x)) / x with f's body inlined twice,
-    in that order, so it returns and raises exactly what that expression
-    does."""
-    shape, constants = _shape(expr)
-    kernel, frullani = _builder(shape)(*constants)
+def compile_kernel(
+    expr: Expression, params: Mapping[str, float] | None = None
+) -> Callable[[float], float]:
+    """Compile a tree in x, and in the parameters params binds to numbers,
+    into a function of a float x.
+
+    The function runs the tree as straight-line Python with no domain
+    checks, in the order evaluate walks it.  A point where that raises (an
+    overflow, an argument outside a function's domain) runs again through
+    evaluate, so the function returns exactly what
+    evaluate(expr, {**params, "x": x}) returns and raises the same
+    DomainError.  evaluate recurses; parse bounds its trees at MAX_DEPTH,
+    but a hand-built tree past Python's recursion limit ends in
+    RecursionError at such a point.  Each tree shape is compiled once, with
+    its constants and parameters as arguments, so all trees and bindings
+    that differ only in those share one code object.  Any other variable
+    raises UnboundVariableError here rather than at call time.
+    """
+    params = params or {}
+    return compile_family(expr, params)(params)[0]
+
+
+def compile_frullani(
+    expr: Expression, a: float, b: float, params: Mapping[str, float] | None = None
+) -> tuple[Callable, Callable]:
+    """compile_kernel(expr, params), and the Frullani integrand of that
+    kernel f at scales a and b: x -> (f(a*x) - f(b*x)) / x with f's body
+    inlined twice, in that order, so it returns and raises exactly what
+    that expression does."""
+    params = params or {}
+    kernel, frullani = compile_family(expr, params)(params)
     return kernel, frullani(a, b)
 
 

@@ -70,19 +70,22 @@ def judge(
     entry_id: str,
     params: dict,
     expected: float,
-    oracle: Callable[[], QuadratureResult],
+    oracle: Callable[[float], QuadratureResult],
     tol: float,
     start: float,
     provenance: str = "",
 ) -> VerificationRecord:
     """Run the oracle and compare its value with the closed form.
 
-    ORACLE_FAILED when the oracle raises or does not converge, PASS when
-    |expected - value| <= tol, FAIL otherwise.  The detail names the reason
-    for every status but PASS, after the provenance when one is given.
+    The oracle is called with its own tolerance, a quarter of tol: the
+    quadrature error it may leave is then small beside the comparison's
+    tolerance.  ORACLE_FAILED when the oracle raises or does not converge,
+    PASS when |expected - value| <= tol, FAIL otherwise.  The detail names
+    the reason for every status but PASS, after the provenance when one is
+    given.
     """
     try:
-        res = oracle()
+        res = oracle(tol * 0.25)
     except _ORACLE_ERRORS as exc:
         return VerificationRecord(
             entry_id, params, expected, math.nan, math.nan, math.nan,

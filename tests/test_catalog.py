@@ -20,6 +20,7 @@ from frullani.catalog import (
     parse_grid_file,
     verify_entry,
 )
+from frullani.expr import compile_kernel, evaluate, parse
 from frullani.quadrature import (
     SEGMENT_PANELS,
     integrate_frullani_oscillatory,
@@ -27,6 +28,11 @@ from frullani.quadrature import (
 )
 
 ALL_IDS = entry_ids()
+
+
+def scales(entry, params):
+    """The entry's scale pair (alpha, beta) at a binding."""
+    return tuple(evaluate(parse(text), params) for text in entry.scales)
 
 
 class TestInventory:
@@ -78,15 +84,15 @@ class TestInventory:
         for eid in ALL_IDS:
             e = get_entry(eid)
             if e.eval_class != "oscillatory":
-                assert e.spectrum is None
+                assert e.period is None
                 continue
-            assert e.spectrum is not None
+            assert e.kernel is not None and e.scales is not None
             for params in e.default_grid:
-                spec = e.spectrum(params)
-                assert all(f > 0 for f in spec.scales)
+                alpha, beta = scales(e, params)
+                assert alpha > 0 and beta > 0
                 # the kernel and scales rebuild the printed integrand
-                f, (alpha, beta) = spec.kernel, spec.scales
-                g = e.integrand(params)
+                f = compile_kernel(parse(e.kernel), params)
+                g, _ = instantiate(eid, params)
                 for x in (0.3, 1.7, 12.5):
                     rebuilt = (f(alpha * x) - f(beta * x)) / x
                     assert rebuilt == pytest.approx(g(x), rel=1e-12, abs=1e-14)
@@ -130,6 +136,134 @@ class TestDefaultGridSweep:
     def test_exponential_difference_passes_everywhere(self, a, b):
         rec = verify_entry("GR-3.434.2", {"a": a, "b": b})
         assert rec.status == "PASS", rec.detail
+
+
+# (status, numeric.hex(), evaluations) of every default-grid record, in grid
+# order.  The catalog's integrands are built from expression text; these
+# figures were taken from hand-written closures before that, so any change
+# in their arithmetic shows here bit for bit.
+PINNED_RECORDS = {
+    "GR-3.434.2": (
+        ("PASS", "0x1.62e42fefa3930p-1", 105),
+        ("PASS", "0x1.26bb1bbb554e6p+1", 105),
+        ("PASS", "0x0.0p+0", 15),
+    ),
+    "GR-4.267.8": (
+        ("PASS", "0x1.62e42ff0f3e20p-1", 465),
+        ("PASS", "0x1.26bb1bbba9622p+1", 465),
+        ("PASS", "0x0.0p+0", 15),
+    ),
+    "GR-3.476.1": (
+        ("PASS", "0x1.62e42fefa3930p-1", 105),
+        ("PASS", "0x1.26bb1bbb55516p+0", 135),
+        ("PASS", "0x0.0p+0", 15),
+    ),
+    "GR-3.436": (
+        ("PASS", "0x1.62e42fefa39efp+0", 105),
+        ("PASS", "0x1.26bb1bbb55517p+1", 105),
+        ("PASS", "0x0.0p+0", 15),
+    ),
+    "GR-3.329": (
+        ("PASS", "0x1.051d4dc28ab20p-2", 135),
+        ("PASS", "0x1.6586d22e571d5p+0", 165),
+        ("PASS", "0x0.0p+0", 15),
+    ),
+    "GR-3.232": (
+        ("PASS", "0x1.62e42fefa39ebp-1", 15),
+        ("PASS", "0x1.88f97a4f1c6eep-1", 15),
+        ("PASS", "0x0.0p+0", 15),
+    ),
+    "GR-4.536.2": (
+        ("PASS", "0x1.16bb24190a0b6p+0", 45),
+        ("PASS", "0x1.cef652e568e56p+1", 105),
+        ("PASS", "0x0.0p+0", 15),
+    ),
+    "GR-4.319.3": (
+        ("PASS", "0x1.ebfbdff82c40fp-2", 105),
+        ("PASS", "0x1.0e0f26b99f4fcp+1", 135),
+        ("PASS", "0x0.0p+0", 15),
+    ),
+    "GR-4.297.7": (
+        ("PASS", "0x1.62e42fede7e5cp+0", 675),
+        ("PASS", "0x1.7069e2aa0b72cp+4", 795),
+        ("PASS", "0x0.0p+0", 15),
+    ),
+    "GR-3.484": (
+        ("PASS", "0x1.30e6d4c8b56f8p+0", 675),
+        ("PASS", "0x1.d6c35748bbb2cp+3", 765),
+        ("PASS", "0x0.0p+0", 15),
+    ),
+    "GR-3.412.1": (
+        ("PASS", "0x1.d9303fea2f673p-2", 105),
+        ("PASS", "0x1.88f97a4f1c666p+0", 135),
+        ("PASS", "0x0.0p+0", 15),
+    ),
+    "GR-4.324.2": (
+        ("PASS", "0x1.1fc9f98c0147cp-1", 2520),
+        ("PASS", "0x1.de033c08fa234p+0", 12390),
+        ("PASS", "0x0.0p+0", 195),
+    ),
+    "R-3.1": (
+        ("PASS", "0x1.16bb24190a0b6p+0", 45),
+        ("PASS", "0x1.cef652e568e56p+1", 105),
+        ("PASS", "0x0.0p+0", 15),
+    ),
+    "R-3.2": (
+        ("PASS", "0x1.ebfbdff82c40fp-2", 105),
+        ("PASS", "0x1.9895722dfdefep+1", 135),
+        ("PASS", "0x0.0p+0", 15),
+    ),
+    "R-3.3": (
+        ("PASS", "0x1.0a2b23f3bab71p-1", 15),
+        ("PASS", "-0x1.26bb1bbb55526p+2", 75),
+        ("PASS", "0x0.0p+0", 15),
+    ),
+    "R-3.4": (
+        ("PASS", "0x1.62e394d19ecc4p-1", 360),
+        ("PASS", "0x1.26baec7987bafp+1", 1890),
+        ("PASS", "0x0.0p+0", 195),
+    ),
+    "R-3.5": (
+        ("PASS", "0x1.62e394d19ecb8p-2", 360),
+        ("PASS", "0x1.26baba98ba3f1p+0", 1680),
+        ("PASS", "0x0.0p+0", 195),
+    ),
+    "R-3.6": (
+        ("PASS", "0x1.62e394d19ecb8p-2", 360),
+        ("PASS", "0x1.26baba98ba3f1p+0", 1680),
+        ("PASS", "0x1.193f3be6b650ep-1", 315),
+    ),
+    "R-3.8": (
+        ("PASS", "0x1.79bc9740c2000p-21", 195),
+        ("PASS", "0x1.7a39584d72000p-21", 255),
+        ("PASS", "0x0.0p+0", 195),
+    ),
+    "R-3.9": (
+        ("PASS", "0x1.62e42fefa4a16p-1", 135),
+        ("PASS", "0x1.26bb1bbb55921p+1", 165),
+        ("PASS", "0x0.0p+0", 15),
+    ),
+}
+# integrand evaluations of the default grid, per evaluation class
+CLASS_EVALUATIONS = {"smooth-decay": 5520, "finite-interval": 945, "oscillatory": 22785}
+
+
+class TestPinnedArithmetic:
+    def test_default_grid_records_are_pinned(self):
+        assert list(PINNED_RECORDS) == list(ALL_IDS)
+        for eid in ALL_IDS:
+            got = [
+                (rec.status, rec.numeric.hex(), rec.evaluations)
+                for rec in (verify_entry(eid, params) for params in default_grid(eid))
+            ]
+            assert got == list(PINNED_RECORDS[eid]), eid
+
+    def test_class_evaluation_totals(self):
+        totals = dict.fromkeys(CLASS_EVALUATIONS, 0)
+        for eid in ALL_IDS:
+            for params in default_grid(eid):
+                totals[get_entry(eid).eval_class] += verify_entry(eid, params).evaluations
+        assert totals == CLASS_EVALUATIONS
 
 
 OSCILLATORY_IDS = tuple(e for e in ALL_IDS if get_entry(e).eval_class == "oscillatory")
@@ -180,7 +314,7 @@ class TestIncommensurateScales:
         tol = class_tolerance("oscillatory")
         rec = verify_entry(eid, params)
         integrand, _ = instantiate(eid, params)
-        plan = oscillatory_plan(get_entry(eid).spectrum(params).scales)
+        plan = oscillatory_plan(scales(get_entry(eid), params))
         assert plan is not None
         res = integrate_frullani_oscillatory(integrand, plan, tol * 0.25)
         assert repr(rec.numeric) == repr(res.value)
@@ -195,7 +329,7 @@ class TestEvaluationCount:
 
     def test_worst_binding_costs_a_fixed_count(self):
         integrand, _ = instantiate("GR-4.324.2", self.BINDING)
-        plan = oscillatory_plan(get_entry("GR-4.324.2").spectrum(self.BINDING).scales)
+        plan = oscillatory_plan(scales(get_entry("GR-4.324.2"), self.BINDING))
         tol = class_tolerance("oscillatory") * 0.25
         res = integrate_frullani_oscillatory(integrand, plan, tol)
         assert res.converged

@@ -177,6 +177,21 @@ class TestEvaluate:
         assert info.value.func == "ln"
         assert info.value.argument == -2.0
 
+    def test_expm1_and_log1p(self):
+        assert ev("expm1(x)", x=1e-20) == 1e-20
+        assert ev("log1p(x)", x=1e-20) == 1e-20
+        assert ev("log1p(expm1(x))", x=0.5) == pytest.approx(0.5, abs=1e-16)
+
+    def test_expm1_overflow_saturates(self):
+        assert ev("expm1(x)", x=1e6) == math.inf
+        assert ev("expm1(x)", x=-1e6) == -1.0
+
+    @pytest.mark.parametrize("x", [-1.0, -2.0, -math.inf])
+    def test_log1p_domain(self, x):
+        with pytest.raises(DomainError) as info:
+            ev("log1p(x)", x=x)
+        assert info.value.func == "log1p" and info.value.argument == x
+
 
 class TestFreeVariables:
     def test_single(self):
@@ -263,6 +278,73 @@ class TestCompileKernel:
         with pytest.raises(EvaluationError, match="unknown function"):
             compile_kernel(Call("exp(x); y = (", Var("x")))
 
+    @pytest.mark.parametrize("src,x", [
+        ("exp(x)", 1e6),
+        ("expm1(x)", 1e6),
+        ("x^1025", 10.0),
+        ("x^1025", -10.0),
+        ("exp(x)*0", 1e6),
+        ("ln(x)", 0.0),
+        ("ln(x)", -0.0),
+        ("sqrt(x)", -1.0),
+        ("1/x", 0.0),
+        ("1/x", -0.0),
+        ("sin(x)", math.inf),
+        ("cos(x)", -math.inf),
+        ("log1p(x)", -1.0),
+        ("x^0.5", -4.0),
+        ("x^-1", 0.0),
+        ("ln(1 - x)/x + exp(x)", 2.0),
+        # nodes that read constants only run once per binding
+        ("x + ln(0)", 1.0),
+        ("x*exp(1000)", 0.5),
+        ("1/x + sqrt(0 - 1)", 0.0),
+    ])
+    def test_raising_fast_path_matches_evaluate(self, src, x):
+        # the straight-line code raises at these points, and evaluate answers
+        tree = parse(src)
+        kind, got = _outcome(compile_kernel(tree), x)
+        want_kind, want = _outcome(lambda v: evaluate(tree, {"x": v}), x)
+        assert kind == want_kind
+        assert _same_float(got, want), (got, want)
+
+    def test_failure_in_the_b_half_of_an_integrand(self):
+        kernel, integrand = compile_frullani(parse("ln(3 - x)"), 1.0, 4.0)
+        assert kernel(1.0) == math.log(2.0)
+        with pytest.raises(DomainError) as info:
+            integrand(1.0)
+        assert info.value.func == "ln" and info.value.argument == -1.0
+        _, integrand = compile_frullani(parse("exp(x)"), 1.0, 1000.0)
+        assert integrand(1.0) == -math.inf
+        _, integrand = compile_frullani(parse("x + ln(0)"), 1.0, 2.0)
+        with pytest.raises(DomainError) as info:
+            integrand(1.0)
+        assert info.value.func == "ln" and info.value.argument == 0.0
+
+    def test_parameters_are_bound_on_both_paths(self):
+        tree = parse("ln(x - c)*k")
+        kernel = compile_kernel(tree, {"c": 3.0, "k": 2.0})
+        assert kernel(4.0) == evaluate(tree, {"x": 4.0, "c": 3.0, "k": 2.0})
+        with pytest.raises(DomainError) as info:
+            kernel(1.0)
+        assert info.value.argument == -2.0
+        _, integrand = compile_frullani(tree, 2.0, 5.0, {"c": 3.0, "k": 2.0})
+        with pytest.raises(DomainError) as info:
+            integrand(1.0)
+        assert info.value.argument == -1.0
+
+    def test_bindings_of_a_family_share_code(self):
+        bind = expr.compile_family(parse("log1p(b/a*exp(-x))"), ("a", "b"))
+        first, frullani_first = bind({"a": 1.0, "b": 2.0})
+        second, frullani_second = bind({"a": 3.0, "b": 0.5})
+        assert first.__code__ is second.__code__
+        assert first(0.5) == math.log1p(2.0 / 1.0 * math.exp(-0.5))
+        assert second(0.5) == math.log1p(0.5 / 3.0 * math.exp(-0.5))
+        assert frullani_first(1.0, 2.0).__code__ is frullani_second(3.0, 4.0).__code__
+        with pytest.raises(UnboundVariableError) as info:
+            bind({"a": 1.0})
+        assert info.value.name == "b"
+
     def test_deep_tree_compiles_without_recursion(self):
         # far past Python's recursion limit, which evaluate could not walk
         tree = Var("x")
@@ -339,6 +421,43 @@ def test_frullani_integrand_agrees_with_the_kernel_bitwise(tree, x, a, b):
 
     kind, got = outcome(integrand)
     want_kind, want = outcome(lambda v: (kernel(a * v) - kernel(b * v)) / v)
+    assert kind == want_kind
+    assert _same_float(got, want), (got, want)
+
+
+# trees in x and the parameters p and q, which may repeat, so that nodes
+# reading constants only and repeated nodes both occur
+_parameter_trees = st.recursive(
+    st.one_of(
+        st.builds(Const, st.sampled_from([0.0, -0.0, 2.0, math.inf, math.nan])),
+        st.sampled_from([Var("x"), Var("p"), Var("q")]),
+    ),
+    lambda kids: st.one_of(
+        st.builds(Neg, kids),
+        st.builds(Call, st.sampled_from(FUNCTIONS), kids),
+        st.builds(BinOp, st.sampled_from("+-*/^"), kids, kids),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_parameter_trees, _abscissas, st.floats(), st.floats())
+def test_parameters_agree_with_evaluate_bitwise(tree, x, p, q):
+    params = {"p": p, "q": q}
+    kernel, integrand = compile_frullani(tree, 1.5, 0.25, params)
+    kind, got = _outcome(kernel, x)
+    want_kind, want = _outcome(lambda v: evaluate(tree, {**params, "x": v}), x)
+    assert kind == want_kind
+    assert _same_float(got, want), (got, want)
+    try:
+        kind, got = _outcome(integrand, x)
+    except ZeroDivisionError:
+        kind, got = "ZeroDivisionError", 0.0
+    try:
+        want_kind, want = _outcome(lambda v: (kernel(1.5 * v) - kernel(0.25 * v)) / v, x)
+    except ZeroDivisionError:
+        want_kind, want = "ZeroDivisionError", 0.0
     assert kind == want_kind
     assert _same_float(got, want), (got, want)
 
