@@ -8,7 +8,7 @@ expression text in x and the entry's parameters, with a scale pair (alpha,
 beta), so that the printed integrand is [f(alpha x) - f(beta x)]/x.  The
 text is compiled like a typed kernel (expr.compile_family), once per entry,
 and bound to each binding's numbers; for oscillatory entries the kernel and
-pair are also the spectrum the tail oracle splits.
+pair are also the spectrum the tail oracle reads.
 
 Four entries give the printed integrand as its own text, where it is not
 written through the kernel: GR-3.476.1 (x^p), GR-4.297.7 (over x^2), R-3.5
@@ -38,8 +38,6 @@ from .quadrature import (
     integrate_adaptive,
     integrate_decaying,
     integrate_frullani_oscillatory,
-    integrate_frullani_split,
-    oscillatory_plan,
 )
 from .expr import compile_family, evaluate, parse
 from .records import STATUSES, VerificationRecord, judge, nonfinite_closed_form, skipped
@@ -673,24 +671,23 @@ def _compiled(text: str, names: tuple[str, ...]):
     return compile_family(_parsed(text), names)
 
 
-def _scales(entry: CatalogEntry, params: dict) -> tuple[float, float]:
-    alpha, beta = entry.scales
-    return evaluate(_parsed(alpha), params), evaluate(_parsed(beta), params)
-
-
-def _integrand(entry: CatalogEntry, params: dict) -> Callable[[float], float]:
-    """The printed integrand at a checked binding."""
-    if callable(entry.integrand):
-        return entry.integrand(params)
-    if entry.integrand is not None:
-        return _compiled(entry.integrand, entry.param_names)(params)[0]
-    _, frullani = _compiled(entry.kernel, entry.param_names)(params)
-    return frullani(*_scales(entry, params))
-
-
-def _spectrum(entry: CatalogEntry, params: dict) -> Spectrum:
-    kernel, _ = _compiled(entry.kernel, entry.param_names)(params)
-    return Spectrum(kernel, _scales(entry, params), entry.period)
+def _bind(entry: CatalogEntry, params: dict) -> tuple[Callable[[float], float], Optional[Spectrum]]:
+    """The printed integrand at a checked binding and, for an oscillatory
+    entry, its spectrum.  Each text the two need is bound once, and the
+    scales are evaluated once."""
+    integrand = entry.integrand
+    if callable(integrand):
+        integrand = integrand(params)
+    elif integrand is not None:
+        integrand = _compiled(integrand, entry.param_names)(params)[0]
+    oscillatory = entry.eval_class == "oscillatory"
+    if integrand is not None and not oscillatory:
+        return integrand, None
+    kernel, frullani = _compiled(entry.kernel, entry.param_names)(params)
+    scales = tuple(evaluate(_parsed(text), params) for text in entry.scales)
+    if integrand is None:
+        integrand = frullani(*scales)
+    return integrand, Spectrum(kernel, scales, entry.period) if oscillatory else None
 
 
 def instantiate(entry_id: str, params: dict):
@@ -703,7 +700,7 @@ def instantiate(entry_id: str, params: dict):
     clean, violated = _check_params(entry, params)
     if violated is not None:
         raise ConstraintViolation(entry_id, violated)
-    return _integrand(entry, clean), entry.closed_form(clean)
+    return _bind(entry, clean)[0], entry.closed_form(clean)
 
 
 def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> VerificationRecord:
@@ -736,18 +733,14 @@ def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> Ve
         cause = repr(expected)
     if not math.isfinite(expected):
         return nonfinite_closed_form(entry_id, clean, start, cause)
-    integrand = _integrand(entry, clean)
+    integrand, spectrum = _bind(entry, clean)
 
     def oracle(share: float):
         if entry.eval_class == "smooth-decay":
             return integrate_decaying(integrand, share)
         if entry.eval_class == "finite-interval":
             return integrate_adaptive(integrand, 0.0, 1.0, share)
-        spectrum = _spectrum(entry, clean)
-        plan = oscillatory_plan(spectrum.scales)
-        if plan is None:
-            return integrate_frullani_split(integrand, spectrum, share)
-        return integrate_frullani_oscillatory(integrand, plan, share)
+        return integrate_frullani_oscillatory(integrand, spectrum, share)
 
     return judge(entry_id, clean, expected, oracle, tol, start)
 

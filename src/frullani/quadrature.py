@@ -17,20 +17,14 @@ Three layers:
                               averaging levels grow by one entry per segment
                               instead of being recomputed.
 
-Two whole-line routes for an oscillatory Frullani integrand
-g(x) = [f(alpha x) - f(beta x)]/x, both with an adaptive head on (0, c]:
-
-  integrate_frullani_oscillatory  one accelerated tail of g on a common
-                                  half-period grid, pi over the base
-                                  frequency of the integrand's spectrum.
-  integrate_frullani_split        no common period: the tails of f(alpha x)/x
-                                  and f(beta x)/x, each on its own grid
-                                  pi/alpha or pi/beta, with the mean of f
-                                  removed (Ostrowski, 1949).
-
-oscillatory_plan picks c and the common grid from the frequencies, and
-returns None when no common grid can serve: when a segment would hold more
-than SEGMENT_PANELS half-periods of the fastest component.
+integrate_frullani_oscillatory integrates an oscillatory Frullani integrand
+g(x) = [f(alpha x) - f(beta x)]/x over the whole line: an adaptive head on
+(0, c], then a tail chosen from the scales alone.  When the faster scale
+over the base frequency (the gcd of the two) is at most SEGMENT_PANELS, one
+accelerated tail of g runs on the common half-period grid pi/base.
+Otherwise the tails of f(alpha x)/x and f(beta x)/x run apart, each on its
+own grid pi/alpha or pi/beta, with the mean of a periodic f removed
+(Ostrowski, 1949).
 """
 
 from __future__ import annotations
@@ -49,12 +43,10 @@ __all__ = [
     "SEGMENT_PANELS",
     "MAX_PANELS",
     "base_frequency",
-    "oscillatory_plan",
     "integrate_adaptive",
     "integrate_decaying",
     "integrate_oscillatory_tail",
     "integrate_frullani_oscillatory",
-    "integrate_frullani_split",
     "gauss_kronrod_panel",
 ]
 
@@ -109,7 +101,7 @@ class OscillatorySpec:
     oscillation (the gcd of its nominal frequencies), so that every spectral
     component of the tail either alternates segment-to-segment or returns to
     a fixed phase every second segment.  A tail with one frequency w, as in
-    each piece of integrate_frullani_split, has half_period pi/w.
+    each piece of a split Frullani tail, has half_period pi/w.
     """
 
     start: float
@@ -130,9 +122,10 @@ class OscillatorySpec:
 @dataclass(frozen=True)
 class Spectrum:
     """The oscillatory integrand g(x) = [f(alpha x) - f(beta x)]/x as its
-    kernel f and scale pair (alpha, beta).  f must have mean value zero at
-    infinity, or be periodic with the given period, over which
-    integrate_frullani_split then computes its mean and removes it."""
+    kernel f and scale pair (alpha, beta), both positive.  When the tail is
+    split by scale, f must have mean value zero at infinity, or be periodic
+    with the given period, over which the split computes its mean and
+    removes it."""
 
     kernel: Callable[[float], float]
     scales: tuple[float, float]
@@ -145,7 +138,7 @@ def base_frequency(freqs: Sequence[float]) -> float:
     grid of half-period pi/base.  Rationalizes through Fraction; falls back
     to the smallest frequency if the values do not rationalize sensibly.
     A ratio typed to nine decimals, such as 1.414213562, rationalizes to a
-    base near 1e-6, which oscillatory_plan refuses as a grid."""
+    base near 1e-6, too fine for a common grid."""
     pos = sorted(f for f in freqs if f > 0)
     if not pos:
         raise ValueError("need at least one positive frequency")
@@ -164,27 +157,6 @@ def base_frequency(freqs: Sequence[float]) -> float:
     if not 0 < base <= pos[0] * (1 + 1e-12):
         return pos[0]
     return base
-
-
-def _tail_start(pos: Sequence[float]) -> float:
-    """After the slowest component's first half-period, and no earlier than 1."""
-    return max(math.pi / min(pos), 1.0)
-
-
-def oscillatory_plan(freqs: Sequence[float]) -> Optional[OscillatorySpec]:
-    """Tail plan for an integrand with the given nominal frequencies: start
-    after the slowest component's first half-period (and no earlier than 1),
-    segment on the half-period of the base frequency.  None when the
-    frequencies share no period a segment can resolve: when the fastest
-    divided by the base frequency exceeds SEGMENT_PANELS."""
-    pos = [f for f in freqs if f > 0]
-    if not pos:
-        # identically zero integrand (all scales equal); any plan works
-        return OscillatorySpec(1.0, math.pi)
-    base = base_frequency(pos)
-    if not max(pos) / base <= SEGMENT_PANELS:
-        return None
-    return OscillatorySpec(_tail_start(pos), math.pi / base)
 
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre (QUADPACK dqk15).
@@ -514,62 +486,74 @@ def integrate_oscillatory_tail(
     return QuadratureResult(best, est, evals, False, diagnostic)
 
 
+def _grid(start: float, frequency: float) -> OscillatorySpec:
+    """The tail grid of half-period pi/frequency from start.  Raises
+    ValueError when that half-period rounds away beside start, so that no
+    segment could advance x."""
+    spec = OscillatorySpec(start, math.pi / frequency)
+    if not start + spec.half_period > start:
+        raise ValueError(
+            f"the grid of scale {frequency!r} cannot advance x: its half-period "
+            f"{spec.half_period!r} rounds away beside the tail start {start!r}"
+        )
+    return spec
+
+
 def integrate_frullani_oscillatory(
-    f: Callable[[float], float],
-    spec: OscillatorySpec,
-    tol: float,
-) -> QuadratureResult:
-    """Integral of f over (0, inf) split at spec.start: adaptive head plus
-    accelerated oscillatory tail.  Head and tail budgets are 40% / 60%."""
-    head = integrate_adaptive(f, 0.0, spec.start, 0.4 * tol)
-    tail = integrate_oscillatory_tail(f, spec, 0.6 * tol)
-    return QuadratureResult(
-        head.value + tail.value,
-        head.error_estimate + tail.error_estimate,
-        head.function_evaluations + tail.function_evaluations,
-        head.converged and tail.converged,
-        "; ".join(d for d in (head.diagnostic, tail.diagnostic) if d),
-    )
-
-
-def integrate_frullani_split(
     g: Callable[[float], float],
     spectrum: Spectrum,
     tol: float,
 ) -> QuadratureResult:
-    """Integral of g(x) = [f(alpha x) - f(beta x)]/x over (0, inf), for
-    scales that share no common period.
+    """Integral of g(x) = [f(alpha x) - f(beta x)]/x over (0, inf), for the
+    kernel f and scales (alpha, beta) of spectrum.
 
-    The head of g on (0, c] is integrated adaptively, and beyond c the tails
-    of f(alpha x)/x and f(beta x)/x separately, each on its own half-period
-    grid.  A periodic f first has its mean over one period removed: the mean
-    cancels between the two tails and is taken out only so that each
-    converges.  Budgets are 40% for the head and 30% per tail; the
-    diagnostic names each piece that did not converge.
+    The head of g on (0, c] is integrated adaptively, c being the slower
+    scale's first half-period and no less than 1.  When the faster scale is
+    at most SEGMENT_PANELS times the base frequency, the tail of g beyond c
+    runs on the common half-period grid pi/base.  Otherwise the tails of
+    f(alpha x)/x and f(beta x)/x run apart, each on its own grid; a
+    periodic f first has its mean over one period removed, which cancels
+    between the two tails and is taken out only so that each converges.
+    Budgets are 40% for the head, and 60% for the common tail or 30% per
+    split tail.  The diagnostic names each piece that did not converge.
+    Before any quadrature, raises ValueError when a grid that would run
+    cannot advance x beyond c.
     """
     alpha, beta = spectrum.scales
-    start = _tail_start((alpha, beta))
-    f = spectrum.kernel
+    start = max(math.pi / min(alpha, beta), 1.0)
+    base = base_frequency((alpha, beta))
+    head_name = f"head on (0, {start!r}]"
     mean, mean_evals = 0.0, 0
-    if spectrum.period is not None:
-        period = spectrum.period
-        mean_res = integrate_adaptive(f, 0.0, period, _MEAN_TOL * tol * period)
-        mean, mean_evals = mean_res.value / period, mean_res.function_evaluations
+    if max(alpha, beta) / base <= SEGMENT_PANELS:
+        grid = _grid(start, base)
+        head = integrate_adaptive(g, 0.0, start, 0.4 * tol)
+        tail = integrate_oscillatory_tail(g, grid, 0.6 * tol)
+        value = head.value + tail.value
+        pieces = ((head_name, head), ("tail on the common grid", tail))
+    else:
+        grid_a, grid_b = _grid(start, alpha), _grid(start, beta)
+        f = spectrum.kernel
+        if spectrum.period is not None:
+            period = spectrum.period
+            mean_res = integrate_adaptive(f, 0.0, period, _MEAN_TOL * tol * period)
+            mean, mean_evals = mean_res.value / period, mean_res.function_evaluations
 
-    def tail(scale: float) -> QuadratureResult:
-        def piece(x: float) -> float:
-            return (f(scale * x) - mean) / x
+        def tail(scale: float, grid: OscillatorySpec) -> QuadratureResult:
+            def piece(x: float) -> float:
+                return (f(scale * x) - mean) / x
 
-        return integrate_oscillatory_tail(piece, OscillatorySpec(start, math.pi / scale), 0.3 * tol)
+            return integrate_oscillatory_tail(piece, grid, 0.3 * tol)
 
-    head, tail_a, tail_b = integrate_adaptive(g, 0.0, start, 0.4 * tol), tail(alpha), tail(beta)
-    pieces = (
-        (f"head on (0, {start!r}]", head),
-        (f"tail at scale {alpha!r}", tail_a),
-        (f"tail at scale {beta!r}", tail_b),
-    )
+        head = integrate_adaptive(g, 0.0, start, 0.4 * tol)
+        tail_a, tail_b = tail(alpha, grid_a), tail(beta, grid_b)
+        value = head.value + (tail_a.value - tail_b.value)
+        pieces = (
+            (head_name, head),
+            (f"tail at scale {alpha!r}", tail_a),
+            (f"tail at scale {beta!r}", tail_b),
+        )
     return QuadratureResult(
-        head.value + (tail_a.value - tail_b.value),
+        value,
         math.fsum(res.error_estimate for _, res in pieces),
         mean_evals + sum(res.function_evaluations for _, res in pieces),
         all(res.converged for _, res in pieces),

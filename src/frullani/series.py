@@ -26,12 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .quadrature import (
-    Spectrum,
-    integrate_frullani_oscillatory,
-    integrate_frullani_split,
-    oscillatory_plan,
-)
+from .quadrature import Spectrum, integrate_frullani_oscillatory
 
 __all__ = [
     "SeriesParams",
@@ -213,15 +208,12 @@ def imaginary_exponential_check(
     these are the real and imaginary parts of the a -> 0 linearisation of
     the kernel and the reason only the real part survives.  Returns the
     (cos, sin) value pair; raises if either oscillatory integration fails
-    to converge.  p = q short-circuits to (0, 0), the zero integrand.  When
-    p and q share no period a tail segment can resolve, both parts go
-    through the split tail instead of a common grid.
+    to converge.  p = q short-circuits to (0, 0), the zero integrand.
     """
     if not (p > 0 and q > 0):
         raise ValueError("p and q must be positive")
     if p == q:
         return 0.0, 0.0
-    spec = oscillatory_plan((p, q))
 
     def cos_diff(x: float) -> float:
         return (math.cos(p * x) - math.cos(q * x)) / x
@@ -229,12 +221,8 @@ def imaginary_exponential_check(
     def sin_diff(x: float) -> float:
         return (math.sin(p * x) - math.sin(q * x)) / x
 
-    if spec is None:
-        cos_res = integrate_frullani_split(cos_diff, Spectrum(math.cos, (p, q)), tol)
-        sin_res = integrate_frullani_split(sin_diff, Spectrum(math.sin, (p, q)), tol)
-    else:
-        cos_res = integrate_frullani_oscillatory(cos_diff, spec, tol)
-        sin_res = integrate_frullani_oscillatory(sin_diff, spec, tol)
+    cos_res = integrate_frullani_oscillatory(cos_diff, Spectrum(math.cos, (p, q)), tol)
+    sin_res = integrate_frullani_oscillatory(sin_diff, Spectrum(math.sin, (p, q)), tol)
     for label, res in (("cos", cos_res), ("sin", sin_res)):
         if not res.converged:
             raise RuntimeError(

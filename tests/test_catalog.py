@@ -23,8 +23,11 @@ from frullani.catalog import (
 from frullani.expr import compile_kernel, evaluate, parse
 from frullani.quadrature import (
     SEGMENT_PANELS,
+    OscillatorySpec,
+    Spectrum,
+    integrate_adaptive,
     integrate_frullani_oscillatory,
-    oscillatory_plan,
+    integrate_oscillatory_tail,
 )
 
 ALL_IDS = entry_ids()
@@ -33,6 +36,26 @@ ALL_IDS = entry_ids()
 def scales(entry, params):
     """The entry's scale pair (alpha, beta) at a binding."""
     return tuple(evaluate(parse(text), params) for text in entry.scales)
+
+
+def spectrum(entry, params):
+    """The oscillatory entry's kernel, scales and period at a binding."""
+    return Spectrum(compile_kernel(parse(entry.kernel), params), scales(entry, params), entry.period)
+
+
+def common_grid(integrand, pair, tol):
+    """(value, error, evaluations) of the head on (0, c] plus the tail on
+    the common half-period grid pi/base, added by hand."""
+    start = max(math.pi / min(pair), 1.0)
+    head = integrate_adaptive(integrand, 0.0, start, 0.4 * tol)
+    tail = integrate_oscillatory_tail(
+        integrand, OscillatorySpec(start, math.pi / base_frequency(pair)), 0.6 * tol
+    )
+    return (
+        head.value + tail.value,
+        head.error_estimate + tail.error_estimate,
+        head.function_evaluations + tail.function_evaluations,
+    )
 
 
 class TestInventory:
@@ -296,7 +319,7 @@ class TestIncommensurateScales:
         beta = round(alpha * ratio, 9)
         if swap and eid != "R-3.6":
             alpha, beta = beta, alpha
-        assert oscillatory_plan((alpha, beta)) is None
+        assert max(alpha, beta) / base_frequency((alpha, beta)) > SEGMENT_PANELS
         rec = verify_entry(eid, _binding(eid, alpha, beta, a))
         assert rec.status != "FAIL", rec.detail
         assert rec.evaluations <= TestEvaluationCount.EVALUATIONS
@@ -314,11 +337,11 @@ class TestIncommensurateScales:
         tol = class_tolerance("oscillatory")
         rec = verify_entry(eid, params)
         integrand, _ = instantiate(eid, params)
-        plan = oscillatory_plan(scales(get_entry(eid), params))
-        assert plan is not None
-        res = integrate_frullani_oscillatory(integrand, plan, tol * 0.25)
-        assert repr(rec.numeric) == repr(res.value)
-        assert rec.evaluations == res.function_evaluations
+        pair = scales(get_entry(eid), params)
+        assert max(pair) / base_frequency(pair) <= SEGMENT_PANELS
+        value, _, evaluations = common_grid(integrand, pair, tol * 0.25)
+        assert repr(rec.numeric) == repr(value)
+        assert rec.evaluations == evaluations
 
 
 class TestEvaluationCount:
@@ -329,9 +352,10 @@ class TestEvaluationCount:
 
     def test_worst_binding_costs_a_fixed_count(self):
         integrand, _ = instantiate("GR-4.324.2", self.BINDING)
-        plan = oscillatory_plan(scales(get_entry("GR-4.324.2"), self.BINDING))
         tol = class_tolerance("oscillatory") * 0.25
-        res = integrate_frullani_oscillatory(integrand, plan, tol)
+        res = integrate_frullani_oscillatory(
+            integrand, spectrum(get_entry("GR-4.324.2"), self.BINDING), tol
+        )
         assert res.converged
         assert res.function_evaluations == self.EVALUATIONS
 
@@ -466,19 +490,48 @@ class TestBaseFrequency:
             base_frequency((0.0, -3.0))
 
 
+def _cosine_pair(alpha, beta):
+    return lambda x: (math.cos(alpha * x) - math.cos(beta * x)) / x
+
+
 class TestOscillatoryPlan:
     @pytest.mark.parametrize("freqs", [(1.0, 10.0), (2.0, 20.0), (0.5, 11.5), (1.0, 200.0)])
     def test_common_grid(self, freqs):
-        plan = oscillatory_plan(freqs)
-        assert plan is not None
-        assert plan.half_period == pytest.approx(math.pi / base_frequency(freqs), rel=1e-12)
+        g = _cosine_pair(*freqs)
+        res = integrate_frullani_oscillatory(g, Spectrum(math.cos, freqs), 2.5e-5)
+        assert (res.value, res.error_estimate, res.function_evaluations) == common_grid(
+            g, freqs, 2.5e-5
+        )
 
     @pytest.mark.parametrize("freqs", [(1.5, 2.121320343), (1.0, 1.414213562), (1.0, 201.0)])
     def test_no_common_grid(self, freqs):
         # the fastest component would need more half-periods per segment
         # than a segment may spend panels
         assert max(freqs) / base_frequency(freqs) > SEGMENT_PANELS
-        assert oscillatory_plan(freqs) is None
+        # the tails run per scale: with the mean of 1 + cos u left in, each
+        # stops and is named (on a common grid the mean cancels inside g)
+        shifted = lambda u: 1.0 + math.cos(u)
+        res = integrate_frullani_oscillatory(_cosine_pair(*freqs), Spectrum(shifted, freqs), 2.5e-5)
+        alpha, beta = freqs
+        assert not res.converged
+        assert res.diagnostic.startswith(f"tail at scale {alpha!r}: ")
+        assert f"; tail at scale {beta!r}: " in res.diagnostic
+
+
+class TestGridThatCannotAdvance:
+    # a tail grid whose half-period rounds away beside the tail start
+    @pytest.mark.parametrize("eid,params,scale", [
+        ("R-3.4", {"a": 1e300, "b": 1.0}, 1e300),
+        ("R-3.4", {"a": 1e-300, "b": 1.0}, 1.0),
+        ("R-3.8", {"a": 1e20, "b": 1.0}, 1e20),
+        ("GR-4.324.2", {"a": 0.5, "p": 1e-200, "q": 1.0}, 1.0),
+        ("R-3.6", {"p": 1e200, "q": 1.0}, 1e200),
+    ])
+    def test_the_grid_is_named(self, eid, params, scale):
+        rec = verify_entry(eid, params)
+        assert rec.status == "ORACLE_FAILED"
+        assert rec.detail.startswith(f"oracle raised: the grid of scale {scale!r} cannot advance x")
+        assert "half-period" in rec.detail and "tail start" in rec.detail
 
 
 class TestGridFile:

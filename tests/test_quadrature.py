@@ -15,7 +15,6 @@ from frullani.quadrature import (
     integrate_adaptive,
     integrate_decaying,
     integrate_frullani_oscillatory,
-    integrate_frullani_split,
     integrate_oscillatory_tail,
 )
 from reference import ci, reference_panel, reference_tail, si
@@ -248,32 +247,49 @@ class TestOscillatoryTail:
 class TestWholeLineOscillatory:
     def test_cosine_pair_gives_log_ratio(self):
         f = lambda x: (math.cos(x) - math.cos(2.0 * x)) / x
-        spec = OscillatorySpec(math.pi, math.pi)
-        res = integrate_frullani_oscillatory(f, spec, 1e-5)
+        res = integrate_frullani_oscillatory(f, Spectrum(math.cos, (1.0, 2.0)), 1e-5)
         assert res.converged
         assert res.value == pytest.approx(math.log(2.0), abs=1e-5)
 
     def test_wide_frequency_split(self):
         f = lambda x: (math.cos(x) - math.cos(10.0 * x)) / x
-        spec = OscillatorySpec(math.pi, math.pi)
-        res = integrate_frullani_oscillatory(f, spec, 1e-5)
+        res = integrate_frullani_oscillatory(f, Spectrum(math.cos, (1.0, 10.0)), 1e-5)
         assert res.converged
         assert res.value == pytest.approx(math.log(10.0), abs=1e-5)
 
     def test_sine_product(self):
-        # sin(11x) sin(9x)/x over the half line: spectrum {2, 20}
+        # sin(11x) sin(9x)/x = [cos 2x - cos 20x]/(2x): scales (2, 20), so
+        # the tail starts at pi/2 on the grid pi/2
         f = lambda x: math.sin(11.0 * x) * math.sin(9.0 * x) / x
-        spec = OscillatorySpec(math.pi / 2.0, math.pi / 2.0)
-        res = integrate_frullani_oscillatory(f, spec, 1e-5)
+        half_cos = lambda u: 0.5 * math.cos(u)
+        res = integrate_frullani_oscillatory(f, Spectrum(half_cos, (2.0, 20.0)), 1e-5)
         assert res.converged
         assert res.value == pytest.approx(0.5 * math.log(10.0), abs=1e-5)
+        head = integrate_adaptive(f, 0.0, math.pi / 2.0, 0.4e-5)
+        tail = integrate_oscillatory_tail(f, OscillatorySpec(math.pi / 2.0, math.pi / 2.0), 0.6e-5)
+        assert res.value == head.value + tail.value
 
     def test_evaluation_counts_accumulate(self):
         f = lambda x: (math.cos(x) - math.cos(2.0 * x)) / x
-        spec = OscillatorySpec(math.pi, math.pi)
-        res = integrate_frullani_oscillatory(f, spec, 1e-5)
+        res = integrate_frullani_oscillatory(f, Spectrum(math.cos, (1.0, 2.0)), 1e-5)
         head = integrate_adaptive(f, 0.0, math.pi, 0.4e-5)
         assert res.function_evaluations > head.function_evaluations
+
+    def test_common_grid_ignores_the_kernel(self):
+        # the mean of 1 + cos u cancels inside g, so the common grid needs
+        # neither the kernel nor its period
+        f = lambda x: (math.cos(x) - math.cos(2.0 * x)) / x
+        shifted = lambda u: 1.0 + math.cos(u)
+        plain = integrate_frullani_oscillatory(f, Spectrum(math.cos, (1.0, 2.0)), 1e-5)
+        assert integrate_frullani_oscillatory(f, Spectrum(shifted, (1.0, 2.0)), 1e-5) == plain
+
+    def test_diagnostic_names_the_common_tail(self):
+        # the head converges, the harmonic tail cannot
+        f = lambda x: 1.0 / (1.0 + x)
+        res = integrate_frullani_oscillatory(f, Spectrum(math.cos, (1.0, 2.0)), 1e-5)
+        assert not res.converged
+        assert res.diagnostic.startswith("tail on the common grid: ")
+        assert "head" not in res.diagnostic
 
 
 class TestSplitTail:
@@ -283,7 +299,7 @@ class TestSplitTail:
         return (math.cos(self.ALPHA * x) - math.cos(self.BETA * x)) / x
 
     def test_incommensurate_cosine_pair(self):
-        res = integrate_frullani_split(self.g, Spectrum(math.cos, (self.ALPHA, self.BETA)), 1e-5)
+        res = integrate_frullani_oscillatory(self.g, Spectrum(math.cos, (self.ALPHA, self.BETA)), 1e-5)
         assert res.converged, res.diagnostic
         assert res.value == pytest.approx(math.log(self.BETA / self.ALPHA), abs=1e-5)
 
@@ -291,8 +307,8 @@ class TestSplitTail:
         def shifted(u):
             return 1.0 + math.cos(u)
 
-        plain = integrate_frullani_split(self.g, Spectrum(math.cos, (self.ALPHA, self.BETA)), 1e-5)
-        res = integrate_frullani_split(
+        plain = integrate_frullani_oscillatory(self.g, Spectrum(math.cos, (self.ALPHA, self.BETA)), 1e-5)
+        res = integrate_frullani_oscillatory(
             self.g, Spectrum(shifted, (self.ALPHA, self.BETA), 2.0 * math.pi), 1e-5
         )
         assert res.converged, res.diagnostic
@@ -304,11 +320,45 @@ class TestSplitTail:
         def shifted(u):
             return 1.0 + math.cos(u)
 
-        res = integrate_frullani_split(self.g, Spectrum(shifted, (self.ALPHA, self.BETA)), 1e-5)
+        res = integrate_frullani_oscillatory(self.g, Spectrum(shifted, (self.ALPHA, self.BETA)), 1e-5)
         assert not res.converged
         assert res.diagnostic.startswith("tail at scale 1.0: ")
         assert "; tail at scale 1.414213562: " in res.diagnostic
         assert "head" not in res.diagnostic
+
+
+class TestGridThatCannotAdvance:
+    @pytest.mark.parametrize("scales,stuck", [
+        ((1e300, 1.0), "the grid of scale 1e+300"),
+        ((1e-300, 1.0), "the grid of scale 1.0"),
+        ((1e200, 1e200), "the grid of scale 1e+200"),
+    ])
+    def test_named_before_any_quadrature(self, scales, stuck):
+        # neither the integrand nor the kernel, whose mean a periodic split
+        # takes first, is called
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return 0.0
+
+        def kernel(u):
+            calls.append(u)
+            return math.cos(u)
+
+        with pytest.raises(ValueError, match="cannot advance x") as info:
+            integrate_frullani_oscillatory(g, Spectrum(kernel, scales, 2.0 * math.pi), 1e-5)
+        assert str(info.value).startswith(stuck)
+        assert "tail start" in str(info.value)
+        assert calls == []
+
+    def test_only_the_grid_that_runs_is_checked(self):
+        # the pair (1e15, 1e17) runs on the common grid pi/1e15, which
+        # advances x from the tail start 1; the grid pi/1e17 of the faster
+        # scale alone would not, but it never runs
+        assert 1.0 + math.pi / 1e17 == 1.0 < 1.0 + math.pi / 1e15
+        res = integrate_frullani_oscillatory(lambda x: 0.0, Spectrum(math.cos, (1e15, 1e17)), 1e-4)
+        assert res.converged and res.value == 0.0
 
 
 # --- the unrolled panel and incremental tail against their loop forms -------
