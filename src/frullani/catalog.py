@@ -10,13 +10,13 @@ text is compiled like a typed kernel (expr.compile_family), once per entry,
 and bound to each binding's numbers; for oscillatory entries the kernel and
 pair are also the spectrum the tail oracle reads.
 
-Four entries give the printed integrand as its own text, where it is not
-written through the kernel: GR-3.476.1 (x^p), GR-4.297.7 (over x^2), R-3.5
-and R-3.6 (sine products).  Four keep hand-built Python for numerics the
-expression language lacks: GR-3.436 (a joint Taylor branch), GR-3.329 and
-GR-3.412.1 (cut-offs before exp overflows) and GR-4.267.8 (a removable
-point).  Kernels with finite limits also carry them, so the probe-based
-engine pipeline can be cross-checked against the catalog's closed forms.
+Seven entries give the printed integrand as its own text, where it is not
+written through the kernel: GR-3.476.1 (x^p), GR-4.297.7 (over x^2),
+GR-4.267.8 (over ln t on (0, 1)), GR-3.329 (the kernel's x cancelled, in
+expm1 form), R-3.5 and R-3.6 (sine products).  No entry carries Python
+numerics: an exp that overflows saturates to inf inside the compiled code.
+Kernels with finite limits also carry them, so the probe-based engine
+pipeline can be cross-checked against the catalog's closed forms.
 
 Verification routes through the quadrature oracle appropriate to the
 evaluation class and never lets an exception escape a VerificationRecord.
@@ -28,7 +28,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 # base_frequency, STATUSES and VerificationRecord are re-exported as part of
 # this module's API.  The oracles are called through this module's names.
@@ -98,9 +98,9 @@ class CatalogEntry:
     # parameters are the pair the zero law equates.
     kernel: Optional[str] = None
     scales: Optional[tuple[str, str]] = None
-    # the printed integrand where the kernel does not give it: expression
-    # text in x and the parameters, or a builder of hand-built Python
-    integrand: Union[str, Callable[[dict], Callable[[float], float]], None] = None
+    # the printed integrand where the kernel does not give it, as expression
+    # text in x and the parameters
+    integrand: Optional[str] = None
     # (f(0+), f(inf)) of the kernel, where both exist
     kernel_limits: Optional[Callable[[dict], tuple[float, float]]] = None
     # the period of an oscillatory kernel whose mean is not zero; the split
@@ -140,17 +140,6 @@ def _gr_3_434_2() -> CatalogEntry:
 
 
 def _gr_4_267_8() -> CatalogEntry:
-    def make(p):
-        a, b = p["a"], p["b"]
-
-        def g(t: float) -> float:
-            lt = math.log(t)
-            if lt == 0.0:
-                return b - a  # removable point at t=1
-            return (math.expm1((b - 1.0) * lt) - math.expm1((a - 1.0) * lt)) / lt
-
-        return g
-
     return CatalogEntry(
         entry_id="GR-4.267.8",
         source="G&R 4.267.8",
@@ -160,7 +149,8 @@ def _gr_4_267_8() -> CatalogEntry:
         closed_form=lambda p: math.log(p["b"] / p["a"]),
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 2.0, "b": 2.0}),
         scales=("a", "b"),
-        integrand=make,
+        # (t^(b-1) - t^(a-1))/ln t; exactly t = 1 raises DomainError
+        integrand="(expm1((b - 1)*ln(x)) - expm1((a - 1)*ln(x)))/ln(x)",
         note=(
             "the printed closed form inverts the ratio; the printed integrand "
             "(t^(b-1) - t^(a-1))/ln t equals ln(b/a), e.g. +0.28768 at a=1.5, "
@@ -191,39 +181,6 @@ def _gr_3_476_1() -> CatalogEntry:
 
 
 def _gr_3_436() -> CatalogEntry:
-    def make(prm):
-        a, b, p, q = prm["a"], prm["b"], prm["p"], prm["q"]
-
-        def g(x: float) -> float:
-            # [(e^{-aqx}-e^{-apx})/a - (e^{-bqx}-e^{-bpx})/b] / x^2
-            m = max(a, b) * max(p, q) * x
-            if m < 0.5:
-                # both brackets cancel to O(x^2); sum the joint Taylor
-                # series sum_{n>=2} (-x)^n (q^n-p^n)(a^(n-1)-b^(n-1))/n!
-                total = 0.0
-                qn, pn, an, bn = q, p, 1.0, 1.0
-                fact = 1.0
-                xn = 1.0  # x^(n-2)
-                for n in range(2, 40):
-                    qn *= q
-                    pn *= p
-                    an *= a
-                    bn *= b
-                    fact *= n
-                    term = (qn - pn) * (an - bn) * xn / fact
-                    if n % 2:
-                        term = -term
-                    total += term
-                    if abs(term) <= 1e-18 * abs(total) + 1e-300:
-                        break
-                    xn *= x
-                return total
-            bra = (math.expm1(-a * q * x) - math.expm1(-a * p * x)) / a
-            brb = (math.expm1(-b * q * x) - math.expm1(-b * p * x)) / b
-            return (bra - brb) / (x * x)
-
-        return g
-
     return CatalogEntry(
         entry_id="GR-3.436",
         source="G&R 3.436",
@@ -236,29 +193,13 @@ def _gr_3_436() -> CatalogEntry:
             {"a": 1.0, "b": 10.0, "p": 2.0, "q": 1.0},
             {"a": 2.0, "b": 2.0, "p": 3.0, "q": 1.0},
         ),
-        kernel="(exp(-q*x) - exp(-p*x))/x",
+        kernel="(expm1(-q*x) - expm1(-p*x))/x",
         scales=("a", "b"),
-        integrand=make,
         kernel_limits=lambda p: (p["p"] - p["q"], 0.0),
     )
 
 
 def _gr_3_329() -> CatalogEntry:
-    def make(p):
-        a, b, c = p["a"], p["b"], p["c"]
-        ec = math.exp(-c)
-
-        def term(k: float, x: float) -> float:
-            y = k * x
-            if y > 35.0:
-                return 0.0  # exp(-c*e^y) underflows to 0 long before here
-            return k * ec * math.exp(-c * math.expm1(y)) / (-math.expm1(-y))
-
-        def g(x: float) -> float:
-            return term(a, x) - term(b, x)
-
-        return g
-
     return CatalogEntry(
         entry_id="GR-3.329",
         source="G&R 3.329",
@@ -276,7 +217,11 @@ def _gr_3_329() -> CatalogEntry:
         ),
         kernel="x*exp(-c*exp(x))/(1 - exp(-x))",
         scales=("a", "b"),
-        integrand=make,
+        # the kernel's x cancels; e^(-c e^y) = e^(-c) e^(-c (e^y - 1))
+        integrand=(
+            "a*exp(-c)*exp(-c*expm1(a*x))/(-expm1(-a*x))"
+            " - b*exp(-c)*exp(-c*expm1(b*x))/(-expm1(-b*x))"
+        ),
         kernel_limits=lambda p: (math.exp(-p["c"]), 0.0),
         note="positivity of c is inferred from convergence, not printed",
     )
@@ -375,22 +320,6 @@ def _gr_3_484() -> CatalogEntry:
 
 
 def _gr_3_412_1() -> CatalogEntry:
-    def make(prm):
-        a, b, c, gg, h = prm["a"], prm["b"], prm["c"], prm["g"], prm["h"]
-        p, q = prm["p"], prm["q"]
-
-        def f(y: float) -> float:
-            if y > 700.0:
-                return 0.0  # c e^y dominates; avoids exp overflow
-            ey = math.exp(y)
-            em = math.exp(-y)
-            return (a + b * em) / (c * ey + gg + h * em)
-
-        def g(x: float) -> float:
-            return (f(p * x) - f(q * x)) / x
-
-        return g
-
     return CatalogEntry(
         entry_id="GR-3.412.1",
         source="G&R 3.412.1",
@@ -407,7 +336,6 @@ def _gr_3_412_1() -> CatalogEntry:
         ),
         kernel="(a + b*exp(-x))/(c*exp(x) + g + h*exp(-x))",
         scales=("p", "q"),
-        integrand=make,
         kernel_limits=lambda prm: (
             (prm["a"] + prm["b"]) / (prm["c"] + prm["g"] + prm["h"]),
             0.0,
@@ -676,9 +604,7 @@ def _bind(entry: CatalogEntry, params: dict) -> tuple[Callable[[float], float], 
     entry, its spectrum.  Each text the two need is bound once, and the
     scales are evaluated once."""
     integrand = entry.integrand
-    if callable(integrand):
-        integrand = integrand(params)
-    elif integrand is not None:
+    if integrand is not None:
         integrand = _compiled(integrand, entry.param_names)(params)[0]
     oscillatory = entry.eval_class == "oscillatory"
     if integrand is not None and not oscillatory:

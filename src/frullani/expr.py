@@ -24,8 +24,9 @@ Three ways to use a tree:
 
 The compiled code is plain floating-point Python with no domain checks.  A
 node that reads only constants and parameters runs once per binding, and a
-node that occurs twice runs once per point.  A point where the code raises
-(an overflow, a log of zero, a division by zero) runs again through
+node that occurs twice runs once per point.  exp and expm1 of an argument
+past 710 give inf in line, as evaluate does.  A point where the code raises
+(any other overflow, a log of zero, a division by zero) runs again through
 evaluate, which gives that point's value or DomainError, so evaluate is
 both the reference and the compiled code's exceptional path.
 
@@ -357,6 +358,7 @@ _HELPERS = {
     "__builtins__": {},
     "ArithmeticError": ArithmeticError,
     "ValueError": ValueError,
+    "inf": math.inf,
     "exp": math.exp,
     "expm1": math.expm1,
     "log": math.log,
@@ -370,11 +372,13 @@ _HELPERS = {
 }
 
 # The value of each interior node over its operands' text {0} and {1}.
-# Where evaluate raises DomainError or saturates an overflow, these raise
-# ValueError or an ArithmeticError, and the point runs again through evaluate.
+# exp and expm1 saturate to inf past 710 in line, as evaluate does.  Where
+# evaluate raises DomainError or saturates any other overflow (exp or expm1
+# of an argument in (709.78, 710], or ^), these raise ValueError or an
+# ArithmeticError, and the point runs again through evaluate.
 _NODE_LINES = {
-    "exp": "exp({0})",
-    "expm1": "expm1({0})",
+    "exp": "inf if {0} > 710.0 else exp({0})",
+    "expm1": "inf if {0} > 710.0 else expm1({0})",
     "ln": "log({0})",
     "log1p": "log1p({0})",
     "sin": "sin({0})",
@@ -569,9 +573,10 @@ def compile_kernel(
     into a function of a float x.
 
     The function runs the tree as straight-line Python with no domain
-    checks, in the order evaluate walks it.  A point where that raises (an
-    overflow, an argument outside a function's domain) runs again through
-    evaluate, so the function returns exactly what
+    checks, in the order evaluate walks it; exp and expm1 of an argument
+    past 710 give inf there, as evaluate does.  A point where that raises
+    (another overflow, an argument outside a function's domain) runs again
+    through evaluate, so the function returns exactly what
     evaluate(expr, {**params, "x": x}) returns and raises the same
     DomainError.  evaluate recurses; parse bounds its trees at MAX_DEPTH,
     but a hand-built tree past Python's recursion limit ends in

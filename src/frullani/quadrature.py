@@ -196,10 +196,10 @@ _G0, _G1, _G2, _G3 = _WG
 
 def gauss_kronrod_panel(
     f: Callable[[float], float], lo: float, hi: float
-) -> tuple[float, float, float]:
+) -> tuple[float, float]:
     """One G7/K15 application on [lo, hi].
 
-    Returns (kronrod_value, error_estimate, resasc).  All 15 nodes are
+    Returns (kronrod_value, error_estimate).  All 15 nodes are
     interior, so f is never evaluated at lo or hi.  A non-finite f value
     raises IntegrandError carrying the abscissa; when several nodes fail,
     the first in evaluation order (+d0, -d0, ..., +d6, -d6, center) is named.
@@ -257,7 +257,7 @@ def gauss_kronrod_panel(
     err = raw_err
     if resasc != 0.0 and raw_err != 0.0:
         err = resasc * min(1.0, (200.0 * raw_err / resasc) ** 1.5)
-    return result_k, err, resasc
+    return result_k, err
 
 
 def _raise_first_nonfinite(xs: Sequence[float], vals: Sequence[float]) -> None:
@@ -285,7 +285,7 @@ def integrate_adaptive(
     if not tol > 0:
         raise ValueError("tol must be positive")
 
-    value, err, _ = gauss_kronrod_panel(f, lo, hi)
+    value, err = gauss_kronrod_panel(f, lo, hi)
     evals = 15
     panels = [(-err, 0, lo, hi, value, err)]
     counter = 1
@@ -303,8 +303,8 @@ def integrate_adaptive(
                 at_resolution = True
                 break
             continue
-        lval, lerr, _ = gauss_kronrod_panel(f, plo, mid)
-        rval, rerr, _ = gauss_kronrod_panel(f, mid, phi)
+        lval, lerr = gauss_kronrod_panel(f, plo, mid)
+        rval, rerr = gauss_kronrod_panel(f, mid, phi)
         evals += 30
         heapq.heappush(panels, (-lerr, counter, plo, mid, lval, lerr))
         heapq.heappush(panels, (-rerr, counter + 1, mid, phi, rval, rerr))

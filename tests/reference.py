@@ -129,7 +129,7 @@ def _eval_checked(f: Callable[[float], float], x: float) -> float:
 
 def reference_panel(
     f: Callable[[float], float], lo: float, hi: float
-) -> tuple[float, float, float]:
+) -> tuple[float, float]:
     """gauss_kronrod_panel evaluated node by node, every sum a left-to-right
     loop (sum() of floats is compensated from Python 3.12 on)."""
     center = 0.5 * (lo + hi)
@@ -177,7 +177,7 @@ def reference_panel(
     err = raw_err
     if resasc != 0.0 and raw_err != 0.0:
         err = resasc * min(1.0, (200.0 * raw_err / resasc) ** 1.5)
-    return result_k, err, resasc
+    return result_k, err
 
 
 # --- oscillatory tail, accelerated from scratch at every segment ------------

@@ -301,12 +301,48 @@ class TestCompileKernel:
         ("1/x + sqrt(0 - 1)", 0.0),
     ])
     def test_raising_fast_path_matches_evaluate(self, src, x):
-        # the straight-line code raises at these points, and evaluate answers
+        # the straight-line code raises at these points, or saturates exp and
+        # expm1 in line, and gives what evaluate gives
         tree = parse(src)
         kind, got = _outcome(compile_kernel(tree), x)
         want_kind, want = _outcome(lambda v: evaluate(tree, {"x": v}), x)
         assert kind == want_kind
         assert _same_float(got, want), (got, want)
+
+    def test_exp_overflow_saturates_in_line(self, monkeypatch):
+        # past 710, exp and expm1 give inf without rerunning through evaluate;
+        # in (709.78, 710] the straight-line code still raises and falls back
+        edge = (709.78, 709.79)  # exp overflows between these
+        beyond = (math.nextafter(710.0, math.inf), 1e308, math.inf, -math.inf, math.nan)
+        points = edge + (709.9, 710.0) + beyond
+        trees = [parse("exp(x)"), parse("expm1(x)")]
+        wants = [[evaluate(tree, {"x": x}) for x in points] for tree in trees]
+        frullani_tree = parse("exp(-exp(x))")
+        far = (0.5, 0.75, 1.0, 2.0, 800.0, 1e300)
+        frullani_wants = [
+            (evaluate(frullani_tree, {"x": x}) - evaluate(frullani_tree, {"x": 1000.0 * x})) / x
+            for x in far
+        ]
+        fallback = []
+
+        def counted(tree, bindings):
+            fallback.append(bindings["x"])
+            return evaluate(tree, bindings)
+
+        # evaluate recurses through the module's name, so a fallback at x
+        # records x once per node
+        monkeypatch.setattr(expr, "evaluate", counted)
+        for tree, want in zip(trees, wants):
+            kernel = compile_kernel(tree)
+            fallback.clear()
+            got = [kernel(x) for x in points]
+            assert all(map(_same_float, got, want)), (unparse(tree), got, want)
+            assert set(fallback) == {709.79, 709.9, 710.0}, unparse(tree)
+        _, integrand = compile_frullani(frullani_tree, 1.0, 1000.0)
+        fallback.clear()
+        got = [integrand(x) for x in far]
+        assert all(map(_same_float, got, frullani_wants)), (got, frullani_wants)
+        assert fallback == []
 
     def test_failure_in_the_b_half_of_an_integrand(self):
         kernel, integrand = compile_frullani(parse("ln(3 - x)"), 1.0, 4.0)
