@@ -30,6 +30,14 @@ past 710 give inf in line, as evaluate does.  A point where the code raises
 evaluate, which gives that point's value or DomainError, so evaluate is
 both the reference and the compiled code's exceptional path.
 
+Each compiled kernel and Frullani integrand also carries two G7/K15 panels,
+built from quadrature's one panel template with the point's straight-line
+body inlined in the loop over the nodes: panel(lo, hi), and mapped_panel(lo,
+hi) for integrate_decaying's map x = t/(1-t).  quadrature runs them in
+place of gauss_kronrod_panel, one call per panel instead of one per node.
+A panel where a node raises or is not finite returns None, and quadrature
+reruns it point by point, so every result and error stays the same bits.
+
 Trees are immutable dataclasses, so structural equality is plain ==.
 """
 
@@ -40,6 +48,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union
+
+from .quadrature import PANEL_GLOBALS, panel_source
 
 
 class ExprError(Exception):
@@ -452,8 +462,8 @@ def _shape(
 
 
 def _block(
-    shape: tuple[Union[str, int], ...], var: str, prefix: str, indent: str
-) -> tuple[str, str, list[str]]:
+    shape: tuple[Union[str, int], ...], var: str, prefix: str
+) -> tuple[list[str], str, list[str]]:
     """Straight-line source for shape applied to var, one single-assignment
     line per distinct interior node (prefix0, prefix1, ...) with constant i
     read as ci; the result's operand text; and the lines of the nodes that
@@ -483,12 +493,30 @@ def _block(
                 computed[value] = f"{'k' if target is hoisted else prefix}{len(target)}"
                 target.append(f"{computed[value]} = {value}")
             operands.append(computed[value])
-    return "".join(f"{indent}{line}\n" for line in lines), operands.pop(), hoisted
+    return lines, operands.pop(), hoisted
+
+
+def _indented(lines: Iterable[str], indent: int) -> str:
+    return "".join(f"{' ' * indent}{line}\n" for line in lines)
+
+
+def _panels(owner: str, lines: list[str], value: str) -> list[str]:
+    """Lines that give the function owner, whose value at x lines and
+    then value compute, the attributes panel and mapped_panel: its G7/K15
+    panel and the panel of integrate_decaying's map, which quadrature runs
+    in place of the generic panel (quadrature.panel_source)."""
+    source = (
+        panel_source("panel", lines, value)
+        + panel_source("mapped_panel", lines, value, mapped=True)
+        + f"{owner}.panel = panel\n{owner}.mapped_panel = mapped_panel\n"
+    )
+    return source.splitlines()
 
 
 def _evaluated(fallback: Callable[[float], float]) -> tuple[Callable, Callable]:
     """The kernel and frullani of a binding whose constant-only nodes
-    raise: every point runs through fallback."""
+    raise: every point runs through fallback, and every panel is the
+    generic one."""
 
     def frullani(a: float, b: float) -> Callable[[float], float]:
         def integrand(x: float) -> float:
@@ -503,32 +531,34 @@ def _evaluated(fallback: Callable[[float], float]) -> tuple[Callable, Callable]:
 def _builder(shape: tuple[Union[str, int], ...]) -> Callable[..., tuple[Callable, Callable]]:
     """build(fallback, c0, c1, ...) for one shape: it returns the kernel
     over those constants and frullani(a, b), which returns the Frullani
-    integrand.  Nodes that read constants only run once, in build.  A point
-    where the straight-line code raises runs again through fallback, the
-    kernel as evaluate computes it, and so does every point when a node
-    in build raises."""
-    kernel, result, hoisted = _block(shape, "x", "t", " " * 12)
-    at_a, result_a, _ = _block(shape, "xa", "u", " " * 16)
-    at_b, result_b, _ = _block(shape, "xb", "v", " " * 16)
+    integrand; each carries its own G7/K15 panels (_panels).  Nodes that
+    read constants only run once, in build.  A point where the
+    straight-line code raises runs again through fallback, the kernel as
+    evaluate computes it, and so does every point when a node in build
+    raises."""
+    kernel, result, hoisted = _block(shape, "x", "t")
+    at_a, result_a, _ = _block(shape, "xa", "u")
+    at_b, result_b, _ = _block(shape, "xb", "v")
+    pair = ["xa = a * x", *at_a, "xb = b * x", *at_b]
+    pair_value = f"({result_a} - {result_b}) / x"
     constants = "".join(f", c{i}" for i in range(shape.count("c")))
-    once = "".join(f"        {line}\n" for line in hoisted)
-    namespace = dict(_HELPERS, _evaluated=_evaluated)
+    namespace = dict(_HELPERS, **PANEL_GLOBALS, _evaluated=_evaluated)
     exec(
         f"def build(fallback{constants}):\n"
-        f"    try:\n{once}        pass\n"
+        f"    try:\n{_indented(hoisted, 8)}        pass\n"
         "    except (ArithmeticError, ValueError):\n"
         "        return _evaluated(fallback)\n"
         "    def kernel(x):\n"
-        f"        try:\n{kernel}            return {result}\n"
+        f"        try:\n{_indented(kernel, 12)}            return {result}\n"
         "        except (ArithmeticError, ValueError):\n"
         "            return fallback(x)\n"
+        f"{_indented(_panels('kernel', kernel, result), 4)}"
         "    def frullani(a, b):\n"
         "        def integrand(x):\n"
-        "            try:\n"
-        f"                xa = a * x\n{at_a}                xb = b * x\n{at_b}"
-        f"                return ({result_a} - {result_b}) / x\n"
+        f"            try:\n{_indented(pair, 16)}                return {pair_value}\n"
         "            except (ArithmeticError, ValueError):\n"
         "                return (fallback(a * x) - fallback(b * x)) / x\n"
+        f"{_indented(_panels('integrand', pair, pair_value), 8)}"
         "        return integrand\n"
         "    return kernel, frullani\n",
         namespace,
@@ -583,7 +613,9 @@ def compile_kernel(
     RecursionError at such a point.  Each tree shape is compiled once, with
     its constants and parameters as arguments, so all trees and bindings
     that differ only in those share one code object.  Any other variable
-    raises UnboundVariableError here rather than at call time.
+    raises UnboundVariableError here rather than at call time.  The
+    function's attributes panel and mapped_panel are its G7/K15 panels,
+    which integrate_adaptive and integrate_decaying run.
     """
     params = params or {}
     return compile_family(expr, params)(params)[0]
@@ -595,7 +627,8 @@ def compile_frullani(
     """compile_kernel(expr, params), and the Frullani integrand of that
     kernel f at scales a and b: x -> (f(a*x) - f(b*x)) / x with f's body
     inlined twice, in that order, so it returns and raises exactly what
-    that expression does."""
+    that expression does.  The integrand carries its own panel and
+    mapped_panel, as the kernel does."""
     params = params or {}
     kernel, frullani = compile_family(expr, params)(params)
     return kernel, frullani(a, b)

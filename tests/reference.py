@@ -13,9 +13,10 @@ int_pi^inf cos(x)/x dx = -Ci(pi) against an implementation that is
 independent of the package's extrapolation machinery.
 
 Also holds loop-form reference copies of the G7/K15 panel and the
-oscillatory tail accelerator (reference_panel, reference_tail).  The
-package's versions are unrolled and incremental; the tests require them to
-return the same bits as these plain loops.
+oscillatory tail accelerator (reference_panel, reference_tail), and of the
+map x = t/(1-t) of integrate_decaying (reference_mapped).  The package's
+versions are unrolled, incremental or compiled with the integrand inlined;
+the tests require them to return the same bits as these plain forms.
 """
 
 from __future__ import annotations
@@ -178,6 +179,26 @@ def reference_panel(
     if resasc != 0.0 and raw_err != 0.0:
         err = resasc * min(1.0, (200.0 * raw_err / resasc) ** 1.5)
     return result_k, err
+
+
+def reference_mapped(f: Callable[[float], float]) -> Callable[[float], float]:
+    """t -> f(x) dx/dt at x = t/(1-t), the integrand integrate_decaying
+    integrates over (0, 1): a zero value gives +0.0, and a node where 1 - t
+    rounds to 0 raises the IntegrandError that names the map."""
+
+    def mapped(t: float) -> float:
+        u = 1.0 - t
+        if u == 0.0:
+            raise IntegrandError(
+                math.inf, math.nan, "was not evaluated: the map x = t/(1-t) reached t = 1,"
+            )
+        v = f(t / u)
+        if v == 0.0:
+            return 0.0
+        jac = 1.0 / u
+        return (v * jac) * jac
+
+    return mapped
 
 
 # --- oscillatory tail, accelerated from scratch at every segment ------------

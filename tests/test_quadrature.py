@@ -4,8 +4,10 @@ oscillatory segmentation with series acceleration."""
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from frullani.catalog import default_grid, entry_ids, instantiate
+from frullani.expr import ExprError, compile_frullani, parse
 from frullani.quadrature import (
     IntegrandError,
     OscillatorySpec,
@@ -17,7 +19,7 @@ from frullani.quadrature import (
     integrate_frullani_oscillatory,
     integrate_oscillatory_tail,
 )
-from reference import ci, reference_panel, reference_tail, si
+from reference import ci, reference_mapped, reference_panel, reference_tail, si
 
 
 class TestPanel:
@@ -107,6 +109,29 @@ class TestAdaptive:
         res = integrate_adaptive(lambda x: x**-0.9, 0.0, 1.0, 1e-12, max_panels=50)
         assert not res.converged
         assert res.diagnostic == "panel cap of 50 panels reached"
+
+    def test_first_panel_within_tol_returns_the_resummed_panel(self):
+        # what the spatial resum of one panel gives, 0 + value: +0.0 for an
+        # all -0.0 integrand, generic or compiled
+        atan_at_equal_scales = compile_frullani(parse("atan(x)"), 1.5, 1.5)[1]
+        for f in (lambda x: -0.0, atan_at_equal_scales):
+            res = integrate_adaptive(f, -2.0, -1.0, 1e-9)
+            assert math.copysign(1.0, res.value) == 1.0
+            assert res == QuadratureResult(0.0, 0.0, 15, True)
+
+    def test_first_panel_with_nan_error_is_not_converged(self):
+        # values of +-1e308 overflow the QUADPACK variation to inf, and the
+        # sharpening turns inf * 0 into a nan error, which meets no
+        # tolerance and stops bisection before it starts
+        def f(x):
+            return 1e300 if x == 0.5 else math.copysign(1e308, x - 0.5)
+
+        res = integrate_adaptive(f, 0.0, 1.0, 1e-6)
+        assert res.value == gauss_kronrod_panel(f, 0.0, 1.0)[0]
+        assert math.isnan(res.error_estimate)
+        assert (res.function_evaluations, res.converged, res.diagnostic) == (
+            15, False, "panel error sum rounded above tolerance"
+        )
 
     def test_floating_point_resolution_is_named(self):
         # eight ulps wide: bisection reaches single-ulp panels long before
@@ -365,11 +390,14 @@ class TestGridThatCannotAdvance:
 
 
 def _outcome(fn, *args):
-    """Result as exact bits, or the IntegrandError as its observable parts."""
+    """Result as exact bits, the IntegrandError as its observable parts, or
+    the DomainError a compiled integrand's fallback raises as its message."""
     try:
         out = fn(*args)
     except IntegrandError as exc:
         return ("raised", repr(exc.abscissa), repr(exc.value), str(exc))
+    except ExprError as exc:
+        return ("raised", type(exc).__name__, str(exc))
     if isinstance(out, QuadratureResult):
         return (
             out.value.hex(), out.error_estimate.hex(), out.function_evaluations,
@@ -403,9 +431,52 @@ _integrands = st.one_of(
 )
 
 
+# One kernel text per pipeline-kernels family and special kind, with the
+# family's constants c, d and m; a compiled integrand carries its own panels.
+_PIPELINE_KERNELS = (
+    "{c}*exp(-x)+{d}", "atan({c}*x)", "ln({c}+{d}*exp(-x))", "(x+{c})^(-{m})",
+    "((x+{c})/(x+{d}))^{m}", "(1+{c}/x)^x", "sqrt(x)/(1+sqrt(x))", "ln(1+x)/x",
+    "sin(x)", "ln(1+x)", "cos(x)", "exp(x)", "x", "1/x", "1/(1+x^0.1)",
+    "cos(x)/(1+x)", "abs(sin(x))/x",
+)
+_short = st.floats(0.2, 5.0).map(lambda v: round(v, 2))
+_compiled_integrands = st.one_of(
+    st.tuples(st.just("catalog"), st.sampled_from(entry_ids()), st.integers(0, 3)),
+    st.tuples(
+        st.just("pipeline"),
+        st.tuples(st.sampled_from(_PIPELINE_KERNELS), _short, _short, _short).map(
+            lambda t: t[0].format(c=t[1], d=t[2], m=t[3])
+        ),
+        _short,
+        _short,
+    ),
+)
+# (0, 1) for the mapped panel, down to a few ulps wide
+_unit_intervals = st.tuples(st.floats(0.0, 1.0), st.floats(-16.0, 0.0)).map(
+    lambda t: (t[0], min(1.0, t[0] + 10.0 ** t[1]))
+)
+
+
+def _compiled_integrand(source):
+    """The integrand a catalog binding or pipeline kernel integrates."""
+    if source[0] == "catalog":
+        _, entry_id, k = source
+        grid = default_grid(entry_id)
+        return instantiate(entry_id, grid[k % len(grid)])[0]
+    _, text, a, b = source
+    return compile_frullani(parse(text), a, b)[1]
+
+
+def _run_compiled(panel, f):
+    """What integrate_adaptive runs for f: its compiled panel, or the
+    generic panel where that returns None."""
+    return lambda lo, hi: panel(lo, hi) or gauss_kronrod_panel(f, lo, hi)
+
+
 class TestMatchesReference:
-    """gauss_kronrod_panel and integrate_oscillatory_tail return the same bits,
-    and raise the same errors, as the loop forms in reference.py."""
+    """gauss_kronrod_panel, the compiled panels and integrate_oscillatory_tail
+    return the same bits, and raise the same errors, as the plain forms in
+    reference.py."""
 
     @settings(max_examples=400, deadline=None)
     @given(_intervals, _integrands)
@@ -458,6 +529,43 @@ class TestMatchesReference:
         value, _ = gauss_kronrod_panel(f, -1.0, 1.0)
         assert _outcome(gauss_kronrod_panel, f, -1.0, 1.0) == _outcome(reference_panel, f, -1.0, 1.0)
         assert math.copysign(1.0, value) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(_compiled_integrands, _intervals, _unit_intervals)
+    # an exp argument in (709.78, 710] raises in the compiled code, and
+    # evaluate saturates it to inf, so the kernel's value stays finite
+    @example(("catalog", "GR-3.412.1", 0), (709.8, 710.0), (0.2, 0.3))
+    # exp(a x) - exp(b x) is inf - inf: not finite
+    @example(("pipeline", "exp(x)", 1.0, 2.0), (800.0, 900.0), (0.2, 0.3))
+    # nodes so close to t = 1 that 1 - t rounds to 0
+    @example(("catalog", "R-3.1", 0), (1.0, 2.0), (1.0 - 2.0**-52, 1.0))
+    # equal scales on negative x: every value is -0.0
+    @example(("pipeline", "atan(1.0*x)", 1.5, 1.5), (-2.0, -1.0), (0.2, 0.3))
+    # values near 4e307, finite, whose sum overflows
+    @example(("pipeline", "1/x", 1.0, 2.0), (1.1e-154, 1.2e-154), (0.2, 0.3))
+    def test_compiled_panel_bits(self, source, interval, unit_interval):
+        f = _compiled_integrand(source)
+        lo, hi = interval
+        assert _outcome(_run_compiled(f.panel, f), lo, hi) == _outcome(reference_panel, f, lo, hi)
+        mapped = reference_mapped(f)
+        lo, hi = unit_interval
+        assert _outcome(_run_compiled(f.mapped_panel, mapped), lo, hi) == _outcome(
+            reference_panel, mapped, lo, hi
+        )
+
+    @pytest.mark.parametrize(
+        "source, interval, mapped",
+        [
+            (("catalog", "GR-3.412.1", 0), (709.8, 710.0), False),
+            (("pipeline", "exp(x)", 1.0, 2.0), (800.0, 900.0), False),
+            (("catalog", "R-3.1", 0), (1.0 - 2.0**-52, 1.0), True),
+            (("pipeline", "1/x", 1.0, 2.0), (1.1e-154, 1.2e-154), False),
+        ],
+    )
+    def test_compiled_panel_hands_failures_to_the_generic_panel(self, source, interval, mapped):
+        # the examples above that fail take the generic route
+        f = _compiled_integrand(source)
+        assert (f.mapped_panel if mapped else f.panel)(*interval) is None
 
     @settings(max_examples=40, deadline=None)
     @given(
