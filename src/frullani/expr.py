@@ -31,12 +31,14 @@ evaluate, which gives that point's value or DomainError, so evaluate is
 both the reference and the compiled code's exceptional path.
 
 Each compiled kernel and Frullani integrand also carries two G7/K15 panels,
-built from quadrature's one panel template with the point's straight-line
-body inlined in the loop over the nodes: panel(lo, hi), and mapped_panel(lo,
-hi) for integrate_decaying's map x = t/(1-t).  quadrature runs them in
-place of gauss_kronrod_panel, one call per panel instead of one per node.
-A panel where a node raises or is not finite returns None, and quadrature
-reruns it point by point, so every result and error stays the same bits.
+built from quadrature's panel template with the point's straight-line body
+inlined in the loop over the nodes: panel() gives its panel(lo, hi), and
+mapped_panel() the panel of integrate_decaying's map x = t/(1-t).  Each is
+compiled the first time a shape's kernel or integrand asks for it, so a
+shape compiles only the panels that run.  quadrature runs them in place of
+gauss_kronrod_panel, one call per panel instead of one per node.  A panel
+where a node raises or is not finite returns None, and quadrature reruns it
+point by point, so every result and error stays the same bits.
 
 Trees are immutable dataclasses, so structural equality is plain ==.
 """
@@ -500,17 +502,55 @@ def _indented(lines: Iterable[str], indent: int) -> str:
     return "".join(f"{' ' * indent}{line}\n" for line in lines)
 
 
-def _panels(owner: str, lines: list[str], value: str) -> list[str]:
-    """Lines that give the function owner, whose value at x lines and
-    then value compute, the attributes panel and mapped_panel: its G7/K15
-    panel and the panel of integrate_decaying's map, which quadrature runs
-    in place of the generic panel (quadrature.panel_source)."""
-    source = (
-        panel_source("panel", lines, value)
-        + panel_source("mapped_panel", lines, value, mapped=True)
-        + f"{owner}.panel = panel\n{owner}.mapped_panel = mapped_panel\n"
+def _bodies(
+    shape: tuple[Union[str, int], ...]
+) -> tuple[dict[str, tuple[list[str], str]], list[str], list[str]]:
+    """The straight-line lines and result text of the kernel at x and of
+    its Frullani integrand at x, by role; the kernel's constant-only lines,
+    which build runs once; and the names those bodies read from build
+    besides x, a and b: the constants, then the targets of those lines."""
+    kernel, result, hoisted = _block(shape, "x", "t")
+    at_a, result_a, _ = _block(shape, "xa", "u")
+    at_b, result_b, _ = _block(shape, "xb", "v")
+    bodies = {
+        "kernel": (kernel, result),
+        "integrand": (["xa = a * x", *at_a, "xb = b * x", *at_b], f"({result_a} - {result_b}) / x"),
+    }
+    names = [f"c{i}" for i in range(shape.count("c"))]
+    return bodies, hoisted, names + [line.split(" = ")[0] for line in hoisted]
+
+
+@functools.lru_cache(maxsize=4 * _SHAPE_CACHE_SIZE)
+def _panel_maker(shape: tuple[Union[str, int], ...], role: str, mapped: bool) -> Callable:
+    """make(c0, c1, ..., k0, k1, ...[, a, b]) for one shape: it returns
+    the G7/K15 panel of the kernel or Frullani integrand (role) over the
+    names build binds (_bodies) and, for the integrand, the scales a and b,
+    or the panel of integrate_decaying's map of it (quadrature.panel_source)."""
+    bodies, _, names = _bodies(shape)
+    lines, value = bodies[role]
+    if role == "integrand":
+        names += ["a", "b"]
+    namespace = dict(_HELPERS, **PANEL_GLOBALS)
+    exec(
+        f"def make({', '.join(names)}):\n"
+        f"{_indented(panel_source(lines, value, mapped).splitlines(), 4)}"
+        "    return panel\n",
+        namespace,
     )
-    return source.splitlines()
+    return namespace["make"]
+
+
+def _panel(shape: tuple[Union[str, int], ...], role: str, mapped: bool, args: tuple) -> Callable:
+    """() -> the panel _panel_maker makes over args, made at the first call,
+    so a shape compiles only the panels that run."""
+    made: list[Callable] = []
+
+    def panel() -> Callable:
+        if not made:
+            made.append(_panel_maker(shape, role, mapped)(*args))
+        return made[0]
+
+    return panel
 
 
 def _evaluated(fallback: Callable[[float], float]) -> tuple[Callable, Callable]:
@@ -531,18 +571,17 @@ def _evaluated(fallback: Callable[[float], float]) -> tuple[Callable, Callable]:
 def _builder(shape: tuple[Union[str, int], ...]) -> Callable[..., tuple[Callable, Callable]]:
     """build(fallback, c0, c1, ...) for one shape: it returns the kernel
     over those constants and frullani(a, b), which returns the Frullani
-    integrand; each carries its own G7/K15 panels (_panels).  Nodes that
-    read constants only run once, in build.  A point where the
-    straight-line code raises runs again through fallback, the kernel as
-    evaluate computes it, and so does every point when a node in build
-    raises."""
-    kernel, result, hoisted = _block(shape, "x", "t")
-    at_a, result_a, _ = _block(shape, "xa", "u")
-    at_b, result_b, _ = _block(shape, "xb", "v")
-    pair = ["xa = a * x", *at_a, "xb = b * x", *at_b]
-    pair_value = f"({result_a} - {result_b}) / x"
+    integrand.  Each carries panel() and mapped_panel(), which give its
+    G7/K15 panels, compiled at the first call (_panel).  Nodes that read
+    constants only run once, in build.  A point where the straight-line
+    code raises runs again through fallback, the kernel as evaluate
+    computes it, and so does every point when a node in build raises."""
+    bodies, hoisted, names = _bodies(shape)
+    kernel, result = bodies["kernel"]
+    pair, pair_value = bodies["integrand"]
     constants = "".join(f", c{i}" for i in range(shape.count("c")))
-    namespace = dict(_HELPERS, **PANEL_GLOBALS, _evaluated=_evaluated)
+    args = "".join(f"{name}, " for name in names)
+    namespace = dict(_HELPERS, _evaluated=_evaluated, _panel=_panel, shape=shape)
     exec(
         f"def build(fallback{constants}):\n"
         f"    try:\n{_indented(hoisted, 8)}        pass\n"
@@ -552,13 +591,17 @@ def _builder(shape: tuple[Union[str, int], ...]) -> Callable[..., tuple[Callable
         f"        try:\n{_indented(kernel, 12)}            return {result}\n"
         "        except (ArithmeticError, ValueError):\n"
         "            return fallback(x)\n"
-        f"{_indented(_panels('kernel', kernel, result), 4)}"
+        f"    bound = ({args})\n"
+        "    kernel.panel = _panel(shape, 'kernel', False, bound)\n"
+        "    kernel.mapped_panel = _panel(shape, 'kernel', True, bound)\n"
         "    def frullani(a, b):\n"
         "        def integrand(x):\n"
         f"            try:\n{_indented(pair, 16)}                return {pair_value}\n"
         "            except (ArithmeticError, ValueError):\n"
         "                return (fallback(a * x) - fallback(b * x)) / x\n"
-        f"{_indented(_panels('integrand', pair, pair_value), 8)}"
+        "        scaled = (*bound, a, b)\n"
+        "        integrand.panel = _panel(shape, 'integrand', False, scaled)\n"
+        "        integrand.mapped_panel = _panel(shape, 'integrand', True, scaled)\n"
         "        return integrand\n"
         "    return kernel, frullani\n",
         namespace,
@@ -614,8 +657,8 @@ def compile_kernel(
     its constants and parameters as arguments, so all trees and bindings
     that differ only in those share one code object.  Any other variable
     raises UnboundVariableError here rather than at call time.  The
-    function's attributes panel and mapped_panel are its G7/K15 panels,
-    which integrate_adaptive and integrate_decaying run.
+    function's attributes panel() and mapped_panel() give its G7/K15
+    panels, which integrate_adaptive and integrate_decaying run.
     """
     params = params or {}
     return compile_family(expr, params)(params)[0]
@@ -627,8 +670,8 @@ def compile_frullani(
     """compile_kernel(expr, params), and the Frullani integrand of that
     kernel f at scales a and b: x -> (f(a*x) - f(b*x)) / x with f's body
     inlined twice, in that order, so it returns and raises exactly what
-    that expression does.  The integrand carries its own panel and
-    mapped_panel, as the kernel does."""
+    that expression does.  The integrand carries its own panel() and
+    mapped_panel(), as the kernel does."""
     params = params or {}
     kernel, frullani = compile_family(expr, params)(params)
     return kernel, frullani(a, b)

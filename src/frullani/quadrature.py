@@ -6,20 +6,20 @@ Three layers:
                               bisection of the worst panel.  The rule is open
                               (no endpoint evaluations), so integrands with a
                               removable endpoint singularity just work.  The
-                              panel is one source template (_PANEL): one loop
-                              over the 15 nodes of _abscissae, one finiteness
-                              check, and the unrolled sums of _kronrod.
-                              gauss_kronrod_panel calls f at each node; an
-                              integrand compiled by expr carries its own
-                              panel, f.panel, with its straight-line body
-                              inlined in that loop, and integrate_adaptive
-                              runs it in place of the generic one.  Where a
-                              node of a compiled panel raises or is not
-                              finite, the generic panel reruns it, so both
-                              give the same bits.
+                              panel is one loop over the 15 nodes of
+                              _abscissae, one finiteness check, and the
+                              unrolled sums of _kronrod.  gauss_kronrod_panel
+                              calls f at each node.  An integrand compiled by
+                              expr carries its own panel, f.panel(), made from
+                              the same loop (_PANEL) with its straight-line
+                              body inlined, and integrate_adaptive runs it in
+                              place of the generic one.  Where a node of a
+                              compiled panel raises or is not finite, the
+                              generic panel reruns it, so both give the same
+                              bits.
   integrate_decaying          semi-infinite integrals of decaying integrands,
                               mapped onto (0, 1) by x = t/(1-t); a compiled
-                              integrand's f.mapped_panel inlines the map too.
+                              integrand's f.mapped_panel() inlines the map too.
   integrate_oscillatory_tail  conditionally convergent tails: fixed-width
                               half-period segments, partial sums accelerated
                               by iterated Euler averaging plus extrapolation
@@ -255,69 +255,32 @@ def _kronrod(vals: Sequence[float], half: float) -> tuple[float, float]:
     return result_k, err
 
 
-# The G7/K15 panel on [lo, hi] as source text, from which gauss_kronrod_panel
-# and every compiled panel (panel_source) are made: one loop over the nodes,
-# then the sums, so the rule itself is written once, in _abscissae and
-# _kronrod.  The {point} lines run at each node {node} and append the
-# integrand's value there; {raised} runs where they raise, with the
-# exception as exc, and {nonfinite} where a value is not finite or finite
-# values overflow their sum.
-_PANEL = """\
-def {name}({args}lo, hi):
-    xs, half = abscissae(lo, hi)
-    vals = []
+def gauss_kronrod_panel(
+    f: Callable[[float], float], lo: float, hi: float
+) -> tuple[float, float]:
+    """One G7/K15 application on [lo, hi].
+
+    Returns (kronrod_value, error_estimate).  All 15 nodes are
+    interior, so f is never evaluated at lo or hi.  A non-finite f value
+    raises IntegrandError carrying the abscissa; when several nodes fail,
+    the first in evaluation order (+d0, -d0, ..., +d6, -d6, center) is named.
+    """
+    xs, half = _abscissae(lo, hi)
+    vals: list[float] = []
     append = vals.append
     try:
-        for {node} in xs:
-{point}    except Exception as exc:
-        {raised}
-    if not isfinite(sum(vals)):
-        {nonfinite}
-    return kronrod(vals, half)
-"""
-# Names the panel source reads besides its arguments and closure.
-PANEL_GLOBALS = {
-    "Exception": Exception, "isfinite": math.isfinite, "sum": sum,
-    "abscissae": _abscissae, "kronrod": _kronrod,
-}
-# integrate_decaying's map x = t/(1-t) at node t, and its Jacobian applied
-# to the value v at x: the bits its mapped function gives, where 1 - t is
-# not 0.
-_MAP = ("u = 1.0 - t", "x = t / u", "jac = 1.0 / u")
-_MAPPED_VALUE = "0.0 if v == 0.0 else v * jac * jac"
-
-
-def _point(lines: Sequence[str]) -> str:
-    return "".join(f"            {line}\n" for line in lines)
-
-
-def panel_source(name: str, lines: Sequence[str], value: str, mapped: bool = False) -> str:
-    """Source of name(lo, hi), one G7/K15 panel of the integrand whose value
-    at x the straight-line lines and then the expression value compute,
-    inlined in the loop over the nodes.  With mapped, the integrand is the
-    one integrate_decaying integrates over t in (0, 1).  It returns what
-    gauss_kronrod_panel returns for the per-point function, or None where a
-    node raises or gives a non-finite value: the caller then runs
-    gauss_kronrod_panel on that function, which gives the same bits or the
-    same IntegrandError.  Names it reads are in PANEL_GLOBALS."""
-    if mapped:
-        node, point = "t", [*_MAP, *lines, f"v = {value}", f"append({_MAPPED_VALUE})"]
-    else:
-        node, point = "x", [*lines, f"append({value})"]
-    return _PANEL.format(
-        name=name, args="", node=node, point=_point(point),
-        raised="return None", nonfinite="return None",
-    )
-
-
-def _raise_at(xs: Sequence[float], vals: Sequence[float], exc: Exception) -> None:
-    """Raise for a panel whose f raised exc at node len(vals): a non-finite
-    value at an earlier node wins over the raise, and an exception other
-    than ArithmeticError or ValueError propagates as it is."""
-    _raise_first_nonfinite(xs, vals)
-    if not isinstance(exc, (ArithmeticError, ValueError)):
-        raise exc
-    raise IntegrandError(xs[len(vals)], math.nan, f"raised {exc!r}") from exc
+        for x in xs:
+            append(f(x))
+    except Exception as exc:
+        # a non-finite value at an earlier node wins over the raise
+        _raise_first_nonfinite(xs, vals)
+        if not isinstance(exc, (ArithmeticError, ValueError)):
+            raise
+        raise IntegrandError(xs[len(vals)], math.nan, f"raised {exc!r}") from exc
+    if not math.isfinite(sum(vals)):
+        # finite values whose sum overflows raise nothing here
+        _raise_first_nonfinite(xs, vals)
+    return _kronrod(vals, half)
 
 
 def _raise_first_nonfinite(xs: Sequence[float], vals: Sequence[float]) -> None:
@@ -326,30 +289,48 @@ def _raise_first_nonfinite(xs: Sequence[float], vals: Sequence[float]) -> None:
             raise IntegrandError(x, v) from None
 
 
-def _generic_panel() -> Callable[[Callable[[float], float], float, float], tuple[float, float]]:
-    namespace = dict(
-        PANEL_GLOBALS, __name__=__name__,
-        _raise_at=_raise_at, _raise_first_nonfinite=_raise_first_nonfinite,
-    )
-    source = _PANEL.format(
-        name="gauss_kronrod_panel", args="f, ", node="x", point=_point(["append(f(x))"]),
-        raised="_raise_at(xs, vals, exc)",
-        # finite values whose sum overflows raise nothing here
-        nonfinite="_raise_first_nonfinite(xs, vals)",
-    )
-    exec(compile(source, "<G7/K15 panel>", "exec"), namespace)
-    panel = namespace["gauss_kronrod_panel"]
-    panel.__doc__ = """One G7/K15 application of f on [lo, hi].
+# gauss_kronrod_panel as source text with the integrand's straight-line
+# {point} lines inlined at each node {node}: a node that raises, or a value
+# that is not finite, returns None, and the caller reruns the panel through
+# gauss_kronrod_panel, which gives the same bits or the same IntegrandError.
+_PANEL = """\
+def panel(lo, hi):
+    xs, half = abscissae(lo, hi)
+    vals = []
+    append = vals.append
+    try:
+        for {node} in xs:
+{point}    except Exception:
+        return None
+    if not isfinite(sum(vals)):
+        return None
+    return kronrod(vals, half)
+"""
+# Names the panel source reads besides its arguments and closure.
+PANEL_GLOBALS = {
+    "Exception": Exception, "isfinite": math.isfinite, "sum": sum,
+    "abscissae": _abscissae, "kronrod": _kronrod,
+}
+# The map x = t/(1-t) of integrate_decaying's mapped function at node t, and
+# its Jacobian applied to the value v at x: the bits mapped gives, where
+# 1 - t is not 0.  Edit the two together.
+_MAP = ("u = 1.0 - t", "x = t / u", "jac = 1.0 / u")
+_MAPPED_VALUE = "0.0 if v == 0.0 else v * jac * jac"
 
-    Returns (kronrod_value, error_estimate).  All 15 nodes are
-    interior, so f is never evaluated at lo or hi.  A non-finite f value
-    raises IntegrandError carrying the abscissa; when several nodes fail,
-    the first in evaluation order (+d0, -d0, ..., +d6, -d6, center) is named.
-    """
-    return panel
 
-
-gauss_kronrod_panel = _generic_panel()
+def panel_source(lines: Sequence[str], value: str, mapped: bool = False) -> str:
+    """Source of panel(lo, hi), one G7/K15 panel of the integrand whose
+    value at x the straight-line lines and then the expression value
+    compute, inlined in the loop over the nodes.  With mapped, the
+    integrand is the one integrate_decaying integrates over t in (0, 1).
+    It returns what gauss_kronrod_panel returns for the per-point function,
+    or None where a node raises or gives a non-finite value.  Names it
+    reads are in PANEL_GLOBALS."""
+    if mapped:
+        node, point = "t", [*_MAP, *lines, f"v = {value}", f"append({_MAPPED_VALUE})"]
+    else:
+        node, point = "x", [*lines, f"append({value})"]
+    return _PANEL.format(node=node, point="".join(f"            {line}\n" for line in point))
 
 
 def integrate_adaptive(
@@ -371,13 +352,11 @@ def integrate_adaptive(
     if not tol > 0:
         raise ValueError("tol must be positive")
 
-    # f's own compiled panel, where it has one (expr); None from it, or no
-    # panel, runs the generic one
-    panel = getattr(f, "panel", None)
+    # f.panel() is f's own compiled panel, where it has one (expr); None
+    # from that panel, or no panel, runs the generic one
+    own = getattr(f, "panel", None)
+    panel = own and own()
     value, err = (panel and panel(lo, hi)) or gauss_kronrod_panel(f, lo, hi)
-    if err <= tol:
-        # what the spatial resum below gives for one panel
-        return QuadratureResult(0 + value, err, 15, True)
     evals = 15
     panels = [(-err, 0, lo, hi, value, err)]
     counter = 1
@@ -434,6 +413,8 @@ def integrate_decaying(
     max_panels returns the same result, bit for bit, as one with a larger.
     """
 
+    # the same map as _MAP and _MAPPED_VALUE, which f's compiled mapped
+    # panel inlines: edit the two together
     def mapped(t: float) -> float:
         u = 1.0 - t
         try:
@@ -450,7 +431,7 @@ def integrate_decaying(
         jac = 1.0 / u
         return (v * jac) * jac
 
-    # the panel of mapped that f carries, with the map inlined (_MAP)
+    # f.mapped_panel() is the compiled panel of mapped, where f has one
     mapped.panel = getattr(f, "mapped_panel", None)
     return integrate_adaptive(mapped, 0.0, 1.0, tol, max_panels)
 

@@ -12,11 +12,11 @@ import dataclasses
 
 import pytest
 
-from frullani import catalog, engine, quadrature
+from frullani import catalog, engine, expr, quadrature
 from frullani.catalog import default_grid, entry_ids, verify_entry
 from frullani.engine import FrullaniProblem, evaluate_pipeline
-from frullani.expr import parse
-from frullani.quadrature import Spectrum
+from frullani.expr import compile_frullani, parse
+from frullani.quadrature import Spectrum, integrate_decaying
 
 # The catalog inputs perfbench/defects.py names: (entry, params, tol).
 DEFECT_INPUTS = (
@@ -129,3 +129,16 @@ def test_default_grid_runs_no_generic_panel(monkeypatch):
         for params in default_grid(entry_id):
             assert verify_entry(entry_id, params).status == "PASS"
     assert calls == []
+
+
+def test_a_shape_compiles_only_the_panels_that_run():
+    expr._panel_maker.cache_clear()
+    tree = parse("exp(-1.25*x)*(3.5+x)")
+    integrands = [compile_frullani(tree, a, 2.0)[1] for a in (1.0, 3.0)]
+    assert expr._panel_maker.cache_info().currsize == 0
+    for integrand in integrands:
+        assert integrate_decaying(integrand, 1e-10).converged
+    # both bindings ran the one mapped panel of the shape's integrand,
+    # compiled once
+    info = expr._panel_maker.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)

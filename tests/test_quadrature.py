@@ -546,10 +546,10 @@ class TestMatchesReference:
     def test_compiled_panel_bits(self, source, interval, unit_interval):
         f = _compiled_integrand(source)
         lo, hi = interval
-        assert _outcome(_run_compiled(f.panel, f), lo, hi) == _outcome(reference_panel, f, lo, hi)
+        assert _outcome(_run_compiled(f.panel(), f), lo, hi) == _outcome(reference_panel, f, lo, hi)
         mapped = reference_mapped(f)
         lo, hi = unit_interval
-        assert _outcome(_run_compiled(f.mapped_panel, mapped), lo, hi) == _outcome(
+        assert _outcome(_run_compiled(f.mapped_panel(), mapped), lo, hi) == _outcome(
             reference_panel, mapped, lo, hi
         )
 
@@ -565,7 +565,7 @@ class TestMatchesReference:
     def test_compiled_panel_hands_failures_to_the_generic_panel(self, source, interval, mapped):
         # the examples above that fail take the generic route
         f = _compiled_integrand(source)
-        assert (f.mapped_panel if mapped else f.panel)(*interval) is None
+        assert (f.mapped_panel if mapped else f.panel)()(*interval) is None
 
     @settings(max_examples=40, deadline=None)
     @given(
