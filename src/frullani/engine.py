@@ -168,8 +168,10 @@ def _decaying_oracle(
     integrand: Callable[[float], float], far: Callable[[float], float], tol: float
 ) -> QuadratureResult:
     """integrate_decaying within SEGMENT_PANELS panels, else within
-    MAX_PANELS, unless far (the mapped integrand as t -> 1, up to a factor
-    tending to 1) probes no-limit and the projected error misses tol."""
+    MAX_PANELS, unless far probes no-limit and the projected error misses
+    tol.  far is x [f(ax) - f(bx)], which is the integrand mapped by
+    x = t^2/(1-t) as t -> 1, up to a factor tending to 1: the map grades
+    t = 0 only, and near t = 1 it is x = t/(1-t) to leading order."""
     first = integrate_decaying(integrand, tol, SEGMENT_PANELS)
     if first.converged:
         return first

@@ -33,8 +33,8 @@ both the reference and the compiled code's exceptional path.
 Each compiled kernel and Frullani integrand also carries two G7/K15 panels,
 built from quadrature's panel template with the point's straight-line body
 inlined in the loop over the nodes: panel() gives its panel(lo, hi), and
-mapped_panel() the panel of integrate_decaying's map x = t/(1-t).  Each is
-compiled the first time a shape's kernel or integrand asks for it, so a
+mapped_panel() the panel of integrate_decaying's map x = t^2/(1-t).  Each
+is compiled the first time a shape's kernel or integrand asks for it, so a
 shape compiles only the panels that run.  quadrature runs them in place of
 gauss_kronrod_panel, one call per panel instead of one per node.  A panel
 where a node raises or is not finite returns None, and quadrature reruns it

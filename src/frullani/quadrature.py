@@ -18,8 +18,9 @@ Three layers:
                               generic panel reruns it, so both give the same
                               bits.
   integrate_decaying          semi-infinite integrals of decaying integrands,
-                              mapped onto (0, 1) by x = t/(1-t); a compiled
-                              integrand's f.mapped_panel() inlines the map too.
+                              mapped onto (0, 1) by x = t^2/(1-t), graded at
+                              t = 0; a compiled integrand's f.mapped_panel()
+                              inlines the map too.
   integrate_oscillatory_tail  conditionally convergent tails: fixed-width
                               half-period segments, partial sums accelerated
                               by iterated Euler averaging plus extrapolation
@@ -311,11 +312,12 @@ PANEL_GLOBALS = {
     "Exception": Exception, "isfinite": math.isfinite, "sum": sum,
     "abscissae": _abscissae, "kronrod": _kronrod,
 }
-# The map x = t/(1-t) of integrate_decaying's mapped function at node t, and
-# its Jacobian applied to the value v at x: the bits mapped gives, where
-# 1 - t is not 0.  Edit the two together.
-_MAP = ("u = 1.0 - t", "x = t / u", "jac = 1.0 / u")
-_MAPPED_VALUE = "0.0 if v == 0.0 else v * jac * jac"
+# The map x = t^2/(1-t) of integrate_decaying's mapped function at node t,
+# as r = t/(1-t) and x = t r, and its Jacobian dx/dt = r (2 + r) applied to
+# the value v at x: the bits mapped gives, where 1 - t is not 0.  Edit the
+# two together.
+_MAP = ("r = t / (1.0 - t)", "x = t * r", "jac = r * (2.0 + r)")
+_MAPPED_VALUE = "0.0 if v == 0.0 else v * jac"
 
 
 def panel_source(lines: Sequence[str], value: str, mapped: bool = False) -> str:
@@ -342,10 +344,11 @@ def integrate_adaptive(
 ) -> QuadratureResult:
     """Globally adaptive G7/K15 integration of f over the finite [lo, hi].
 
-    When converged is True the returned error_estimate is at most tol.  The
-    estimate on failure is the honest panel-error sum, and the diagnostic
-    names why refinement stopped: the panel cap, or panels too narrow to
-    split at floating-point resolution.
+    When converged is True the returned value is finite and error_estimate
+    is at most tol.  The estimate on failure is the honest panel-error sum,
+    and the diagnostic names why refinement stopped: a value or error sum
+    that is not finite, the panel cap, or panels too narrow to split at
+    floating-point resolution.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("need finite lo < hi")
@@ -385,9 +388,12 @@ def integrate_adaptive(
     ordered = sorted(panels, key=lambda p: p[2])
     total = sum(p[4] for p in ordered)
     err_total = sum(p[5] for p in ordered)
-    if err_total <= tol:
+    if err_total <= tol and math.isfinite(total):
         return QuadratureResult(total, err_total, evals, True)
-    if len(panels) >= max_panels:
+    if not (math.isfinite(total) and math.isfinite(err_total)):
+        # finite values whose weighted sums overflow, or inf - inf
+        diagnostic = f"panel sums not finite: value {total!r}, error {err_total!r}"
+    elif len(panels) >= max_panels:
         diagnostic = f"panel cap of {max_panels} panels reached"
     elif at_resolution:
         diagnostic = "the error left sits in panels at floating-point resolution"
@@ -401,13 +407,18 @@ def integrate_decaying(
 ) -> QuadratureResult:
     """Integrate f over (0, inf) for integrands decaying at infinity.
 
-    Uses the substitution x = t/(1-t), dx = dt/(1-t)^2, then the adaptive
-    rule on (0, 1) with at most max_panels panels.  Suited to integrable
-    endpoint behaviour at 0 and decay at least as fast as 1/x^2; slower
-    decay shows up as non-convergence.  The mapped integrand near t = 1 is
-    x^2 f(x) (1 + 1/x)^2: when x^2 f(x) keeps oscillating as x grows, the
-    mapped integrand has no limit at t = 1 and bisection cuts the error
-    estimate at best in proportion to the panel count.
+    Uses the substitution x = t^2/(1-t), dx = t(2-t)/(1-t)^2 dt, then the
+    adaptive rule on (0, 1) with at most max_panels panels.  The map is
+    graded at t = 0: an integrand that behaves like x^s there becomes
+    2 t^(2s+1), so x^(-1/2) maps to a constant and every algebraic
+    endpoint singularity is milder than under x = t/(1-t).  Suited to
+    integrable endpoint behaviour at 0, algebraic singularities included,
+    and decay at least as fast as 1/x^2; slower decay shows up as
+    non-convergence.  Near t = 1 the map is x = t/(1-t) to leading order,
+    and the mapped integrand is x^2 f(x) (1 + O(1/x)): when x^2 f(x) keeps
+    oscillating as x grows, the mapped integrand has no limit at t = 1 and
+    bisection cuts the error estimate at best in proportion to the panel
+    count.
 
     Bisection is deterministic, so a run that converges within a smaller
     max_panels returns the same result, bit for bit, as one with a larger.
@@ -416,20 +427,18 @@ def integrate_decaying(
     # the same map as _MAP and _MAPPED_VALUE, which f's compiled mapped
     # panel inlines: edit the two together
     def mapped(t: float) -> float:
-        u = 1.0 - t
         try:
-            x = t / u
+            r = t / (1.0 - t)
         except ZeroDivisionError:
             # a node so close to 1 that 1 - t rounds to 0 maps to x = inf
             raise IntegrandError(
                 math.inf, math.nan,
-                "was not evaluated: the map x = t/(1-t) reached t = 1,",
+                "was not evaluated: the map x = t^2/(1-t) reached t = 1,",
             ) from None
-        v = f(x)
+        v = f(t * r)
         if v == 0.0:
             return 0.0
-        jac = 1.0 / u
-        return (v * jac) * jac
+        return v * (r * (2.0 + r))
 
     # f.mapped_panel() is the compiled panel of mapped, where f has one
     mapped.panel = getattr(f, "mapped_panel", None)

@@ -14,7 +14,7 @@ independent of the package's extrapolation machinery.
 
 Also holds loop-form reference copies of the G7/K15 panel and the
 oscillatory tail accelerator (reference_panel, reference_tail), and of the
-map x = t/(1-t) of integrate_decaying (reference_mapped).  The package's
+map x = t^2/(1-t) of integrate_decaying (reference_mapped).  The package's
 versions are unrolled, incremental or compiled with the integrand inlined;
 the tests require them to return the same bits as these plain forms.
 """
@@ -182,21 +182,22 @@ def reference_panel(
 
 
 def reference_mapped(f: Callable[[float], float]) -> Callable[[float], float]:
-    """t -> f(x) dx/dt at x = t/(1-t), the integrand integrate_decaying
-    integrates over (0, 1): a zero value gives +0.0, and a node where 1 - t
-    rounds to 0 raises the IntegrandError that names the map."""
+    """t -> f(x) dx/dt at x = t^2/(1-t), with r = t/(1-t), x = t r and
+    dx/dt = r (2 + r): the integrand integrate_decaying integrates over
+    (0, 1).  A zero value gives +0.0, and a node where 1 - t rounds to 0
+    raises the IntegrandError that names the map."""
 
     def mapped(t: float) -> float:
         u = 1.0 - t
         if u == 0.0:
             raise IntegrandError(
-                math.inf, math.nan, "was not evaluated: the map x = t/(1-t) reached t = 1,"
+                math.inf, math.nan, "was not evaluated: the map x = t^2/(1-t) reached t = 1,"
             )
-        v = f(t / u)
+        r = t / u
+        v = f(t * r)
         if v == 0.0:
             return 0.0
-        jac = 1.0 / u
-        return (v * jac) * jac
+        return v * (r * (2.0 + r))
 
     return mapped
 

@@ -158,6 +158,15 @@ class TestDefaultGridSweep:
         assert rec.status == "PASS", rec.detail
         assert rec.abs_error <= 1e-12
 
+    def test_algebraic_endpoint_costs_few_panels(self):
+        # [f(v x^p) - f(u x^p)]/x behaves like x^(p-1) at 0: the map
+        # x = t^2/(1-t) makes that t^(2p-1), where x = t/(1-t) left t^(p-1)
+        # and took 4,485 evaluations
+        rec = verify_entry("GR-3.476.1", {"v": 1.0, "u": 2.0, "p": 0.25}, 1e-9)
+        assert rec.status == "PASS", rec.detail
+        assert rec.abs_error <= 1e-9
+        assert rec.evaluations == 2415
+
     @settings(max_examples=25, deadline=None)
     @given(
         a=st.floats(0.25, 8.0, allow_nan=False),
@@ -172,11 +181,12 @@ class TestDefaultGridSweep:
 # order.  Every catalog integrand is built from expression text; these
 # figures were taken from hand-written closures before that, so any change
 # in their arithmetic shows here bit for bit.  GR-3.436's text and its
-# closure differ in the last bit at some points, not in these records.
+# closure differ in the last bit at some points, not in these records.  The
+# smooth-decay figures are those of integrate_decaying's map x = t^2/(1-t).
 PINNED_RECORDS = {
     "GR-3.434.2": (
-        ("PASS", "0x1.62e42fefa3930p-1", 105),
-        ("PASS", "0x1.26bb1bbb554e6p+1", 105),
+        ("PASS", "0x1.62e42fefa37e8p-1", 105),
+        ("PASS", "0x1.26bb1bbb55493p+1", 105),
         ("PASS", "0x0.0p+0", 15),
     ),
     "GR-4.267.8": (
@@ -185,48 +195,48 @@ PINNED_RECORDS = {
         ("PASS", "0x0.0p+0", 15),
     ),
     "GR-3.476.1": (
-        ("PASS", "0x1.62e42fefa3930p-1", 105),
-        ("PASS", "0x1.26bb1bbb55516p+0", 135),
+        ("PASS", "0x1.62e42fefa37e8p-1", 105),
+        ("PASS", "0x1.26bb1bbb55514p+0", 165),
         ("PASS", "0x0.0p+0", 15),
     ),
     "GR-3.436": (
-        ("PASS", "0x1.62e42fefa39efp+0", 105),
-        ("PASS", "0x1.26bb1bbb55517p+1", 105),
+        ("PASS", "0x1.62e42fefa39f1p+0", 105),
+        ("PASS", "0x1.26bb1bbb55514p+1", 135),
         ("PASS", "0x0.0p+0", 15),
     ),
     "GR-3.329": (
-        ("PASS", "0x1.051d4dc28ab20p-2", 135),
-        ("PASS", "0x1.6586d22e571d5p+0", 165),
+        ("PASS", "0x1.051d4dc28a916p-2", 165),
+        ("PASS", "0x1.6586d22e6c40bp+0", 195),
         ("PASS", "0x0.0p+0", 15),
     ),
     "GR-3.232": (
-        ("PASS", "0x1.62e42fefa39ebp-1", 15),
-        ("PASS", "0x1.88f97a4f1c6eep-1", 15),
+        ("PASS", "0x1.62e42fefa39dbp-1", 45),
+        ("PASS", "0x1.88f97a4f1c6c8p-1", 45),
         ("PASS", "0x0.0p+0", 15),
     ),
     "GR-4.536.2": (
-        ("PASS", "0x1.16bb24190a0b6p+0", 45),
-        ("PASS", "0x1.cef652e568e56p+1", 105),
+        ("PASS", "0x1.16bb24190a006p+0", 45),
+        ("PASS", "0x1.cef652e568e10p+1", 75),
         ("PASS", "0x0.0p+0", 15),
     ),
     "GR-4.319.3": (
-        ("PASS", "0x1.ebfbdff82c40fp-2", 105),
-        ("PASS", "0x1.0e0f26b99f4fcp+1", 135),
+        ("PASS", "0x1.ebfbdff82c17ep-2", 105),
+        ("PASS", "0x1.0e0f26b99f481p+1", 135),
         ("PASS", "0x0.0p+0", 15),
     ),
     "GR-4.297.7": (
-        ("PASS", "0x1.62e42fede7e5cp+0", 675),
-        ("PASS", "0x1.7069e2aa0b72cp+4", 795),
+        ("PASS", "0x1.62e42fede7e5ap+0", 675),
+        ("PASS", "0x1.7069e2aa1b0a8p+4", 795),
         ("PASS", "0x0.0p+0", 15),
     ),
     "GR-3.484": (
-        ("PASS", "0x1.30e6d4c8b56f8p+0", 675),
-        ("PASS", "0x1.d6c35748bbb2cp+3", 765),
+        ("PASS", "0x1.30e6d4cad3394p+0", 255),
+        ("PASS", "0x1.d6c3574915ad4p+3", 285),
         ("PASS", "0x0.0p+0", 15),
     ),
     "GR-3.412.1": (
-        ("PASS", "0x1.d9303fea2f673p-2", 105),
-        ("PASS", "0x1.88f97a4f1c666p+0", 135),
+        ("PASS", "0x1.d9303fea2f3d1p-2", 105),
+        ("PASS", "0x1.88f97a4f1c5c3p+0", 135),
         ("PASS", "0x0.0p+0", 15),
     ),
     "GR-4.324.2": (
@@ -235,18 +245,18 @@ PINNED_RECORDS = {
         ("PASS", "0x0.0p+0", 195),
     ),
     "R-3.1": (
-        ("PASS", "0x1.16bb24190a0b6p+0", 45),
-        ("PASS", "0x1.cef652e568e56p+1", 105),
+        ("PASS", "0x1.16bb24190a006p+0", 45),
+        ("PASS", "0x1.cef652e568e10p+1", 75),
         ("PASS", "0x0.0p+0", 15),
     ),
     "R-3.2": (
-        ("PASS", "0x1.ebfbdff82c40fp-2", 105),
-        ("PASS", "0x1.9895722dfdefep+1", 135),
+        ("PASS", "0x1.ebfbdff82c17ep-2", 105),
+        ("PASS", "0x1.9895722dfde08p+1", 135),
         ("PASS", "0x0.0p+0", 15),
     ),
     "R-3.3": (
-        ("PASS", "0x1.0a2b23f3bab71p-1", 15),
-        ("PASS", "-0x1.26bb1bbb55526p+2", 75),
+        ("PASS", "0x1.0a2b23f3bab47p-1", 15),
+        ("PASS", "-0x1.26bb1bbb55515p+2", 75),
         ("PASS", "0x0.0p+0", 15),
     ),
     "R-3.4": (
@@ -270,13 +280,13 @@ PINNED_RECORDS = {
         ("PASS", "0x0.0p+0", 195),
     ),
     "R-3.9": (
-        ("PASS", "0x1.62e42fefa4a16p-1", 135),
-        ("PASS", "0x1.26bb1bbb55921p+1", 165),
+        ("PASS", "0x1.62e42fefa3250p-1", 135),
+        ("PASS", "0x1.26bb1bbb5532bp+1", 195),
         ("PASS", "0x0.0p+0", 15),
     ),
 }
 # integrand evaluations of the default grid, per evaluation class
-CLASS_EVALUATIONS = {"smooth-decay": 5520, "finite-interval": 945, "oscillatory": 22785}
+CLASS_EVALUATIONS = {"smooth-decay": 4770, "finite-interval": 945, "oscillatory": 22785}
 
 
 class TestPinnedArithmetic:

@@ -136,6 +136,20 @@ class TestVerify:
         assert f["status"] == "PASS"
         assert float(f["abs_err"]) <= 1e-5
 
+    def test_fast_scale_near_zero_passes(self, capsys):
+        # at a = 161.893 the kernel ((x+p)/(x+q))^n of the a term turns over
+        # near x = p/a = 0.0018, which is t = 0.0018 under x = t/(1-t) but
+        # t = 0.042 under x = t^2/(1-t); the first map gave a confident FAIL
+        # here (true error 2.2e-6 against an estimate of 4.3e-8)
+        rc = main([
+            "verify", "R-3.3", "--params",
+            "a=161.893,b=1.51977,p=0.292235,q=3.20716,n=1.04603", "--tol", "1.74573e-7",
+        ])
+        f = fields(capsys.readouterr().out.splitlines()[0])
+        assert rc == 0
+        assert f["status"] == "PASS"
+        assert float(f["abs_err"]) <= 1e-9
+
     def test_split_tail_names_the_pieces_that_stopped(self, capsys):
         rc = main(["verify", "R-3.4", "--params", "a=1,b=1.414213562", "--tol", "1e-8"])
         captured = capsys.readouterr()
@@ -322,17 +336,29 @@ class TestEval:
             math.log(2.0) / float(power), abs=1e-6
         )
 
-    def test_mapped_abscissa_reaching_one_is_named(self, capsys):
+    def test_square_root_kernel_at_half_power_passes(self, capsys):
+        # [f(ax) - f(bx)]/x behaves like x^(-1/2) at 0, which the graded map
+        # turns into a constant; the map x = t/(1-t) reached t = 1 here
         rc = main([
             "eval", "sqrt(x)/(1+sqrt(x))",
             "--a", "2.49255", "--b", "0.595583", "--power", "0.5",
+        ])
+        f = fields(capsys.readouterr().out.splitlines()[0])
+        assert rc == 0
+        assert f["status"] == "PASS"
+        assert float(f["abs_err"]) <= 1e-7
+
+    def test_mapped_abscissa_reaching_one_is_named(self, capsys):
+        rc = main([
+            "eval", "sqrt(x)/(1+sqrt(x))",
+            "--a", "0.764035", "--b", "2.74109", "--power", "0.225619",
         ])
         captured = capsys.readouterr()
         assert rc == 1
         assert fields(captured.out.splitlines()[0])["status"] == "ORACLE_FAILED"
         assert captured.err.rstrip().endswith(
             "oracle raised: integrand was not evaluated: "
-            "the map x = t/(1-t) reached t = 1, at x = inf"
+            "the map x = t^2/(1-t) reached t = 1, at x = inf"
         )
 
     def test_non_convergence_names_the_panel_cap(self, capsys):

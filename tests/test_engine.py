@@ -194,9 +194,9 @@ class TestPipeline:
             evaluate_pipeline(prob("exp(-x)"), 0.0)
 
     @pytest.mark.parametrize("src, a, b, power, numeric, evaluations", [
-        ("1.2*exp(-x)+0.7", 1.3, 2.9, 1.0, "0x1.ecf6302eeef06p-1", 105),
-        ("sqrt(x)/(1+sqrt(x))", 1.35394, 7.95975, 0.930343, "-0x1.e76cf12ae5ffdp+0", 2745),
-        ("(1+2.5/x)^x", 0.8, 3.1, 1.0, "-0x1.e4b5da08beb09p+3", 705),
+        ("1.2*exp(-x)+0.7", 1.3, 2.9, 1.0, "0x1.ecf6302eeeeedp-1", 105),
+        ("sqrt(x)/(1+sqrt(x))", 1.35394, 7.95975, 0.930343, "-0x1.e76cf11ffce77p+0", 1275),
+        ("(1+2.5/x)^x", 0.8, 3.1, 1.0, "-0x1.e4b5da0905d3ep+3", 285),
     ])
     def test_oracle_arithmetic_is_pinned(self, src, a, b, power, numeric, evaluations):
         # the compiled integrand must do the arithmetic of

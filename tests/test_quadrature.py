@@ -130,8 +130,24 @@ class TestAdaptive:
         assert res.value == gauss_kronrod_panel(f, 0.0, 1.0)[0]
         assert math.isnan(res.error_estimate)
         assert (res.function_evaluations, res.converged, res.diagnostic) == (
-            15, False, "panel error sum rounded above tolerance"
+            15, False, f"panel sums not finite: value {res.value!r}, error nan"
         )
+
+    def test_overflowing_panel_sums_are_named(self):
+        # every value is finite, but the weighted sums of the two halves
+        # overflow to +-inf, and inf - inf leaves a nan value
+        res = integrate_adaptive(lambda x: math.copysign(1e308, x - 0.5), 0.0, 1.0, 1e-6)
+        assert math.isnan(res.value)
+        assert (res.function_evaluations, res.converged, res.diagnostic) == (
+            45, False, "panel sums not finite: value nan, error inf"
+        )
+
+    def test_infinite_value_is_not_converged(self):
+        # a constant has no Gauss-Kronrod error, but 8e307 over a width of
+        # 1000 is inf, which no tolerance makes a converged value
+        res = integrate_adaptive(lambda x: 8e307, 0.0, 1000.0, 1e-6)
+        assert (res.value, res.error_estimate, res.converged) == (math.inf, 0.0, False)
+        assert res.diagnostic == "panel sums not finite: value inf, error 0.0"
 
     def test_floating_point_resolution_is_named(self):
         # eight ulps wide: bisection reaches single-ulp panels long before
@@ -205,7 +221,7 @@ class TestDecaying:
         def f(x):
             return (math.exp(-(x**0.05)) - math.exp(-2.0 * x**0.05)) / x
 
-        with pytest.raises(IntegrandError, match=r"t/\(1-t\) reached t = 1") as info:
+        with pytest.raises(IntegrandError, match=r"t\^2/\(1-t\) reached t = 1") as info:
             integrate_decaying(f, 0.25e-6)
         assert info.value.abscissa == math.inf
         assert str(info.value).endswith("at x = inf")
