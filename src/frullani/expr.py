@@ -24,15 +24,17 @@ Three ways to use a tree:
 
 The compiled code is plain floating-point Python with no domain checks.  A
 node that reads only constants and parameters runs once per binding, and a
-node that occurs twice runs once per point.  exp and expm1 of an argument
+node that occurs twice runs once per point.  A node read once is written
+into its reader's expression rather than on a line of its own, so a chain
+of single-use nodes is one expression.  exp and expm1 of an argument
 past 710 give inf in line, as evaluate does.  A point where the code raises
 (any other overflow, a log of zero, a division by zero) runs again through
 evaluate, which gives that point's value or DomainError, so evaluate is
 both the reference and the compiled code's exceptional path.
 
 Each compiled kernel and Frullani integrand also carries two G7/K15 panels,
-built from quadrature's panel template with the point's straight-line body
-inlined in the loop over the nodes: panel() gives its panel(lo, hi), and
+straight-line code built from quadrature's panel template with the point's
+body written out at each of the 15 nodes: panel() gives its panel(lo, hi), and
 mapped_panel() the panel of integrate_decaying's map x = t^2/(1-t).  Each
 is compiled the first time a shape's kernel or integrand asks for it, so a
 shape compiles only the panels that run.  quadrature runs them in place of
@@ -51,7 +53,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union
 
-from .quadrature import PANEL_GLOBALS, panel_source
+from .quadrature import PANEL_GLOBALS, _indented, panel_source
 
 
 class ExprError(Exception):
@@ -406,6 +408,13 @@ _NODE_LINES = {
     "^": "pow({0}, {1})",
 }
 _OPERATORS = ("+", "-", "*", "/", "^")
+# Templates that are one call, which a reader's expression needs no
+# parentheses around.
+_CALL = re.compile(r"\w+\(.*\)")
+# Most nodes _block folds one inside the next into a single expression; the
+# bound keeps the parentheses of a deep tree's line far below CPython's 200
+# levels, and its syntax tree inside the compiler's recursion limit.
+_FOLD_DEPTH = 16
 
 # Distinct tree shapes whose compiled builders are kept; a shape pushed out
 # is compiled again when it comes back.
@@ -464,18 +473,36 @@ def _shape(
 
 
 def _block(
-    shape: tuple[Union[str, int], ...], var: str, prefix: str
+    shape: tuple[Union[str, int], ...], prefix: str, scale: str = ""
 ) -> tuple[list[str], str, list[str]]:
-    """Straight-line source for shape applied to var, one single-assignment
-    line per distinct interior node (prefix0, prefix1, ...) with constant i
-    read as ci; the result's operand text; and the lines of the nodes that
-    read constants only (k0, k1, ...), which do not depend on var.  Every
+    """Straight-line source for shape applied to x, or to scale * x where
+    scale is given, with constant i read as ci: the lines of the nodes that
+    depend on x; the result's operand text; and the lines of the nodes that
+    read constants only (k0, k1, ...), which do not depend on x.  Every
     node is a pure function of its operands, so a node computed already,
-    such as x^p read twice, is read again rather than computed again."""
-    lines: list[str] = []
-    hoisted: list[str] = []
-    operands: list[str] = []
-    computed: dict[str, str] = {}  # value text -> operand holding it
+    such as x^p read twice, is read again rather than computed again.  A
+    node that depends on x and is read once goes into its reader's
+    expression, up to _FOLD_DEPTH levels deep; one read more than once,
+    such as the operand of exp, which the saturation test reads twice, gets
+    a single-assignment line of its own (prefix0, prefix1, ...)."""
+    # the distinct interior nodes in post-order, each its template and its
+    # operands, an operand being a leaf's text or the index of a node
+    nodes: list[tuple[str, tuple[Union[str, int], ...]]] = []
+    index: dict[tuple[str, tuple[Union[str, int], ...]], int] = {}
+    reads: list[int] = []
+
+    def node(template: str, args: tuple[Union[str, int], ...]) -> int:
+        if (template, args) not in index:
+            index[template, args] = len(nodes)
+            nodes.append((template, args))
+            reads.append(0)
+            for slot, arg in enumerate(args):
+                if isinstance(arg, int):
+                    reads[arg] += template.count(f"{{{slot}}}")
+        return index[template, args]
+
+    x = node(f"{scale} * {{0}}", ("x",)) if scale else "x"
+    operands: list[Union[str, int]] = []
     read = 0  # constants read so far
     for token in shape:
         if token == "c":
@@ -484,40 +511,54 @@ def _block(
         elif isinstance(token, int):
             operands.append(f"c{token}")
         elif token == "x":
-            operands.append(var)
+            operands.append(x)
         else:
             arity = 2 if token in _OPERATORS else 1
-            args = operands[-arity:]
+            args = tuple(operands[-arity:])
             del operands[-arity:]
-            value = _NODE_LINES[token].format(*args)
-            if value not in computed:
-                target = hoisted if all(a[0] in "ck" for a in args) else lines
-                computed[value] = f"{'k' if target is hoisted else prefix}{len(target)}"
-                target.append(f"{computed[value]} = {value}")
-            operands.append(computed[value])
-    return lines, operands.pop(), hoisted
+            operands.append(node(_NODE_LINES[token], args))
+    result = operands.pop()
+    if isinstance(result, str):
+        return [], result, []
+    reads[result] += 1
+    lines: list[str] = []
+    hoisted: list[str] = []
+    texts: list[str] = []  # each node's operand text: a name or its expression
+    depths: list[int] = []  # nodes folded one inside the next in that text
+    constant: list[bool] = []
+    for i, (template, args) in enumerate(nodes):
+        value = template.format(*(texts[a] if isinstance(a, int) else a for a in args))
+        depth = max((depths[a] + 1 for a in args if isinstance(a, int)), default=0)
+        constant.append(all(constant[a] if isinstance(a, int) else a != "x" for a in args))
+        if reads[i] == 1 and not constant[i] and depth < _FOLD_DEPTH:
+            texts.append(value if _CALL.fullmatch(template) else f"({value})")
+            depths.append(depth)
+            continue
+        target = hoisted if constant[i] else lines
+        texts.append(f"{'k' if constant[i] else prefix}{len(target)}")
+        depths.append(-1)
+        target.append(f"{texts[i]} = {value}")
+    return lines, texts[result], hoisted
 
 
-def _indented(lines: Iterable[str], indent: int) -> str:
-    return "".join(f"{' ' * indent}{line}\n" for line in lines)
-
-
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _bodies(
     shape: tuple[Union[str, int], ...]
-) -> tuple[dict[str, tuple[list[str], str]], list[str], list[str]]:
+) -> tuple[dict[str, tuple[tuple[str, ...], str]], tuple[str, ...], tuple[str, ...]]:
     """The straight-line lines and result text of the kernel at x and of
     its Frullani integrand at x, by role; the kernel's constant-only lines,
     which build runs once; and the names those bodies read from build
-    besides x, a and b: the constants, then the targets of those lines."""
-    kernel, result, hoisted = _block(shape, "x", "t")
-    at_a, result_a, _ = _block(shape, "xa", "u")
-    at_b, result_b, _ = _block(shape, "xb", "v")
+    besides x, a and b: the constants, then the targets of those lines.
+    Made once per shape, for its builder and its panels."""
+    kernel, result, hoisted = _block(shape, "t")
+    at_a, result_a, _ = _block(shape, "u", "a")
+    at_b, result_b, _ = _block(shape, "v", "b")
     bodies = {
-        "kernel": (kernel, result),
-        "integrand": (["xa = a * x", *at_a, "xb = b * x", *at_b], f"({result_a} - {result_b}) / x"),
+        "kernel": (tuple(kernel), result),
+        "integrand": ((*at_a, *at_b), f"({result_a} - {result_b}) / x"),
     }
     names = [f"c{i}" for i in range(shape.count("c"))]
-    return bodies, hoisted, names + [line.split(" = ")[0] for line in hoisted]
+    return bodies, tuple(hoisted), (*names, *(line.split(" = ")[0] for line in hoisted))
 
 
 @functools.lru_cache(maxsize=4 * _SHAPE_CACHE_SIZE)
@@ -529,7 +570,7 @@ def _panel_maker(shape: tuple[Union[str, int], ...], role: str, mapped: bool) ->
     bodies, _, names = _bodies(shape)
     lines, value = bodies[role]
     if role == "integrand":
-        names += ["a", "b"]
+        names = [*names, "a", "b"]
     namespace = dict(_HELPERS, **PANEL_GLOBALS)
     exec(
         f"def make({', '.join(names)}):\n"

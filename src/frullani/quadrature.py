@@ -6,17 +6,20 @@ Three layers:
                               bisection of the worst panel.  The rule is open
                               (no endpoint evaluations), so integrands with a
                               removable endpoint singularity just work.  The
-                              panel is one loop over the 15 nodes of
-                              _abscissae, one finiteness check, and the
-                              unrolled sums of _kronrod.  gauss_kronrod_panel
-                              calls f at each node.  An integrand compiled by
-                              expr carries its own panel, f.panel(), made from
-                              the same loop (_PANEL) with its straight-line
-                              body inlined, and integrate_adaptive runs it in
-                              place of the generic one.  Where a node of a
-                              compiled panel raises or is not finite, the
-                              generic panel reruns it, so both give the same
-                              bits.
+                              panel is written once as source text: the 15
+                              nodes (_NODES, _ORDER) and the Kronrod, Gauss
+                              and error sums (_SUMS).  gauss_kronrod_panel
+                              calls f at each node of _abscissae and sums the
+                              values with _kronrod, both built from that text.
+                              An integrand compiled by expr carries its own
+                              panel, f.panel(), straight-line code from the
+                              same text (_PANEL) with the integrand's body
+                              written out at each of the 15 nodes in turn and
+                              the sums in line, and integrate_adaptive runs
+                              it in place of the generic one.  Where a node
+                              of a compiled panel raises or is not finite,
+                              the generic panel reruns it, so both give the
+                              same bits.
   integrate_decaying          semi-infinite integrals of decaying integrands,
                               mapped onto (0, 1) by x = t^2/(1-t), graded at
                               t = 0; a compiled integrand's f.mapped_panel()
@@ -44,7 +47,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = [
     "QuadratureResult",
@@ -200,60 +203,64 @@ _WG = (
 )
 
 
-_X0, _X1, _X2, _X3, _X4, _X5, _X6 = _XGK[:7]
-_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
-_G0, _G1, _G2, _G3 = _WG
+# The panel as source text over lo and hi, in three parts: _NODES, the
+# centre, the half-width and the offsets d0 .. d6 of the nodes about it;
+# _ORDER, each node's value name and abscissa, in evaluation order (+d0, -d0,
+# ..., +d6, -d6, center); and _SUMS, the Kronrod sum, the Gauss sum and the
+# QUADPACK sharpening (200 e / resasc)^1.5 of the error by the variation of f
+# over the panel, which return (kronrod_value, error_estimate).  The sums run
+# left to right from 0, so an all -0.0 panel sums to +0.0.  _abscissae,
+# _kronrod and every compiled panel (panel_source) are built from this text.
+_NODES = (
+    "center = 0.5 * (lo + hi)",
+    "half = 0.5 * (hi - lo)",
+    *(f"d{i} = half * {x!r}" for i, x in enumerate(_XGK[:7])),
+)
+_ORDER = tuple(
+    (f"{side}{i}", f"center {sign} d{i}") for i in range(7) for side, sign in (("p", "+"), ("m", "-"))
+) + (("fc", "center"),)
+_K = [repr(w) for w in _WGK]
+_G = [repr(w) for w in _WG]
+_SUMS = (
+    "s1, s3, s5 = p1 + m1, p3 + m3, p5 + m5",
+    f"kron = (0 + {_K[0]} * (p0 + m0) + {_K[1]} * s1 + {_K[2]} * (p2 + m2) + {_K[3]} * s3"
+    f" + {_K[4]} * (p4 + m4) + {_K[5]} * s5 + {_K[6]} * (p6 + m6) + {_K[7]} * fc)",
+    f"gauss = 0 + {_G[0]} * s1 + {_G[1]} * s3 + {_G[2]} * s5 + {_G[3]} * fc",
+    "mean = kron * 0.5",
+    "resasc = (0.0"
+    + "".join(f" + {_K[i]} * (abs(p{i} - mean) + abs(m{i} - mean))" for i in range(7))
+    + f" + {_K[7]} * abs(fc - mean)) * abs(half)",
+    "raw_err = abs((kron - gauss) * half)",
+    "err = raw_err",
+    "if resasc != 0.0 and raw_err != 0.0:",
+    "    err = resasc * min(1.0, (200.0 * raw_err / resasc) ** 1.5)",
+    "return kron * half, err",
+)
+# Names the panel text reads besides lo, hi and the node values.
+PANEL_GLOBALS = {"Exception": Exception, "isfinite": math.isfinite, "abs": abs, "min": min}
 
 
-def _abscissae(lo: float, hi: float) -> tuple[tuple[float, ...], float]:
-    """The 15 nodes of the G7/K15 panel on [lo, hi], all interior, in
-    evaluation order (+d0, -d0, ..., +d6, -d6, center), and its half-width."""
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    d0, d1, d2, d3 = half * _X0, half * _X1, half * _X2, half * _X3
-    d4, d5, d6 = half * _X4, half * _X5, half * _X6
-    xs = (
-        center + d0, center - d0, center + d1, center - d1,
-        center + d2, center - d2, center + d3, center - d3,
-        center + d4, center - d4, center + d5, center - d5,
-        center + d6, center - d6, center,
-    )
-    return xs, half
+def _indented(lines: Iterable[str], indent: int) -> str:
+    return "".join(f"{' ' * indent}{line}\n" for line in lines)
 
 
-def _kronrod(vals: Sequence[float], half: float) -> tuple[float, float]:
-    """(kronrod_value, error_estimate) of a panel of half-width half from
-    its 15 finite values, in the order of _abscissae."""
-    p0, m0, p1, m1, p2, m2, p3, m3, p4, m4, p5, m5, p6, m6, fc = vals
+def _function(signature: str, lines: Sequence[str]) -> Callable:
+    """The function def signature: with the body lines, over PANEL_GLOBALS."""
+    namespace = dict(PANEL_GLOBALS)
+    exec(f"def {signature}:\n{_indented(lines, 4)}", namespace)
+    return namespace[signature.split("(")[0]]
 
-    # left-to-right sums from 0, so an all -0.0 panel sums to +0.0
-    s1, s3, s5 = p1 + m1, p3 + m3, p5 + m5
-    kron = (
-        0 + _K0 * (p0 + m0) + _K1 * s1 + _K2 * (p2 + m2) + _K3 * s3
-        + _K4 * (p4 + m4) + _K5 * s5 + _K6 * (p6 + m6) + _K7 * fc
-    )
-    gauss = 0 + _G0 * s1 + _G1 * s3 + _G2 * s5 + _G3 * fc
-    result_k = kron * half
-    raw_err = abs((kron - gauss) * half)
 
-    # QUADPACK-style sharpening: scale by the variation of f over the panel
-    mean = kron * 0.5
-    resasc = (
-        0.0
-        + _K0 * (abs(p0 - mean) + abs(m0 - mean))
-        + _K1 * (abs(p1 - mean) + abs(m1 - mean))
-        + _K2 * (abs(p2 - mean) + abs(m2 - mean))
-        + _K3 * (abs(p3 - mean) + abs(m3 - mean))
-        + _K4 * (abs(p4 - mean) + abs(m4 - mean))
-        + _K5 * (abs(p5 - mean) + abs(m5 - mean))
-        + _K6 * (abs(p6 - mean) + abs(m6 - mean))
-        + _K7 * abs(fc - mean)
-    )
-    resasc *= abs(half)
-    err = raw_err
-    if resasc != 0.0 and raw_err != 0.0:
-        err = resasc * min(1.0, (200.0 * raw_err / resasc) ** 1.5)
-    return result_k, err
+# _abscissae(lo, hi): the 15 nodes of the G7/K15 panel on [lo, hi], all
+# interior, in evaluation order, and its half-width.
+_abscissae = _function(
+    "abscissae(lo, hi)", [*_NODES, f"return ({', '.join(x for _, x in _ORDER)}), half"]
+)
+# _kronrod(vals, half): (kronrod_value, error_estimate) of a panel of
+# half-width half from its 15 finite values, in the order of _abscissae.
+_kronrod = _function(
+    "kronrod(vals, half)", [f"{', '.join(name for name, _ in _ORDER)} = vals", *_SUMS]
+)
 
 
 def gauss_kronrod_panel(
@@ -290,49 +297,48 @@ def _raise_first_nonfinite(xs: Sequence[float], vals: Sequence[float]) -> None:
             raise IntegrandError(x, v) from None
 
 
-# gauss_kronrod_panel as source text with the integrand's straight-line
-# {point} lines inlined at each node {node}: a node that raises, or a value
-# that is not finite, returns None, and the caller reruns the panel through
-# gauss_kronrod_panel, which gives the same bits or the same IntegrandError.
+# gauss_kronrod_panel as straight-line source text, with the integrand's
+# {points} inlined at each of the 15 nodes in turn: a node that raises, or a
+# value that is not finite, returns None, and the caller reruns the panel
+# through gauss_kronrod_panel, which gives the same bits or the same
+# IntegrandError.
 _PANEL = """\
 def panel(lo, hi):
-    xs, half = abscissae(lo, hi)
-    vals = []
-    append = vals.append
-    try:
-        for {node} in xs:
-{point}    except Exception:
+{nodes}    try:
+{points}    except Exception:
         return None
-    if not isfinite(sum(vals)):
+    if not isfinite({total}):
         return None
-    return kronrod(vals, half)
-"""
-# Names the panel source reads besides its arguments and closure.
-PANEL_GLOBALS = {
-    "Exception": Exception, "isfinite": math.isfinite, "sum": sum,
-    "abscissae": _abscissae, "kronrod": _kronrod,
-}
+{sums}"""
 # The map x = t^2/(1-t) of integrate_decaying's mapped function at node t,
 # as r = t/(1-t) and x = t r, and its Jacobian dx/dt = r (2 + r) applied to
 # the value v at x: the bits mapped gives, where 1 - t is not 0.  Edit the
 # two together.
-_MAP = ("r = t / (1.0 - t)", "x = t * r", "jac = r * (2.0 + r)")
-_MAPPED_VALUE = "0.0 if v == 0.0 else v * jac"
+_MAP = ("r = t / (1.0 - t)", "x = t * r")
+_MAPPED_VALUE = "0.0 if v == 0.0 else v * (r * (2.0 + r))"
 
 
 def panel_source(lines: Sequence[str], value: str, mapped: bool = False) -> str:
     """Source of panel(lo, hi), one G7/K15 panel of the integrand whose
     value at x the straight-line lines and then the expression value
-    compute, inlined in the loop over the nodes.  With mapped, the
-    integrand is the one integrate_decaying integrates over t in (0, 1).
-    It returns what gauss_kronrod_panel returns for the per-point function,
-    or None where a node raises or gives a non-finite value.  Names it
-    reads are in PANEL_GLOBALS."""
+    compute, as straight-line code: the lines run once per node, in
+    evaluation order, into the node values p0, m0, ..., p6, m6, fc, and
+    the Kronrod and Gauss sums follow in line.  With mapped, the integrand
+    is the one integrate_decaying integrates over t in (0, 1).  It returns
+    what gauss_kronrod_panel returns for the per-point function, or None
+    where a node raises or gives a non-finite value.  Names it reads are
+    in PANEL_GLOBALS."""
     if mapped:
-        node, point = "t", [*_MAP, *lines, f"v = {value}", f"append({_MAPPED_VALUE})"]
+        node, point, result = "t", [*_MAP, *lines, f"v = {value}"], _MAPPED_VALUE
     else:
-        node, point = "x", [*lines, f"append({value})"]
-    return _PANEL.format(node=node, point="".join(f"            {line}\n" for line in point))
+        node, point, result = "x", lines, value
+    points = [line for name, at in _ORDER for line in (f"{node} = {at}", *point, f"{name} = {result}")]
+    return _PANEL.format(
+        nodes=_indented(_NODES, 4),
+        points=_indented(points, 8),
+        total=" + ".join(name for name, _ in _ORDER),
+        sums=_indented(_SUMS, 4),
+    )
 
 
 def integrate_adaptive(

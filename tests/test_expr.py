@@ -1,6 +1,8 @@
 """Parser, evaluator, and unparser for the kernel expression language."""
 
+import contextlib
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,8 @@ from frullani.expr import (
     parse,
     unparse,
 )
+from frullani.quadrature import integrate_adaptive
+from reference import reference_mapped, reference_panel
 
 
 def ev(src, **bindings):
@@ -369,6 +373,30 @@ class TestCompileKernel:
             integrand(1.0)
         assert info.value.argument == -1.0
 
+    @pytest.mark.parametrize(
+        "text, kernel_lines, integrand_lines, call, calls",
+        [
+            # every node read once: one expression per point
+            ("ln(1+2*a*cos(x)+a^2)", 0, 0, "cos(", 2),
+            # sqrt(x) read twice, and -sqrt(x), which the saturation test of
+            # exp reads twice, keep one line each at a x and at b x
+            ("sqrt(x)*exp(-sqrt(x))", 2, 4, "sqrt(", 2),
+            # -x read twice by exp's saturation test; the integrand's a x and
+            # b x are read three times each
+            ("(a + b*exp(-x))/(exp(x) + x)", 1, 4, "exp(", 4),
+        ],
+    )
+    def test_single_use_nodes_fold_into_their_reader(
+        self, text, kernel_lines, integrand_lines, call, calls
+    ):
+        shape, _ = expr._shape(parse(text), frozenset("ab"))
+        bodies, _, _ = expr._bodies(shape)
+        assert len(bodies["kernel"][0]) == kernel_lines
+        assert len(bodies["integrand"][0]) == integrand_lines
+        # each distinct node is written once at a x and once at b x
+        lines, value = bodies["integrand"]
+        assert "\n".join([*lines, value]).count(call) == calls
+
     def test_bindings_of_a_family_share_code(self):
         bind = expr.compile_family(parse("log1p(b/a*exp(-x))"), ("a", "b"))
         first, frullani_first = bind({"a": 1.0, "b": 2.0})
@@ -382,11 +410,51 @@ class TestCompileKernel:
         assert info.value.name == "b"
 
     def test_deep_tree_compiles_without_recursion(self):
-        # far past Python's recursion limit, which evaluate could not walk
+        # far past Python's recursion limit, which evaluate walks only under
+        # a raised limit; every node is read once, and the panels fold them
+        # a bounded number deep
         tree = Var("x")
         for _ in range(2999):
             tree = BinOp("+", tree, Var("x"))
         assert compile_kernel(tree)(1.0) == 3000.0
+        _, integrand = compile_frullani(tree, 1.0, 2.0)
+        with _recursion_limit(10_000):
+            _integrates_as_evaluated(tree, integrand, 1.0, 2.0)
+
+    def test_deep_unary_chain_compiles(self):
+        # 300 nested calls and minus signs, each read once: folded into one
+        # expression they would pass CPython's 200 levels of parentheses
+        tree = Var("x")
+        for i in range(300):
+            tree = Neg(tree) if i % 2 else Call("sin", tree)
+        kernel, integrand = compile_frullani(tree, 1.0, 2.0)
+        assert kernel(0.5) == evaluate(tree, {"x": 0.5})
+        _integrates_as_evaluated(tree, integrand, 1.0, 2.0)
+
+
+@contextlib.contextmanager
+def _recursion_limit(limit):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def _integrates_as_evaluated(tree, integrand, a, b):
+    """The compiled Frullani integrand of tree at scales a, b, through its
+    own plain and mapped panels, gives the bits of the generic panel over
+    the integrand evaluate computes."""
+
+    def evaluated(x):
+        return (evaluate(tree, {"x": a * x}) - evaluate(tree, {"x": b * x})) / x
+
+    assert integrate_adaptive(integrand, 1.0, 2.0, 1e-9) == integrate_adaptive(evaluated, 1.0, 2.0, 1e-9)
+    mapped_panel = integrand.mapped_panel()
+    assert mapped_panel is not None
+    own = [v.hex() for v in mapped_panel(0.2, 0.3)]
+    assert own == [v.hex() for v in reference_panel(reference_mapped(evaluated), 0.2, 0.3)]
 
 
 # trees in x only, with constants the parser cannot produce (negative, -0.0,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from frullani.catalog import default_grid, entry_ids, instantiate
-from frullani.expr import ExprError, compile_frullani, parse
+from frullani.expr import FUNCTIONS, BinOp, Call, Const, ExprError, Neg, Var, compile_frullani, parse
 from frullani.quadrature import (
     IntegrandError,
     OscillatorySpec,
@@ -456,6 +456,38 @@ _PIPELINE_KERNELS = (
     "cos(x)/(1+x)", "abs(sin(x))/x",
 )
 _short = st.floats(0.2, 5.0).map(lambda v: round(v, 2))
+_ops = st.sampled_from("+-*/^")
+# trees in x of every node kind, whose nodes read once fold into their
+# readers, with subtrees read twice and exp and expm1, whose operand the
+# saturation test reads twice: nodes that keep a line of their own
+_folding_trees = st.recursive(
+    st.one_of(
+        st.builds(Const, st.sampled_from([0.0, -0.0, math.inf, math.nan])),
+        st.builds(Const, st.floats(-4.0, 4.0)),
+        st.just(Var("x")),
+    ),
+    lambda kids: st.one_of(
+        st.builds(Neg, kids),
+        st.builds(Call, st.sampled_from(FUNCTIONS), kids),
+        st.builds(Call, st.sampled_from(("exp", "expm1")), kids),
+        st.builds(BinOp, _ops, kids, kids),
+        # one subtree read twice by one reader, and by two
+        st.builds(lambda op, k: BinOp(op, k, k), _ops, kids),
+        st.builds(lambda op, inner, k, j: BinOp(op, BinOp(inner, k, j), k), _ops, _ops, kids, kids),
+    ),
+    max_leaves=16,
+)
+
+
+def _chain(depth):
+    """x under depth alternating sin and x + 0.5 nodes, each read once: a
+    chain deeper than one expression may fold."""
+    tree = Var("x")
+    for i in range(depth):
+        tree = Call("sin", tree) if i % 2 else BinOp("+", tree, Const(0.5))
+    return tree
+
+
 _compiled_integrands = st.one_of(
     st.tuples(st.just("catalog"), st.sampled_from(entry_ids()), st.integers(0, 3)),
     st.tuples(
@@ -466,6 +498,7 @@ _compiled_integrands = st.one_of(
         _short,
         _short,
     ),
+    st.tuples(st.just("tree"), _folding_trees, st.sampled_from(["kernel", "integrand"]), _short, _short),
 )
 # (0, 1) for the mapped panel, down to a few ulps wide
 _unit_intervals = st.tuples(st.floats(0.0, 1.0), st.floats(-16.0, 0.0)).map(
@@ -474,19 +507,25 @@ _unit_intervals = st.tuples(st.floats(0.0, 1.0), st.floats(-16.0, 0.0)).map(
 
 
 def _compiled_integrand(source):
-    """The integrand a catalog binding or pipeline kernel integrates."""
+    """The integrand a catalog binding or pipeline kernel integrates, or a
+    tree's compiled kernel or Frullani integrand."""
     if source[0] == "catalog":
         _, entry_id, k = source
         grid = default_grid(entry_id)
         return instantiate(entry_id, grid[k % len(grid)])[0]
+    if source[0] == "tree":
+        _, tree, role, a, b = source
+        kernel, integrand = compile_frullani(tree, a, b)
+        return kernel if role == "kernel" else integrand
     _, text, a, b = source
     return compile_frullani(parse(text), a, b)[1]
 
 
-def _run_compiled(panel, f):
-    """What integrate_adaptive runs for f: its compiled panel, or the
-    generic panel where that returns None."""
-    return lambda lo, hi: panel(lo, hi) or gauss_kronrod_panel(f, lo, hi)
+def _run_compiled(own, f):
+    """What integrate_adaptive runs for f: the compiled panel own() gives,
+    where f has one, or the generic panel where that returns None."""
+    panel = own and own()
+    return lambda lo, hi: (panel and panel(lo, hi)) or gauss_kronrod_panel(f, lo, hi)
 
 
 class TestMatchesReference:
@@ -546,7 +585,7 @@ class TestMatchesReference:
         assert _outcome(gauss_kronrod_panel, f, -1.0, 1.0) == _outcome(reference_panel, f, -1.0, 1.0)
         assert math.copysign(1.0, value) == 1.0
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=450, deadline=None)
     @given(_compiled_integrands, _intervals, _unit_intervals)
     # an exp argument in (709.78, 710] raises in the compiled code, and
     # evaluate saturates it to inf, so the kernel's value stays finite
@@ -559,13 +598,18 @@ class TestMatchesReference:
     @example(("pipeline", "atan(1.0*x)", 1.5, 1.5), (-2.0, -1.0), (0.2, 0.3))
     # values near 4e307, finite, whose sum overflows
     @example(("pipeline", "1/x", 1.0, 2.0), (1.1e-154, 1.2e-154), (0.2, 0.3))
+    # single-use nodes past the deepest fold, for both roles
+    @example(("tree", _chain(40), "kernel", 1.0, 2.0), (0.5, 1.5), (0.2, 0.3))
+    @example(("tree", _chain(40), "integrand", 1.5, 0.7), (0.5, 1.5), (0.2, 0.3))
     def test_compiled_panel_bits(self, source, interval, unit_interval):
         f = _compiled_integrand(source)
         lo, hi = interval
-        assert _outcome(_run_compiled(f.panel(), f), lo, hi) == _outcome(reference_panel, f, lo, hi)
+        assert _outcome(_run_compiled(getattr(f, "panel", None), f), lo, hi) == _outcome(
+            reference_panel, f, lo, hi
+        )
         mapped = reference_mapped(f)
         lo, hi = unit_interval
-        assert _outcome(_run_compiled(f.mapped_panel(), mapped), lo, hi) == _outcome(
+        assert _outcome(_run_compiled(getattr(f, "mapped_panel", None), mapped), lo, hi) == _outcome(
             reference_panel, mapped, lo, hi
         )
 
