@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .expr import Expression, compile_frullani, free_variables, unparse
@@ -159,7 +159,7 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
         if share * p == 0.0:
             raise ValueError(f"oracle tolerance tol*power/4 = {tol!r}*{p!r}/4 underflows to 0.0")
         res = _decaying_oracle(prob.integrand, far, share * p)
-        return replace(res, value=res.value / p, error_estimate=res.error_estimate / p)
+        return res._replace(value=res.value / p, error_estimate=res.error_estimate / p)
 
     return judge("eval", params, expected, oracle, tol, start, provenance)
 
@@ -183,12 +183,12 @@ def _decaying_oracle(
     # estimate at best in proportion to the panel count
     projected = first.error_estimate * SEGMENT_PANELS / MAX_PANELS
     if verdict is not None and verdict.kind == "no-limit" and projected > tol:
-        return replace(first, diagnostic=(
+        return first._replace(diagnostic=(
             f"{first.diagnostic}; x*[f(ax) - f(bx)] at infinity: {verdict.describe()}, "
             f"so the mapped integrand has no limit at t = 1 and {MAX_PANELS} panels "
             f"would leave an error estimate near {projected:.3e} > {tol:.3e}"
         ))
     full = integrate_decaying(integrand, tol)
-    return replace(
-        full, function_evaluations=first.function_evaluations + full.function_evaluations
+    return full._replace(
+        function_evaluations=first.function_evaluations + full.function_evaluations
     )

@@ -27,9 +27,9 @@ Three layers:
   integrate_oscillatory_tail  conditionally convergent tails: fixed-width
                               half-period segments, partial sums accelerated
                               by iterated Euler averaging plus extrapolation
-                              of the phase-locked remainder in 1/x.  The
-                              averaging levels grow by one entry per segment
-                              instead of being recomputed.
+                              of the phase-locked remainder in 1/x.  A tail
+                              keeps the newest entry of each averaging level;
+                              its grid is planned once (_tail_plan).
 
 integrate_frullani_oscillatory integrates an oscillatory Frullani integrand
 g(x) = [f(alpha x) - f(beta x)]/x over the whole line: an adaptive head on
@@ -43,11 +43,13 @@ own grid pi/alpha or pi/beta, with the mean of a periodic f removed
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "QuadratureResult",
@@ -76,8 +78,7 @@ class IntegrandError(RuntimeError):
         super().__init__(f"integrand {what} at x = {abscissa!r}")
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
     function_evaluations: int
@@ -105,6 +106,8 @@ MAX_PANELS = 2000
 # miss.  An error d in the mean leaves a drift -d ln(x) in each tail; the two
 # drifts cancel but for d times the log-ratio of where the two tails stop.
 _MEAN_TOL = 1e-3
+# the lower end of a panel (-err, counter, lo, hi, value, err) of integrate_adaptive
+_LOWER = itemgetter(2)
 
 
 @dataclass(frozen=True)
@@ -285,8 +288,7 @@ def gauss_kronrod_panel(
         if not isinstance(exc, (ArithmeticError, ValueError)):
             raise
         raise IntegrandError(xs[len(vals)], math.nan, f"raised {exc!r}") from exc
-    if not math.isfinite(sum(vals)):
-        # finite values whose sum overflows raise nothing here
+    if not all(map(math.isfinite, vals)):
         _raise_first_nonfinite(xs, vals)
     return _kronrod(vals, half)
 
@@ -315,7 +317,7 @@ def panel(lo, hi):
 # the value v at x: the bits mapped gives, where 1 - t is not 0.  Edit the
 # two together.
 _MAP = ("r = t / (1.0 - t)", "x = t * r")
-_MAPPED_VALUE = "0.0 if v == 0.0 else v * (r * (2.0 + r))"
+_MAPPED_VALUE = "v * (r * (2.0 + r))"
 
 
 def panel_source(lines: Sequence[str], value: str, mapped: bool = False) -> str:
@@ -365,35 +367,42 @@ def integrate_adaptive(
     # from that panel, or no panel, runs the generic one
     own = getattr(f, "panel", None)
     panel = own and own()
+    heappop, heappush = heapq.heappop, heapq.heappush
     value, err = (panel and panel(lo, hi)) or gauss_kronrod_panel(f, lo, hi)
-    evals = 15
     panels = [(-err, 0, lo, hi, value, err)]
     counter = 1
     err_total = err
     at_resolution = False
     while err_total > tol and len(panels) < max_panels:
-        neg_err, _, plo, phi, pval, perr = heapq.heappop(panels)
+        neg_err, _, plo, phi, pval, perr = heappop(panels)
         mid = 0.5 * (plo + phi)
         if mid <= plo or mid >= phi:
             # interval at floating-point resolution, cannot split further
-            heapq.heappush(panels, (0.0, counter, plo, phi, pval, perr))
+            heappush(panels, (0.0, counter, plo, phi, pval, perr))
             counter += 1
-            err_total = sum(p[5] for p in panels)
-            if all(p[0] == 0.0 for p in panels):
-                at_resolution = True
+            err_total = 0
+            at_resolution = True
+            for p in panels:
+                err_total += p[5]
+                at_resolution = at_resolution and p[0] == 0.0
+            if at_resolution:
                 break
             continue
         lval, lerr = (panel and panel(plo, mid)) or gauss_kronrod_panel(f, plo, mid)
         rval, rerr = (panel and panel(mid, phi)) or gauss_kronrod_panel(f, mid, phi)
-        evals += 30
-        heapq.heappush(panels, (-lerr, counter, plo, mid, lval, lerr))
-        heapq.heappush(panels, (-rerr, counter + 1, mid, phi, rval, rerr))
+        heappush(panels, (-lerr, counter, plo, mid, lval, lerr))
+        heappush(panels, (-rerr, counter + 1, mid, phi, rval, rerr))
         counter += 2
         err_total += lerr + rerr - perr
-    # resum in spatial order: deterministic and slightly kinder to rounding
-    ordered = sorted(panels, key=lambda p: p[2])
-    total = sum(p[4] for p in ordered)
-    err_total = sum(p[5] for p in ordered)
+    # resum in spatial order: deterministic and slightly kinder to rounding;
+    # every sum here runs left to right (sum() is compensated from Python 3.12)
+    panels.sort(key=_LOWER)
+    total = err_total = 0
+    for p in panels:
+        total += p[4]
+        err_total += p[5]
+    # each bisection adds one panel and spends two
+    evals = 15 * (2 * len(panels) - 1)
     if err_total <= tol and math.isfinite(total):
         return QuadratureResult(total, err_total, evals, True)
     if not (math.isfinite(total) and math.isfinite(err_total)):
@@ -441,52 +450,67 @@ def integrate_decaying(
                 math.inf, math.nan,
                 "was not evaluated: the map x = t^2/(1-t) reached t = 1,",
             ) from None
-        v = f(t * r)
-        if v == 0.0:
-            return 0.0
-        return v * (r * (2.0 + r))
+        return f(t * r) * (r * (2.0 + r))
 
     # f.mapped_panel() is the compiled panel of mapped, where f has one
     mapped.panel = getattr(f, "mapped_panel", None)
     return integrate_adaptive(mapped, 0.0, 1.0, tol, max_panels)
 
 
-def _accelerate_tail(
-    averaged: Sequence[float], ts: Sequence[float]
-) -> tuple[float, float]:
+@functools.lru_cache(maxsize=128)
+def _tail_plan(start: float, half_period: float) -> tuple[list[float], list[int]]:
+    """The accelerator's plan (ts, link) of the tail grid, grown by _extend_plan
+    as far as a tail on the grid reaches; the catalog uses a few dozen grids."""
+    return [], []
+
+
+def _extend_plan(ts: list, link: list, start: float, half_period: float) -> None:
+    """Plan averaged entry m = len(ts) of the grid: ts[m], its effective
+    reciprocal abscissa, the binomially weighted mean of the reciprocals it
+    mixes (exact for the 1/x component), and link[m], the newest entry k < m
+    whose abscissa 1/ts[k] is at most 1/ts[m] / 1.45, or -1."""
+    m = len(ts)
+    t = 0.0
+    for i, w in enumerate(_EULER_WEIGHTS):
+        t += w / (start + (m + i + 1.0) * half_period)
+    ts.append(t / _EULER_WSUM)
+    target = 1.0 / ts[m] / 1.45
+    k = m - 1
+    while k >= 0 and 1.0 / ts[k] > target:
+        k -= 1
+    link.append(k)
+
+
+def _accelerate_tail(averaged: list, ts: list, link: list) -> tuple[float, float]:
     """Extrapolate the averaged tail partial sums to infinity.
 
     averaged[m] is the _AVERAGING_DEPTH-fold Euler average of the partial
-    sums m .. m + depth, ts[m] its effective reciprocal abscissa.  Alternating
-    error components are annihilated by the averaging stage; what survives
-    is, on the half-period grid, a smooth series in 1/x, which a Neville
-    tableau extrapolates to 1/x = 0.  Returns (value, error_estimate).
+    sums m .. m + depth; (ts, link) is the grid's plan.  The nodes are a
+    geometric subsample biased to the far tail: the newest entry and the
+    entries link leads back to, at most _EXTRAPOLATION_NODES, or the two
+    newest where the newest has no link.  Alternating error components are
+    annihilated by the averaging stage; what survives is, on the half-period
+    grid, a smooth series in 1/x, which a Neville tableau extrapolates to
+    1/x = 0.  Returns (value, error_estimate).
     """
-    # geometric subsample of the averaged sequence, biased to the far tail
-    m_count = len(averaged)
-    picked = [m_count - 1]
-    target = 1.0 / ts[m_count - 1] / 1.45
-    for m in range(m_count - 2, -1, -1):
-        x = 1.0 / ts[m]
-        if x <= target:
-            picked.append(m)
-            target = x / 1.45
-        if len(picked) >= _EXTRAPOLATION_NODES:
-            break
-    picked.reverse()
-    if len(picked) < 2:
-        picked = [m_count - 2, m_count - 1]
-
-    # Neville tableau in t, extrapolated to t = 0
-    t_nodes = [ts[m] for m in picked]
-    table = [averaged[m] for m in picked]
-    best = table[-1]
-    for level in range(1, len(table)):
-        for i in range(len(table) - 1, level - 1, -1):
-            denom = t_nodes[i - level] - t_nodes[i]
-            table[i] = table[i] + t_nodes[i] * (table[i] - table[i - 1]) / denom
+    m = len(averaged) - 1
+    k, most = link[m], _EXTRAPOLATION_NODES
+    if k < 0:
+        k, most = m - 1, 2
+    # the nodes newest first, and the tableau in t over them towards t = 0
+    t_nodes, table = [ts[m]], [averaged[m]]
+    while k >= 0 and len(table) < most:
+        t_nodes.append(ts[k])
+        table.append(averaged[k])
+        k = link[k]
+    n = len(table)
+    best = table[0]
+    for level in range(1, n):
+        for i in range(n - level):
+            denom = t_nodes[i + level] - t_nodes[i]
+            table[i] = table[i] + t_nodes[i] * (table[i] - table[i + 1]) / denom
         prev = best
-        best = table[-1]
+        best = table[0]
     return best, abs(best - prev)
 
 
@@ -506,16 +530,16 @@ def integrate_oscillatory_tail(
         raise ValueError("tol must be positive")
     c, h, max_seg = spec.start, spec.half_period, spec.max_segments
     seg_tol = tol / (2.0 * max_seg)
+    ts, link = _tail_plan(c, h)
 
-    # levels[0] holds the partial sums, levels[k] their k-fold pairwise
-    # averages; every level and ts grow by one entry per segment
-    levels: list[list[float]] = [[] for _ in range(_AVERAGING_DEPTH + 1)]
-    averaged = levels[-1]
-    ts: list[float] = []
-    seg_values: list[float] = []
+    # newest[k] is the newest k-fold pairwise average of the partial sums;
+    # the fully averaged ones are kept, in order
+    newest = [0.0] * _AVERAGING_DEPTH
+    averaged: list[float] = []
     seg_err = 0.0
     evals = 0
     running = 0.0
+    previous = 0.0
     best = 0.0
     est = math.inf
     stable = 0
@@ -525,27 +549,22 @@ def integrate_oscillatory_tail(
 
     for j in range(max_seg):
         lo = c + j * h
-        hi = c + (j + 1) * h
-        res = integrate_adaptive(f, lo, hi, seg_tol, max_panels=SEGMENT_PANELS)
-        evals += res.function_evaluations
-        seg_err += res.error_estimate
-        running += res.value
-        seg_values.append(res.value)
-        levels[0].append(running)
-        for below, level in zip(levels, levels[1:]):
-            if len(below) < 2:
-                break
-            level.append(0.5 * (below[-2] + below[-1]))
-        if len(ts) < len(averaged):
-            # effective reciprocal abscissa of the new averaged entry: the
-            # binomially weighted mean of the reciprocals it mixes (exact
-            # for the 1/x component)
-            m = len(ts)
-            t = sum(w / (c + (m + i + 1.0) * h) for i, w in enumerate(_EULER_WEIGHTS))
-            ts.append(t / _EULER_WSUM)
+        part, err, n, _, _ = integrate_adaptive(f, lo, c + (j + 1) * h, seg_tol, SEGMENT_PANELS)
+        evals += n
+        seg_err += err
+        running += part
+        v = running
+        for k in range(min(j, _AVERAGING_DEPTH)):
+            v, newest[k] = 0.5 * (newest[k] + v), v
+        if j < _AVERAGING_DEPTH:
+            newest[j] = v
+        else:
+            averaged.append(v)
+            if len(averaged) > len(ts):
+                _extend_plan(ts, link, c, h)
 
-        if len(seg_values) >= 2 and abs(seg_values[-1]) > floor and abs(seg_values[-2]) > floor:
-            if seg_values[-1] * seg_values[-2] > 0:
+        if j and abs(part) > floor and abs(previous) > floor:
+            if part * previous > 0:
                 sign_run += 1
                 if sign_run > 8:
                     # precondition violated; extrapolation of the smooth
@@ -554,9 +573,10 @@ def integrate_oscillatory_tail(
                     non_alternating = True
             else:
                 sign_run = 0
+        previous = part
 
-        if len(seg_values) >= _FIRST_ESTIMATE:
-            value, acc_est = _accelerate_tail(averaged, ts)
+        if j >= _FIRST_ESTIMATE - 1:
+            value, acc_est = _accelerate_tail(averaged, ts, link)
             total_est = acc_est + seg_err
             if math.isfinite(value) and total_est <= tol:
                 stable += 1

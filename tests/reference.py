@@ -13,10 +13,14 @@ int_pi^inf cos(x)/x dx = -Ci(pi) against an implementation that is
 independent of the package's extrapolation machinery.
 
 Also holds loop-form reference copies of the G7/K15 panel and the
-oscillatory tail accelerator (reference_panel, reference_tail), and of the
-map x = t^2/(1-t) of integrate_decaying (reference_mapped).  The package's
-versions are unrolled, incremental or compiled with the integrand inlined;
-the tests require them to return the same bits as these plain forms.
+oscillatory tail accelerator (reference_panel, reference_tail, with the
+accelerator's abscissae, picks and tableau: reference_ts, reference_picks
+and reference_extrapolate), and
+of the map x = t^2/(1-t) of integrate_decaying (reference_mapped).  The
+package's versions are unrolled, incremental, planned once per grid or
+compiled with the integrand inlined; the tests require them to return the
+same bits as these plain forms.  Every float sum here is a left-to-right
+loop: sum() of floats is compensated from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -113,6 +117,25 @@ def ci(x: float) -> float:
     return -e1.real
 
 
+def compensated_sum(values, start=0):
+    """sum() as Python 3.12 and later compute it for floats: compensated
+    (Neumaier) summation.  Other items take the builtin sum."""
+    values = list(values)
+    if not all(type(v) is float for v in values):
+        return sum(values, start)
+    total, comp = float(start), 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+    if comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
 # --- G7/K15 panel, one node at a time --------------------------------------
 
 
@@ -184,8 +207,10 @@ def reference_panel(
 def reference_mapped(f: Callable[[float], float]) -> Callable[[float], float]:
     """t -> f(x) dx/dt at x = t^2/(1-t), with r = t/(1-t), x = t r and
     dx/dt = r (2 + r): the integrand integrate_decaying integrates over
-    (0, 1).  A zero value gives +0.0, and a node where 1 - t rounds to 0
-    raises the IntegrandError that names the map."""
+    (0, 1).  A zero value gives +0.0, where the package's map keeps the
+    sign of a -0.0: no panel output can see the difference, and the bit
+    tests check that.  A node where 1 - t rounds to 0 raises the
+    IntegrandError that names the map."""
 
     def mapped(t: float) -> float:
         u = 1.0 - t
@@ -217,27 +242,24 @@ def _euler_averaged(sums: Sequence[float], depth: int) -> list[float]:
     return out
 
 
-def _accelerate_tail(
-    partial_sums: Sequence[float],
-    start: float,
-    half_period: float,
-) -> tuple[float, float]:
-    n = len(partial_sums)
-    depth = min(_AVERAGING_DEPTH, max(0, n - 3))
-    averaged = _euler_averaged(partial_sums, depth)
-    m_count = len(averaged)
+def reference_ts(start: float, half_period: float, m_count: int, depth: int) -> list[float]:
+    """The effective reciprocal abscissae of the first m_count depth-fold
+    averaged partial sums on the grid: binomially weighted means of the
+    reciprocals each mixes, every sum a left-to-right loop."""
     weights = [math.comb(depth, i) for i in range(depth + 1)]
     wsum = float(sum(weights))
     ts = []
     for m in range(m_count):
-        t = sum(
-            w / (start + (m + i + 1.0) * half_period) for i, w in enumerate(weights)
-        )
+        t = 0.0
+        for i, w in enumerate(weights):
+            t += w / (start + (m + i + 1.0) * half_period)
         ts.append(t / wsum)
+    return ts
 
-    if m_count == 1:
-        return averaged[0], abs(averaged[0]) + 1.0
 
+def reference_picks(ts: Sequence[float], m_count: int) -> list[int]:
+    """The entries of ts[:m_count] the extrapolation reads: a geometric
+    subsample biased to the far tail, by a backward scan from the newest."""
     picked = [m_count - 1]
     x_last = 1.0 / ts[m_count - 1]
     target = x_last / 1.45
@@ -251,7 +273,31 @@ def _accelerate_tail(
     picked.reverse()
     if len(picked) < 2:
         picked = list(range(max(0, m_count - 2), m_count))
+    return picked
 
+
+def _accelerate_tail(
+    partial_sums: Sequence[float],
+    start: float,
+    half_period: float,
+) -> tuple[float, float]:
+    n = len(partial_sums)
+    depth = min(_AVERAGING_DEPTH, max(0, n - 3))
+    averaged = _euler_averaged(partial_sums, depth)
+    m_count = len(averaged)
+    ts = reference_ts(start, half_period, m_count, depth)
+
+    if m_count == 1:
+        return averaged[0], abs(averaged[0]) + 1.0
+
+    return reference_extrapolate(averaged, ts, reference_picks(ts, m_count))
+
+
+def reference_extrapolate(
+    averaged: Sequence[float], ts: Sequence[float], picked: Sequence[int]
+) -> tuple[float, float]:
+    """The Neville tableau in t over the picked entries, oldest first,
+    extrapolated to t = 0: (value, error_estimate)."""
     t_nodes = [ts[m] for m in picked]
     table = [averaged[m] for m in picked]
     best = table[-1]

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frullani import catalog, records
+from frullani import catalog, quadrature, records
 from frullani.catalog import (
     CLASS_TOLERANCE,
     ConstraintViolation,
@@ -29,6 +29,7 @@ from frullani.quadrature import (
     integrate_frullani_oscillatory,
     integrate_oscillatory_tail,
 )
+from reference import compensated_sum
 
 ALL_IDS = entry_ids()
 
@@ -298,6 +299,12 @@ class TestPinnedArithmetic:
                 for rec in (verify_entry(eid, params) for params in default_grid(eid))
             ]
             assert got == list(PINNED_RECORDS[eid]), eid
+
+    def test_records_do_not_depend_on_a_compensated_sum(self, monkeypatch):
+        # sum() of floats is compensated from Python 3.12 on: the oracle sums
+        # left to right, so every Python version gives the pinned bits
+        monkeypatch.setattr(quadrature, "sum", compensated_sum, raising=False)
+        self.test_default_grid_records_are_pinned()
 
     def test_class_evaluation_totals(self):
         totals = dict.fromkeys(CLASS_EVALUATIONS, 0)

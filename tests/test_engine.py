@@ -15,7 +15,7 @@ from frullani.engine import (
 )
 from frullani.expr import BinOp, Call, Const, Neg, Var, compile_kernel, evaluate, parse
 from frullani.limits import ProbeError
-from frullani.quadrature import integrate_decaying
+from frullani.quadrature import MAX_PANELS, SEGMENT_PANELS, integrate_decaying
 
 
 def prob(src, a=1.0, b=2.0, power=1.0):
@@ -240,6 +240,35 @@ class TestOracleBudget:
         assert rec.status == "PASS"
         assert rec.numeric == full.value
         assert rec.evaluations == 5985 + full.function_evaluations
+
+    def test_power_divides_the_first_pass_result(self):
+        src, a, b, p, tol = "sqrt(x)/(1+sqrt(x))", 1.35394, 7.95975, 0.930343, 1e-6
+        f = kernel(src)
+        first = integrate_decaying(
+            lambda x: (f(a * x) - f(b * x)) / x, tol * 0.25 * p, SEGMENT_PANELS
+        )
+        rec = evaluate_pipeline(prob(src, a, b, p), tol)
+        assert first.converged and rec.status == "PASS"
+        assert (rec.numeric, rec.oracle_error, rec.evaluations) == (
+            first.value / p, first.error_estimate / p, first.function_evaluations
+        )
+        assert rec.detail.startswith("limits=probe f0=") and "oracle" not in rec.detail
+
+    def test_early_stop_keeps_the_first_pass_result(self):
+        a, b, tol = 1.3, 2.7, 1e-6
+        f = kernel("cos(x)/(1+x)")
+        first = integrate_decaying(lambda x: (f(a * x) - f(b * x)) / x, tol * 0.25, SEGMENT_PANELS)
+        verdict = engine.limit_at_infinity(lambda x: x * (f(a * x) - f(b * x)))
+        rec = evaluate_pipeline(prob("cos(x)/(1+x)", a, b), tol)
+        assert (rec.numeric, rec.oracle_error, rec.evaluations) == (
+            first.value, first.error_estimate, first.function_evaluations
+        )
+        assert rec.detail.endswith(
+            f"oracle did not converge: {first.diagnostic}; x*[f(ax) - f(bx)] at infinity: "
+            f"{verdict.describe()}, so the mapped integrand has no limit at t = 1 and "
+            f"{MAX_PANELS} panels would leave an error estimate near "
+            f"{first.error_estimate * SEGMENT_PANELS / MAX_PANELS:.3e} > {tol * 0.25:.3e}"
+        )
 
     def test_raising_far_probe_falls_back_to_the_full_budget(self, monkeypatch):
         real = engine.limit_at_infinity

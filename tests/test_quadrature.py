@@ -18,8 +18,20 @@ from frullani.quadrature import (
     integrate_decaying,
     integrate_frullani_oscillatory,
     integrate_oscillatory_tail,
+    _accelerate_tail,
+    _extend_plan,
+    _tail_plan,
 )
-from reference import ci, reference_mapped, reference_panel, reference_tail, si
+from reference import (
+    ci,
+    reference_extrapolate,
+    reference_mapped,
+    reference_panel,
+    reference_picks,
+    reference_tail,
+    reference_ts,
+    si,
+)
 
 
 class TestPanel:
@@ -93,6 +105,26 @@ class TestAdaptive:
         assert res.function_evaluations >= 15
         assert res.function_evaluations % 15 == 0
         assert res.error_estimate >= 0.0
+
+    @pytest.mark.parametrize("g, lo, hi, tol, cap", [
+        (math.exp, 0.0, 1.0, 1e-12, 2000),
+        (lambda x: x**-0.9, 0.0, 1.0, 1e-12, 50),
+        # the floating-point-resolution path, as in the test below
+        (lambda x: (x - 1.0) * 1e20, 1.0, 1.0 + 8 * math.ulp(1.0), 1e-300, 2000),
+    ])
+    def test_evaluations_count_the_panels(self, g, lo, hi, tol, cap):
+        # n panels left after bisection took 2n - 1 panel runs of 15 nodes
+        nodes = []
+        res = integrate_adaptive(lambda x: nodes.append(x) or g(x), lo, hi, tol, cap)
+        assert res.function_evaluations == len(nodes)
+        assert len(nodes) % 30 == 15
+
+    def test_result_rejects_assignment(self):
+        res = integrate_adaptive(math.exp, 0.0, 1.0, 1e-10)
+        with pytest.raises(AttributeError):
+            res.value = 0.0
+        changed = res._replace(diagnostic="x")
+        assert changed[:4] == res[:4] and res.diagnostic == ""
 
     def test_integrand_exception_wrapped(self):
         def f(x):
@@ -585,6 +617,17 @@ class TestMatchesReference:
         assert _outcome(gauss_kronrod_panel, f, -1.0, 1.0) == _outcome(reference_panel, f, -1.0, 1.0)
         assert math.copysign(1.0, value) == 1.0
 
+    @pytest.mark.parametrize("f", [
+        lambda x: -0.0,
+        lambda x: -0.0 if x > 0.5 else math.exp(-x),
+        lambda x: -0.0 if x < 2.0 else -1e-300 * math.exp(-x),
+    ])
+    def test_mapped_signed_zero(self, f):
+        # the map keeps a -0.0 value's sign, which reference_mapped drops
+        assert _outcome(integrate_decaying, f, 1e-8, 50) == _outcome(
+            integrate_adaptive, reference_mapped(f), 0.0, 1.0, 1e-8, 50
+        )
+
     @settings(max_examples=450, deadline=None)
     @given(_compiled_integrands, _intervals, _unit_intervals)
     # an exp argument in (709.78, 710] raises in the compiled code, and
@@ -630,8 +673,9 @@ class TestMatchesReference:
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from(["cos", "square", "harmonic"]),
-        st.floats(0.5, 5.0),
-        st.floats(0.5, 8.0),
+        # a few grids repeat, so later tails read a plan earlier ones grew
+        st.one_of(st.sampled_from([1.0, 2.5]), st.floats(0.5, 5.0)),
+        st.one_of(st.sampled_from([1.0, 3.0]), st.floats(0.5, 8.0)),
         st.integers(12, 64),
         st.floats(-9.0, -3.0),
     )
@@ -649,3 +693,54 @@ class TestMatchesReference:
         assert _outcome(integrate_oscillatory_tail, f, spec, tol) == _outcome(
             reference_tail, f, spec, tol
         )
+
+
+class TestTailPlan:
+    """The plan of a tail grid, built once per grid and grown as tails reach
+    further, holds what the accelerator computed at every segment before."""
+
+    @pytest.mark.parametrize("ratio", [1e-3, 0.1, 1.0, 7.3, 1e3, 1e6, 1e9, 1e12])
+    @pytest.mark.parametrize("half_period", [1e-3, math.pi / 3, 1e4])
+    def test_plan_matches_the_backward_scan(self, ratio, half_period):
+        # start / half_period from 1e-3 to 1e12: near the origin the picks
+        # thin out geometrically, far out no entry is far enough back and
+        # they fall back to the two newest
+        start, count = ratio * half_period, 120
+        ts, link = [], []
+        for _ in range(count):
+            _extend_plan(ts, link, start, half_period)
+        assert [t.hex() for t in ts] == [t.hex() for t in reference_ts(start, half_period, count, 8)]
+        averaged = [math.sin(m) / (m + 1.0) for m in range(count)]
+        for m in range(2, count):
+            picked = reference_picks(ts, m + 1)
+            chain = [m]
+            while link[chain[-1]] >= 0 and len(chain) < 7:
+                chain.append(link[chain[-1]])
+            assert chain[::-1] == picked or (len(chain), picked) == (1, [m - 1, m]), m
+            want = reference_extrapolate(averaged, ts, picked)
+            got = _accelerate_tail(averaged[: m + 1], ts, link)
+            assert [v.hex() for v in got] == [v.hex() for v in want], m
+
+    def _check(self, f, spec, tol):
+        assert _outcome(integrate_oscillatory_tail, f, spec, tol) == _outcome(
+            reference_tail, f, spec, tol
+        )
+
+    def test_tails_sharing_a_grid(self):
+        _tail_plan.cache_clear()
+        start, h = 2.75, math.pi / 3
+        # the first tail converges with 7 entries planned, the second never
+        # converges and grows the plan to 32, the third reads it
+        self._check(lambda x: math.cos(3.0 * x) / x, OscillatorySpec(start, h), 1e-6)
+        self._check(lambda x: 1.0 / x, OscillatorySpec(start, h, 40), 1e-6)
+        self._check(lambda x: math.sin(3.0 * x) / x, OscillatorySpec(start, h), 1e-9)
+        info = _tail_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_same_grid_with_more_segments(self):
+        _tail_plan.cache_clear()
+        f = lambda x: 1.0 / x
+        for max_segments in (20, 64, 30):
+            self._check(f, OscillatorySpec(1.5, 0.8, max_segments), 1e-6)
+        ts, link = _tail_plan(1.5, 0.8)
+        assert len(ts) == len(link) == 64 - 8
