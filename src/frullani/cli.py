@@ -14,10 +14,11 @@ Record lines are stable:
   entry=<id> params=<k=v;...> expected=<float> numeric=<float> abs_err=<e> status=<S>
 
 floats print via repr (shortest round-trip), error magnitudes as %.3e, so
-two runs over the same inputs produce byte-identical reports.  Exit status
-is 0 when no record is FAIL or ORACLE_FAILED, 1 otherwise, 2 for usage
-errors.  FRULLANI_TOL overrides the default tolerance when --tol is absent;
-either must be a finite positive number.
+two runs over the same inputs produce byte-identical reports; json writes a
+float that is not finite as null.  Exit status is 0 when no record is FAIL
+or ORACLE_FAILED, 1 otherwise, 2 for usage errors.  FRULLANI_TOL overrides
+the default tolerance when --tol is absent; either must be a finite
+positive number.
 """
 
 from __future__ import annotations
@@ -89,13 +90,18 @@ def _record_line(rec: VerificationRecord) -> str:
     )
 
 
+def _json_number(v):
+    # strict JSON has no NaN or Infinity: a value a record lacks is null
+    return v if math.isfinite(v) else None
+
+
 def _record_object(rec: VerificationRecord) -> dict:
     return {
         "entry": rec.entry_id,
-        "params": rec.params,
-        "expected": rec.expected,
-        "numeric": rec.numeric,
-        "abs_err": rec.abs_error,
+        "params": {k: _json_number(v) for k, v in rec.params.items()},
+        "expected": _json_number(rec.expected),
+        "numeric": _json_number(rec.numeric),
+        "abs_err": _json_number(rec.abs_error),
         "status": rec.status,
     }
 
@@ -157,15 +163,18 @@ def _cmd_verify_all(args) -> int:
         for params in grids[eid]:
             records.append(catalog.verify_entry(eid, params, tol))
     if args.format == "json":
-        body = json.dumps([_record_object(r) for r in records], indent=2) + "\n"
+        body = json.dumps([_record_object(r) for r in records], indent=2, allow_nan=False) + "\n"
     else:
         lines = [_record_line(r) for r in records]
         lines.append(_summary_line(records))
         body = "\n".join(lines) + "\n"
     sys.stdout.write(body)
     if args.report is not None:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise UsageError(f"cannot write report: {exc}") from None
     return _exit_code(records)
 
 

@@ -39,9 +39,9 @@ class FrullaniProblem:
     """One integral: the kernel f (an expression in x, parameters already
     bound to numbers), the two scale factors, and the argument power.
 
-    kernel is f and integrand is (f(a x) - f(b x)) / x, both compiled once
-    (expr.compile_frullani) when the problem is made; they take no part in
-    equality, hashing or repr."""
+    kernel is f and integrand (f(a x) - f(b x)) / x, a closure over it, both
+    built once (expr.compile_frullani) when the problem is made; they take
+    no part in equality, hashing or repr."""
 
     f: Expression
     a: float

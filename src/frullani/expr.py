@@ -32,15 +32,17 @@ past 710 give inf in line, as evaluate does.  A point where the code raises
 evaluate, which gives that point's value or DomainError, so evaluate is
 both the reference and the compiled code's exceptional path.
 
-Each compiled kernel and Frullani integrand also carries two G7/K15 panels,
-straight-line code built from quadrature's panel template with the point's
-body written out at each of the 15 nodes: panel() gives its panel(lo, hi), and
-mapped_panel() the panel of integrate_decaying's map x = t^2/(1-t).  Each
-is compiled the first time a shape's kernel or integrand asks for it, so a
-shape compiles only the panels that run.  quadrature runs them in place of
-gauss_kronrod_panel, one call per panel instead of one per node.  A panel
-where a node raises or is not finite returns None, and quadrature reruns it
-point by point, so every result and error stays the same bits.
+Only the kernel's point function is generated per shape; the Frullani
+integrand's is one Python closure over it.  Each compiled kernel and
+integrand also carries two G7/K15 panels, straight-line code built from
+quadrature's panel template with the point's body written out at each of
+the 15 nodes: panel() gives its panel(lo, hi), and mapped_panel() the panel
+of integrate_decaying's map x = t^2/(1-t).  Each is compiled the first time
+a shape's kernel or integrand asks for it, so a shape compiles only the
+panels that run.  quadrature runs them in place of gauss_kronrod_panel, one
+call per panel instead of one per node.  A panel where a node raises or is
+not finite returns None, and quadrature reruns it point by point, so every
+result and error stays the same bits.
 
 Trees are immutable dataclasses, so structural equality is plain ==.
 """
@@ -594,57 +596,36 @@ def _panel(shape: tuple[Union[str, int], ...], role: str, mapped: bool, args: tu
     return panel
 
 
-def _evaluated(fallback: Callable[[float], float]) -> tuple[Callable, Callable]:
-    """The kernel and frullani of a binding whose constant-only nodes
-    raise: every point runs through fallback, and every panel is the
-    generic one."""
-
-    def frullani(a: float, b: float) -> Callable[[float], float]:
-        def integrand(x: float) -> float:
-            return (fallback(a * x) - fallback(b * x)) / x
-
-        return integrand
-
-    return fallback, frullani
+def _with_panels(f: Callable, shape: tuple[Union[str, int], ...], role: str, args) -> Callable:
+    """f, carrying panel() and mapped_panel(), its panels as role over
+    args (_panel), unless args is None."""
+    if args is not None:
+        f.panel = _panel(shape, role, False, args)
+        f.mapped_panel = _panel(shape, role, True, args)
+    return f
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _builder(shape: tuple[Union[str, int], ...]) -> Callable[..., tuple[Callable, Callable]]:
+def _builder(shape: tuple[Union[str, int], ...]) -> Callable[..., tuple[Callable, tuple | None]]:
     """build(fallback, c0, c1, ...) for one shape: it returns the kernel
-    over those constants and frullani(a, b), which returns the Frullani
-    integrand.  Each carries panel() and mapped_panel(), which give its
-    G7/K15 panels, compiled at the first call (_panel).  Nodes that read
-    constants only run once, in build.  A point where the straight-line
-    code raises runs again through fallback, the kernel as evaluate
-    computes it, and so does every point when a node in build raises."""
+    over those constants and the values of the names its panels read
+    (_bodies).  Nodes that read constants only run once, in build; where
+    one raises, build returns (fallback, None).  A point where the kernel's
+    straight-line code raises runs again through fallback (evaluate)."""
     bodies, hoisted, names = _bodies(shape)
     kernel, result = bodies["kernel"]
-    pair, pair_value = bodies["integrand"]
     constants = "".join(f", c{i}" for i in range(shape.count("c")))
-    args = "".join(f"{name}, " for name in names)
-    namespace = dict(_HELPERS, _evaluated=_evaluated, _panel=_panel, shape=shape)
+    namespace = dict(_HELPERS)
     exec(
         f"def build(fallback{constants}):\n"
         f"    try:\n{_indented(hoisted, 8)}        pass\n"
         "    except (ArithmeticError, ValueError):\n"
-        "        return _evaluated(fallback)\n"
+        "        return fallback, None\n"
         "    def kernel(x):\n"
         f"        try:\n{_indented(kernel, 12)}            return {result}\n"
         "        except (ArithmeticError, ValueError):\n"
         "            return fallback(x)\n"
-        f"    bound = ({args})\n"
-        "    kernel.panel = _panel(shape, 'kernel', False, bound)\n"
-        "    kernel.mapped_panel = _panel(shape, 'kernel', True, bound)\n"
-        "    def frullani(a, b):\n"
-        "        def integrand(x):\n"
-        f"            try:\n{_indented(pair, 16)}                return {pair_value}\n"
-        "            except (ArithmeticError, ValueError):\n"
-        "                return (fallback(a * x) - fallback(b * x)) / x\n"
-        "        scaled = (*bound, a, b)\n"
-        "        integrand.panel = _panel(shape, 'integrand', False, scaled)\n"
-        "        integrand.mapped_panel = _panel(shape, 'integrand', True, scaled)\n"
-        "        return integrand\n"
-        "    return kernel, frullani\n",
+        f"    return kernel, ({''.join(f'{name}, ' for name in names)})\n",
         namespace,
     )
     return namespace["build"]
@@ -658,9 +639,9 @@ def compile_family(
     Returns bind(params), which binds every parameter to a number and gives
     the kernel, a function of x, and frullani(a, b), which returns the
     Frullani integrand x -> (f(a*x) - f(b*x)) / x of that kernel f.  All
-    bindings share the code of compile_kernel; a parameter the binding
-    lacks raises UnboundVariableError, and any variable that is neither x
-    nor a parameter raises it here.
+    bindings share the code of compile_kernel, and all integrands one
+    closure; a parameter the binding lacks raises UnboundVariableError, and
+    any variable that is neither x nor a parameter raises it here.
     """
     shape, slots = _shape(expr, frozenset(names))
     build = _builder(shape)
@@ -675,7 +656,16 @@ def compile_family(
         def fallback(x: float) -> float:
             return evaluate(expr, {**bindings, "x": x})
 
-        return build(fallback, *constants)
+        kernel, bound = build(fallback, *constants)
+
+        def frullani(a: float, b: float) -> Callable[[float], float]:
+            def integrand(x: float) -> float:
+                return (kernel(a * x) - kernel(b * x)) / x
+
+            scaled = None if bound is None else (*bound, a, b)
+            return _with_panels(integrand, shape, "integrand", scaled)
+
+        return _with_panels(kernel, shape, "kernel", bound), frullani
 
     return bind
 
@@ -709,10 +699,10 @@ def compile_frullani(
     expr: Expression, a: float, b: float, params: Mapping[str, float] | None = None
 ) -> tuple[Callable, Callable]:
     """compile_kernel(expr, params), and the Frullani integrand of that
-    kernel f at scales a and b: x -> (f(a*x) - f(b*x)) / x with f's body
-    inlined twice, in that order, so it returns and raises exactly what
-    that expression does.  The integrand carries its own panel() and
-    mapped_panel(), as the kernel does."""
+    kernel f at scales a and b: x -> (f(a*x) - f(b*x)) / x, calling f at
+    a*x, then at b*x, so it returns and raises exactly what that expression
+    does.  The integrand carries its own panel() and mapped_panel(), as the
+    kernel does."""
     params = params or {}
     kernel, frullani = compile_family(expr, params)(params)
     return kernel, frullani(a, b)

@@ -92,6 +92,8 @@ class QuadratureResult(NamedTuple):
 _AVERAGING_DEPTH = 8
 _EXTRAPOLATION_NODES = 7
 _FIRST_ESTIMATE = _AVERAGING_DEPTH + 3
+# Most segment sums one tail takes; the tolerance is split evenly over them.
+_MAX_SEGMENTS = 64
 # binomial weights of the depth-fold average of neighbouring partial sums
 _EULER_WEIGHTS = tuple(math.comb(_AVERAGING_DEPTH, i) for i in range(_AVERAGING_DEPTH + 1))
 _EULER_WSUM = float(sum(_EULER_WEIGHTS))
@@ -112,7 +114,7 @@ _LOWER = itemgetter(2)
 
 @dataclass(frozen=True)
 class OscillatorySpec:
-    """Tail plan: start point, half-period of the segment grid, max segments.
+    """Tail plan: start point and half-period of the segment grid.
 
     half_period should be pi divided by the base frequency of the tail's
     oscillation (the gcd of its nominal frequencies), so that every spectral
@@ -123,17 +125,12 @@ class OscillatorySpec:
 
     start: float
     half_period: float
-    max_segments: int = 64
 
     def __post_init__(self):
         if not (self.start > 0 and math.isfinite(self.start)):
             raise ValueError("start must be positive and finite")
         if not (self.half_period > 0 and math.isfinite(self.half_period)):
             raise ValueError("half_period must be positive and finite")
-        if self.max_segments <= _FIRST_ESTIMATE:
-            # fewer segments never give the two tail estimates in a row
-            # that convergence needs
-            raise ValueError(f"max_segments must be at least {_FIRST_ESTIMATE + 1}")
 
 
 @dataclass(frozen=True)
@@ -522,14 +519,14 @@ def integrate_oscillatory_tail(
     """Integrate f over [spec.start, inf) for a conditionally convergent tail.
 
     Successive segments [c + j*h, c + (j+1)*h] are integrated adaptively and
-    the partial-sum sequence is accelerated (at most spec.max_segments
-    segment sums).  converged means the accelerated remainder estimate
-    dropped to tol or below.
+    the partial-sum sequence is accelerated (at most _MAX_SEGMENTS segment
+    sums).  converged means the accelerated remainder estimate dropped to
+    tol or below.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    c, h, max_seg = spec.start, spec.half_period, spec.max_segments
-    seg_tol = tol / (2.0 * max_seg)
+    c, h = spec.start, spec.half_period
+    seg_tol = tol / (2.0 * _MAX_SEGMENTS)
     ts, link = _tail_plan(c, h)
 
     # newest[k] is the newest k-fold pairwise average of the partial sums;
@@ -547,7 +544,7 @@ def integrate_oscillatory_tail(
     non_alternating = False
     floor = tol * 1e-3
 
-    for j in range(max_seg):
+    for j in range(_MAX_SEGMENTS):
         lo = c + j * h
         part, err, n, _, _ = integrate_adaptive(f, lo, c + (j + 1) * h, seg_tol, SEGMENT_PANELS)
         evals += n
@@ -626,11 +623,14 @@ def integrate_frullani_oscillatory(
     between the two tails and is taken out only so that each converges.
     Budgets are 40% for the head, and 60% for the common tail or 30% per
     split tail.  The diagnostic names each piece that did not converge.
-    Before any quadrature, raises ValueError when a grid that would run
-    cannot advance x beyond c.
+    Before any quadrature, raises ValueError when c is not finite or a grid
+    that would run cannot advance x beyond c.
     """
     alpha, beta = spectrum.scales
-    start = max(math.pi / min(alpha, beta), 1.0)
+    slow = min(alpha, beta)
+    start = max(math.pi / slow, 1.0)
+    if not math.isfinite(start):
+        raise ValueError(f"the tail start pi/{slow!r} of the slower scale {slow!r} is not finite")
     base = base_frequency((alpha, beta))
     head_name = f"head on (0, {start!r}]"
     mean, mean_evals = 0.0, 0

@@ -30,6 +30,7 @@ import math
 from typing import Callable, Sequence
 
 from frullani.quadrature import (
+    _MAX_SEGMENTS,
     _WG,
     _WGK,
     _XGK,
@@ -321,8 +322,8 @@ def reference_tail(
     whole partial-sum sequence at every segment."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    c, h, max_seg = spec.start, spec.half_period, spec.max_segments
-    seg_tol = tol / (2.0 * max_seg)
+    c, h = spec.start, spec.half_period
+    seg_tol = tol / (2.0 * _MAX_SEGMENTS)
 
     sums: list[float] = []
     seg_values: list[float] = []
@@ -336,7 +337,7 @@ def reference_tail(
     non_alternating = False
     floor = tol * 1e-3
 
-    for j in range(max_seg):
+    for j in range(_MAX_SEGMENTS):
         lo = c + j * h
         hi = c + (j + 1) * h
         res = integrate_adaptive(f, lo, hi, seg_tol, max_panels=200)

@@ -578,6 +578,14 @@ class TestGridThatCannotAdvance:
         assert rec.detail.startswith(f"oracle raised: the grid of scale {scale!r} cannot advance x")
         assert "half-period" in rec.detail and "tail start" in rec.detail
 
+    def test_a_tail_start_that_overflows_is_named(self):
+        # pi over the slower scale 1e-320 overflows, so no grid can start
+        rec = verify_entry("GR-4.324.2", {"a": 0.5, "p": 1.0, "q": 1e-320})
+        assert rec.status == "ORACLE_FAILED"
+        assert rec.detail == (
+            "oracle raised: the tail start pi/1e-320 of the slower scale 1e-320 is not finite"
+        )
+
 
 class TestGridFile:
     def test_parses_bindings_in_order(self):

@@ -239,6 +239,31 @@ class TestVerifyAll:
         assert rc == 0
         assert path.read_text(encoding="utf-8") == capsys.readouterr().out
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_report_is_usage_error(self, where, capsys, tmp_path):
+        path = tmp_path / "missing" / "r.txt" if where == "missing directory" else tmp_path
+        rc = main(["verify-all", "--report", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        # the report still reaches stdout before the write fails
+        assert captured.out.endswith("total=60 pass=60 fail=0 skipped=0\n")
+        assert captured.err.startswith("error: cannot write report: ")
+        assert str(path) in captured.err
+
+    def test_json_writes_missing_values_as_null(self, capsys, tmp_path):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("GR-3.434.2 a=1e300 b=1e-300\nGR-3.434.2 a=inf b=1\n", encoding="utf-8")
+        rc = main(["verify-all", "--grid", str(grid), "--format", "json"])
+        assert rc == 0
+
+        def refuse(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        records = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        skipped = [r for r in records if r["status"] == "CONSTRAINT_VIOLATION"]
+        assert [r["params"] for r in skipped] == [{"a": 1e300, "b": 1e-300}, {"a": None, "b": 1.0}]
+        assert all(r["expected"] is r["numeric"] is r["abs_err"] is None for r in skipped)
+
     def test_grid_override_replaces_entry_grid(self, capsys, tmp_path):
         grid = tmp_path / "grid.txt"
         grid.write_text("R-3.6 p=1 q=3\nR-3.6 p=5 q=2\n", encoding="utf-8")

@@ -18,6 +18,7 @@ from frullani.quadrature import (
     integrate_decaying,
     integrate_frullani_oscillatory,
     integrate_oscillatory_tail,
+    _MAX_SEGMENTS,
     _accelerate_tail,
     _extend_plan,
     _tail_plan,
@@ -266,20 +267,7 @@ class TestOscillatorySpec:
         with pytest.raises(ValueError):
             OscillatorySpec(1.0, 0.0)
         with pytest.raises(ValueError):
-            OscillatorySpec(1.0, math.pi, max_segments=4)
-        with pytest.raises(ValueError):
             OscillatorySpec(math.inf, 1.0)
-
-    def test_segment_floor_allows_two_tail_estimates(self):
-        # the first tail estimate comes at segment 11 and convergence needs
-        # two in a row, so 11 segments could never converge
-        with pytest.raises(ValueError, match="at least 12"):
-            OscillatorySpec(1.0, math.pi, max_segments=11)
-        spec = OscillatorySpec(math.pi, math.pi, max_segments=12)
-        res = integrate_oscillatory_tail(lambda x: math.cos(x) / x, spec, 1e-4)
-        assert res.converged
-        assert res.function_evaluations == 12 * 15
-        assert res.value == pytest.approx(-ci(math.pi), abs=1e-4)
 
 
 class TestOscillatoryTail:
@@ -305,7 +293,7 @@ class TestOscillatoryTail:
 
     def test_harmonic_tail_reports_failure_honestly(self):
         # int_1^inf dx/x diverges; the tail must refuse, not fabricate
-        spec = OscillatorySpec(1.0, math.pi, max_segments=32)
+        spec = OscillatorySpec(1.0, math.pi)
         res = integrate_oscillatory_tail(lambda x: 1.0 / x, spec, 1e-6)
         assert not res.converged
         assert "tolerance" in res.diagnostic
@@ -676,19 +664,18 @@ class TestMatchesReference:
         # a few grids repeat, so later tails read a plan earlier ones grew
         st.one_of(st.sampled_from([1.0, 2.5]), st.floats(0.5, 5.0)),
         st.one_of(st.sampled_from([1.0, 3.0]), st.floats(0.5, 8.0)),
-        st.integers(12, 64),
         st.floats(-9.0, -3.0),
     )
-    def test_tail_fields(self, kind, start, k, max_segments, log_tol):
+    def test_tail_fields(self, kind, start, k, log_tol):
         if kind == "cos":
             f = lambda x: math.cos(k * x) / x
-            spec = OscillatorySpec(start, math.pi / k, max_segments)
+            spec = OscillatorySpec(start, math.pi / k)
         elif kind == "square":
             f = lambda x: x**-2
-            spec = OscillatorySpec(start, k, max_segments)
+            spec = OscillatorySpec(start, k)
         else:
             f = lambda x: 1.0 / x
-            spec = OscillatorySpec(start, k, max_segments)
+            spec = OscillatorySpec(start, k)
         tol = 10.0**log_tol
         assert _outcome(integrate_oscillatory_tail, f, spec, tol) == _outcome(
             reference_tail, f, spec, tol
@@ -730,17 +717,22 @@ class TestTailPlan:
         _tail_plan.cache_clear()
         start, h = 2.75, math.pi / 3
         # the first tail converges with 7 entries planned, the second never
-        # converges and grows the plan to 32, the third reads it
+        # converges and grows the plan to 56, the third reads it
         self._check(lambda x: math.cos(3.0 * x) / x, OscillatorySpec(start, h), 1e-6)
-        self._check(lambda x: 1.0 / x, OscillatorySpec(start, h, 40), 1e-6)
+        self._check(lambda x: 1.0 / x, OscillatorySpec(start, h), 1e-6)
         self._check(lambda x: math.sin(3.0 * x) / x, OscillatorySpec(start, h), 1e-9)
         info = _tail_plan.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
     def test_same_grid_with_more_segments(self):
         _tail_plan.cache_clear()
-        f = lambda x: 1.0 / x
-        for max_segments in (20, 64, 30):
-            self._check(f, OscillatorySpec(1.5, 0.8, max_segments), 1e-6)
         ts, link = _tail_plan(1.5, 0.8)
-        assert len(ts) == len(link) == 64 - 8
+        wave = lambda x: math.cos(math.pi / 0.8 * x) / x
+        planned = []
+        # each tail on the grid reaches further than the one before; the
+        # last never converges and plans an entry for each of its segments
+        # past the averaging depth
+        for f, tol in ((wave, 1e-6), (wave, 1e-7), (lambda x: 1.0 / x, 1e-6)):
+            self._check(f, OscillatorySpec(1.5, 0.8), tol)
+            planned.append(len(ts))
+        assert planned[0] < planned[1] < planned[2] == len(link) == _MAX_SEGMENTS - 8
