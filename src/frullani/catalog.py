@@ -41,7 +41,7 @@ from .quadrature import (
 )
 from .expr import compile_family, evaluate, parse
 from .records import STATUSES, VerificationRecord, judge, nonfinite_closed_form, skipped
-from .series import gr_4_324_2_closed
+from .series import gr_4_324_2_closed, log_ratio
 
 __all__ = [
     "Constraint",
@@ -104,7 +104,7 @@ class CatalogEntry:
     # (f(0+), f(inf)) of the kernel, where both exist
     kernel_limits: Optional[Callable[[dict], tuple[float, float]]] = None
     # the period of an oscillatory kernel whose mean is not zero; the split
-    # tail removes that mean
+    # route removes that mean
     period: Optional[float] = None
     note: str = ""
 
@@ -131,7 +131,7 @@ def _gr_3_434_2() -> CatalogEntry:
         eval_class="smooth-decay",
         param_names=("a", "b"),
         constraints=(_positive("a", "b"),),
-        closed_form=lambda p: math.log(p["b"] / p["a"]),
+        closed_form=lambda p: log_ratio(p["b"], p["a"]),
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 3.0, "b": 3.0}),
         kernel="expm1(-x)",
         scales=("a", "b"),
@@ -146,7 +146,7 @@ def _gr_4_267_8() -> CatalogEntry:
         eval_class="finite-interval",
         param_names=("a", "b"),
         constraints=(_positive("a", "b"),),
-        closed_form=lambda p: math.log(p["b"] / p["a"]),
+        closed_form=lambda p: log_ratio(p["b"], p["a"]),
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 2.0, "b": 2.0}),
         scales=("a", "b"),
         # (t^(b-1) - t^(a-1))/ln t; exactly t = 1 raises DomainError
@@ -166,7 +166,7 @@ def _gr_3_476_1() -> CatalogEntry:
         eval_class="smooth-decay",
         param_names=("v", "u", "p"),
         constraints=(_positive("v", "u", "p"),),
-        closed_form=lambda p: math.log(p["u"] / p["v"]) / p["p"],
+        closed_form=lambda p: log_ratio(p["u"], p["v"]) / p["p"],
         default_grid=(
             {"v": 1.0, "u": 2.0, "p": 1.0},
             {"v": 1.0, "u": 10.0, "p": 2.0},
@@ -187,7 +187,7 @@ def _gr_3_436() -> CatalogEntry:
         eval_class="smooth-decay",
         param_names=("a", "b", "p", "q"),
         constraints=(_positive("a", "b", "p", "q"),),
-        closed_form=lambda p: (p["p"] - p["q"]) * math.log(p["b"] / p["a"]),
+        closed_form=lambda p: (p["p"] - p["q"]) * log_ratio(p["b"], p["a"]),
         default_grid=(
             {"a": 1.0, "b": 2.0, "p": 3.0, "q": 1.0},
             {"a": 1.0, "b": 10.0, "p": 2.0, "q": 1.0},
@@ -209,7 +209,7 @@ def _gr_3_329() -> CatalogEntry:
             _positive("a", "b"),
             Constraint("c is positive (exp(-c e^y) must decay)", lambda p: p["c"] > 0),
         ),
-        closed_form=lambda p: math.exp(-p["c"]) * math.log(p["b"] / p["a"]),
+        closed_form=lambda p: math.exp(-p["c"]) * log_ratio(p["b"], p["a"]),
         default_grid=(
             {"a": 1.0, "b": 2.0, "c": 1.0},
             {"a": 1.0, "b": 10.0, "c": 0.5},
@@ -234,7 +234,7 @@ def _gr_3_232() -> CatalogEntry:
         eval_class="smooth-decay",
         param_names=("a", "b", "c", "mu"),
         constraints=(_positive("a", "b", "c", "mu"),),
-        closed_form=lambda p: math.pow(p["c"], -p["mu"]) * math.log(p["b"] / p["a"]),
+        closed_form=lambda p: math.pow(p["c"], -p["mu"]) * log_ratio(p["b"], p["a"]),
         default_grid=(
             {"a": 1.0, "b": 2.0, "c": 1.0, "mu": 2.0},
             {"a": 1.0, "b": 10.0, "c": 3.0, "mu": 1.0},
@@ -253,7 +253,7 @@ def _gr_4_536_2() -> CatalogEntry:
         eval_class="smooth-decay",
         param_names=("p", "q"),
         constraints=(_positive("p", "q"),),
-        closed_form=lambda prm: 0.5 * math.pi * math.log(prm["p"] / prm["q"]),
+        closed_form=lambda prm: 0.5 * math.pi * log_ratio(prm["p"], prm["q"]),
         default_grid=({"p": 2.0, "q": 1.0}, {"p": 10.0, "q": 1.0}, {"p": 2.0, "q": 2.0}),
         kernel="atan(x)",
         scales=("p", "q"),
@@ -269,7 +269,7 @@ def _gr_4_319_3() -> CatalogEntry:
         param_names=("a", "b", "p", "q"),
         constraints=(_positive("a", "b", "p", "q"),),
         closed_form=lambda prm: math.log1p(prm["b"] / prm["a"])
-        * math.log(prm["q"] / prm["p"]),
+        * log_ratio(prm["q"], prm["p"]),
         default_grid=(
             {"a": 1.0, "b": 1.0, "p": 1.0, "q": 2.0},
             {"a": 2.0, "b": 3.0, "p": 1.0, "q": 10.0},
@@ -290,7 +290,7 @@ def _gr_4_297_7() -> CatalogEntry:
         eval_class="smooth-decay",
         param_names=("a", "b"),
         constraints=(_positive("a", "b"),),
-        closed_form=lambda p: p["a"] * p["b"] * math.log(p["b"] / p["a"]),
+        closed_form=lambda p: p["a"] * p["b"] * log_ratio(p["b"], p["a"]),
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 3.0, "b": 3.0}),
         kernel="a*b*log1p(x)/x",
         scales=("a", "b"),
@@ -306,7 +306,7 @@ def _gr_3_484() -> CatalogEntry:
         eval_class="smooth-decay",
         param_names=("a", "p", "q"),
         constraints=(_positive("a", "p", "q"),),
-        closed_form=lambda prm: math.expm1(prm["a"]) * math.log(prm["q"] / prm["p"]),
+        closed_form=lambda prm: math.expm1(prm["a"]) * log_ratio(prm["q"], prm["p"]),
         default_grid=(
             {"a": 1.0, "p": 1.0, "q": 2.0},
             {"a": 2.0, "p": 1.0, "q": 10.0},
@@ -328,7 +328,7 @@ def _gr_3_412_1() -> CatalogEntry:
         constraints=(_positive("a", "b", "c", "g", "h", "p", "q"),),
         closed_form=lambda prm: (prm["a"] + prm["b"])
         / (prm["c"] + prm["g"] + prm["h"])
-        * math.log(prm["q"] / prm["p"]),
+        * log_ratio(prm["q"], prm["p"]),
         default_grid=(
             {"a": 1.0, "b": 1.0, "c": 1.0, "g": 1.0, "h": 1.0, "p": 1.0, "q": 2.0},
             {"a": 1.0, "b": 1.0, "c": 1.0, "g": 1.0, "h": 1.0, "p": 1.0, "q": 10.0},
@@ -367,7 +367,7 @@ def _gr_4_324_2() -> CatalogEntry:
         # ln(1 + 2a cos x + a^2); it has no limit at infinity
         kernel="log1p(2*a*cos(x) + a*a)",
         scales=("p", "q"),
-        # the mean of the kernel over a period is removed by the split
+        # the mean of the kernel over a period is removed on the split route
         period=2.0 * math.pi,
     )
 
@@ -379,7 +379,7 @@ def _r_3_1() -> CatalogEntry:
         eval_class="smooth-decay",
         param_names=("a", "b"),
         constraints=(_positive("a", "b"),),
-        closed_form=lambda p: 0.5 * math.pi * math.log(p["a"] / p["b"]),
+        closed_form=lambda p: 0.5 * math.pi * log_ratio(p["a"], p["b"]),
         default_grid=({"a": 2.0, "b": 1.0}, {"a": 10.0, "b": 1.0}, {"a": 2.0, "b": 2.0}),
         kernel="atan(x)",
         scales=("a", "b"),
@@ -395,7 +395,7 @@ def _r_3_2() -> CatalogEntry:
         param_names=("p", "q", "a", "b"),
         constraints=(_positive("p", "q", "a", "b"),),
         closed_form=lambda prm: math.log1p(prm["q"] / prm["p"])
-        * math.log(prm["b"] / prm["a"]),
+        * log_ratio(prm["b"], prm["a"]),
         default_grid=(
             {"p": 1.0, "q": 1.0, "a": 1.0, "b": 2.0},
             {"p": 1.0, "q": 3.0, "a": 1.0, "b": 10.0},
@@ -416,7 +416,7 @@ def _r_3_3() -> CatalogEntry:
         param_names=("a", "b", "p", "q", "n"),
         constraints=(_positive("a", "b", "p", "q"),),
         closed_form=lambda prm: (1.0 - math.pow(prm["p"] / prm["q"], prm["n"]))
-        * math.log(prm["a"] / prm["b"]),
+        * log_ratio(prm["a"], prm["b"]),
         default_grid=(
             {"a": 2.0, "b": 1.0, "p": 1.0, "q": 2.0, "n": 2.0},
             {"a": 10.0, "b": 1.0, "p": 3.0, "q": 1.0, "n": 1.0},
@@ -435,7 +435,7 @@ def _r_3_4() -> CatalogEntry:
         eval_class="oscillatory",
         param_names=("a", "b"),
         constraints=(_positive("a", "b"),),
-        closed_form=lambda p: math.log(p["b"] / p["a"]),
+        closed_form=lambda p: log_ratio(p["b"], p["a"]),
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 3.0, "b": 3.0}),
         kernel="cos(x)",  # no limit at infinity
         scales=("a", "b"),
@@ -449,7 +449,7 @@ def _r_3_5() -> CatalogEntry:
         eval_class="oscillatory",
         param_names=("a", "b"),
         constraints=(_positive("a", "b"),),
-        closed_form=lambda p: 0.5 * math.log(p["b"] / p["a"]),
+        closed_form=lambda p: 0.5 * log_ratio(p["b"], p["a"]),
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 2.0, "b": 2.0}),
         # the product expands to (cos ax - cos bx)/2
         kernel="0.5*cos(x)",
@@ -470,7 +470,7 @@ def _r_3_6() -> CatalogEntry:
                 lambda prm: prm["p"] > prm["q"] > 0,
             ),
         ),
-        closed_form=lambda prm: 0.5 * math.log((prm["p"] + prm["q"]) / (prm["p"] - prm["q"])),
+        closed_form=lambda prm: 0.5 * log_ratio(prm["p"] + prm["q"], prm["p"] - prm["q"]),
         default_grid=({"p": 3.0, "q": 1.0}, {"p": 11.0, "q": 9.0}, {"p": 2.0, "q": 1.0}),
         # the product expands to (cos (p-q)x - cos (p+q)x)/2
         kernel="0.5*cos(x)",
@@ -502,7 +502,7 @@ def _r_3_9() -> CatalogEntry:
         eval_class="smooth-decay",
         param_names=("a", "b"),
         constraints=(_positive("a", "b"),),
-        closed_form=lambda p: math.log(p["b"] / p["a"]),
+        closed_form=lambda p: log_ratio(p["b"], p["a"]),
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 3.0, "b": 3.0}),
         kernel="exp(-x)*cos(x)",
         scales=("a", "b"),
@@ -653,7 +653,7 @@ def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> Ve
         expected = entry.closed_form(clean)
     except (ArithmeticError, ValueError) as exc:
         # constraints held, but the closed form overflows or leaves its
-        # domain in floating point (a=1e300, b=1e-300 underflows ln(b/a))
+        # domain in floating point (GR-3.232's c^-mu at c=0.001, mu=200)
         expected, cause = math.nan, str(exc)
     else:
         cause = repr(expected)

@@ -71,12 +71,15 @@ def _parse_bindings(text: str) -> dict:
         if not tok:
             continue
         key, sep, val = tok.partition("=")
+        key = key.strip()
         if not sep or not key:
             raise UsageError(f"expected key=value in --params, got {tok!r}")
+        if key in params:
+            raise UsageError(f"duplicate parameter {key!r} in --params")
         try:
-            params[key.strip()] = float(val)
+            params[key] = float(val)
         except ValueError:
-            raise UsageError(f"bad numeric value {val!r} for {key.strip()!r}") from None
+            raise UsageError(f"bad numeric value {val!r} for {key!r}") from None
     if not params:
         raise UsageError("--params is empty")
     return params

@@ -24,6 +24,7 @@ from .expr import evaluate  # noqa: F401
 from .limits import LimitVerdict, ProbeError, limit_at_infinity, limit_at_zero_plus
 from .quadrature import MAX_PANELS, SEGMENT_PANELS, QuadratureResult, integrate_decaying
 from .records import VerificationRecord, judge, nonfinite_closed_form, skipped
+from .series import log_ratio
 
 __all__ = [
     "FrullaniProblem",
@@ -100,17 +101,17 @@ def diagnose(kernel: Callable[[float], float]) -> ApplicabilityReport:
 def closed_form(prob: FrullaniProblem, f0: float, finf: float) -> float:
     """(1/p) (f0 - finf) ln(b/a).
 
-    The logarithm is always taken of the ratio larger/smaller and the sign
-    applied separately, so swapping a and b negates the result bitwise and
-    a == b gives exactly 0.  Division by the power comes last, making the
+    The logarithm (series.log_ratio) is always taken of the ratio
+    larger/smaller and the sign applied separately, so swapping a and b
+    negates the result bitwise and a == b gives exactly 0.  Division by the power comes last, making the
     power-p value exactly the power-1 value divided by p.
     """
     if not (math.isfinite(f0) and math.isfinite(finf)):
         raise ValueError("f0 and finf must be finite")
     if prob.b >= prob.a:
-        spread = math.log(prob.b / prob.a)
+        spread = log_ratio(prob.b, prob.a)
     else:
-        spread = -math.log(prob.a / prob.b)
+        spread = -log_ratio(prob.a, prob.b)
     return (f0 - finf) * spread / prob.power
 
 
@@ -143,7 +144,7 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
     finf = report.verdict_at_infinity.value
     expected = closed_form(prob, f0, finf)
     if not math.isfinite(expected):
-        # a scale ratio such as 1e300/1e-300 overflows ln(b/a)
+        # f0 - finf or its quotient by a tiny power overflows
         return nonfinite_closed_form("eval", params, start, repr(expected))
     provenance = f"limits=probe f0={f0!r} finf={finf!r} kernel={unparse(prob.f)}"
 

@@ -7,7 +7,8 @@ is accelerated with Aitken's delta-squared extrapolation, and successive
 extrapolants must agree to a relative 1e-9.  Possible verdicts:
 
   finite    successive extrapolants agreed; carries (value, uncertainty)
-  diverges  |f| grew monotonically past an overflow guard; carries a sign
+  diverges  |f| grew monotonically past an overflow guard, scaled by the
+            first sample where that is above 1; carries a sign
   no-limit  samples kept oscillating with undamped amplitude; carries the
             trailing-window amplitude
 
@@ -101,8 +102,11 @@ def _probe(f: Callable[[float], float], abscissas: tuple[float, ...]) -> LimitVe
             raise ProbeError(x, ValueError("evaluated to NaN"))
         samples.append(s)
 
+        # past OVERFLOW_GUARD times max(1, |first sample|); the unscaled
+        # test first keeps the common sample to one comparison
         if (
             abs(s) > OVERFLOW_GUARD
+            and abs(s) > OVERFLOW_GUARD * abs(samples[0])
             and len(samples) >= 3
             and abs(samples[-1]) > abs(samples[-2]) > abs(samples[-3])
         ):

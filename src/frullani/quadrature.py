@@ -36,8 +36,8 @@ g(x) = [f(alpha x) - f(beta x)]/x over the whole line: an adaptive head on
 (0, c], then a tail chosen from the scales alone.  When the faster scale
 over the base frequency (the gcd of the two) is at most SEGMENT_PANELS, one
 accelerated tail of g runs on the common half-period grid pi/base.
-Otherwise the tails of f(alpha x)/x and f(beta x)/x run apart, each on its
-own grid pi/alpha or pi/beta, with the mean of a periodic f removed
+Otherwise Frullani's own substitution makes the tail the finite integral of
+(f(u) - m)/u over (alpha c, beta c), m being the mean of f at infinity
 (Ostrowski, 1949).
 """
 
@@ -104,9 +104,8 @@ _EULER_WSUM = float(sum(_EULER_WEIGHTS))
 SEGMENT_PANELS = 200
 # Most panels one integrate_adaptive call may spend by default.
 MAX_PANELS = 2000
-# Share of the split's tolerance by which the mean of a periodic kernel may
-# miss.  An error d in the mean leaves a drift -d ln(x) in each tail; the two
-# drifts cancel but for d times the log-ratio of where the two tails stop.
+# Share of the tolerance by which the mean of a periodic kernel may miss on
+# the split route.  An error d in the mean costs exactly d ln(beta/alpha).
 _MEAN_TOL = 1e-3
 # the lower end of a panel (-err, counter, lo, hi, value, err) of integrate_adaptive
 _LOWER = itemgetter(2)
@@ -119,8 +118,8 @@ class OscillatorySpec:
     half_period should be pi divided by the base frequency of the tail's
     oscillation (the gcd of its nominal frequencies), so that every spectral
     component of the tail either alternates segment-to-segment or returns to
-    a fixed phase every second segment.  A tail with one frequency w, as in
-    each piece of a split Frullani tail, has half_period pi/w.
+    a fixed phase every second segment.  A tail with one frequency w has
+    half_period pi/w.
     """
 
     start: float
@@ -136,10 +135,11 @@ class OscillatorySpec:
 @dataclass(frozen=True)
 class Spectrum:
     """The oscillatory integrand g(x) = [f(alpha x) - f(beta x)]/x as its
-    kernel f and scale pair (alpha, beta), both positive.  When the tail is
-    split by scale, f must have mean value zero at infinity, or be periodic
-    with the given period, over which the split computes its mean and
-    removes it."""
+    kernel f and scale pair (alpha, beta), both positive.  Where the scales
+    share no common grid, the answer rests on the mean of f at infinity: it
+    is taken as the mean over the given period, or as zero when there is
+    none, and a kernel whose true mean differs is off by the difference
+    times ln(beta/alpha)."""
 
     kernel: Callable[[float], float]
     scales: tuple[float, float]
@@ -614,54 +614,49 @@ def integrate_frullani_oscillatory(
     """Integral of g(x) = [f(alpha x) - f(beta x)]/x over (0, inf), for the
     kernel f and scales (alpha, beta) of spectrum.
 
-    The head of g on (0, c] is integrated adaptively, c being the slower
-    scale's first half-period and no less than 1.  When the faster scale is
-    at most SEGMENT_PANELS times the base frequency, the tail of g beyond c
-    runs on the common half-period grid pi/base.  Otherwise the tails of
-    f(alpha x)/x and f(beta x)/x run apart, each on its own grid; a
-    periodic f first has its mean over one period removed, which cancels
-    between the two tails and is taken out only so that each converges.
-    Budgets are 40% for the head, and 60% for the common tail or 30% per
-    split tail.  The diagnostic names each piece that did not converge.
-    Before any quadrature, raises ValueError when c is not finite or a grid
-    that would run cannot advance x beyond c.
+    When the faster scale is at most SEGMENT_PANELS times the base
+    frequency, the head of g on (0, c] is integrated adaptively, c being the
+    slower scale's first half-period and no less than 1, and the tail of g
+    beyond c runs on the common half-period grid pi/base.  Otherwise c is
+    the faster scale's first half-period, and Frullani's substitution
+    (u = alpha x in one term, u = beta x in the other) turns the tail beyond
+    c into the finite integral of (f(u) - m)/u over (alpha c, beta c), m
+    being the mean of f: over one period when spectrum has one, else 0.
+    That integral runs over s = ln u.  Budgets are 40% for the head and 60%
+    for the tail.  The diagnostic names each piece that did not converge.
+    Before any quadrature, raises ValueError when c is not finite, or, on
+    the common route, when its grid cannot advance x beyond c.
     """
     alpha, beta = spectrum.scales
-    slow = min(alpha, beta)
-    start = max(math.pi / slow, 1.0)
-    if not math.isfinite(start):
-        raise ValueError(f"the tail start pi/{slow!r} of the slower scale {slow!r} is not finite")
+    fast = max(alpha, beta)
     base = base_frequency((alpha, beta))
-    head_name = f"head on (0, {start!r}]"
     mean, mean_evals = 0.0, 0
-    if max(alpha, beta) / base <= SEGMENT_PANELS:
+    if fast / base <= SEGMENT_PANELS:
+        slow = min(alpha, beta)
+        start = max(math.pi / slow, 1.0)
+        if not math.isfinite(start):
+            raise ValueError(f"the tail start pi/{slow!r} of the slower scale {slow!r} is not finite")
         grid = _grid(start, base)
         head = integrate_adaptive(g, 0.0, start, 0.4 * tol)
         tail = integrate_oscillatory_tail(g, grid, 0.6 * tol)
         value = head.value + tail.value
-        pieces = ((head_name, head), ("tail on the common grid", tail))
+        pieces = ((f"head on (0, {start!r}]", head), ("tail on the common grid", tail))
     else:
-        grid_a, grid_b = _grid(start, alpha), _grid(start, beta)
+        end = math.pi / fast
+        if not math.isfinite(end):
+            raise ValueError(f"the head end pi/{fast!r} of the faster scale {fast!r} is not finite")
         f = spectrum.kernel
         if spectrum.period is not None:
             period = spectrum.period
             mean_res = integrate_adaptive(f, 0.0, period, _MEAN_TOL * tol * period)
             mean, mean_evals = mean_res.value / period, mean_res.function_evaluations
-
-        def tail(scale: float, grid: OscillatorySpec) -> QuadratureResult:
-            def piece(x: float) -> float:
-                return (f(scale * x) - mean) / x
-
-            return integrate_oscillatory_tail(piece, grid, 0.3 * tol)
-
-        head = integrate_adaptive(g, 0.0, start, 0.4 * tol)
-        tail_a, tail_b = tail(alpha, grid_a), tail(beta, grid_b)
-        value = head.value + (tail_a.value - tail_b.value)
-        pieces = (
-            (head_name, head),
-            (f"tail at scale {alpha!r}", tail_a),
-            (f"tail at scale {beta!r}", tail_b),
-        )
+        # ln(alpha c) and ln(beta c) as sums of logs, which neither overflow
+        # nor underflow where the products would
+        lo, hi = sorted(math.log(math.pi) + math.log(s) - math.log(fast) for s in (alpha, beta))
+        head = integrate_adaptive(g, 0.0, end, 0.4 * tol)
+        body = integrate_adaptive(lambda s: f(math.exp(s)) - mean, lo, hi, 0.6 * tol)
+        value = head.value + (body.value if alpha < beta else -body.value)
+        pieces = ((f"head on (0, {end!r}]", head), (f"kernel on ({alpha * end!r}, {beta * end!r})", body))
     return QuadratureResult(
         value,
         math.fsum(res.error_estimate for _, res in pieces),

@@ -23,6 +23,7 @@ that the derivation rests on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,7 +39,18 @@ __all__ = [
     "gr_4_324_2_closed",
     "gr_4_324_2_series",
     "imaginary_exponential_check",
+    "log_ratio",
 ]
+
+
+def log_ratio(x: float, y: float) -> float:
+    """ln(x/y) for positive x and y: the log of the ratio where the ratio is
+    a normal double, else ln x - ln y, which stays finite where the ratio
+    overflows or underflows (1/1e-320)."""
+    ratio = x / y
+    if sys.float_info.min <= ratio < math.inf:
+        return math.log(ratio)
+    return math.log(x) - math.log(y)
 
 
 @dataclass(frozen=True)
@@ -176,7 +188,7 @@ def gr_4_324_2_closed(a: float, p: float, q: float) -> float:
         inner = math.log1p(a)
     else:
         inner = math.log1p(1.0 / a)
-    return 2.0 * math.log(q / p) * inner
+    return 2.0 * log_ratio(q, p) * inner
 
 
 def gr_4_324_2_series(a: float, p: float, q: float, K: int) -> float:
@@ -189,7 +201,7 @@ def gr_4_324_2_series(a: float, p: float, q: float, K: int) -> float:
     and at |a| = 1 in the Abel sense.
     """
     params = SeriesParams(a, p, q, K)
-    scale = math.log(params.q / params.p)
+    scale = log_ratio(params.q, params.p)
     value = scale * log_series_partial(params.A, params.K)
     even_terms = params.K // 2
     if even_terms >= 1:

@@ -75,7 +75,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("entry, binding, cause", [
         ("GR-3.232", "a=1,b=2,c=0.001,mu=200", "math range error"),
-        ("GR-3.434.2", "a=1e300,b=1e-300", "math domain error"),
+        ("GR-4.297.7", "b=1e10,a=1e300", "-inf"),
         ("GR-4.297.7", "a=1e200,b=1e200", "nan"),
     ])
     def test_closed_form_off_the_doubles_is_a_constraint_violation(
@@ -151,15 +151,29 @@ class TestVerify:
         assert float(f["abs_err"]) <= 1e-9
 
     def test_split_tail_names_the_pieces_that_stopped(self, capsys):
-        rc = main(["verify", "R-3.4", "--params", "a=1,b=1.414213562", "--tol", "1e-8"])
+        # a tolerance below the rounding of the kernel's integral over
+        # (alpha c, beta c) = (pi, pi/1e6)
+        rc = main(["verify", "R-3.4", "--params", "a=1e6,b=1", "--tol", "1e-17"])
         captured = capsys.readouterr()
         assert rc == 1
         assert fields(captured.out.splitlines()[0])["status"] == "ORACLE_FAILED"
         assert captured.err.strip() == (
-            "oracle did not converge: "
-            "tail at scale 1.0: tail estimate did not reach tolerance; "
-            "tail at scale 1.414213562: tail estimate did not reach tolerance"
+            "oracle did not converge: kernel on (3.141592653589793, 3.1415926535897933e-06): "
+            "panel error sum rounded above tolerance"
         )
+
+    @pytest.mark.parametrize("tol", ["1e-8", "1e-10"])
+    def test_split_scales_pass_at_tight_tolerances(self, tol, capsys):
+        rc = main(["verify", "R-3.4", "--params", "a=1,b=1.414213562", "--tol", tol])
+        assert rc == 0
+        assert fields(capsys.readouterr().out.splitlines()[0])["status"] == "PASS"
+
+    def test_repeated_param_is_usage_error(self, capsys):
+        rc = main(["verify", "GR-3.434.2", "--params", "a=1,a=5,b=2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: duplicate parameter 'a' in --params\n"
 
 
 class TestExplicitTolerance:
@@ -252,7 +266,7 @@ class TestVerifyAll:
 
     def test_json_writes_missing_values_as_null(self, capsys, tmp_path):
         grid = tmp_path / "grid.txt"
-        grid.write_text("GR-3.434.2 a=1e300 b=1e-300\nGR-3.434.2 a=inf b=1\n", encoding="utf-8")
+        grid.write_text("GR-3.232 a=1 b=2 c=0.001 mu=200\nGR-3.434.2 a=inf b=1\n", encoding="utf-8")
         rc = main(["verify-all", "--grid", str(grid), "--format", "json"])
         assert rc == 0
 
@@ -261,7 +275,9 @@ class TestVerifyAll:
 
         records = json.loads(capsys.readouterr().out, parse_constant=refuse)
         skipped = [r for r in records if r["status"] == "CONSTRAINT_VIOLATION"]
-        assert [r["params"] for r in skipped] == [{"a": 1e300, "b": 1e-300}, {"a": None, "b": 1.0}]
+        assert [r["params"] for r in skipped] == [
+            {"a": 1.0, "b": 2.0, "c": 0.001, "mu": 200.0}, {"a": None, "b": 1.0}
+        ]
         assert all(r["expected"] is r["numeric"] is r["abs_err"] is None for r in skipped)
 
     def test_grid_override_replaces_entry_grid(self, capsys, tmp_path):
@@ -275,13 +291,13 @@ class TestVerifyAll:
 
     def test_closed_form_off_the_doubles_in_a_grid_file(self, capsys, tmp_path):
         grid = tmp_path / "grid.txt"
-        grid.write_text("GR-3.434.2 a=1e300 b=1e-300\n", encoding="utf-8")
+        grid.write_text("GR-3.232 a=1 b=2 c=0.001 mu=200\n", encoding="utf-8")
         rc = main(["verify-all", "--grid", str(grid)])
         out = capsys.readouterr().out.splitlines()
         assert rc == 0
         assert out[-1] == "total=58 pass=57 fail=0 skipped=1"
         assert [ln for ln in out if "CONSTRAINT_VIOLATION" in ln] == [
-            "entry=GR-3.434.2 params=a=1e+300;b=1e-300 expected=nan "
+            "entry=GR-3.232 params=a=1.0;b=2.0;c=0.001;mu=200.0 expected=nan "
             "numeric=nan abs_err=nan status=CONSTRAINT_VIOLATION"
         ]
 
@@ -400,15 +416,16 @@ class TestEval:
             "would leave an error estimate near "
         ) in captured.err
 
-    @pytest.mark.parametrize("kernel, a, b, cause", [
-        ("exp(-x)", "1e300", "1e-300", "-inf"),
-        ("atan(x)", "1e200", "1e-200", "inf"),
+    @pytest.mark.parametrize("kernel, a, b, power, cause", [
+        ("exp(-x)", "1e300", "1e-300", "1e-306", "-inf"),
+        ("atan(x)", "1e200", "1e-200", "1e-306", "inf"),
     ])
     def test_closed_form_off_the_doubles_is_a_constraint_violation(
-        self, kernel, a, b, cause, capsys
+        self, kernel, a, b, power, cause, capsys
     ):
-        # the same rule as verify: ln(b/a) overflows at this scale ratio
-        rc = main(["eval", kernel, "--a", a, "--b", b])
+        # the same rule as verify: ln(b/a) is finite, but not its quotient
+        # by a tiny power
+        rc = main(["eval", kernel, "--a", a, "--b", b, "--power", power])
         captured = capsys.readouterr()
         assert rc == 0
         f = fields(captured.out.splitlines()[0])
@@ -436,6 +453,15 @@ class TestSeries:
         assert closed == pytest.approx(0.5620939930012151, abs=1e-15)
         assert partial == pytest.approx(closed, abs=1e-12)
         assert re.match(r"^residual=\d\.\d{3}e[+-]\d{2,}$", out[2])
+
+    def test_frequency_ratio_off_the_doubles(self, capsys):
+        # q/p = 1e320 overflows; the closed form takes ln q - ln p
+        rc = main(["series", "--a", "0.5", "--p", "1e-320", "--q", "1", "--terms", "3"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert out[0] == "closed=597.5154737697984"
+        assert math.isfinite(float(out[1].partition("=")[2]))
+        assert out[2] == "residual=1.942e-01"
 
     def test_terms_must_be_positive(self, capsys):
         rc = main(["series", "--a", "0.5", "--p", "1", "--q", "2", "--terms", "0"])

@@ -105,6 +105,12 @@ class TestClosedForm:
         w = closed_form(prob("exp(-x)", a=7.0, b=1.0), 2.0, 0.5)
         assert v == -w
 
+    def test_scale_ratio_off_the_doubles(self):
+        # b/a = 1e600 overflows; ln b - ln a does not
+        v = closed_form(prob("exp(-x)", a=1e-300, b=1e300), 1.0, 0.0)
+        w = closed_form(prob("exp(-x)", a=1e300, b=1e-300), 1.0, 0.0)
+        assert v == -w == math.log(1e300) - math.log(1e-300)
+
     def test_equal_scales_give_exact_zero(self):
         assert closed_form(prob("exp(-x)", a=3.0, b=3.0), 5.0, 1.0) == 0.0
 

@@ -155,3 +155,18 @@ def test_recovers_linear_value_at_zero(c, d):
     v = limit_at_zero_plus(lambda x: c + d * x)
     assert v.is_finite
     assert abs(v.value - c) <= 1e-9 * max(1.0, abs(c))
+
+
+@pytest.mark.parametrize("scale", [2e12, 1e13, 1e200])
+def test_bounded_kernel_above_the_guard_is_finite(scale):
+    # the guard scales with the first sample: |f| rising to its bound
+    # scale is not divergence
+    v = limit_at_zero_plus(lambda x: scale / (1.0 + x))
+    assert v.is_finite
+    assert v.value == pytest.approx(scale, rel=1e-9)
+
+
+def test_growth_past_a_scaled_guard_still_diverges():
+    v = limit_at_zero_plus(lambda x: 1e13 / x)
+    assert v.kind == "diverges"
+    assert v.direction == 1

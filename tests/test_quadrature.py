@@ -377,26 +377,45 @@ class TestSplitTail:
         assert res.function_evaluations > plain.function_evaluations
 
     def test_diagnostic_names_each_piece_that_stopped(self):
-        # with its mean of 1 left in, neither tail of 1 + cos u converges
-        def shifted(u):
-            return 1.0 + math.cos(u)
+        # neither the head of g nor the kernel's integral resolves sin(1e6 u)
+        def fast(u):
+            return math.sin(1e6 * u)
 
-        res = integrate_frullani_oscillatory(self.g, Spectrum(shifted, (self.ALPHA, self.BETA)), 1e-5)
+        res = integrate_frullani_oscillatory(fast, Spectrum(fast, (self.ALPHA, self.BETA)), 1e-5)
+        c = math.pi / self.BETA
         assert not res.converged
-        assert res.diagnostic.startswith("tail at scale 1.0: ")
-        assert "; tail at scale 1.414213562: " in res.diagnostic
-        assert "head" not in res.diagnostic
+        assert res.diagnostic == (
+            f"head on (0, {c!r}]: panel cap of 2000 panels reached; "
+            f"kernel on ({self.ALPHA * c!r}, {self.BETA * c!r}): panel cap of 2000 panels reached"
+        )
+
+    def test_a_head_end_that_overflows_is_named(self):
+        # no common grid, and pi over the faster scale 1e-310 overflows
+        with pytest.raises(ValueError) as info:
+            integrate_frullani_oscillatory(self.g, Spectrum(math.cos, (1e-320, 1e-310)), 1e-5)
+        assert str(info.value) == "the head end pi/1e-310 of the faster scale 1e-310 is not finite"
+
+    @pytest.mark.parametrize("scales", [(1.0, 1e300), (1e300, 1.0), (1e-300, 1e300)])
+    def test_wide_ratio_takes_logs_not_products(self, scales):
+        # alpha c and beta c may underflow, ln(alpha c) and ln(beta c) do not
+        alpha, beta = scales
+
+        def g(x):
+            return (math.cos(alpha * x) - math.cos(beta * x)) / x
+
+        res = integrate_frullani_oscillatory(g, Spectrum(math.cos, scales), 1e-5)
+        assert res.converged, res.diagnostic
+        assert res.value == pytest.approx(math.log(beta) - math.log(alpha), abs=1e-11)
 
 
 class TestGridThatCannotAdvance:
     @pytest.mark.parametrize("scales,stuck", [
-        ((1e300, 1.0), "the grid of scale 1e+300"),
-        ((1e-300, 1.0), "the grid of scale 1.0"),
+        ((1e300, 2e300), "the grid of scale 1e+300"),
+        ((1e17, 2e17), "the grid of scale 1e+17"),
         ((1e200, 1e200), "the grid of scale 1e+200"),
     ])
     def test_named_before_any_quadrature(self, scales, stuck):
-        # neither the integrand nor the kernel, whose mean a periodic split
-        # takes first, is called
+        # on the common route neither the integrand nor the kernel is called
         calls = []
 
         def g(x):

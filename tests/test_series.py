@@ -15,6 +15,7 @@ from frullani.series import (
     gr_4_324_2_closed,
     gr_4_324_2_series,
     imaginary_exponential_check,
+    log_ratio,
     log_series_partial,
     parity_weight,
 )
@@ -191,6 +192,25 @@ class TestClosedForm:
             assert abs(quoted - mine) <= 8.0 * math.ulp(max(abs(mine), 1.0))
 
 
+class TestLogRatio:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.floats(min_value=5e-324, max_value=1.7e308),
+        y=st.floats(min_value=5e-324, max_value=1.7e308),
+    )
+    def test_log_of_a_normal_ratio_keeps_its_bits(self, x, y):
+        ratio = x / y
+        if 2.2250738585072014e-308 <= ratio < math.inf:
+            assert log_ratio(x, y) == math.log(ratio)
+        else:
+            assert log_ratio(x, y) == math.log(x) - math.log(y)
+
+    @pytest.mark.parametrize("x,y", [(1.0, 1e-320), (1e300, 1e-300), (1e-300, 1e300), (1e-320, 1.0)])
+    def test_ratio_off_the_doubles_is_a_difference_of_logs(self, x, y):
+        assert log_ratio(x, y) == math.log(x) - math.log(y)
+        assert math.isfinite(log_ratio(x, y))
+
+
 def _series_residual(a, K, p=1.0, q=2.0):
     return abs(gr_4_324_2_series(a, p, q, K) - gr_4_324_2_closed(a, p, q))
 
@@ -255,7 +275,7 @@ class TestImaginaryExponentialCheck:
         assert sin_part == pytest.approx(0.0, abs=1e-4)
 
     def test_incommensurate_pair(self):
-        # no common period a tail segment resolves: the split tail serves
+        # no common period a tail segment resolves: the split route serves
         cos_part, sin_part = imaginary_exponential_check(1.0, 1.414213562)
         assert cos_part == pytest.approx(math.log(1.414213562), abs=1e-4)
         assert sin_part == pytest.approx(0.0, abs=1e-4)
