@@ -7,8 +7,9 @@ evaluation class, and the reduction the paper states: a kernel f as
 expression text in x and the entry's parameters, with a scale pair (alpha,
 beta), so that the printed integrand is [f(alpha x) - f(beta x)]/x.  The
 text is compiled like a typed kernel (expr.compile_family), once per entry,
-and bound to each binding's numbers; for oscillatory entries the kernel and
-pair are also the spectrum the tail oracle reads.
+and bound to each binding's numbers.  For an oscillatory entry the same text
+also gives the tail the oracle's split route integrates, f(e^s) - m, m being
+the kernel's mean at infinity, which the entry declares where it is not 0.
 
 Seven entries give the printed integrand as its own text, where it is not
 written through the kernel: GR-3.476.1 (x^p), GR-4.297.7 (over x^2),
@@ -33,13 +34,12 @@ from typing import Callable, Optional
 # base_frequency, STATUSES and VerificationRecord are re-exported as part of
 # this module's API.  The oracles are called through this module's names.
 from .quadrature import (
-    Spectrum,
     base_frequency,
     integrate_adaptive,
     integrate_decaying,
     integrate_frullani_oscillatory,
 )
-from .expr import compile_family, evaluate, parse
+from .expr import BinOp, Call, Var, compile_family, evaluate, parse, substitute
 from .records import STATUSES, VerificationRecord, judge, nonfinite_closed_form, skipped
 from .series import gr_4_324_2_closed, log_ratio
 
@@ -93,9 +93,8 @@ class CatalogEntry:
     default_grid: tuple[dict, ...]
     # the kernel f as expression text in x and the parameters, and the scale
     # pair (alpha, beta) as texts in the parameters: unless integrand is
-    # given, the printed integrand is [f(alpha x) - f(beta x)]/x.  For
-    # oscillatory entries they are its spectrum; scales that are two
-    # parameters are the pair the zero law equates.
+    # given, the printed integrand is [f(alpha x) - f(beta x)]/x.  Scales
+    # that are two parameters are the pair the zero law equates.
     kernel: Optional[str] = None
     scales: Optional[tuple[str, str]] = None
     # the printed integrand where the kernel does not give it, as expression
@@ -103,9 +102,9 @@ class CatalogEntry:
     integrand: Optional[str] = None
     # (f(0+), f(inf)) of the kernel, where both exist
     kernel_limits: Optional[Callable[[dict], tuple[float, float]]] = None
-    # the period of an oscillatory kernel whose mean is not zero; the split
-    # route removes that mean
-    period: Optional[float] = None
+    # the mean m at infinity of an oscillatory kernel where it is not 0; the
+    # tail f(e^s) - m takes it out, and a true mean M costs (M - m) ln(b/a)
+    mean: Optional[Callable[[dict], float]] = None
     note: str = ""
 
     @property
@@ -367,8 +366,9 @@ def _gr_4_324_2() -> CatalogEntry:
         # ln(1 + 2a cos x + a^2); it has no limit at infinity
         kernel="log1p(2*a*cos(x) + a*a)",
         scales=("p", "q"),
-        # the mean of the kernel over a period is removed on the split route
-        period=2.0 * math.pi,
+        # 1 + 2a cos x + a^2 = |1 + a e^(ix)|^2, so by Jensen's formula the
+        # mean over a period is 2 ln max(1, |a|)
+        mean=lambda prm: 2.0 * math.log(max(1.0, abs(prm["a"]))),
     )
 
 
@@ -589,8 +589,10 @@ def _check_params(entry: CatalogEntry, params: dict) -> tuple[dict, Optional[str
     return clean, violated
 
 
-# Both caches are keyed by the catalog's own texts, a fixed set.
+# The caches are keyed by the catalog's own texts, a fixed set.
 _parsed = functools.cache(parse)
+# the parameter the mean is bound under in a tail; no parsed text names it
+_MEAN = "<mean>"
 
 
 @functools.cache
@@ -599,21 +601,28 @@ def _compiled(text: str, names: tuple[str, ...]):
     return compile_family(_parsed(text), names)
 
 
-def _bind(entry: CatalogEntry, params: dict) -> tuple[Callable[[float], float], Optional[Spectrum]]:
-    """The printed integrand at a checked binding and, for an oscillatory
-    entry, its spectrum.  Each text the two need is bound once, and the
-    scales are evaluated once."""
-    integrand = entry.integrand
-    if integrand is not None:
-        integrand = _compiled(integrand, entry.param_names)(params)[0]
-    oscillatory = entry.eval_class == "oscillatory"
-    if integrand is not None and not oscillatory:
-        return integrand, None
-    kernel, frullani = _compiled(entry.kernel, entry.param_names)(params)
+@functools.cache
+def _tail(kernel: str, names: tuple[str, ...]):
+    """The tail s -> f(exp(s)) - m of the kernel text f, compiled once, for
+    every binding of names and the mean m."""
+    at_exp = substitute(_parsed(kernel), "x", Call("exp", Var("x")))
+    return compile_family(BinOp("-", at_exp, Var(_MEAN)), (*names, _MEAN))
+
+
+def _bind(entry: CatalogEntry, params: dict) -> tuple[Callable[[float], float], tuple, Optional[Callable]]:
+    """The printed integrand at a checked binding, the scale pair and, for
+    an oscillatory entry, its tail.  Each text they need is bound once, and
+    the scales are evaluated once."""
+    names = entry.param_names
     scales = tuple(evaluate(_parsed(text), params) for text in entry.scales)
-    if integrand is None:
-        integrand = frullani(*scales)
-    return integrand, Spectrum(kernel, scales, entry.period) if oscillatory else None
+    if entry.integrand is None:
+        integrand = _compiled(entry.kernel, names)(params)[1](*scales)
+    else:
+        integrand = _compiled(entry.integrand, names)(params)[0]
+    if entry.eval_class != "oscillatory":
+        return integrand, scales, None
+    mean = entry.mean(params) if entry.mean else 0.0
+    return integrand, scales, _tail(entry.kernel, names)({**params, _MEAN: mean})[0]
 
 
 def instantiate(entry_id: str, params: dict):
@@ -659,14 +668,14 @@ def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> Ve
         cause = repr(expected)
     if not math.isfinite(expected):
         return nonfinite_closed_form(entry_id, clean, start, cause)
-    integrand, spectrum = _bind(entry, clean)
+    integrand, scales, tail = _bind(entry, clean)
 
     def oracle(share: float):
         if entry.eval_class == "smooth-decay":
             return integrate_decaying(integrand, share)
         if entry.eval_class == "finite-interval":
             return integrate_adaptive(integrand, 0.0, 1.0, share)
-        return integrate_frullani_oscillatory(integrand, spectrum, share)
+        return integrate_frullani_oscillatory(integrand, scales, tail, share)
 
     return judge(entry_id, clean, expected, oracle, tol, start)
 

@@ -282,6 +282,19 @@ def free_variables(expr: Expression) -> frozenset[str]:
     return free_variables(expr.left) | free_variables(expr.right)
 
 
+def substitute(expr: Expression, name: str, replacement: Expression) -> Expression:
+    """The tree with every variable called name replaced by replacement."""
+    if isinstance(expr, Var):
+        return replacement if expr.name == name else expr
+    if isinstance(expr, Neg):
+        return Neg(substitute(expr.operand, name, replacement))
+    if isinstance(expr, Call):
+        return Call(expr.func, substitute(expr.arg, name, replacement))
+    if isinstance(expr, BinOp):
+        return BinOp(expr.op, substitute(expr.left, name, replacement), substitute(expr.right, name, replacement))
+    return expr
+
+
 def _pow(base: float, exponent: float) -> float:
     try:
         return math.pow(base, exponent)

@@ -38,7 +38,8 @@ over the base frequency (the gcd of the two) is at most SEGMENT_PANELS, one
 accelerated tail of g runs on the common half-period grid pi/base.
 Otherwise Frullani's own substitution makes the tail the finite integral of
 (f(u) - m)/u over (alpha c, beta c), m being the mean of f at infinity
-(Ostrowski, 1949).
+(Ostrowski, 1949): in s = ln u, the caller's tail(s) = f(e^s) - m over
+(ln alpha c, ln beta c).  A true mean M costs (M - m) ln(beta/alpha).
 """
 
 from __future__ import annotations
@@ -49,12 +50,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "QuadratureResult",
     "OscillatorySpec",
-    "Spectrum",
     "IntegrandError",
     "SEGMENT_PANELS",
     "MAX_PANELS",
@@ -104,9 +104,6 @@ _EULER_WSUM = float(sum(_EULER_WEIGHTS))
 SEGMENT_PANELS = 200
 # Most panels one integrate_adaptive call may spend by default.
 MAX_PANELS = 2000
-# Share of the tolerance by which the mean of a periodic kernel may miss on
-# the split route.  An error d in the mean costs exactly d ln(beta/alpha).
-_MEAN_TOL = 1e-3
 # the lower end of a panel (-err, counter, lo, hi, value, err) of integrate_adaptive
 _LOWER = itemgetter(2)
 
@@ -130,20 +127,6 @@ class OscillatorySpec:
             raise ValueError("start must be positive and finite")
         if not (self.half_period > 0 and math.isfinite(self.half_period)):
             raise ValueError("half_period must be positive and finite")
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """The oscillatory integrand g(x) = [f(alpha x) - f(beta x)]/x as its
-    kernel f and scale pair (alpha, beta), both positive.  Where the scales
-    share no common grid, the answer rests on the mean of f at infinity: it
-    is taken as the mean over the given period, or as zero when there is
-    none, and a kernel whose true mean differs is off by the difference
-    times ln(beta/alpha)."""
-
-    kernel: Callable[[float], float]
-    scales: tuple[float, float]
-    period: Optional[float] = None
 
 
 def base_frequency(freqs: Sequence[float]) -> float:
@@ -608,29 +591,31 @@ def _grid(start: float, frequency: float) -> OscillatorySpec:
 
 def integrate_frullani_oscillatory(
     g: Callable[[float], float],
-    spectrum: Spectrum,
+    scales: tuple[float, float],
+    tail: Callable[[float], float],
     tol: float,
 ) -> QuadratureResult:
-    """Integral of g(x) = [f(alpha x) - f(beta x)]/x over (0, inf), for the
-    kernel f and scales (alpha, beta) of spectrum.
+    """Integral of g(x) = [f(alpha x) - f(beta x)]/x over (0, inf), for a
+    kernel f and the positive scales (alpha, beta), with tail(s) = f(e^s) - m,
+    m being the mean of f at infinity.
 
     When the faster scale is at most SEGMENT_PANELS times the base
     frequency, the head of g on (0, c] is integrated adaptively, c being the
     slower scale's first half-period and no less than 1, and the tail of g
-    beyond c runs on the common half-period grid pi/base.  Otherwise c is
-    the faster scale's first half-period, and Frullani's substitution
-    (u = alpha x in one term, u = beta x in the other) turns the tail beyond
-    c into the finite integral of (f(u) - m)/u over (alpha c, beta c), m
-    being the mean of f: over one period when spectrum has one, else 0.
-    That integral runs over s = ln u.  Budgets are 40% for the head and 60%
-    for the tail.  The diagnostic names each piece that did not converge.
-    Before any quadrature, raises ValueError when c is not finite, or, on
-    the common route, when its grid cannot advance x beyond c.
+    beyond c runs on the common half-period grid pi/base; tail is not
+    called.  Otherwise c is the faster scale's first half-period, and
+    Frullani's substitution (u = alpha x in one term, u = beta x in the
+    other) turns the tail beyond c into the finite integral of tail over
+    (ln alpha c, ln beta c).  The answer is only as right as m: a kernel
+    whose true mean M differs is off by (M - m) ln(beta/alpha), and
+    converges.  Budgets are 40% for the head and 60% for the tail.  The
+    diagnostic names each piece that did not converge.  Before any
+    quadrature, raises ValueError when c is not finite, or, on the common
+    route, when its grid cannot advance x beyond c.
     """
-    alpha, beta = spectrum.scales
+    alpha, beta = scales
     fast = max(alpha, beta)
     base = base_frequency((alpha, beta))
-    mean, mean_evals = 0.0, 0
     if fast / base <= SEGMENT_PANELS:
         slow = min(alpha, beta)
         start = max(math.pi / slow, 1.0)
@@ -638,29 +623,24 @@ def integrate_frullani_oscillatory(
             raise ValueError(f"the tail start pi/{slow!r} of the slower scale {slow!r} is not finite")
         grid = _grid(start, base)
         head = integrate_adaptive(g, 0.0, start, 0.4 * tol)
-        tail = integrate_oscillatory_tail(g, grid, 0.6 * tol)
-        value = head.value + tail.value
-        pieces = ((f"head on (0, {start!r}]", head), ("tail on the common grid", tail))
+        rest = integrate_oscillatory_tail(g, grid, 0.6 * tol)
+        value = head.value + rest.value
+        pieces = ((f"head on (0, {start!r}]", head), ("tail on the common grid", rest))
     else:
         end = math.pi / fast
         if not math.isfinite(end):
             raise ValueError(f"the head end pi/{fast!r} of the faster scale {fast!r} is not finite")
-        f = spectrum.kernel
-        if spectrum.period is not None:
-            period = spectrum.period
-            mean_res = integrate_adaptive(f, 0.0, period, _MEAN_TOL * tol * period)
-            mean, mean_evals = mean_res.value / period, mean_res.function_evaluations
         # ln(alpha c) and ln(beta c) as sums of logs, which neither overflow
         # nor underflow where the products would
         lo, hi = sorted(math.log(math.pi) + math.log(s) - math.log(fast) for s in (alpha, beta))
         head = integrate_adaptive(g, 0.0, end, 0.4 * tol)
-        body = integrate_adaptive(lambda s: f(math.exp(s)) - mean, lo, hi, 0.6 * tol)
+        body = integrate_adaptive(tail, lo, hi, 0.6 * tol)
         value = head.value + (body.value if alpha < beta else -body.value)
         pieces = ((f"head on (0, {end!r}]", head), (f"kernel on ({alpha * end!r}, {beta * end!r})", body))
     return QuadratureResult(
         value,
         math.fsum(res.error_estimate for _, res in pieces),
-        mean_evals + sum(res.function_evaluations for _, res in pieces),
+        sum(res.function_evaluations for _, res in pieces),
         all(res.converged for _, res in pieces),
         "; ".join(f"{name}: {res.diagnostic}" for name, res in pieces if not res.converged),
     )

@@ -27,7 +27,8 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .quadrature import Spectrum, integrate_frullani_oscillatory
+from .expr import compile_frullani, compile_kernel, parse
+from .quadrature import integrate_frullani_oscillatory
 
 __all__ = [
     "SeriesParams",
@@ -218,27 +219,24 @@ def imaginary_exponential_check(
         integral_0^inf (sin px - sin qx)/x dx = 0
 
     these are the real and imaginary parts of the a -> 0 linearisation of
-    the kernel and the reason only the real part survives.  Returns the
-    (cos, sin) value pair; raises if either oscillatory integration fails
-    to converge.  p = q short-circuits to (0, 0), the zero integrand.
+    the kernel and the reason only the real part survives.  Each kernel
+    and its tail, of mean 0, are compiled text.  Returns the (cos, sin)
+    value pair; raises if either oscillatory integration fails to converge.
+    p = q short-circuits to (0, 0), the zero integrand.
     """
     if not (p > 0 and q > 0):
         raise ValueError("p and q must be positive")
     if p == q:
         return 0.0, 0.0
-
-    def cos_diff(x: float) -> float:
-        return (math.cos(p * x) - math.cos(q * x)) / x
-
-    def sin_diff(x: float) -> float:
-        return (math.sin(p * x) - math.sin(q * x)) / x
-
-    cos_res = integrate_frullani_oscillatory(cos_diff, Spectrum(math.cos, (p, q)), tol)
-    sin_res = integrate_frullani_oscillatory(sin_diff, Spectrum(math.sin, (p, q)), tol)
-    for label, res in (("cos", cos_res), ("sin", sin_res)):
+    values = []
+    for label in ("cos", "sin"):
+        g = compile_frullani(parse(f"{label}(x)"), p, q)[1]
+        tail = compile_kernel(parse(f"{label}(exp(x))"))
+        res = integrate_frullani_oscillatory(g, (p, q), tail, tol)
         if not res.converged:
             raise RuntimeError(
                 f"oscillatory oracle did not converge for the {label} part: "
                 f"{res.diagnostic}"
             )
-    return cos_res.value, sin_res.value
+        values.append(res.value)
+    return values[0], values[1]

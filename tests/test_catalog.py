@@ -2,6 +2,7 @@
 constraint handling, and the grid-override file grammar."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,11 +21,10 @@ from frullani.catalog import (
     parse_grid_file,
     verify_entry,
 )
-from frullani.expr import compile_kernel, evaluate, parse
+from frullani.expr import compile_kernel, evaluate, parse, substitute
 from frullani.quadrature import (
     SEGMENT_PANELS,
     OscillatorySpec,
-    Spectrum,
     integrate_adaptive,
     integrate_frullani_oscillatory,
     integrate_oscillatory_tail,
@@ -39,9 +39,21 @@ def scales(entry, params):
     return tuple(evaluate(parse(text), params) for text in entry.scales)
 
 
-def spectrum(entry, params):
-    """The oscillatory entry's kernel, scales and period at a binding."""
-    return Spectrum(compile_kernel(parse(entry.kernel), params), scales(entry, params), entry.period)
+def declared_mean(entry, params):
+    """The oscillatory entry's mean at infinity at a binding, 0 unless
+    declared."""
+    return entry.mean(params) if entry.mean is not None else 0.0
+
+
+def tail(entry, params):
+    """The oscillatory entry's split-route tail s -> f(e^s) - m at a
+    binding, through the compiled kernel."""
+    f, m = compile_kernel(parse(entry.kernel), params), declared_mean(entry, params)
+    return lambda s: f(math.exp(s)) - m
+
+
+def cos_tail(s):
+    return math.cos(math.exp(s))
 
 
 def common_grid(integrand, pair, tol):
@@ -108,7 +120,7 @@ class TestInventory:
         for eid in ALL_IDS:
             e = get_entry(eid)
             if e.eval_class != "oscillatory":
-                assert e.period is None
+                assert e.mean is None
                 continue
             assert e.kernel is not None and e.scales is not None
             for params in e.default_grid:
@@ -376,8 +388,9 @@ class TestEvaluationCount:
     def test_worst_binding_costs_a_fixed_count(self):
         integrand, _ = instantiate("GR-4.324.2", self.BINDING)
         tol = class_tolerance("oscillatory") * 0.25
+        entry = get_entry("GR-4.324.2")
         res = integrate_frullani_oscillatory(
-            integrand, spectrum(get_entry("GR-4.324.2"), self.BINDING), tol
+            integrand, scales(entry, self.BINDING), tail(entry, self.BINDING), tol
         )
         assert res.converged
         assert res.function_evaluations == self.EVALUATIONS
@@ -407,6 +420,14 @@ class TestConfidentFailures:
             ("GR-3.412.1", {"a": 1.0, "b": 1.0, "c": 1e-300, "g": 1.0, "h": 1.0, "p": 1.0, "q": 2.0}, None),
             # off by 1.9e-9 against an estimate of 3.1e-11
             ("GR-4.267.8", {"a": 1.83309, "b": 46.285}, 4.34319e-10),
+            # the split route's integral over s spans 690.8 units, and its
+            # panel estimates fall below the rounding of the panel sums:
+            # off by 3.070e-12 with the oracle converged
+            ("R-3.4", {"a": 1e300, "b": 1.0}, 1e-15),
+            # the first panel of the decaying map sees ((x + 1)/(x + 2))^1e5
+            # near zero everywhere and converges at once: -1.5e-93 against
+            # -ln 2, in 15 evaluations
+            ("R-3.3", {"a": 1.0, "b": 2.0, "p": 1.0, "q": 2.0, "n": 100000.0}, None),
         ],
     )
     def test_true_identity_is_not_a_fail(self, entry_id, params, tol):
@@ -541,7 +562,7 @@ class TestOscillatoryPlan:
     @pytest.mark.parametrize("freqs", [(1.0, 10.0), (2.0, 20.0), (0.5, 11.5), (1.0, 200.0)])
     def test_common_grid(self, freqs):
         g = _cosine_pair(*freqs)
-        res = integrate_frullani_oscillatory(g, Spectrum(math.cos, freqs), 2.5e-5)
+        res = integrate_frullani_oscillatory(g, freqs, cos_tail, 2.5e-5)
         assert (res.value, res.error_estimate, res.function_evaluations) == common_grid(
             g, freqs, 2.5e-5
         )
@@ -551,18 +572,17 @@ class TestOscillatoryPlan:
         # the fastest component would need more half-periods per segment
         # than a segment may spend panels
         assert max(freqs) / base_frequency(freqs) > SEGMENT_PANELS
-        # the tail is the kernel's integral over (alpha c, beta c): the
-        # declared mean of 1 + cos u is taken out of it, and the answer is
-        # that of cos u alone
-        shifted = lambda u: 1.0 + math.cos(u)
+        # the tail is the kernel's integral over (alpha c, beta c): with the
+        # mean 1 of 1 + cos u taken out of it, the answer is that of cos u
+        # alone
+        shifted = lambda s: 1.0 + math.cos(math.exp(s)) - 1.0
         g = _cosine_pair(*freqs)
-        res = integrate_frullani_oscillatory(g, Spectrum(shifted, freqs, 2.0 * math.pi), 2.5e-5)
-        plain = integrate_frullani_oscillatory(g, Spectrum(math.cos, freqs), 2.5e-5)
+        res = integrate_frullani_oscillatory(g, freqs, shifted, 2.5e-5)
+        plain = integrate_frullani_oscillatory(g, freqs, cos_tail, 2.5e-5)
         alpha, beta = freqs
         assert res.converged and plain.converged
         assert res.value == pytest.approx(math.log(beta / alpha), abs=1e-12)
         assert plain.value == pytest.approx(math.log(beta / alpha), abs=1e-12)
-        assert res.function_evaluations > plain.function_evaluations
 
 
 class TestGridThatCannotAdvance:
@@ -627,18 +647,38 @@ class TestSplitScales:
     @pytest.mark.parametrize("eid", OSCILLATORY_IDS)
     def test_declared_mean(self, eid):
         # the split route takes the kernel's mean at infinity from its
-        # declaration: the mean over one period, or 0 with no period.  The
-        # average over a hundred periods of 2 pi far out must match it.
+        # declaration, 0 where there is none.  The average over a hundred
+        # periods of 2 pi far out must match it.
         entry = get_entry(eid)
         window = 200.0 * math.pi
         for params in entry.default_grid:
             f = compile_kernel(parse(entry.kernel), params)
             far = integrate_adaptive(f, 1e4, 1e4 + window, 1e-9)
             assert far.converged
-            declared = 0.0
-            if entry.period is not None:
-                declared = integrate_adaptive(f, 0.0, entry.period, 1e-12).value / entry.period
-            assert far.value / window == pytest.approx(declared, abs=1e-9)
+            assert far.value / window == pytest.approx(declared_mean(entry, params), abs=1e-9)
+
+    @pytest.mark.parametrize("a", [-1e3, -3.0, -1.5, -0.5, 0.0, 0.2, 0.5, 0.999, 1.001, 2.0, 3.5, 1e3])
+    def test_jensen_mean_is_the_period_average(self, a):
+        # ln(1 + 2a cos x + a^2) = ln|1 + a e^(ix)|^2 has mean 2 ln max(1, |a|)
+        entry = get_entry("GR-4.324.2")
+        params = {"a": a, "p": 1.0, "q": 2.0}
+        period = integrate_adaptive(compile_kernel(parse(entry.kernel), params), 0.0, 2.0 * math.pi, 1e-13)
+        assert period.converged
+        m = entry.mean(params)
+        assert abs(m - period.value / (2.0 * math.pi)) <= 1e-13 * max(1.0, abs(m))
+
+    @pytest.mark.parametrize("eid", OSCILLATORY_IDS)
+    def test_compiled_tail_is_the_substituted_tree(self, eid):
+        # the tail the catalog binds is f(exp(s)) - m, evaluated bit for bit
+        entry = get_entry(eid)
+        tree = substitute(parse(entry.kernel), "x", parse("exp(x)"))
+        rng = random.Random(eid)
+        for params in entry.default_grid:
+            bound = catalog._bind(entry, params)[2]
+            m = declared_mean(entry, params)
+            for _ in range(32):
+                s = rng.uniform(-700.0, math.log(math.pi))
+                assert bound(s).hex() == (evaluate(tree, {**params, "x": s}) - m).hex()
 
 
 class TestGridFile:

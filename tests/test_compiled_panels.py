@@ -16,7 +16,7 @@ from frullani import catalog, engine, expr, quadrature
 from frullani.catalog import default_grid, entry_ids, verify_entry
 from frullani.engine import FrullaniProblem, evaluate_pipeline
 from frullani.expr import compile_frullani, parse
-from frullani.quadrature import Spectrum, integrate_decaying
+from frullani.quadrature import integrate_decaying
 
 # The catalog inputs perfbench/defects.py names: (entry, params, tol).
 DEFECT_INPUTS = (
@@ -51,15 +51,13 @@ def _plain(f):
 
 @pytest.fixture
 def generic_panels(monkeypatch):
-    """Wrap every integrand and kernel the catalog and the pipeline bind in
-    a plain function."""
+    """Wrap every integrand, kernel and tail the catalog and the pipeline
+    bind in a plain function."""
     bind, compile_frullani = catalog._bind, engine.compile_frullani
 
     def plain_bind(entry, params):
-        integrand, spectrum = bind(entry, params)
-        if spectrum is not None:
-            spectrum = Spectrum(_plain(spectrum.kernel), spectrum.scales, spectrum.period)
-        return _plain(integrand), spectrum
+        integrand, scales, tail = bind(entry, params)
+        return _plain(integrand), scales, tail and _plain(tail)
 
     def plain_compile(expr, a, b, params=None):
         return tuple(map(_plain, compile_frullani(expr, a, b, params)))

@@ -25,6 +25,7 @@ from frullani.expr import (
     evaluate,
     free_variables,
     parse,
+    substitute,
     unparse,
 )
 from frullani.quadrature import integrate_adaptive
@@ -206,6 +207,23 @@ class TestFreeVariables:
 
     def test_constants_only(self):
         assert free_variables(parse("1 + 2^3")) == frozenset()
+
+
+class TestSubstitute:
+    def test_every_x_is_replaced(self):
+        assert substitute(parse("x*exp(-x)"), "x", parse("exp(x)")) == parse("exp(x)*exp(-exp(x))")
+
+    @pytest.mark.parametrize("text,expected", [
+        ("xa*x + a", "xa*exp(x) + a"),
+        ("a - x^a", "a - exp(x)^a"),
+        ("sqrt(xa)/(1 + a*x)", "sqrt(xa)/(1 + a*exp(x))"),
+    ])
+    def test_other_names_are_left_alone(self, text, expected):
+        assert substitute(parse(text), "x", parse("exp(x)")) == parse(expected)
+
+    def test_a_tree_without_the_name_is_unchanged(self):
+        tree = parse("2*a + ln(xa)")
+        assert substitute(tree, "x", parse("exp(x)")) == tree
 
 
 # trees the parser itself can produce: constants are nonnegative finite
