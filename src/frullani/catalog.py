@@ -28,8 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 # base_frequency, STATUSES and VerificationRecord are re-exported as part of
 # this module's API.  The oracles are called through this module's names.
@@ -67,8 +66,7 @@ CLASS_TOLERANCE = {
 }
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     prose: str
     holds: Callable[[dict], bool]
 
@@ -82,8 +80,7 @@ class ConstraintViolation(ValueError):
         super().__init__(f"{entry_id}: constraint violated: {prose}")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     entry_id: str
     source: str
     eval_class: str

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .expr import Expression, compile_frullani, free_variables, unparse
 
 # Not called here, since kernels are compiled; the benchmark's tracer wraps
 # the name engine.evaluate, so it must stay importable from this module.
 from .expr import evaluate  # noqa: F401
+from .frozen import Frozen
 from .limits import LimitVerdict, ProbeError, limit_at_infinity, limit_at_zero_plus
 from .quadrature import MAX_PANELS, SEGMENT_PANELS, QuadratureResult, integrate_decaying
 from .records import VerificationRecord, judge, nonfinite_closed_form, skipped
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FrullaniProblem:
+class FrullaniProblem(Frozen):
     """One integral: the kernel f (an expression in x, parameters already
     bound to numbers), the two scale factors, and the argument power.
 
@@ -44,31 +43,24 @@ class FrullaniProblem:
     built once (expr.compile_frullani) when the problem is made; they take
     no part in equality, hashing or repr."""
 
-    f: Expression
-    a: float
-    b: float
-    power: float = 1.0
-    kernel: Callable[[float], float] = field(init=False, repr=False, compare=False)
-    integrand: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    __slots__ = ("f", "a", "b", "power", "kernel", "integrand")
+    _compared = __slots__[:4]
 
-    def __post_init__(self):
-        for name in ("a", "b", "power"):
-            v = getattr(self, name)
+    def __init__(self, f: Expression, a: float, b: float, power: float = 1.0):
+        for name, v in (("a", a), ("b", b), ("power", power)):
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite")
-        names = free_variables(self.f)
+        names = free_variables(f)
         if names != frozenset({"x"}):
             raise ValueError(
                 f"kernel must have exactly the free variable x, got "
                 f"{sorted(names) or 'none'}"
             )
-        kernel, integrand = compile_frullani(self.f, self.a, self.b)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "integrand", integrand)
+        kernel, integrand = compile_frullani(f, a, b)
+        self._set(f=f, a=a, b=b, power=power, kernel=kernel, integrand=integrand)
 
 
-@dataclass(frozen=True)
-class ApplicabilityReport:
+class ApplicabilityReport(NamedTuple):
     verdict_at_zero: LimitVerdict
     verdict_at_infinity: LimitVerdict
     applicable: bool

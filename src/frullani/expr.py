@@ -44,7 +44,10 @@ call per panel instead of one per node.  A panel where a node raises or is
 not finite returns None, and quadrature reruns it point by point, so every
 result and error stays the same bits.
 
-Trees are immutable dataclasses, so structural equality is plain ==.
+Trees are named tuples of their fields, so structural equality and hashing
+are plain == and hash(), and a field cannot be assigned.  Each node kind
+holds fields of its own types, so trees of different kinds never compare
+equal.
 """
 
 from __future__ import annotations
@@ -52,8 +55,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .quadrature import PANEL_GLOBALS, _indented, panel_source
 
@@ -96,30 +98,25 @@ class DomainError(EvaluationError):
         super().__init__(f"{func} undefined at argument {argument!r}")
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Expression"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * / ^
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str
     arg: "Expression"
 

@@ -20,8 +20,9 @@ Callers that need certainty must supply analytic limits instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
+
+from .frozen import Frozen
 
 OVERFLOW_GUARD = 1e12
 _TRAILING_WINDOW = 8
@@ -38,14 +39,25 @@ class ProbeError(RuntimeError):
         super().__init__(f"probe evaluation failed at x = {abscissa!r}: {cause}")
 
 
-@dataclass(frozen=True)
-class LimitVerdict:
-    kind: str  # "finite" | "diverges" | "no-limit"
-    value: float | None = None
-    uncertainty: float | None = None
-    direction: int | None = None
-    amplitude: float | None = None
-    evidence: tuple = field(default=(), compare=False, repr=False)
+class LimitVerdict(Frozen):
+    """kind is "finite", "diverges" or "no-limit", and the fields of that
+    kind are set.  evidence, the (abscissa, sample) pairs the probe took,
+    takes no part in ==, hash() or repr()."""
+
+    __slots__ = ("kind", "value", "uncertainty", "direction", "amplitude", "evidence")
+    _compared = __slots__[:-1]
+
+    def __init__(
+        self,
+        kind: str,
+        value: float | None = None,
+        uncertainty: float | None = None,
+        direction: int | None = None,
+        amplitude: float | None = None,
+        evidence: tuple = (),
+    ):
+        self._set(kind=kind, value=value, uncertainty=uncertainty, direction=direction,
+                  amplitude=amplitude, evidence=evidence)
 
     @classmethod
     def finite(cls, value: float, uncertainty: float, evidence=()) -> "LimitVerdict":
@@ -86,6 +98,12 @@ def _aitken(s0: float, s1: float, s2: float) -> float | None:
     if abs(denom) < 1e-14 * scale:
         return None
     a = s2 - d2 * d2 / denom
+    if math.isfinite(a):
+        return a
+    # a difference past 1.3e154 squares to inf: divide first there
+    if d2 * d2 < math.inf:
+        return None
+    a = s2 - d2 * (d2 / denom)
     return a if math.isfinite(a) else None
 
 

@@ -47,10 +47,11 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
+
+from .frozen import Frozen
 
 __all__ = [
     "QuadratureResult",
@@ -106,10 +107,11 @@ SEGMENT_PANELS = 200
 MAX_PANELS = 2000
 # the lower end of a panel (-err, counter, lo, hi, value, err) of integrate_adaptive
 _LOWER = itemgetter(2)
+# 2^-53, the relative rounding unit of a double
+_UNIT_ROUNDOFF = 2.0**-53
 
 
-@dataclass(frozen=True)
-class OscillatorySpec:
+class OscillatorySpec(Frozen):
     """Tail plan: start point and half-period of the segment grid.
 
     half_period should be pi divided by the base frequency of the tail's
@@ -119,14 +121,14 @@ class OscillatorySpec:
     half_period pi/w.
     """
 
-    start: float
-    half_period: float
+    __slots__ = _compared = ("start", "half_period")
 
-    def __post_init__(self):
-        if not (self.start > 0 and math.isfinite(self.start)):
+    def __init__(self, start: float, half_period: float):
+        if not (start > 0 and math.isfinite(start)):
             raise ValueError("start must be positive and finite")
-        if not (self.half_period > 0 and math.isfinite(self.half_period)):
+        if not (half_period > 0 and math.isfinite(half_period)):
             raise ValueError("half_period must be positive and finite")
+        self._set(start=start, half_period=half_period)
 
 
 def base_frequency(freqs: Sequence[float]) -> float:
@@ -332,11 +334,14 @@ def integrate_adaptive(
 ) -> QuadratureResult:
     """Globally adaptive G7/K15 integration of f over the finite [lo, hi].
 
-    When converged is True the returned value is finite and error_estimate
-    is at most tol.  The estimate on failure is the honest panel-error sum,
-    and the diagnostic names why refinement stopped: a value or error sum
-    that is not finite, the panel cap, or panels too narrow to split at
-    floating-point resolution.
+    When converged is True the returned value is finite, error_estimate
+    is at most tol, and tol is at least the rounding floor of the panel
+    sum, 2^-53 times the sum of |panel value|: no estimate below one
+    rounding unit of the sum bounds its error.  The estimate on failure is
+    the honest panel-error sum, and the diagnostic names why refinement
+    stopped: a value or error sum that is not finite, the panel cap, or
+    panels too narrow to split at floating-point resolution; or, for an
+    estimate within tol, the floor above tol.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("need finite lo < hi")
@@ -377,15 +382,19 @@ def integrate_adaptive(
     # resum in spatial order: deterministic and slightly kinder to rounding;
     # every sum here runs left to right (sum() is compensated from Python 3.12)
     panels.sort(key=_LOWER)
-    total = err_total = 0
+    total = err_total = magnitude = 0
     for p in panels:
         total += p[4]
         err_total += p[5]
+        magnitude += abs(p[4])
+    floor = magnitude * _UNIT_ROUNDOFF
     # each bisection adds one panel and spends two
     evals = 15 * (2 * len(panels) - 1)
     if err_total <= tol and math.isfinite(total):
-        return QuadratureResult(total, err_total, evals, True)
-    if not (math.isfinite(total) and math.isfinite(err_total)):
+        if tol >= floor:
+            return QuadratureResult(total, err_total, evals, True)
+        diagnostic = f"tolerance {tol:.3e} is below the rounding floor {floor:.3e} of the panel sum"
+    elif not (math.isfinite(total) and math.isfinite(err_total)):
         # finite values whose weighted sums overflow, or inf - inf
         diagnostic = f"panel sums not finite: value {total!r}, error {err_total!r}"
     elif len(panels) >= max_panels:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .expr import ExprError
 from .quadrature import IntegrandError, QuadratureResult
@@ -24,8 +23,7 @@ STATUSES = ("PASS", "FAIL", "NOT_APPLICABLE", "ORACLE_FAILED", "CONSTRAINT_VIOLA
 _ORACLE_ERRORS = (ArithmeticError, ExprError, IntegrandError, ValueError)
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """One checked binding.  params holds the binding in print order;
     evaluations counts the oracle's integrand evaluations (0 when no oracle
     ran or it raised)."""

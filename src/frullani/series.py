@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .expr import compile_frullani, compile_kernel, parse
+from .frozen import Frozen
 from .quadrature import integrate_frullani_oscillatory
 
 __all__ = [
@@ -54,8 +54,7 @@ def log_ratio(x: float, y: float) -> float:
     return math.log(x) - math.log(y)
 
 
-@dataclass(frozen=True)
-class SeriesParams:
+class SeriesParams(Frozen):
     """Parameters of the cosine-log integral and its series truncation.
 
     a is the kernel amplitude (any real except -1, where the kernel log
@@ -65,26 +64,27 @@ class SeriesParams:
     [0, 1/4].
     """
 
-    a: float
-    p: float
-    q: float
-    K: int
+    __slots__ = _compared = ("a", "p", "q", "K")
 
-    def __post_init__(self):
-        if not math.isfinite(self.a) or self.a == -1.0:
+    def __init__(self, a: float, p: float, q: float, K: int):
+        if not math.isfinite(a) or a == -1.0:
             raise ValueError("a must be finite and != -1")
-        if not (self.p > 0 and math.isfinite(self.p)):
+        if not (p > 0 and math.isfinite(p)):
             raise ValueError("p must be positive and finite")
-        if not (self.q > 0 and math.isfinite(self.q)):
+        if not (q > 0 and math.isfinite(q)):
             raise ValueError("q must be positive and finite")
-        if self.K < 1:
+        if K < 1:
             raise ValueError("K must be at least 1")
+        self._set(a=a, p=p, q=q, K=K)
 
     @property
     def A(self) -> float:
         """Coefficient of cos in the kernel series; clamped so roundoff
-        near |a| = 1 cannot push it outside [-1, 1]."""
-        amp = 2.0 * self.a / (1.0 + self.a * self.a)
+        near |a| = 1 cannot push it outside [-1, 1].  Where a^2 overflows
+        it is 2/(a + 1/a), about 2/a, not inf/inf or 2a/inf."""
+        a = self.a
+        sq = a * a
+        amp = 2.0 * a / (1.0 + sq) if sq < math.inf else 2.0 / (a + 1.0 / a)
         return max(-1.0, min(1.0, amp))
 
     @property
@@ -163,11 +163,16 @@ def discriminant_identity(a: float) -> tuple[float, float]:
     Returns (lhs, rhs) where lhs = 1 - 4a^2/(1+a^2)^2 and rhs is the
     squared ratio.  Exact algebra; in floats the lhs suffers cancellation
     from the leading 1 near |a| = 1, so agreement is a few ulps of
-    max(|lhs|, |rhs|, 1), not of the (tiny) results themselves.
+    max(|lhs|, |rhs|, 1), not of the (tiny) results themselves.  Both sides
+    are the same functions of 1/a, which they are taken of where a^2
+    overflows.
     """
     if not math.isfinite(a):
         raise ValueError("a must be finite")
     sq = a * a
+    if sq == math.inf:
+        a = 1.0 / a
+        sq = a * a
     denom = 1.0 + sq
     lhs = 1.0 - 4.0 * sq / (denom * denom)
     ratio = (sq - 1.0) / (sq + 1.0)

@@ -420,10 +420,6 @@ class TestConfidentFailures:
             ("GR-3.412.1", {"a": 1.0, "b": 1.0, "c": 1e-300, "g": 1.0, "h": 1.0, "p": 1.0, "q": 2.0}, None),
             # off by 1.9e-9 against an estimate of 3.1e-11
             ("GR-4.267.8", {"a": 1.83309, "b": 46.285}, 4.34319e-10),
-            # the split route's integral over s spans 690.8 units, and its
-            # panel estimates fall below the rounding of the panel sums:
-            # off by 3.070e-12 with the oracle converged
-            ("R-3.4", {"a": 1e300, "b": 1.0}, 1e-15),
             # the first panel of the decaying map sees ((x + 1)/(x + 2))^1e5
             # near zero everywhere and converges at once: -1.5e-93 against
             # -ln 2, in 15 evaluations
@@ -432,6 +428,17 @@ class TestConfidentFailures:
     )
     def test_true_identity_is_not_a_fail(self, entry_id, params, tol):
         assert verify_entry(entry_id, params, tol).status != "FAIL"
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-14])
+    def test_tolerance_below_the_rounding_floor_is_oracle_failed(self, tol):
+        # the split route's integral over s spans 690.8 units, whose sum
+        # rounds at 7.7e-14: the oracle once converged there, off by 3.07e-12
+        rec = verify_entry("R-3.4", {"a": 1e300, "b": 1.0}, tol)
+        assert rec.status == "ORACLE_FAILED"
+        assert "is below the rounding floor 7.660e-14 of the panel sum" in rec.detail
+
+    def test_tolerance_above_the_rounding_floor_passes(self):
+        assert verify_entry("R-3.4", {"a": 1e300, "b": 1.0}, 1e-12).status == "PASS"
 
 
 class TestZeroLaw:

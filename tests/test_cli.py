@@ -151,14 +151,16 @@ class TestVerify:
         assert float(f["abs_err"]) <= 1e-9
 
     def test_split_tail_names_the_pieces_that_stopped(self, capsys):
-        # a tolerance below the rounding of the kernel's integral over
-        # (alpha c, beta c) = (pi, pi/1e6)
+        # a tolerance below the rounding of the head's integral over
+        # (0, pi/1e6] and of the kernel's over (alpha c, beta c) = (pi, pi/1e6)
         rc = main(["verify", "R-3.4", "--params", "a=1e6,b=1", "--tol", "1e-17"])
         captured = capsys.readouterr()
         assert rc == 1
         assert fields(captured.out.splitlines()[0])["status"] == "ORACLE_FAILED"
         assert captured.err.strip() == (
-            "oracle did not converge: kernel on (3.141592653589793, 3.1415926535897933e-06): "
+            "oracle did not converge: head on (0, 3.1415926535897933e-06]: "
+            "tolerance 1.000e-18 is below the rounding floor 1.830e-16 of the panel sum; "
+            "kernel on (3.141592653589793, 3.1415926535897933e-06): "
             "panel error sum rounded above tolerance"
         )
 

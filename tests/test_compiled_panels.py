@@ -8,8 +8,6 @@ generic one.  The two routes must give the same record in every field but
 wall time.
 """
 
-import dataclasses
-
 import pytest
 
 from frullani import catalog, engine, expr, quadrature
@@ -68,7 +66,7 @@ def generic_panels(monkeypatch):
 
 def _fields(rec):
     """Every field but wall time, floats as exact bits."""
-    out = dataclasses.asdict(rec)
+    out = rec._asdict()
     del out["wall_time"]
     return {k: v.hex() if isinstance(v, float) else v for k, v in out.items()}
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from frullani.limits import (
     LimitVerdict,
     ProbeError,
+    _aitken,
     limit_at_infinity,
     limit_at_zero_plus,
 )
@@ -164,6 +165,28 @@ def test_bounded_kernel_above_the_guard_is_finite(scale):
     v = limit_at_zero_plus(lambda x: scale / (1.0 + x))
     assert v.is_finite
     assert v.value == pytest.approx(scale, rel=1e-9)
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: 1e200 * x / (1.0 + x),
+    lambda x: 1e200 * math.atan(x),
+    lambda x: 1e308 * x,
+], ids=["1e200*x/(1+x)", "1e200*atan(x)", "1e308*x"])
+def test_large_constant_times_a_vanishing_kernel_is_finite_at_zero(f):
+    # the differences of the first samples square past the largest double
+    v = limit_at_zero_plus(f)
+    assert v.is_finite
+    assert v.value == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e150, 1e150, allow_nan=False), min_size=3, max_size=3))
+def test_aitken_step_keeps_its_bits_where_the_square_is_finite(s):
+    s0, s1, s2 = s
+    d1, d2 = s1 - s0, s2 - s1
+    a = _aitken(s0, s1, s2)
+    if a is not None and d2 != d1:
+        assert a == s2 - d2 * d2 / (d2 - d1)
 
 
 def test_growth_past_a_scaled_guard_still_diverges():

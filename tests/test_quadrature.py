@@ -190,6 +190,17 @@ class TestAdaptive:
         assert not res.converged
         assert res.diagnostic == "the error left sits in panels at floating-point resolution"
 
+    def test_tolerance_below_the_rounding_floor_is_not_converged(self):
+        # a constant has no Gauss-Kronrod error, but its sum of 1000 rounds
+        # at 2^-53 * 1000 = 1.1e-13: the floor changes the verdict, not the value
+        above = integrate_adaptive(lambda x: 1000.0, 0.0, 1.0, 2e-13)
+        below = integrate_adaptive(lambda x: 1000.0, 0.0, 1.0, 1e-13)
+        assert above == QuadratureResult(1000.0, 0.0, 15, True)
+        assert below == above._replace(
+            converged=False,
+            diagnostic="tolerance 1.000e-13 is below the rounding floor 1.110e-13 of the panel sum",
+        )
+
     @settings(max_examples=50, deadline=None)
     @given(
         a=st.floats(-50.0, 50.0, allow_nan=False),

@@ -49,6 +49,20 @@ class TestSeriesParams:
         assert -1.0 <= params.A <= 1.0
         assert 0.0 <= params.Q <= 0.25
 
+    @pytest.mark.parametrize("a", [1.4e154, 1e200, 9e307, 1e308, -1e308, -3e160])
+    def test_amplitude_past_overflow_of_a_squared(self, a):
+        # 2a/(1+a^2) gives inf/inf or 2a/inf there; A is 2/a to rounding
+        params = SeriesParams(a, 1.0, 2.0, 3)
+        assert params.A == pytest.approx(2.0 / a, rel=1e-15, abs=0.0)
+        assert 0.0 <= params.Q <= params.A**2
+
+    def test_amplitude_keeps_its_bits_below_overflow(self):
+        for k in range(-150, 151):
+            for a in (10.0**k, -3.7 * 10.0**k):
+                if abs(a) <= 1e150:
+                    expected = max(-1.0, min(1.0, 2.0 * a / (1.0 + a * a)))
+                    assert SeriesParams(a, 1.0, 2.0, 1).A == expected, a
+
     def test_reciprocal_amplitudes_share_coefficients(self):
         # A(a) = A(1/a) exactly in exact arithmetic; floats agree to a few ulps
         lo, hi = SeriesParams(0.5, 1.0, 2.0, 1), SeriesParams(2.0, 1.0, 2.0, 1)
@@ -153,6 +167,11 @@ class TestDiscriminantIdentity:
         with pytest.raises(ValueError):
             discriminant_identity(math.nan)
 
+    @pytest.mark.parametrize("a", [1.4e154, 1e200, -1e308])
+    def test_past_overflow_of_a_squared(self, a):
+        # both sides are 1 - O(1/a^2), taken of 1/a where a^2 overflows
+        assert discriminant_identity(a) == (1.0, 1.0)
+
 
 class TestClosedForm:
     def test_branches_agree_on_reciprocal_pairs(self):
@@ -250,6 +269,13 @@ class TestSeriesConvergence:
     @pytest.mark.parametrize("a", [-0.5, -0.1, 0.1, 0.3, 0.5, 0.6])
     def test_deep_truncation_reaches_closed_form(self, a):
         assert _series_residual(a, 400) <= 1e-8
+
+    @pytest.mark.parametrize("a", [1e308, -1e308, 1e200, 1.4e154])
+    def test_huge_amplitude_residual_is_below_the_value(self, a):
+        # the value is about 2 ln 2 / a; A once read 1 (or NaN, or 0) here
+        closed = gr_4_324_2_closed(a, 1.0, 2.0)
+        assert abs(closed) < 1e-150
+        assert _series_residual(a, 3) <= 1e-300
 
     @settings(max_examples=80, deadline=None)
     @given(
