@@ -19,6 +19,7 @@ from collections import defaultdict
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from frullani import catalog  # noqa: E402
+from frullani.records import BAD_STATUSES  # noqa: E402
 
 
 def main() -> int:
@@ -48,7 +49,7 @@ def main() -> int:
               f"(headroom {margin:.0f}x, {evaluations[eval_class]} evaluations, "
               f"slowest record {slowest[eval_class] * 1e3:.1f} ms)")
 
-    bad = [r for r in records if r.status in ("FAIL", "ORACLE_FAILED")]
+    bad = [r for r in records if r.status in BAD_STATUSES]
     print(f"\n{len(records)} records, {len(records) - len(bad)} good, {len(bad)} bad")
     return 1 if bad else 0
 

@@ -1,15 +1,17 @@
 """Machine-checkable catalog of Frullani-type integral identities.
 
-Twenty entries: eleven from Gradshteyn & Ryzhik (GR-*), nine from volume 1
-of Ramanujan's Notebooks (R-*).  Each entry carries the printed closed form,
-parameter constraints with prose, a default verification grid, its
-evaluation class, and the reduction the paper states: a kernel f as
-expression text in x and the entry's parameters, with a scale pair (alpha,
-beta), so that the printed integrand is [f(alpha x) - f(beta x)]/x.  The
-text is compiled like a typed kernel (expr.compile_family), once per entry,
-and bound to each binding's numbers.  For an oscillatory entry the same text
-also gives the tail the oracle's split route integrates, f(e^s) - m, m being
-the kernel's mean at infinity, which the entry declares where it is not 0.
+Twenty entries, one table of CatalogEntry rows: eleven from Gradshteyn &
+Ryzhik (GR-*), nine from volume 1 of Ramanujan's Notebooks (R-*).  Each
+entry carries the printed closed form, parameter constraints with prose, a
+default verification grid, its evaluation class, and the reduction the
+paper states: a kernel f as expression text in x and the entry's
+parameters, with a scale pair (alpha, beta), so that the printed integrand
+is [f(alpha x) - f(beta x)]/x.  The text is compiled like a typed kernel
+(expr.compile_family), once per entry, and bound to each binding's numbers.
+For an oscillatory entry the same text also gives the tail the oracle's
+split route integrates, f(e^s) - m (expr.compile_tail), m being the
+kernel's mean at infinity, which the entry declares where it is not 0.
+This module builds no expression tree of its own.
 
 Seven entries give the printed integrand as its own text, where it is not
 written through the kernel: GR-3.476.1 (x^p), GR-4.297.7 (over x^2),
@@ -38,7 +40,7 @@ from .quadrature import (
     integrate_decaying,
     integrate_frullani_oscillatory,
 )
-from .expr import BinOp, Call, Var, compile_family, evaluate, parse, substitute
+from .expr import compile_family, compile_tail, evaluate, parse
 from .records import STATUSES, VerificationRecord, judge, nonfinite_closed_form, skipped
 from .series import gr_4_324_2_closed, log_ratio
 
@@ -120,8 +122,9 @@ def _positive(*names: str) -> Constraint:
 
 # ---------------------------------------------------------------- entries
 
-def _gr_3_434_2() -> CatalogEntry:
-    return CatalogEntry(
+# the table, in the order list_entries and entry_ids give it
+_ENTRIES: tuple[CatalogEntry, ...] = (
+    CatalogEntry(
         entry_id="GR-3.434.2",
         source="G&R 3.434.2",
         eval_class="smooth-decay",
@@ -132,11 +135,8 @@ def _gr_3_434_2() -> CatalogEntry:
         kernel="expm1(-x)",
         scales=("a", "b"),
         kernel_limits=lambda p: (0.0, -1.0),
-    )
-
-
-def _gr_4_267_8() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="GR-4.267.8",
         source="G&R 4.267.8",
         eval_class="finite-interval",
@@ -152,11 +152,8 @@ def _gr_4_267_8() -> CatalogEntry:
             "(t^(b-1) - t^(a-1))/ln t equals ln(b/a), e.g. +0.28768 at a=1.5, "
             "b=2, confirmed numerically, so ln(b/a) is catalogued"
         ),
-    )
-
-
-def _gr_3_476_1() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="GR-3.476.1",
         source="G&R 3.476.1",
         eval_class="smooth-decay",
@@ -173,11 +170,8 @@ def _gr_3_476_1() -> CatalogEntry:
         scales=("v", "u"),
         integrand="(expm1(-v*x^p) - expm1(-u*x^p))/x",
         kernel_limits=lambda p: (0.0, -1.0),
-    )
-
-
-def _gr_3_436() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="GR-3.436",
         source="G&R 3.436",
         eval_class="smooth-decay",
@@ -192,11 +186,8 @@ def _gr_3_436() -> CatalogEntry:
         kernel="(expm1(-q*x) - expm1(-p*x))/x",
         scales=("a", "b"),
         kernel_limits=lambda p: (p["p"] - p["q"], 0.0),
-    )
-
-
-def _gr_3_329() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="GR-3.329",
         source="G&R 3.329",
         eval_class="smooth-decay",
@@ -220,11 +211,8 @@ def _gr_3_329() -> CatalogEntry:
         ),
         kernel_limits=lambda p: (math.exp(-p["c"]), 0.0),
         note="positivity of c is inferred from convergence, not printed",
-    )
-
-
-def _gr_3_232() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="GR-3.232",
         source="G&R 3.232",
         eval_class="smooth-decay",
@@ -239,11 +227,8 @@ def _gr_3_232() -> CatalogEntry:
         kernel="(x + c)^(-mu)",
         scales=("a", "b"),
         kernel_limits=lambda p: (math.pow(p["c"], -p["mu"]), 0.0),
-    )
-
-
-def _gr_4_536_2() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="GR-4.536.2",
         source="G&R 4.536.2",
         eval_class="smooth-decay",
@@ -254,11 +239,8 @@ def _gr_4_536_2() -> CatalogEntry:
         kernel="atan(x)",
         scales=("p", "q"),
         kernel_limits=lambda p: (0.0, 0.5 * math.pi),
-    )
-
-
-def _gr_4_319_3() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="GR-4.319.3",
         source="G&R 4.319.3",
         eval_class="smooth-decay",
@@ -276,11 +258,8 @@ def _gr_4_319_3() -> CatalogEntry:
         scales=("p", "q"),
         kernel_limits=lambda prm: (math.log1p(prm["b"] / prm["a"]), 0.0),
         note="closed form ln(a/(a+b)) ln(p/q) is evaluated as ln(1+b/a) ln(q/p)",
-    )
-
-
-def _gr_4_297_7() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="GR-4.297.7",
         source="G&R 4.297.7",
         eval_class="smooth-decay",
@@ -292,11 +271,8 @@ def _gr_4_297_7() -> CatalogEntry:
         scales=("a", "b"),
         integrand="(b*log1p(a*x) - a*log1p(b*x))/(x*x)",
         kernel_limits=lambda p: (p["a"] * p["b"], 0.0),
-    )
-
-
-def _gr_3_484() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="GR-3.484",
         source="G&R 3.484",
         eval_class="smooth-decay",
@@ -312,11 +288,8 @@ def _gr_3_484() -> CatalogEntry:
         kernel="exp(x*log1p(a/x))",
         scales=("q", "p"),
         kernel_limits=lambda prm: (1.0, math.exp(prm["a"])),
-    )
-
-
-def _gr_3_412_1() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="GR-3.412.1",
         source="G&R 3.412.1",
         eval_class="smooth-decay",
@@ -336,11 +309,8 @@ def _gr_3_412_1() -> CatalogEntry:
             (prm["a"] + prm["b"]) / (prm["c"] + prm["g"] + prm["h"]),
             0.0,
         ),
-    )
-
-
-def _gr_4_324_2() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="GR-4.324.2",
         source="G&R 4.324.2",
         eval_class="oscillatory",
@@ -366,11 +336,8 @@ def _gr_4_324_2() -> CatalogEntry:
         # 1 + 2a cos x + a^2 = |1 + a e^(ix)|^2, so by Jensen's formula the
         # mean over a period is 2 ln max(1, |a|)
         mean=lambda prm: 2.0 * math.log(max(1.0, abs(prm["a"]))),
-    )
-
-
-def _r_3_1() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="R-3.1",
         source="Ramanujan Notebooks I, 3.1",
         eval_class="smooth-decay",
@@ -381,11 +348,8 @@ def _r_3_1() -> CatalogEntry:
         kernel="atan(x)",
         scales=("a", "b"),
         kernel_limits=lambda p: (0.0, 0.5 * math.pi),
-    )
-
-
-def _r_3_2() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="R-3.2",
         source="Ramanujan Notebooks I, 3.2",
         eval_class="smooth-decay",
@@ -402,11 +366,8 @@ def _r_3_2() -> CatalogEntry:
         kernel="log1p(q/p*exp(-x))",
         scales=("a", "b"),
         kernel_limits=lambda prm: (math.log1p(prm["q"] / prm["p"]), 0.0),
-    )
-
-
-def _r_3_3() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="R-3.3",
         source="Ramanujan Notebooks I, 3.3",
         eval_class="smooth-decay",
@@ -422,11 +383,8 @@ def _r_3_3() -> CatalogEntry:
         kernel="((x + p)/(x + q))^n",
         scales=("a", "b"),
         kernel_limits=lambda prm: (math.pow(prm["p"] / prm["q"], prm["n"]), 1.0),
-    )
-
-
-def _r_3_4() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="R-3.4",
         source="Ramanujan Notebooks I, 3.4",
         eval_class="oscillatory",
@@ -436,11 +394,8 @@ def _r_3_4() -> CatalogEntry:
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 3.0, "b": 3.0}),
         kernel="cos(x)",  # no limit at infinity
         scales=("a", "b"),
-    )
-
-
-def _r_3_5() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="R-3.5",
         source="Ramanujan Notebooks I, 3.5",
         eval_class="oscillatory",
@@ -452,11 +407,8 @@ def _r_3_5() -> CatalogEntry:
         kernel="0.5*cos(x)",
         scales=("a", "b"),
         integrand="sin(0.5*(b - a)*x)*sin(0.5*(b + a)*x)/x",
-    )
-
-
-def _r_3_6() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="R-3.6",
         source="Ramanujan Notebooks I, 3.6",
         eval_class="oscillatory",
@@ -474,11 +426,8 @@ def _r_3_6() -> CatalogEntry:
         scales=("p - q", "p + q"),
         integrand="sin(p*x)*sin(q*x)/x",
         note="p > q is required but not printed alongside the entry",
-    )
-
-
-def _r_3_8() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="R-3.8",
         source="Ramanujan Notebooks I, 3.8",
         eval_class="oscillatory",
@@ -489,11 +438,8 @@ def _r_3_8() -> CatalogEntry:
         kernel="exp(-x)*sin(x)",
         scales=("a", "b"),
         kernel_limits=lambda p: (0.0, 0.0),
-    )
-
-
-def _r_3_9() -> CatalogEntry:
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         entry_id="R-3.9",
         source="Ramanujan Notebooks I, 3.9",
         eval_class="smooth-decay",
@@ -504,30 +450,7 @@ def _r_3_9() -> CatalogEntry:
         kernel="exp(-x)*cos(x)",
         scales=("a", "b"),
         kernel_limits=lambda p: (1.0, 0.0),
-    )
-
-
-_ENTRIES: tuple[CatalogEntry, ...] = (
-    _gr_3_434_2(),
-    _gr_4_267_8(),
-    _gr_3_476_1(),
-    _gr_3_436(),
-    _gr_3_329(),
-    _gr_3_232(),
-    _gr_4_536_2(),
-    _gr_4_319_3(),
-    _gr_4_297_7(),
-    _gr_3_484(),
-    _gr_3_412_1(),
-    _gr_4_324_2(),
-    _r_3_1(),
-    _r_3_2(),
-    _r_3_3(),
-    _r_3_4(),
-    _r_3_5(),
-    _r_3_6(),
-    _r_3_8(),
-    _r_3_9(),
+    ),
 )
 
 _BY_ID = {e.entry_id: e for e in _ENTRIES}
@@ -588,8 +511,6 @@ def _check_params(entry: CatalogEntry, params: dict) -> tuple[dict, Optional[str
 
 # The caches are keyed by the catalog's own texts, a fixed set.
 _parsed = functools.cache(parse)
-# the parameter the mean is bound under in a tail; no parsed text names it
-_MEAN = "<mean>"
 
 
 @functools.cache
@@ -600,10 +521,8 @@ def _compiled(text: str, names: tuple[str, ...]):
 
 @functools.cache
 def _tail(kernel: str, names: tuple[str, ...]):
-    """The tail s -> f(exp(s)) - m of the kernel text f, compiled once, for
-    every binding of names and the mean m."""
-    at_exp = substitute(_parsed(kernel), "x", Call("exp", Var("x")))
-    return compile_family(BinOp("-", at_exp, Var(_MEAN)), (*names, _MEAN))
+    """The tail of the kernel text (expr.compile_tail), compiled once."""
+    return compile_tail(_parsed(kernel), names)
 
 
 def _bind(entry: CatalogEntry, params: dict) -> tuple[Callable[[float], float], tuple, Optional[Callable]]:
@@ -619,7 +538,7 @@ def _bind(entry: CatalogEntry, params: dict) -> tuple[Callable[[float], float], 
     if entry.eval_class != "oscillatory":
         return integrand, scales, None
     mean = entry.mean(params) if entry.mean else 0.0
-    return integrand, scales, _tail(entry.kernel, names)({**params, _MEAN: mean})[0]
+    return integrand, scales, _tail(entry.kernel, names)(params, mean)
 
 
 def instantiate(entry_id: str, params: dict):
@@ -645,8 +564,8 @@ def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> Ve
     entry = get_entry(entry_id)
     if tol is None:
         tol = class_tolerance(entry.eval_class)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
     start = time.perf_counter()
     try:
         clean, violated = _check_params(entry, params)

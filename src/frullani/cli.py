@@ -33,11 +33,9 @@ from . import catalog
 from .engine import FrullaniProblem, diagnose, evaluate_pipeline
 from .expr import ExprError, compile_kernel, free_variables, parse as parse_expr
 from .limits import ProbeError
-from .records import VerificationRecord
+from .records import BAD_STATUSES, SKIP_STATUSES, VerificationRecord
 from .series import SeriesParams, gr_4_324_2_closed, gr_4_324_2_series
 
-_BAD_STATUSES = ("FAIL", "ORACLE_FAILED")
-_SKIP_STATUSES = ("NOT_APPLICABLE", "CONSTRAINT_VIOLATION")
 # the series is summed term by term in Python: 10**7 terms take seconds
 _MAX_TERMS = 10_000_000
 
@@ -111,13 +109,13 @@ def _record_object(rec: VerificationRecord) -> dict:
 
 def _summary_line(records) -> str:
     passed = sum(1 for r in records if r.status == "PASS")
-    failed = sum(1 for r in records if r.status in _BAD_STATUSES)
-    skipped = sum(1 for r in records if r.status in _SKIP_STATUSES)
+    failed = sum(1 for r in records if r.status in BAD_STATUSES)
+    skipped = sum(1 for r in records if r.status in SKIP_STATUSES)
     return f"total={len(records)} pass={passed} fail={failed} skipped={skipped}"
 
 
 def _exit_code(records) -> int:
-    return 1 if any(r.status in _BAD_STATUSES for r in records) else 0
+    return 1 if any(r.status in BAD_STATUSES for r in records) else 0
 
 
 def _cmd_list(args) -> int:

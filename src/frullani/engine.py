@@ -124,8 +124,8 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
     panel count, would still miss the tolerance at MAX_PANELS.  The record
     then ends ORACLE_FAILED after the first pass.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
     params = {"a": prob.a, "b": prob.b, "power": prob.power}
     start = time.perf_counter()
     report = diagnose(prob.kernel)

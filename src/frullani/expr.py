@@ -20,7 +20,10 @@ Three ways to use a tree:
                    compile_frullani also gives the Frullani integrand
                    (f(a x) - f(b x))/x of that kernel f, which the
                    probe-then-verify pipeline and the catalog integrate;
-                   compile_family walks a tree once for many bindings
+                   compile_family walks a tree once for many bindings;
+                   compile_tail gives the log-tail f(exp(s)) - m of a
+                   kernel f of mean m at infinity, which the oscillatory
+                   oracle's split route integrates
 
 The compiled code is plain floating-point Python with no domain checks.  A
 node that reads only constants and parameters runs once per binding, and a
@@ -716,6 +719,31 @@ def compile_frullani(
     params = params or {}
     kernel, frullani = compile_family(expr, params)(params)
     return kernel, frullani(a, b)
+
+
+# the parameter a tail binds its mean under; no parsed text names it
+_MEAN = "<mean>"
+
+
+def compile_tail(
+    expr: Expression, names: Iterable[str] = ()
+) -> Callable[[Mapping[str, float], float], Callable[[float], float]]:
+    """Compile the log-tail s -> f(exp(s)) - m of a kernel f, a tree in x
+    and the parameters names, walking it once.
+
+    Returns bind(params, m), which binds every parameter to a number and
+    the mean m of f at infinity, and gives the tail: the kernel
+    f(exp(x)) - m of compile_family, with its own panel() and
+    mapped_panel().  The oscillatory oracle's split route integrates it
+    over s = ln u.
+    """
+    at_exp = substitute(expr, "x", Call("exp", Var("x")))
+    family = compile_family(BinOp("-", at_exp, Var(_MEAN)), (*names, _MEAN))
+
+    def bind(params: Mapping[str, float], m: float) -> Callable[[float], float]:
+        return family({**params, _MEAN: m})[0]
+
+    return bind
 
 
 # precedence levels used by unparse; higher binds tighter

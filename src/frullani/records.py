@@ -15,9 +15,16 @@ from typing import Callable, NamedTuple
 from .expr import ExprError
 from .quadrature import IntegrandError, QuadratureResult
 
-__all__ = ["VerificationRecord", "STATUSES", "skipped", "nonfinite_closed_form", "judge"]
+__all__ = [
+    "VerificationRecord", "STATUSES", "BAD_STATUSES", "SKIP_STATUSES",
+    "skipped", "nonfinite_closed_form", "judge",
+]
 
 STATUSES = ("PASS", "FAIL", "NOT_APPLICABLE", "ORACLE_FAILED", "CONSTRAINT_VIOLATION")
+# a run fails on a record of a bad status, and a skipped record never
+# reached an oracle
+BAD_STATUSES = ("FAIL", "ORACLE_FAILED")
+SKIP_STATUSES = ("NOT_APPLICABLE", "CONSTRAINT_VIOLATION")
 
 # what an oracle may raise and still end in an ORACLE_FAILED record
 _ORACLE_ERRORS = (ArithmeticError, ExprError, IntegrandError, ValueError)

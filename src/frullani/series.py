@@ -26,7 +26,7 @@ import math
 import sys
 from functools import lru_cache
 
-from .expr import compile_frullani, compile_kernel, parse
+from .expr import compile_frullani, compile_tail, parse
 from .frozen import Frozen
 from .quadrature import integrate_frullani_oscillatory
 
@@ -224,10 +224,11 @@ def imaginary_exponential_check(
         integral_0^inf (sin px - sin qx)/x dx = 0
 
     these are the real and imaginary parts of the a -> 0 linearisation of
-    the kernel and the reason only the real part survives.  Each kernel
-    and its tail, of mean 0, are compiled text.  Returns the (cos, sin)
-    value pair; raises if either oscillatory integration fails to converge.
-    p = q short-circuits to (0, 0), the zero integrand.
+    the kernel and the reason only the real part survives.  The integrand
+    and the tail, of mean 0, are compiled from one parsed kernel, cos(x)
+    or sin(x).  Returns the (cos, sin) value pair; raises if either
+    oscillatory integration fails to converge.  p = q short-circuits to
+    (0, 0), the zero integrand.
     """
     if not (p > 0 and q > 0):
         raise ValueError("p and q must be positive")
@@ -235,8 +236,9 @@ def imaginary_exponential_check(
         return 0.0, 0.0
     values = []
     for label in ("cos", "sin"):
-        g = compile_frullani(parse(f"{label}(x)"), p, q)[1]
-        tail = compile_kernel(parse(f"{label}(exp(x))"))
+        kernel = parse(f"{label}(x)")
+        g = compile_frullani(kernel, p, q)[1]
+        tail = compile_tail(kernel)({}, 0.0)
         res = integrate_frullani_oscillatory(g, (p, q), tail, tol)
         if not res.converged:
             raise RuntimeError(

@@ -537,6 +537,13 @@ class TestParamChecking:
         with pytest.raises(ValueError):
             verify_entry("GR-3.434.2", {"a": 1.0, "b": 2.0}, tol=tol)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tolerance_must_be_finite(self, tol):
+        # an infinite tolerance used to PASS after 15 evaluations with an
+        # oracle error of 0.127
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            verify_entry("GR-3.434.2", {"a": 1, "b": 2}, tol)
+
     def test_unknown_entry_raises(self):
         with pytest.raises(KeyError):
             verify_entry("X-1", {})

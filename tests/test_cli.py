@@ -538,6 +538,19 @@ class TestLimits:
         assert rc == 0
         assert out[0].startswith("at 0+: finite(")
 
+    @pytest.mark.parametrize("argv", [
+        ["limits", "ln(x - 1)"],
+        ["eval", "ln(x - 1)", "--a", "1", "--b", "2"],
+    ], ids=["limits", "eval"])
+    def test_probe_failure_is_usage_error(self, argv, capsys):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: probe evaluation failed at x = 1.0: ln undefined at argument 0.0\n"
+        )
+
 
 class TestTopLevel:
     def test_no_command_exits_two(self):

@@ -199,6 +199,11 @@ class TestPipeline:
         with pytest.raises(ValueError):
             evaluate_pipeline(prob("exp(-x)"), 0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tolerance_must_be_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            evaluate_pipeline(FrullaniProblem(parse("exp(-x)"), 1, 2), tol)
+
     @pytest.mark.parametrize("src, a, b, power, numeric, evaluations", [
         ("1.2*exp(-x)+0.7", 1.3, 2.9, 1.0, "0x1.ecf6302eeeeedp-1", 105),
         ("sqrt(x)/(1+sqrt(x))", 1.35394, 7.95975, 0.930343, "-0x1.e76cf11ffce77p+0", 1275),

@@ -22,6 +22,7 @@ from frullani.expr import (
     Var,
     compile_frullani,
     compile_kernel,
+    compile_tail,
     evaluate,
     free_variables,
     parse,
@@ -224,6 +225,39 @@ class TestSubstitute:
     def test_a_tree_without_the_name_is_unchanged(self):
         tree = parse("2*a + ln(xa)")
         assert substitute(tree, "x", parse("exp(x)")) == tree
+
+
+class TestCompileTail:
+    @pytest.mark.parametrize("s", [-40.0, -1.0, 0.0, 2.5, 20.0, 709.0])
+    def test_tail_is_the_kernel_at_exp_less_the_mean(self, s):
+        tree = parse("log1p(2*a*cos(x) + a*a)")
+        m = math.log(4.0)
+        tail = compile_tail(tree, ("a",))({"a": 2.0}, m)
+        assert tail(s) == evaluate(tree, {"a": 2.0, "x": math.exp(s)}) - m
+
+    def test_one_compile_serves_every_binding_and_mean(self):
+        bind = compile_tail(parse("a*cos(x)"), ["a"])
+        assert bind({"a": 2.0}, 0.5)(0.0) == 2.0 * math.cos(1.0) - 0.5
+        assert bind({"a": -1.0}, 0.0)(0.0) == -math.cos(1.0)
+
+    def test_tail_carries_its_panels(self):
+        tail = compile_tail(parse("sin(x)"))({}, 0.0)
+        # the integral of sin(u)/u over (1, e), by the compiled panels and
+        # by the generic one
+        plain = integrate_adaptive(lambda s: math.sin(math.exp(s)), 0.0, 1.0, 1e-12)
+        assert integrate_adaptive(tail, 0.0, 1.0, 1e-12).value == pytest.approx(
+            plain.value, abs=1e-12
+        )
+        assert tail.panel() is tail.panel()
+
+    def test_past_the_range_of_exp_is_a_domain_error(self):
+        tail = compile_tail(parse("cos(x)"))({}, 0.0)
+        with pytest.raises(DomainError):
+            tail(711.0)
+
+    def test_unknown_parameter_is_unbound(self):
+        with pytest.raises(UnboundVariableError):
+            compile_tail(parse("a*cos(x)"))
 
 
 # trees the parser itself can produce: constants are nonnegative finite

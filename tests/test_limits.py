@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frullani.expr import compile_kernel, parse
 from frullani.limits import (
     LimitVerdict,
     ProbeError,
@@ -73,6 +74,31 @@ def test_log_cosine_kernel_has_no_limit_at_infinity():
     # ln(1 + 2a cos x + a^2) at a = 0.5 keeps oscillating forever
     v = limit_at_infinity(lambda x: math.log1p(math.cos(x) + 0.25))
     assert v.kind == "no-limit"
+
+
+@pytest.mark.parametrize("probe", [limit_at_zero_plus, limit_at_infinity])
+def test_infinite_window_of_one_sign_diverges(probe):
+    # exp(1000) saturates to inf in the compiled kernel, so every sample
+    # is +inf
+    v = probe(compile_kernel(parse("exp(1000)+0*x")))
+    assert v.kind == "diverges"
+    assert v.direction == 1
+
+
+def test_infinite_window_of_both_signs_has_no_limit():
+    v = limit_at_infinity(compile_kernel(parse("exp(1000)*cos(x)")))
+    assert v.kind == "no-limit"
+    assert v.amplitude == math.inf
+    assert v.describe() == "no-limit(amplitude=inf)"
+
+
+def test_window_below_the_tolerance_is_finite_without_agreement():
+    # the wobble of 1e-15 keeps successive extrapolants from agreeing, so
+    # the probe runs the whole ladder and reads the value after it
+    v = limit_at_infinity(compile_kernel(parse("1 + 1e-15*cos(x)")))
+    assert v.is_finite
+    assert v.value == 1.0000000000000009
+    assert len(v.evidence) == 60
 
 
 def test_probe_failure_reports_abscissa():

@@ -309,3 +309,7 @@ class TestImaginaryExponentialCheck:
     def test_rejects_bad_frequencies(self):
         with pytest.raises(ValueError):
             imaginary_exponential_check(0.0, 1.0)
+
+    def test_unreachable_tolerance_raises(self):
+        with pytest.raises(RuntimeError, match="did not converge for the cos part"):
+            imaginary_exponential_check(1.0, 2.0, tol=1e-300)
