@@ -3,8 +3,10 @@
 Runs every catalog entry over its default grid at the class tolerance and
 prints one line per record plus, per evaluation class, the worst observed
 |closed - oracle| against the tolerance and the total integrand evaluations.
-The headroom numbers are what to watch after touching quadrature.py or the
-tail accelerator: the suite can stay green while the margin quietly erodes.
+The headroom numbers are what to watch after touching quadrature.py or a
+kernel's declared limit or mean, which the tail f(e^s) - M of Frullani's
+substitution takes out: the suite can stay green while the margin quietly
+erodes.
 The evaluation totals are deterministic, so a quadrature change can quote
 them on any machine.
 

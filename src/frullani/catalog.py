@@ -6,23 +6,31 @@ entry carries the printed closed form, parameter constraints with prose, a
 default verification grid, its evaluation class, and the reduction the
 paper states: a kernel f as expression text in x and the entry's
 parameters, with a scale pair (alpha, beta), so that the printed integrand
-is [f(alpha x) - f(beta x)]/x.  The text is compiled like a typed kernel
+is [f(alpha x) - f(beta x)]/x, or [f(alpha x^p) - f(beta x^p)]/x where the
+entry names a power p.  The text is compiled like a typed kernel
 (expr.compile_family), once per entry, and bound to each binding's numbers.
-For an oscillatory entry the same text also gives the tail the oracle's
-split route integrates, f(e^s) - m (expr.compile_tail), m being the
-kernel's mean at infinity, which the entry declares where it is not 0.
-This module builds no expression tree of its own.
+The same text gives the tail the oracle integrates under Frullani's
+substitution, f(e^s) - M (expr.compile_tail), M being the kernel's f(inf)
+from its declared kernel_limits or, for an oscillating kernel, its mean at
+infinity, which the entry declares where it is not 0.  The closed form
+does not read M: a wrong declaration shifts the oracle's answer by the
+error in M times ln(beta/alpha), and ends FAIL.  This module builds no
+expression tree of its own.
 
 Seven entries give the printed integrand as its own text, where it is not
 written through the kernel: GR-3.476.1 (x^p), GR-4.297.7 (over x^2),
 GR-4.267.8 (over ln t on (0, 1)), GR-3.329 (the kernel's x cancelled, in
 expm1 form), R-3.5 and R-3.6 (sine products).  No entry carries Python
 numerics: an exp that overflows saturates to inf inside the compiled code.
-Kernels with finite limits also carry them, so the probe-based engine
-pipeline can be cross-checked against the catalog's closed forms.
+The limits the kernels carry also let the probe-based engine pipeline be
+cross-checked against the catalog's closed forms.
 
-Verification routes through the quadrature oracle appropriate to the
-evaluation class and never lets an exception escape a VerificationRecord.
+Verification integrates GR-4.267.8 over (0, 1), and every entry with a
+kernel by integrate_frullani, an oscillatory one through
+integrate_frullani_oscillatory, which keeps a common tail grid where the
+scales share one; GR-3.476.1 integrates its kernel's power-1 integrand and
+divides by p, as the pipeline does.  No exception escapes a
+VerificationRecord.
 """
 
 from __future__ import annotations
@@ -37,9 +45,14 @@ from typing import Callable, NamedTuple, Optional
 from .quadrature import (
     base_frequency,
     integrate_adaptive,
-    integrate_decaying,
+    integrate_frullani,
     integrate_frullani_oscillatory,
 )
+
+# Not called here, since every kernel entry takes integrate_frullani; the
+# benchmark's tracer wraps the name catalog.integrate_decaying, so it must
+# stay importable from this module.
+from .quadrature import integrate_decaying  # noqa: F401
 from .expr import compile_family, compile_tail, evaluate, parse
 from .records import STATUSES, VerificationRecord, judge, nonfinite_closed_form, skipped
 from .series import gr_4_324_2_closed, log_ratio
@@ -96,10 +109,14 @@ class CatalogEntry(NamedTuple):
     # that are two parameters are the pair the zero law equates.
     kernel: Optional[str] = None
     scales: Optional[tuple[str, str]] = None
+    # the power p as text in the parameters, where the kernel takes x^p:
+    # the printed integrand is then [f(alpha x^p) - f(beta x^p)]/x
+    power: Optional[str] = None
     # the printed integrand where the kernel does not give it, as expression
     # text in x and the parameters
     integrand: Optional[str] = None
-    # (f(0+), f(inf)) of the kernel, where both exist
+    # (f(0+), f(inf)) of the kernel, where both exist; the oracle's tail
+    # f(e^s) - f(inf) takes the second
     kernel_limits: Optional[Callable[[dict], tuple[float, float]]] = None
     # the mean m at infinity of an oscillatory kernel where it is not 0; the
     # tail f(e^s) - m takes it out, and a true mean M costs (M - m) ln(b/a)
@@ -165,9 +182,9 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
             {"v": 1.0, "u": 10.0, "p": 2.0},
             {"v": 3.0, "u": 3.0, "p": 1.5},
         ),
-        # the kernel takes x^p: [f(v x^p) - f(u x^p)]/x
         kernel="expm1(-x)",
         scales=("v", "u"),
+        power="p",
         integrand="(expm1(-v*x^p) - expm1(-u*x^p))/x",
         kernel_limits=lambda p: (0.0, -1.0),
     ),
@@ -202,7 +219,8 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
             {"a": 1.0, "b": 10.0, "c": 0.5},
             {"a": 3.0, "b": 3.0, "c": 2.0},
         ),
-        kernel="x*exp(-c*exp(x))/(1 - exp(-x))",
+        # x e^(-c e^x)/(1 - e^(-x)), stable at small x
+        kernel="x*exp(-c*exp(x))/(-expm1(-x))",
         scales=("a", "b"),
         # the kernel's x cancels; e^(-c e^y) = e^(-c) e^(-c (e^y - 1))
         integrand=(
@@ -526,23 +544,31 @@ def _tail(kernel: str, names: tuple[str, ...]):
 
 
 def _bind(entry: CatalogEntry, params: dict) -> tuple[Callable[[float], float], tuple, Optional[Callable]]:
-    """The printed integrand at a checked binding, the scale pair and, for
-    an oscillatory entry, its tail.  Each text they need is bound once, and
-    the scales are evaluated once."""
+    """What the oracle integrates at a checked binding: the integrand, the
+    scale pair and, for an entry with a kernel f, the tail f(e^s) - M
+    (expr.compile_tail), M being the f(inf) of kernel_limits, else the
+    declared mean, else 0.  The integrand is the printed one, but for an
+    entry with a power p it is the kernel's at power 1, [f(alpha x) -
+    f(beta x)]/x, whose integral is p times the printed one's.  Each text
+    they need is bound once, and the scales are evaluated once."""
     names = entry.param_names
     scales = tuple(evaluate(_parsed(text), params) for text in entry.scales)
-    if entry.integrand is None:
+    if entry.integrand is None or entry.power is not None:
         integrand = _compiled(entry.kernel, names)(params)[1](*scales)
     else:
         integrand = _compiled(entry.integrand, names)(params)[0]
-    if entry.eval_class != "oscillatory":
+    if entry.kernel is None:
         return integrand, scales, None
-    mean = entry.mean(params) if entry.mean else 0.0
-    return integrand, scales, _tail(entry.kernel, names)(params, mean)
+    if entry.kernel_limits is not None:
+        limit = entry.kernel_limits(params)[1]
+    else:
+        limit = entry.mean(params) if entry.mean else 0.0
+    return integrand, scales, _tail(entry.kernel, names)(params, limit)
 
 
 def instantiate(entry_id: str, params: dict):
-    """(integrand callable, expected closed-form value) for one binding.
+    """(printed integrand callable, expected closed-form value) for one
+    binding.
 
     Raises ConstraintViolation when a constraint predicate rejects the
     parameters, ValueError on wrong parameter names.
@@ -551,7 +577,11 @@ def instantiate(entry_id: str, params: dict):
     clean, violated = _check_params(entry, params)
     if violated is not None:
         raise ConstraintViolation(entry_id, violated)
-    return _bind(entry, clean)[0], entry.closed_form(clean)
+    if entry.power is None:
+        integrand = _bind(entry, clean)[0]
+    else:
+        integrand = _compiled(entry.integrand, entry.param_names)(clean)[0]
+    return integrand, entry.closed_form(clean)
 
 
 def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> VerificationRecord:
@@ -587,11 +617,17 @@ def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> Ve
     integrand, scales, tail = _bind(entry, clean)
 
     def oracle(share: float):
-        if entry.eval_class == "smooth-decay":
-            return integrate_decaying(integrand, share)
         if entry.eval_class == "finite-interval":
             return integrate_adaptive(integrand, 0.0, 1.0, share)
-        return integrate_frullani_oscillatory(integrand, scales, tail, share)
+        if entry.eval_class == "oscillatory":
+            return integrate_frullani_oscillatory(integrand, scales, tail, share)
+        if entry.power is None:
+            return integrate_frullani(integrand, scales, tail, share)
+        # u = x^p turns dx/x into du/(p u): the power-1 integral divided by
+        # p, at a tolerance scaled by p, as the pipeline's oracle does
+        p = evaluate(_parsed(entry.power), clean)
+        res = integrate_frullani(integrand, scales, tail, share * p)
+        return res._replace(value=res.value / p, error_estimate=res.error_estimate / p)
 
     return judge(entry_id, clean, expected, oracle, tol, start)
 

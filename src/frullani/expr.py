@@ -22,8 +22,8 @@ Three ways to use a tree:
                    probe-then-verify pipeline and the catalog integrate;
                    compile_family walks a tree once for many bindings;
                    compile_tail gives the log-tail f(exp(s)) - m of a
-                   kernel f of mean m at infinity, which the oscillatory
-                   oracle's split route integrates
+                   kernel f of limit or mean m at infinity, which the
+                   catalog's Frullani oracle integrates
 
 The compiled code is plain floating-point Python with no domain checks.  A
 node that reads only constants and parameters runs once per binding, and a
@@ -732,10 +732,10 @@ def compile_tail(
     and the parameters names, walking it once.
 
     Returns bind(params, m), which binds every parameter to a number and
-    the mean m of f at infinity, and gives the tail: the kernel
+    the limit or mean m of f at infinity, and gives the tail: the kernel
     f(exp(x)) - m of compile_family, with its own panel() and
-    mapped_panel().  The oscillatory oracle's split route integrates it
-    over s = ln u.
+    mapped_panel().  quadrature.integrate_frullani integrates it over
+    s = ln u.
     """
     at_exp = substitute(expr, "x", Call("exp", Var("x")))
     family = compile_family(BinOp("-", at_exp, Var(_MEAN)), (*names, _MEAN))

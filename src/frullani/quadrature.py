@@ -20,10 +20,11 @@ Three layers:
                               of a compiled panel raises or is not finite,
                               the generic panel reruns it, so both give the
                               same bits.
-  integrate_decaying          semi-infinite integrals of decaying integrands,
-                              mapped onto (0, 1) by x = t^2/(1-t), graded at
-                              t = 0; a compiled integrand's f.mapped_panel()
-                              inlines the map too.
+  integrate_decaying          semi-infinite integrals of decaying integrands
+                              (the pipeline's oracle), mapped onto (0, 1) by
+                              x = t^2/(1-t), graded at t = 0; a compiled
+                              integrand's f.mapped_panel() inlines the map
+                              too.
   integrate_oscillatory_tail  conditionally convergent tails: fixed-width
                               half-period segments, partial sums accelerated
                               by iterated Euler averaging plus extrapolation
@@ -31,15 +32,17 @@ Three layers:
                               keeps the newest entry of each averaging level;
                               its grid is planned once (_tail_plan).
 
-integrate_frullani_oscillatory integrates an oscillatory Frullani integrand
-g(x) = [f(alpha x) - f(beta x)]/x over the whole line: an adaptive head on
-(0, c], then a tail chosen from the scales alone.  When the faster scale
-over the base frequency (the gcd of the two) is at most SEGMENT_PANELS, one
-accelerated tail of g runs on the common half-period grid pi/base.
-Otherwise Frullani's own substitution makes the tail the finite integral of
-(f(u) - m)/u over (alpha c, beta c), m being the mean of f at infinity
-(Ostrowski, 1949): in s = ln u, the caller's tail(s) = f(e^s) - m over
-(ln alpha c, ln beta c).  A true mean M costs (M - m) ln(beta/alpha).
+integrate_frullani integrates a Frullani integrand g(x) = [f(alpha x) -
+f(beta x)]/x over the whole line: an adaptive head on (0, c], c =
+pi/max(alpha, beta), and then Frullani's own substitution, which makes the
+tail beyond c the finite integral of (f(u) - M)/u over (alpha c, beta c), M
+being the limit of f at infinity or, for an oscillating f, its mean there
+(Ostrowski, 1949): in s = ln u, the caller's tail(s) = f(e^s) - M over
+(ln alpha c, ln beta c).  A true limit or mean M' costs (M' - M)
+ln(beta/alpha).  integrate_frullani_oscillatory runs it too, unless the
+faster scale over the base frequency (the gcd of the two) is at most
+SEGMENT_PANELS: then one accelerated tail of g runs on the common
+half-period grid pi/base.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ __all__ = [
     "integrate_adaptive",
     "integrate_decaying",
     "integrate_oscillatory_tail",
+    "integrate_frullani",
     "integrate_frullani_oscillatory",
     "gauss_kronrod_panel",
 ]
@@ -598,58 +602,82 @@ def _grid(start: float, frequency: float) -> OscillatorySpec:
     return spec
 
 
-def integrate_frullani_oscillatory(
+def integrate_frullani(
     g: Callable[[float], float],
     scales: tuple[float, float],
     tail: Callable[[float], float],
     tol: float,
 ) -> QuadratureResult:
     """Integral of g(x) = [f(alpha x) - f(beta x)]/x over (0, inf), for a
-    kernel f and the positive scales (alpha, beta), with tail(s) = f(e^s) - m,
-    m being the mean of f at infinity.
+    kernel f and the positive scales (alpha, beta), with tail(s) = f(e^s) - M,
+    M being the limit of f at infinity, or its mean there.
 
-    When the faster scale is at most SEGMENT_PANELS times the base
-    frequency, the head of g on (0, c] is integrated adaptively, c being the
-    slower scale's first half-period and no less than 1, and the tail of g
-    beyond c runs on the common half-period grid pi/base; tail is not
-    called.  Otherwise c is the faster scale's first half-period, and
-    Frullani's substitution (u = alpha x in one term, u = beta x in the
-    other) turns the tail beyond c into the finite integral of tail over
-    (ln alpha c, ln beta c).  The answer is only as right as m: a kernel
-    whose true mean M differs is off by (M - m) ln(beta/alpha), and
-    converges.  Budgets are 40% for the head and 60% for the tail.  The
-    diagnostic names each piece that did not converge.  Before any
-    quadrature, raises ValueError when c is not finite, or, on the common
-    route, when its grid cannot advance x beyond c.
+    The head of g on (0, c] is integrated adaptively, c = pi/max(alpha,
+    beta) holding half a period of the faster scale.  Frullani's
+    substitution (u = alpha x in one term, u = beta x in the other) turns
+    the tail beyond c into the finite integral of (f(u) - M)/u over
+    (alpha c, beta c), which is that of tail over (ln alpha c, ln beta c).
+    The answer is only as right as M: a kernel whose true limit or mean M'
+    differs is off by (M' - M) ln(beta/alpha), and converges.  Budgets are
+    40% for the head and 60% for the tail, and the diagnostic names each
+    piece that did not converge.  Equal scales give exactly 0.0 before any
+    quadrature.  Raises ValueError when c is not finite.
     """
     alpha, beta = scales
+    if alpha == beta:
+        return QuadratureResult(0.0, 0.0, 0, True)
     fast = max(alpha, beta)
-    base = base_frequency((alpha, beta))
-    if fast / base <= SEGMENT_PANELS:
-        slow = min(alpha, beta)
-        start = max(math.pi / slow, 1.0)
-        if not math.isfinite(start):
-            raise ValueError(f"the tail start pi/{slow!r} of the slower scale {slow!r} is not finite")
-        grid = _grid(start, base)
-        head = integrate_adaptive(g, 0.0, start, 0.4 * tol)
-        rest = integrate_oscillatory_tail(g, grid, 0.6 * tol)
-        value = head.value + rest.value
-        pieces = ((f"head on (0, {start!r}]", head), ("tail on the common grid", rest))
-    else:
-        end = math.pi / fast
-        if not math.isfinite(end):
-            raise ValueError(f"the head end pi/{fast!r} of the faster scale {fast!r} is not finite")
-        # ln(alpha c) and ln(beta c) as sums of logs, which neither overflow
-        # nor underflow where the products would
-        lo, hi = sorted(math.log(math.pi) + math.log(s) - math.log(fast) for s in (alpha, beta))
-        head = integrate_adaptive(g, 0.0, end, 0.4 * tol)
-        body = integrate_adaptive(tail, lo, hi, 0.6 * tol)
-        value = head.value + (body.value if alpha < beta else -body.value)
-        pieces = ((f"head on (0, {end!r}]", head), (f"kernel on ({alpha * end!r}, {beta * end!r})", body))
+    end = math.pi / fast
+    if not math.isfinite(end):
+        raise ValueError(f"the head end pi/{fast!r} of the faster scale {fast!r} is not finite")
+    # ln(alpha c) and ln(beta c) as sums of logs, which neither overflow nor
+    # underflow where the products would
+    lo, hi = sorted(math.log(math.pi) + math.log(s) - math.log(fast) for s in (alpha, beta))
+    head = integrate_adaptive(g, 0.0, end, 0.4 * tol)
+    body = integrate_adaptive(tail, lo, hi, 0.6 * tol)
+    return _joined(
+        head.value + (body.value if alpha < beta else -body.value),
+        ((f"head on (0, {end!r}]", head), (f"kernel on ({alpha * end!r}, {beta * end!r})", body)),
+    )
+
+
+def _joined(value: float, pieces: Sequence[tuple[str, QuadratureResult]]) -> QuadratureResult:
+    """The result of the named pieces, whose values add up to value."""
     return QuadratureResult(
         value,
         math.fsum(res.error_estimate for _, res in pieces),
         sum(res.function_evaluations for _, res in pieces),
         all(res.converged for _, res in pieces),
         "; ".join(f"{name}: {res.diagnostic}" for name, res in pieces if not res.converged),
+    )
+
+
+def integrate_frullani_oscillatory(
+    g: Callable[[float], float],
+    scales: tuple[float, float],
+    tail: Callable[[float], float],
+    tol: float,
+) -> QuadratureResult:
+    """integrate_frullani for an oscillatory kernel, unless the faster
+    scale is at most SEGMENT_PANELS times the base frequency: then the head
+    of g on (0, c] is integrated adaptively, c being the slower scale's
+    first half-period and no less than 1, and the tail of g beyond c runs
+    on the common half-period grid pi/base, with the same budgets; tail is
+    not called.  Before any quadrature, raises ValueError when c is not
+    finite or its grid cannot advance x beyond c.
+    """
+    alpha, beta = scales
+    base = base_frequency((alpha, beta))
+    if max(alpha, beta) / base > SEGMENT_PANELS:
+        return integrate_frullani(g, scales, tail, tol)
+    slow = min(alpha, beta)
+    start = max(math.pi / slow, 1.0)
+    if not math.isfinite(start):
+        raise ValueError(f"the tail start pi/{slow!r} of the slower scale {slow!r} is not finite")
+    grid = _grid(start, base)
+    head = integrate_adaptive(g, 0.0, start, 0.4 * tol)
+    rest = integrate_oscillatory_tail(g, grid, 0.6 * tol)
+    return _joined(
+        head.value + rest.value,
+        ((f"head on (0, {start!r}]", head), ("tail on the common grid", rest)),
     )

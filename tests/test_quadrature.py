@@ -15,6 +15,7 @@ from frullani.quadrature import (
     gauss_kronrod_panel,
     integrate_adaptive,
     integrate_decaying,
+    integrate_frullani,
     integrate_frullani_oscillatory,
     integrate_oscillatory_tail,
     _MAX_SEGMENTS,
@@ -258,6 +259,16 @@ class TestDecaying:
         assert res.value == pytest.approx(0.5, abs=1e-8)
 
 
+    def test_algebraic_endpoint_of_a_power_kernel(self):
+        # GR-3.476.1's printed [f(v x^p) - f(u x^p)]/x behaves like x^(p-1)
+        # at 0: the map x = t^2/(1-t) makes that t^(2p-1), where x = t/(1-t)
+        # left t^(p-1) and took 4,485 evaluations
+        g, expected = instantiate("GR-3.476.1", {"v": 1.0, "u": 2.0, "p": 0.25})
+        res = integrate_decaying(g, 0.25e-9)
+        assert res.converged
+        assert abs(res.value - expected) <= 1e-9
+        assert res.function_evaluations == 2415
+
     def test_node_rounding_to_one_names_the_map(self):
         # a slowly decaying integrand drives nodes so close to t = 1 that
         # 1 - t rounds to 0; the abscissa reported is x = inf, not t
@@ -368,6 +379,57 @@ class TestWholeLineOscillatory:
         assert not res.converged
         assert res.diagnostic.startswith("tail on the common grid: ")
         assert "head" not in res.diagnostic
+
+
+class TestFrullani:
+    """integrate_frullani: the head on (0, pi/max(alpha, beta)] and the tail
+    f(e^s) - M over (ln alpha c, ln beta c)."""
+
+    @staticmethod
+    def atan_pair(alpha, beta):
+        return lambda x: (math.atan(alpha * x) - math.atan(beta * x)) / x
+
+    @staticmethod
+    def atan_tail(m):
+        return lambda s: math.atan(math.exp(s)) - m
+
+    @pytest.mark.parametrize("scales", [(1.0, 2.0), (2.0, 1.0), (0.3, 700.0), (1e-300, 1e300)])
+    def test_limit_at_infinity(self, scales):
+        # f(0) - f(inf) = -pi/2
+        alpha, beta = scales
+        res = integrate_frullani(self.atan_pair(*scales), scales, self.atan_tail(0.5 * math.pi), 1e-10)
+        assert res.converged, res.diagnostic
+        expected = -0.5 * math.pi * (math.log(beta) - math.log(alpha))
+        assert res.value == pytest.approx(expected, abs=1e-10)
+
+    def test_a_wrong_limit_costs_its_difference(self):
+        # a tail that takes out 1.5 in place of the true limit pi/2 is off
+        # by (pi/2 - 1.5) ln(beta/alpha)
+        right = integrate_frullani(self.atan_pair(1.0, 3.0), (1.0, 3.0), self.atan_tail(0.5 * math.pi), 1e-10)
+        wrong = integrate_frullani(self.atan_pair(1.0, 3.0), (1.0, 3.0), self.atan_tail(1.5), 1e-10)
+        assert right.converged and wrong.converged
+        assert wrong.value - right.value == pytest.approx((0.5 * math.pi - 1.5) * math.log(3.0), abs=1e-10)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    def test_equal_scales_give_zero_before_any_quadrature(self, scale):
+        def raising(x):
+            raise AssertionError("equal scales called the integrand")
+
+        res = integrate_frullani(raising, (scale, scale), raising, 1e-10)
+        assert res == QuadratureResult(0.0, 0.0, 0, True)
+
+    @pytest.mark.parametrize("scales", [(1.0, 1.414213562), (1.0, 201.0), (1e-300, 1e300)])
+    def test_is_the_oscillatory_split_route(self, scales):
+        # with no common grid the oscillatory oracle runs integrate_frullani
+        alpha, beta = scales
+        g = lambda x: (math.cos(alpha * x) - math.cos(beta * x)) / x
+        split = integrate_frullani(g, scales, cos_tail, 1e-5)
+        assert integrate_frullani_oscillatory(g, scales, cos_tail, 1e-5) == split
+
+    def test_a_head_end_that_overflows_is_named(self):
+        with pytest.raises(ValueError) as info:
+            integrate_frullani(self.atan_pair(1e-320, 1e-310), (1e-320, 1e-310), self.atan_tail(0.0), 1e-5)
+        assert str(info.value) == "the head end pi/1e-310 of the faster scale 1e-310 is not finite"
 
 
 class TestSplitTail:
