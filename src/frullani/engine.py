@@ -6,7 +6,11 @@ For f with finite limits at 0+ and infinity and positive scale factors a, b,
 
 The engine probes the two limits numerically (limits module), decides whether
 the formula applies, evaluates the closed form, and can cross-check against
-the adaptive quadrature oracle.
+a quadrature oracle.  The oracle takes Frullani's own substitution
+(quadrature.integrate_frullani) with f(inf) read from the kernel's
+expression tree (limits.tree_limit_at_infinity), and the graded decaying
+map where the tree does not decide f(inf).  The closed form keeps the
+probe's limits, so a wrong limit from either source ends FAIL, not PASS.
 """
 
 from __future__ import annotations
@@ -15,14 +19,19 @@ import math
 import time
 from typing import Callable, NamedTuple
 
-from .expr import Expression, compile_frullani, free_variables, unparse
+from .expr import Expression, compile_frullani, compile_tail, free_variables, unparse
 
 # Not called here, since kernels are compiled; the benchmark's tracer wraps
 # the name engine.evaluate, so it must stay importable from this module.
 from .expr import evaluate  # noqa: F401
 from .frozen import Frozen
 from .limits import LimitVerdict, ProbeError, limit_at_infinity, limit_at_zero_plus
-from .quadrature import MAX_PANELS, SEGMENT_PANELS, QuadratureResult, integrate_decaying
+# under its own name: the benchmark's tracer wraps engine.limit_at_infinity
+# as the probe
+from .limits import tree_limit_at_infinity as tree_limit
+from .quadrature import (
+    MAX_PANELS, SEGMENT_PANELS, QuadratureResult, integrate_decaying, integrate_frullani,
+)
 from .records import VerificationRecord, judge, nonfinite_closed_form, skipped
 from .series import log_ratio
 
@@ -110,19 +119,23 @@ def closed_form(prob: FrullaniProblem, f0: float, finf: float) -> float:
 def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
     """Diagnose, evaluate the closed form from the probed limits, and verify
     against the quadrature oracle.  Returns a VerificationRecord with entry
-    id "eval"; the detail field records that the limits came from the probe.
+    id "eval"; the detail field records that the limits came from the probe
+    and which oracle ran.
 
     Not-applicable problems short-circuit with status NOT_APPLICABLE, and a
     closed form that is not a finite double ends CONSTRAINT_VIOLATION, as in
     the catalog; an oracle that fails to converge (or cannot evaluate the
     integrand) yields ORACLE_FAILED.
 
-    The oracle is integrate_decaying, first with SEGMENT_PANELS panels.  If
-    that does not converge, it reruns with MAX_PANELS panels, unless the
-    mapped integrand has no limit at t = 1 (x [f(ax) - f(bx)] probes
-    no-limit at infinity) and the error estimate, cut in proportion to the
-    panel count, would still miss the tolerance at MAX_PANELS.  The record
-    then ends ORACLE_FAILED after the first pass.
+    Only then is the tree asked for M = f(inf) (limits.tree_limit_at_infinity).
+    Where it decides M, the oracle is integrate_frullani with the tail
+    f(e^s) - M (expr.compile_tail).  Where it does not, the oracle is
+    integrate_decaying, first with SEGMENT_PANELS panels.  If that does not
+    converge, it reruns with MAX_PANELS panels, unless the mapped integrand
+    has no limit at t = 1 (x [f(ax) - f(bx)] probes no-limit at infinity)
+    and the error estimate, cut in proportion to the panel count, would
+    still miss the tolerance at MAX_PANELS.  The record then ends
+    ORACLE_FAILED after the first pass.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
@@ -138,7 +151,13 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
     if not math.isfinite(expected):
         # f0 - finf or its quotient by a tiny power overflows
         return nonfinite_closed_form("eval", params, start, repr(expected))
-    provenance = f"limits=probe f0={f0!r} finf={finf!r} kernel={unparse(prob.f)}"
+    # M from the tree, never from the probe: the closed form already rests
+    # on the probe, and an M shared with it would cancel its error
+    m = tree_limit(prob.f)
+    route = "decaying map (tree undetermined)" if m is None else f"frullani M={m!r} (tree)"
+    provenance = (
+        f"limits=probe f0={f0!r} finf={finf!r} oracle={route} kernel={unparse(prob.f)}"
+    )
 
     f, a, b, p = prob.kernel, prob.a, prob.b, prob.power
 
@@ -151,7 +170,11 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
     def oracle(share: float):
         if share * p == 0.0:
             raise ValueError(f"oracle tolerance tol*power/4 = {tol!r}*{p!r}/4 underflows to 0.0")
-        res = _decaying_oracle(prob.integrand, far, share * p)
+        if m is None:
+            res = _decaying_oracle(prob.integrand, far, share * p)
+        else:
+            tail = compile_tail(prob.f)({}, m)
+            res = integrate_frullani(prob.integrand, (a, b), tail, share * p)
         return res._replace(value=res.value / p, error_estimate=res.error_estimate / p)
 
     return judge("eval", params, expected, oracle, tol, start, provenance)

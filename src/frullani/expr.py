@@ -23,7 +23,8 @@ Three ways to use a tree:
                    compile_family walks a tree once for many bindings;
                    compile_tail gives the log-tail f(exp(s)) - m of a
                    kernel f of limit or mean m at infinity, which the
-                   catalog's Frullani oracle integrates
+                   Frullani oracle of the catalog and of the pipeline
+                   integrates
 
 The compiled code is plain floating-point Python with no domain checks.  A
 node that reads only constants and parameters runs once per binding, and a

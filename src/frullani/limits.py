@@ -15,6 +15,14 @@ extrapolants must agree to a relative 1e-9.  Possible verdicts:
 This is a heuristic classifier, not a proof: an oscillation slower than the
 sampled window, or decay slower than any geometric rate, can be misreported.
 Callers that need certainty must supply analytic limits instead.
+
+tree_limit_at_infinity reads the limit at infinity from a kernel's
+expression tree instead, with no sampling: one walk that places each node
+as a constant, a leading term c x^p (ln x)^q, a growth faster than any
+power, or a bound O(x^p (ln x)^q), after Gruntz's most-rapidly-varying
+method restricted to leading terms.  It gives a number where the tree
+decides a finite limit and None everywhere else.  The probe and the tree
+share no code, so where both give a value each checks the other.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+from .expr import _OPERATORS, BinOp, Call, Const, ExprError, _shape, evaluate
 from .frozen import Frozen
 
 OVERFLOW_GUARD = 1e12
@@ -177,3 +186,230 @@ def limit_at_zero_plus(f: Callable[[float], float]) -> LimitVerdict:
 def limit_at_infinity(f: Callable[[float], float]) -> LimitVerdict:
     """Classify the limit of f(x) as x -> +infinity."""
     return _probe(f, _INFINITY_LADDER)
+
+
+# The behaviour of one node of a kernel tree as x -> +infinity, a tuple
+# whose first field names its kind:
+#   ("const", v)         the constant v: the node reads no x
+#   ("term", c, p, q)    c x^p (ln x)^q (1 + o(1)), c finite and non-zero
+#   ("fast", s)          tends to s*inf faster than any power of x
+#   ("bound", o, p, q)   O(x^p (ln x)^q), or o(x^p (ln x)^q) where o is
+#                        True; p = -inf is below every power, as exp(-x)
+# so kind[2:4] is (p, q) of a term and of a bound.  A node the pass cannot
+# place is None, and so is every node above it.
+_X = ("term", 1.0, 1, 0)
+_ONE = ("term", 1.0, 0, 0)
+_O1 = ("bound", False, 0, 0)
+_DECAYS = ("bound", False, -math.inf, 0)
+
+
+def tree_limit_at_infinity(expr) -> float | None:
+    """The limit as x -> +infinity of the kernel expr, a tree in x alone,
+    read from the tree in one post-order walk (expr._shape's).
+
+    Constant subtrees are folded with evaluate's arithmetic, and leading
+    coefficients are combined in floating point, so a value is exact up
+    to their rounding.  Leading terms that cancel leave the order they
+    cancelled at, with a little o: (x+1) - (x+2) is o(x), and no limit.
+    Returns None wherever the tree does not decide a finite limit: leading
+    terms that cancel at a growing order; 1^inf, as in (1+c/x)^x, whose ln
+    is of a limit of exactly 1; a bounded oscillation, as sin(x); growth;
+    a constant that is not a finite double, as exp(1000); a variable
+    other than x.  None says nothing about the kernel.
+    """
+    try:
+        # the nodes in post-order, every constant read from slots in turn
+        shape, slots = _shape(expr, frozenset())
+    except ExprError:  # a variable other than x
+        return None
+    constants = iter(slots)
+    kinds: list = []
+    for token in shape:
+        if token == "c":
+            kind = ("const", next(constants))
+        elif token == "x":
+            kind = _X
+        elif token == "neg":
+            kind = _negated(kinds.pop())
+        elif token in _OPERATORS:
+            right = kinds.pop()
+            kind = _binary(token, kinds.pop(), right)
+        else:
+            kind = _call(token, kinds.pop())
+        if kind is None:
+            return None
+        kinds.append(kind)
+    kind = kinds[0]
+    if kind[0] == "const":
+        return kind[1] if math.isfinite(kind[1]) else None
+    if _vanishes(kind):
+        return 0.0
+    return kind[1] if kind[0] == "term" and kind[2:] == (0, 0) else None
+
+
+def _folded(node) -> tuple | None:
+    """The constant of a node whose operands are constants, by evaluate;
+    None where evaluate raises."""
+    try:
+        return ("const", evaluate(node, {}))
+    except ExprError:
+        return None
+
+
+def _term(c: float, p: float, q: float) -> tuple | None:
+    """("term", c, p, q), or None where c overflowed or underflowed."""
+    return ("term", c, p, q) if c != 0.0 and math.isfinite(c) else None
+
+
+def _vanishes(kind: tuple) -> bool:
+    """True for a term or a bound that tends to 0."""
+    return kind[0] in ("term", "bound") and (kind[2:] < (0, 0) or kind == ("bound", True, 0, 0))
+
+
+def _negated(kind: tuple) -> tuple:
+    if kind[0] in ("const", "fast"):
+        return (kind[0], -kind[1])
+    if kind[0] == "term":
+        return ("term", -kind[1], kind[2], kind[3])
+    return kind
+
+
+def _binary(op: str, a: tuple, b: tuple) -> tuple | None:
+    if a[0] == b[0] == "const":
+        return _folded(BinOp(op, Const(a[1]), Const(b[1])))
+    if op == "^":
+        return _power(a, b)
+    for k in (a, b):
+        if k[0] == "const" and not math.isfinite(k[1]):
+            return None
+    # an exact zero beside a node that reads x: u + 0, u - 0 and 0 + u are
+    # u, and 0*u, u*0 and 0/u are 0 where u is finite and, for 0/u, not 0
+    if b[0] == "const" and b[1] == 0.0:
+        if op in ("+", "-"):
+            return a
+        return ("const", 0.0) if op == "*" and a[0] != "fast" else None
+    if a[0] == "const" and a[1] == 0.0:
+        if op in ("+", "-"):
+            return b if op == "+" else _negated(b)
+        return None if b[0] == ("fast" if op == "*" else "bound") else ("const", 0.0)
+    # any other constant is the term c x^0
+    a, b = (("term", k[1], 0, 0) if k[0] == "const" else k for k in (a, b))
+    if op == "+":
+        return _sum(a, b)
+    if op == "-":
+        return _sum(a, _negated(b))
+    if op == "*":
+        return _product(a, b)
+    return _quotient(a, b)
+
+
+def _order(kind: tuple) -> tuple:
+    """Sort key of a term or a bound: o(x^p) < c x^p < O(x^p)."""
+    return (*kind[2:], 1 if kind[0] == "term" else 0 if kind[1] else 2)
+
+
+def _sum(a: tuple, b: tuple) -> tuple | None:
+    if a[0] == "fast" or b[0] == "fast":
+        if a[0] == b[0] and a[1] != b[1]:
+            return None
+        return a if a[0] == "fast" else b
+    if a[0] == b[0] == "term" and a[2:] == b[2:]:
+        c = a[1] + b[1]
+        if c == 0.0:
+            # the leading terms cancel: o(x^p (ln x)^q) is left
+            return ("bound", True, a[2], a[3])
+        return _term(c, a[2], a[3])
+    return max(a, b, key=_order)
+
+
+def _sign(kind: tuple) -> int:
+    return 1 if kind[1] > 0 else -1
+
+
+def _product(a: tuple, b: tuple) -> tuple | None:
+    if a[0] == "fast" or b[0] == "fast":
+        return None if "bound" in (a[0], b[0]) else ("fast", _sign(a) * _sign(b))
+    p, q = a[2] + b[2], a[3] + b[3]
+    if a[0] == b[0] == "term":
+        return _term(a[1] * b[1], p, q)
+    return ("bound", (a[0] == "bound" and a[1]) or (b[0] == "bound" and b[1]), p, q)
+
+
+def _quotient(a: tuple, b: tuple) -> tuple | None:
+    if b[0] == "fast":
+        return None if a[0] == "fast" else _DECAYS
+    if b[0] != "term":
+        return None
+    if a[0] == "fast":
+        return ("fast", a[1] * _sign(b))
+    if a[0] == "term":
+        return _term(a[1] / b[1], a[2] - b[2], a[3] - b[3])
+    return ("bound", a[1], a[2] - b[2], a[3] - b[3])
+
+
+def _power(a: tuple, b: tuple) -> tuple | None:
+    if b[0] != "const":
+        # an exponent that reads x: a^b = exp(b ln a)
+        log = _call("ln", a)
+        product = log and _binary("*", b, log)
+        return product and _call("exp", product)
+    e = b[1]
+    return _raised(a, e, lambda c: math.pow(c, e)) if math.isfinite(e) else None
+
+
+def _raised(kind: tuple, e: float, coefficient) -> tuple | None:
+    """kind, which reads x, to the constant power e; coefficient(c) is c^e."""
+    if kind[0] == "term":
+        try:
+            c = coefficient(kind[1])
+        except (ValueError, OverflowError):
+            return None
+        return _term(c, kind[2] * e, kind[3] * e)
+    if kind[0] == "fast":
+        if kind[1] < 0:
+            return None
+        return ("fast", 1) if e > 0 else _DECAYS if e < 0 else _ONE
+    return ("bound", kind[1], kind[2] * e, kind[3] * e) if e > 0 else None
+
+
+def _call(func: str, kind: tuple) -> tuple | None:
+    if kind[0] == "const":
+        return _folded(Call(func, Const(kind[1])))
+    if func == "sqrt":
+        return _raised(kind, 0.5, math.sqrt)
+    if func == "abs":
+        if kind[0] == "fast":
+            return ("fast", 1)
+        return _negated(kind) if kind[0] == "term" and kind[1] < 0 else kind
+    if _vanishes(kind):
+        if func in ("exp", "cos"):
+            return _ONE
+        if func != "ln":
+            return kind  # expm1, log1p, sin and atan of u are u (1 + o(1))
+    elif kind[0] == "term" and kind[2:] == (0, 0):
+        # a finite limit L: each function is continuous where it is
+        # defined, and _folded refuses L where it is not
+        limit = _folded(Call(func, Const(kind[1])))
+        return limit and _term(limit[1], 0, 0)
+    if func in ("ln", "log1p"):
+        # ln(c x^p (ln x)^q) = p ln x + q ln ln x + ln c + o(1) for c > 0,
+        # and log1p(u) = ln(u) + o(1) for the u that grow, the only ones left
+        if kind[0] == "term" and kind[1] > 0 and kind[2] != 0:
+            return ("term", kind[2], 0, 1)
+        return None
+    if kind[0] == "bound":
+        # sin and cos of anything, and atan, exp and expm1 of O(1), are O(1)
+        return _O1 if func in ("sin", "cos") or kind[2:] <= (0, 0) else None
+    # kind grows to sign*inf
+    sign = _sign(kind)
+    if func in ("sin", "cos"):
+        return _O1
+    if func == "atan":
+        return _term(math.atan(sign * math.inf), 0, 0)
+    if func == "expm1" and sign < 0:
+        return _term(-1.0, 0, 0)
+    # exp or expm1 of c x^p (ln x)^q: faster than any power where p > 0 or q > 1
+    steep = kind[0] == "fast" or kind[2] > 0 or kind[3] > 1
+    if sign > 0:
+        return ("fast", 1) if steep else None
+    return _DECAYS if steep else ("bound", True, 0, 0)

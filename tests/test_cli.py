@@ -391,14 +391,31 @@ class TestEval:
         assert f["status"] == "PASS"
         assert float(f["abs_err"]) <= 1e-7
 
+    @pytest.mark.parametrize("kernel, a, b, power", [
+        # each reached t = 1 or stopped early on the decaying map, before
+        # the oracle took f(inf) from the tree
+        ("sqrt(x)/(1+sqrt(x))", "0.764035", "2.74109", "0.225619"),
+        ("cos(x)/(1+x)", "1", "2", "1"),
+        ("abs(sin(x))/x", "1", "2", "1"),
+    ])
+    def test_tree_limit_takes_frullanis_substitution(self, kernel, a, b, power, capsys):
+        rc = main(["eval", kernel, "--a", a, "--b", b, "--power", power])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert fields(captured.out.splitlines()[0])["status"] == "PASS"
+        assert captured.err == ""
+
     def test_mapped_abscissa_reaching_one_is_named(self, capsys):
+        # (1+1/x)^x leaves f(inf) to the decaying map, which reaches t = 1
+        # on this kernel as it did on sqrt(x)/(1+sqrt(x)) alone
         rc = main([
-            "eval", "sqrt(x)/(1+sqrt(x))",
+            "eval", "(1+1/x)^x*sqrt(x)/(1+sqrt(x))",
             "--a", "0.764035", "--b", "2.74109", "--power", "0.225619",
         ])
         captured = capsys.readouterr()
         assert rc == 1
         assert fields(captured.out.splitlines()[0])["status"] == "ORACLE_FAILED"
+        assert "oracle=decaying map (tree undetermined)" in captured.err
         assert captured.err.rstrip().endswith(
             "oracle raised: integrand was not evaluated: "
             "the map x = t^2/(1-t) reached t = 1, at x = inf"
@@ -407,7 +424,7 @@ class TestEval:
     def test_non_convergence_names_the_panel_cap(self, capsys):
         # the mapped integrand oscillates without limit at t = 1, so the
         # oracle stops at its first 200 panels and says why
-        rc = main(["eval", "cos(x)/(1+x)", "--a", "1", "--b", "2"])
+        rc = main(["eval", "cos(x)*(1+1/x)^x/(1+x)", "--a", "1", "--b", "2"])
         captured = capsys.readouterr()
         assert rc == 1
         assert fields(captured.out.splitlines()[0])["status"] == "ORACLE_FAILED"
@@ -417,6 +434,20 @@ class TestEval:
             "so the mapped integrand has no limit at t = 1 and 2000 panels "
             "would leave an error estimate near "
         ) in captured.err
+
+    def test_tolerance_below_the_rounding_floor_is_named(self, capsys):
+        # the tolerance is absolute, and one rounding unit of -6.9e199 is
+        # about 1e184: both pieces of the oracle name the floor
+        rc = main(["eval", "1e200*x/(1+x)", "--a", "1", "--b", "2"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert fields(captured.out.splitlines()[0])["status"] == "ORACLE_FAILED"
+        assert "oracle=frullani M=1e+200 (tree)" in captured.err
+        for piece in ("head on (0, 1.5707963267948966]: ",
+                      "kernel on (1.5707963267948966, 3.141592653589793): "):
+            assert f"{piece}tolerance " in captured.err
+        assert captured.err.count("below the rounding floor") == 2
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("kernel, a, b, power, cause", [
         ("exp(-x)", "1e300", "1e-300", "1e-306", "-inf"),

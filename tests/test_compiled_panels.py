@@ -26,7 +26,8 @@ DEFECT_INPUTS = (
     ("GR-4.324.2", {"a": 0.5, "p": 1.0, "q": 2.0}, 1e-8),
 )
 # One binding per pipeline-kernels family and special kind: (kernel, a, b,
-# power).  The sqrt-ratio binding reaches t = 1 on the decaying map.
+# power), and two whose (1+1/x)^x factor leaves f(inf) to the decaying map:
+# the first reaches t = 1, the second stops after 200 panels.
 PIPELINE_INPUTS = (
     ("1.5*exp(-x)+0.5", 1.0, 2.0, 1.0),
     ("atan(2.3*x)", 0.7, 3.1, 0.5),
@@ -39,6 +40,8 @@ PIPELINE_INPUTS = (
     ("sin(x)", 1.0, 2.0, 1.0),
     ("1/(1+x^0.1)", 1.0, 2.0, 1.0),
     ("cos(x)/(1+x)", 1.0, 2.0, 1.0),
+    ("(1+1/x)^x*sqrt(x)/(1+sqrt(x))", 0.764035, 2.74109, 0.225619),
+    ("cos(x)*(1+1/x)^x/(1+x)", 1.0, 2.0, 1.0),
 )
 
 
@@ -51,7 +54,7 @@ def _plain(f):
 def generic_panels(monkeypatch):
     """Wrap every integrand, kernel and tail the catalog and the pipeline
     bind in a plain function."""
-    bind, compile_frullani = catalog._bind, engine.compile_frullani
+    bind, compile_frullani, compile_tail = catalog._bind, engine.compile_frullani, engine.compile_tail
 
     def plain_bind(entry, params):
         integrand, scales, tail = bind(entry, params)
@@ -60,8 +63,13 @@ def generic_panels(monkeypatch):
     def plain_compile(expr, a, b, params=None):
         return tuple(map(_plain, compile_frullani(expr, a, b, params)))
 
+    def plain_tail(expr, names=()):
+        bind_tail = compile_tail(expr, names)
+        return lambda params, m: _plain(bind_tail(params, m))
+
     monkeypatch.setattr(catalog, "_bind", plain_bind)
     monkeypatch.setattr(engine, "compile_frullani", plain_compile)
+    monkeypatch.setattr(engine, "compile_tail", plain_tail)
 
 
 def _fields(rec):
@@ -106,11 +114,13 @@ def test_defect_records_match_the_generic_panel(compiled_records, generic_panels
 def test_pipeline_records_match_the_generic_panel(compiled_records, generic_panels):
     records = _pipeline_records()
     assert records == compiled_records["pipeline"]
-    # the inputs reach every ending: a pass, a map that reached t = 1, an
-    # early stop of the oracle and a kernel without a limit
+    # the inputs reach every ending: a pass on either oracle, a map that
+    # reached t = 1, an early stop of the oracle and a kernel without a limit
     statuses = [r["status"] for r in records]
     assert {"PASS", "ORACLE_FAILED", "NOT_APPLICABLE"} <= set(statuses)
-    assert any("reached t = 1" in r["detail"] for r in records)
+    for ending in ("oracle=frullani", "oracle=decaying map", "reached t = 1",
+                   "panel cap of 200 panels reached"):
+        assert any(ending in r["detail"] for r in records)
 
 
 def test_default_grid_runs_no_generic_panel(monkeypatch):

@@ -13,7 +13,7 @@ from frullani.engine import (
     diagnose,
     evaluate_pipeline,
 )
-from frullani.expr import BinOp, Call, Const, Neg, Var, compile_kernel, evaluate, parse
+from frullani.expr import BinOp, Call, Const, Neg, Var, compile_kernel, evaluate, parse, unparse
 from frullani.limits import ProbeError
 from frullani.quadrature import MAX_PANELS, SEGMENT_PANELS, integrate_decaying
 
@@ -205,8 +205,13 @@ class TestPipeline:
             evaluate_pipeline(FrullaniProblem(parse("exp(-x)"), 1, 2), tol)
 
     @pytest.mark.parametrize("src, a, b, power, numeric, evaluations", [
-        ("1.2*exp(-x)+0.7", 1.3, 2.9, 1.0, "0x1.ecf6302eeeeedp-1", 105),
-        ("sqrt(x)/(1+sqrt(x))", 1.35394, 7.95975, 0.930343, "-0x1.e76cf11ffce77p+0", 1275),
+        # M from the tree: Frullani's substitution
+        ("1.2*exp(-x)+0.7", 1.3, 2.9, 1.0, "0x1.ecf6302eeef0ep-1", 30),
+        ("sqrt(x)/(1+sqrt(x))", 1.35394, 7.95975, 0.930343, "-0x1.e76cf1428a6c8p+0", 1440),
+        ("sqrt(x)/(1+sqrt(x))", 0.764035, 2.74109, 0.225619, "-0x1.6a614c4cad674p+2", 1560),
+        ("cos(x)/(1+x)", 1.0, 2.0, 1.0, "0x1.62e42fefa39f3p-1", 60),
+        ("abs(sin(x))/x", 1.0, 2.0, 1.0, "0x1.62e42fefa39eep-1", 30),
+        # the tree leaves (1+c/x)^x undetermined: the decaying map
         ("(1+2.5/x)^x", 0.8, 3.1, 1.0, "-0x1.e4b5da0905d3ep+3", 285),
     ])
     def test_oracle_arithmetic_is_pinned(self, src, a, b, power, numeric, evaluations):
@@ -217,6 +222,28 @@ class TestPipeline:
         assert rec.numeric.hex() == numeric
         assert rec.evaluations == evaluations
 
+    @pytest.mark.parametrize("src, route", [
+        ("exp(-x)", "oracle=frullani M=0.0 (tree)"),
+        ("atan(x)", "oracle=frullani M=1.5707963267948966 (tree)"),
+        ("(1+2.5/x)^x", "oracle=decaying map (tree undetermined)"),
+    ])
+    def test_record_names_its_oracle(self, src, route):
+        rec = evaluate_pipeline(prob(src), 1e-13)
+        assert rec.detail.startswith("limits=probe f0=")
+        assert f" {route} kernel=" in rec.detail
+
+    def test_tree_limit_is_not_the_probe_limit(self, monkeypatch):
+        # a wrong M from the tree shows as FAIL against the probe's closed
+        # form; the oracle never reads the probe's f(inf)
+        monkeypatch.setattr(engine, "tree_limit", lambda f: 0.5)
+        rec = evaluate_pipeline(prob("exp(-x)"), 1e-6)
+        assert rec.status == "FAIL"
+        assert rec.numeric == pytest.approx(math.log(2.0) - 0.5 * math.log(2.0), abs=1e-6)
+
+
+# undetermined by the tree, through its (1+1/x)^x factor, which tends to e
+_SLOW_COS = "cos(x)*(1+1/x)^x/(1+x)"
+
 
 def _full_budget(src, a, b, tol):
     """The oracle result of one full-budget integrate_decaying call, as the
@@ -226,23 +253,25 @@ def _full_budget(src, a, b, tol):
 
 
 class TestOracleBudget:
-    """The pipeline's oracle runs 200 panels first, and the 2000-panel
-    budget only when the far probe leaves it a chance."""
+    """Where the tree leaves f(inf) undetermined, the pipeline's oracle
+    runs 200 panels of the decaying map first, and the 2000-panel budget
+    only when the far probe leaves it a chance."""
 
     def test_no_limit_at_t_one_stops_after_200_panels(self):
-        rec = evaluate_pipeline(prob("cos(x)/(1+x)", a=1.3, b=2.7), 1e-6)
+        rec = evaluate_pipeline(prob(_SLOW_COS, a=1.3, b=2.7), 1e-6)
         assert rec.status == "ORACLE_FAILED"
         # 200 panels: the first panel and 199 bisections of 30 evaluations
         assert rec.evaluations == 5985
+        assert "oracle=decaying map (tree undetermined)" in rec.detail
         assert "panel cap of 200 panels reached" in rec.detail
         assert "at infinity: no-limit(amplitude=" in rec.detail
 
     @pytest.mark.parametrize("src, tol", [
         # no-limit, but err x 200/2000 would meet the tolerance
-        ("cos(x)/(1+x)", 3e-3),
-        ("abs(sin(x))/x", 1e-2),
-        # a finite far limit: the full budget converges near 272 panels
-        ("cos(x)/(1+x)^2", 1e-6),
+        pytest.param(_SLOW_COS, 3e-3, id="slow-cos-0.003"),
+        pytest.param("abs(sin(x))*(1+1/x)^x/x", 1e-2, id="slow-abs-sin-0.01"),
+        # a finite far limit: the full budget converges
+        pytest.param("cos(x)*(1+1/x)^x/(1+x)^2", 1e-6, id="slow-cos-squared-1e-06"),
     ])
     def test_rerun_matches_one_full_budget_call(self, src, tol):
         rec = evaluate_pipeline(prob(src, a=1.3, b=2.7), tol)
@@ -253,7 +282,7 @@ class TestOracleBudget:
         assert rec.evaluations == 5985 + full.function_evaluations
 
     def test_power_divides_the_first_pass_result(self):
-        src, a, b, p, tol = "sqrt(x)/(1+sqrt(x))", 1.35394, 7.95975, 0.930343, 1e-6
+        src, a, b, p, tol = "(1+1/x)^x*exp(-x)", 1.35394, 7.95975, 0.930343, 1e-6
         f = kernel(src)
         first = integrate_decaying(
             lambda x: (f(a * x) - f(b * x)) / x, tol * 0.25 * p, SEGMENT_PANELS
@@ -263,14 +292,15 @@ class TestOracleBudget:
         assert (rec.numeric, rec.oracle_error, rec.evaluations) == (
             first.value / p, first.error_estimate / p, first.function_evaluations
         )
-        assert rec.detail.startswith("limits=probe f0=") and "oracle" not in rec.detail
+        assert rec.detail.startswith("limits=probe f0=")
+        assert rec.detail.endswith(f"oracle=decaying map (tree undetermined) kernel={unparse(parse(src))}")
 
     def test_early_stop_keeps_the_first_pass_result(self):
         a, b, tol = 1.3, 2.7, 1e-6
-        f = kernel("cos(x)/(1+x)")
+        f = kernel(_SLOW_COS)
         first = integrate_decaying(lambda x: (f(a * x) - f(b * x)) / x, tol * 0.25, SEGMENT_PANELS)
         verdict = engine.limit_at_infinity(lambda x: x * (f(a * x) - f(b * x)))
-        rec = evaluate_pipeline(prob("cos(x)/(1+x)", a, b), tol)
+        rec = evaluate_pipeline(prob(_SLOW_COS, a, b), tol)
         assert (rec.numeric, rec.oracle_error, rec.evaluations) == (
             first.value, first.error_estimate, first.function_evaluations
         )
@@ -292,8 +322,8 @@ class TestOracleBudget:
             raise ProbeError(2.0**40, ValueError("math domain error"))
 
         monkeypatch.setattr(engine, "limit_at_infinity", far_probe_raises)
-        rec = evaluate_pipeline(prob("cos(x)/(1+x)", a=1.3, b=2.7), 1e-6)
-        full = _full_budget("cos(x)/(1+x)", 1.3, 2.7, 1e-6)
+        rec = evaluate_pipeline(prob(_SLOW_COS, a=1.3, b=2.7), 1e-6)
+        full = _full_budget(_SLOW_COS, 1.3, 2.7, 1e-6)
         assert len(probed) == 2
         assert rec.status == "ORACLE_FAILED"
         assert rec.detail.endswith("oracle did not converge: panel cap of 2000 panels reached")

@@ -1,18 +1,29 @@
-"""Limit classifier: finite, divergent, and oscillatory verdicts."""
+"""Limit classifier: finite, divergent, and oscillatory verdicts; the tree
+pass at infinity."""
 
 import math
+import os
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frullani.expr import compile_kernel, parse
+from frullani import catalog
+from frullani.expr import BinOp, Const, compile_kernel, parse, substitute
 from frullani.limits import (
     LimitVerdict,
     ProbeError,
     _aitken,
     limit_at_infinity,
     limit_at_zero_plus,
+    tree_limit_at_infinity,
 )
+from test_cli import _FUZZ_KERNELS
+
+# the benchmark's input generator, for its kernels and their limits
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+import workloads  # noqa: E402
 
 
 def test_exp_decay_at_zero_is_one():
@@ -219,3 +230,112 @@ def test_growth_past_a_scaled_guard_still_diverges():
     v = limit_at_zero_plus(lambda x: 1e13 / x)
     assert v.kind == "diverges"
     assert v.direction == 1
+
+
+# ------------------------------------------------------------- the tree pass
+
+def _within_4_ulp(value, exact):
+    return value is not None and abs(value - exact) <= 4 * math.ulp(exact)
+
+
+# the constants of the pipeline-kernels generator's families, c = 1.0 left
+# out: ln(1.0 + d*exp(-x)) is the log of a limit of exactly 1
+_CONSTANTS = [(0.2, 5.0, 0.5), (0.73, 1.41, 1.7), (2.35, 0.3, 3.0), (5.0, 5.0, 2.2)]
+_DECIDED_FAMILIES = ("exp-affine", "atan", "log-exp", "shifted-power", "ratio-power",
+                     "sqrt-ratio", "log-ratio")
+
+
+@pytest.mark.parametrize("family", _DECIDED_FAMILIES)
+@pytest.mark.parametrize("c, d, m", _CONSTANTS)
+def test_tree_gives_the_generators_limit(family, c, d, m):
+    text, _, finf = workloads._kernel_family(family, c, d, m)
+    assert _within_4_ulp(tree_limit_at_infinity(parse(text)), finf), text
+
+
+@pytest.mark.parametrize("kind", ["slow-drift", "oscillatory-finite"])
+def test_tree_gives_the_special_kernels_limit(kind):
+    texts, (_, finf) = workloads._SPECIAL_KERNELS[kind]
+    for text in texts:
+        assert tree_limit_at_infinity(parse(text)) == finf, text
+
+
+def _catalog_kernels():
+    cases = []
+    for eid in catalog.entry_ids():
+        entry = catalog.get_entry(eid)
+        if entry.kernel is None or entry.kernel_limits is None:
+            continue
+        for i, params in enumerate(entry.default_grid):
+            cases.append(pytest.param(entry, dict(params), id=f"{eid}-grid{i}"))
+    return cases
+
+
+@pytest.mark.parametrize("entry, params", _catalog_kernels())
+def test_tree_gives_the_catalogs_declared_limit(entry, params):
+    tree = parse(entry.kernel)
+    for name, value in params.items():
+        tree = substitute(tree, name, Const(value))
+    finf = entry.kernel_limits(params)[1]
+    assert _within_4_ulp(tree_limit_at_infinity(tree), finf)
+
+
+@pytest.mark.parametrize("text", [
+    "(1+4.4/x)^x",  # 1^inf
+    "ln(1.0+0.5*exp(-x))",  # the log of a limit of exactly 1
+    "sin(x)",
+    "cos(x)",
+    "x",
+    "exp(x)",
+    "ln(1+x)",
+    "exp(1000)+0*x",  # a constant off the doubles
+    "(x+1)-(x+2)",  # leading terms that cancel
+])
+def test_tree_leaves_undetermined(text):
+    assert tree_limit_at_infinity(parse(text)) is None
+
+
+@pytest.mark.parametrize("text, limit", [
+    ("2", 2.0),
+    ("((x+1)-(x+2))/x", 0.0),  # o(x)/x
+    ("(expm1(-2*x) - expm1(-x))/x", 0.0),  # leading terms cancel at order 1
+    ("exp(x*log1p(2.5/x))", math.exp(2.5)),
+    ("x^(-x)", 0.0),
+    ("x*exp(-exp(x))", 0.0),
+    ("1/ln(2.718281828+x)", 0.0),
+    ("atan(-x^2)", -0.5 * math.pi),
+    ("expm1(-sqrt(x))", -1.0),
+    ("exp(-ln(x)^0.5)", 0.0),
+])
+def test_tree_decides(text, limit):
+    assert tree_limit_at_infinity(parse(text)) == limit
+
+
+def test_tree_walk_is_not_bounded_by_the_recursion_limit():
+    # 1/(1 + 1/(1 + ... 1/(1 + x))), deeper than Python's recursion limit:
+    # its limit is the continued fraction's convergent, near 1/golden ratio
+    tree = parse("x")
+    for _ in range(3 * sys.getrecursionlimit()):
+        tree = BinOp("/", Const(1.0), BinOp("+", Const(1.0), tree))
+    assert tree_limit_at_infinity(tree) == pytest.approx(2.0 / (1.0 + math.sqrt(5.0)), rel=1e-15)
+
+
+def _agrees_with_the_probe(text):
+    """The tree against a probe verdict whose samples settled: where both
+    give a value, they agree to 1e-6 relative to max(1, |limit|)."""
+    tree = tree_limit_at_infinity(parse(text))
+    if tree is None:
+        return True
+    verdict = limit_at_infinity(compile_kernel(parse(text)))
+    if not (verdict.is_finite and verdict.uncertainty < 1e-9):
+        return True
+    return abs(tree - verdict.value) <= 1e-6 * max(1.0, abs(tree))
+
+
+def test_tree_agrees_with_the_probe_on_the_fuzz_corpus():
+    assert [text for text in _FUZZ_KERNELS if not _agrees_with_the_probe(text)] == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tree_agrees_with_the_probe_on_the_pipeline_workload(seed):
+    texts = {req.kernel for req in workloads.pipeline_kernels(seed).requests}
+    assert sorted(text for text in texts if not _agrees_with_the_probe(text)) == []
