@@ -9,8 +9,8 @@ parameters, with a scale pair (alpha, beta), so that the printed integrand
 is [f(alpha x) - f(beta x)]/x, or [f(alpha x^p) - f(beta x^p)]/x where the
 entry names a power p.  The text is compiled like a typed kernel
 (expr.compile_family), once per entry, and bound to each binding's numbers.
-The same text gives the tail the oracle integrates under Frullani's
-substitution, f(e^s) - M (expr.compile_tail), M being the kernel's f(inf)
+The same compiled family gives the tail the oracle integrates under
+Frullani's substitution, f(e^s) - M, M being the kernel's f(inf)
 from its declared kernel_limits or, for an oscillating kernel, its mean at
 infinity, which the entry declares where it is not 0.  The closed form
 does not read M: a wrong declaration shifts the oracle's answer by the
@@ -53,7 +53,7 @@ from .quadrature import (
 # benchmark's tracer wraps the name catalog.integrate_decaying, so it must
 # stay importable from this module.
 from .quadrature import integrate_decaying  # noqa: F401
-from .expr import compile_family, compile_tail, evaluate, parse
+from .expr import compile_family, evaluate, parse
 from .records import STATUSES, VerificationRecord, judge, nonfinite_closed_form, skipped
 from .series import gr_4_324_2_closed, log_ratio
 
@@ -537,33 +537,29 @@ def _compiled(text: str, names: tuple[str, ...]):
     return compile_family(_parsed(text), names)
 
 
-@functools.cache
-def _tail(kernel: str, names: tuple[str, ...]):
-    """The tail of the kernel text (expr.compile_tail), compiled once."""
-    return compile_tail(_parsed(kernel), names)
-
-
 def _bind(entry: CatalogEntry, params: dict) -> tuple[Callable[[float], float], tuple, Optional[Callable]]:
     """What the oracle integrates at a checked binding: the integrand, the
     scale pair and, for an entry with a kernel f, the tail f(e^s) - M
-    (expr.compile_tail), M being the f(inf) of kernel_limits, else the
-    declared mean, else 0.  The integrand is the printed one, but for an
-    entry with a power p it is the kernel's at power 1, [f(alpha x) -
-    f(beta x)]/x, whose integral is p times the printed one's.  Each text
-    they need is bound once, and the scales are evaluated once."""
+    (expr.compile_family's third role), M being the f(inf) of
+    kernel_limits, else the declared mean, else 0.  The integrand is the
+    printed one, but for an entry with a power p it is the kernel's at
+    power 1, [f(alpha x) - f(beta x)]/x, whose integral is p times the
+    printed one's.  Each text they need is bound once, and the scales are
+    evaluated once."""
     names = entry.param_names
     scales = tuple(evaluate(_parsed(text), params) for text in entry.scales)
+    if entry.kernel is None:
+        return _compiled(entry.integrand, names)(params)[0], scales, None
+    _, frullani, tail = _compiled(entry.kernel, names)(params)
     if entry.integrand is None or entry.power is not None:
-        integrand = _compiled(entry.kernel, names)(params)[1](*scales)
+        integrand = frullani(*scales)
     else:
         integrand = _compiled(entry.integrand, names)(params)[0]
-    if entry.kernel is None:
-        return integrand, scales, None
     if entry.kernel_limits is not None:
         limit = entry.kernel_limits(params)[1]
     else:
         limit = entry.mean(params) if entry.mean else 0.0
-    return integrand, scales, _tail(entry.kernel, names)(params, limit)
+    return integrand, scales, tail(limit)
 
 
 def instantiate(entry_id: str, params: dict):

@@ -7,10 +7,11 @@ For f with finite limits at 0+ and infinity and positive scale factors a, b,
 The engine probes the two limits numerically (limits module), decides whether
 the formula applies, evaluates the closed form, and can cross-check against
 a quadrature oracle.  The oracle takes Frullani's own substitution
-(quadrature.integrate_frullani) with f(inf) read from the kernel's
-expression tree (limits.tree_limit_at_infinity), and the graded decaying
-map where the tree does not decide f(inf).  The closed form keeps the
-probe's limits, so a wrong limit from either source ends FAIL, not PASS.
+(quadrature.integrate_frullani) on the tail role of the kernel's compiled
+family, with f(inf) read from its expression tree
+(limits.tree_limit_at_infinity), and the graded decaying map where the
+tree does not decide f(inf).  The closed form keeps the probe's limits,
+so a wrong limit from either source ends FAIL, not PASS.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import time
 from typing import Callable, NamedTuple
 
-from .expr import Expression, compile_frullani, compile_tail, free_variables, unparse
+from .expr import Expression, compile_family, free_variables, unparse
 
 # Not called here, since kernels are compiled; the benchmark's tracer wraps
 # the name engine.evaluate, so it must stay importable from this module.
@@ -48,11 +49,12 @@ class FrullaniProblem(Frozen):
     """One integral: the kernel f (an expression in x, parameters already
     bound to numbers), the two scale factors, and the argument power.
 
-    kernel is f and integrand (f(a x) - f(b x)) / x, a closure over it, both
-    built once (expr.compile_frullani) when the problem is made; they take
-    no part in equality, hashing or repr."""
+    kernel is f, integrand (f(a x) - f(b x)) / x, a closure over it, and
+    tail(m) the maker of the log-tail f(e^s) - m, all three roles of one
+    compiled family (expr.compile_family), bound once when the problem is
+    made; they take no part in equality, hashing or repr."""
 
-    __slots__ = ("f", "a", "b", "power", "kernel", "integrand")
+    __slots__ = ("f", "a", "b", "power", "kernel", "integrand", "tail")
     _compared = __slots__[:4]
 
     def __init__(self, f: Expression, a: float, b: float, power: float = 1.0):
@@ -65,8 +67,8 @@ class FrullaniProblem(Frozen):
                 f"kernel must have exactly the free variable x, got "
                 f"{sorted(names) or 'none'}"
             )
-        kernel, integrand = compile_frullani(f, a, b)
-        self._set(f=f, a=a, b=b, power=power, kernel=kernel, integrand=integrand)
+        kernel, frullani, tail = compile_family(f)({})
+        self._set(f=f, a=a, b=b, power=power, kernel=kernel, integrand=frullani(a, b), tail=tail)
 
 
 class ApplicabilityReport(NamedTuple):
@@ -129,7 +131,7 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
 
     Only then is the tree asked for M = f(inf) (limits.tree_limit_at_infinity).
     Where it decides M, the oracle is integrate_frullani with the tail
-    f(e^s) - M (expr.compile_tail).  Where it does not, the oracle is
+    f(e^s) - M (prob.tail).  Where it does not, the oracle is
     integrate_decaying, first with SEGMENT_PANELS panels.  If that does not
     converge, it reruns with MAX_PANELS panels, unless the mapped integrand
     has no limit at t = 1 (x [f(ax) - f(bx)] probes no-limit at infinity)
@@ -173,8 +175,7 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
         if m is None:
             res = _decaying_oracle(prob.integrand, far, share * p)
         else:
-            tail = compile_tail(prob.f)({}, m)
-            res = integrate_frullani(prob.integrand, (a, b), tail, share * p)
+            res = integrate_frullani(prob.integrand, (a, b), prob.tail(m), share * p)
         return res._replace(value=res.value / p, error_estimate=res.error_estimate / p)
 
     return judge("eval", params, expected, oracle, tol, start, provenance)

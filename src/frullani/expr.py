@@ -20,11 +20,11 @@ Three ways to use a tree:
                    compile_frullani also gives the Frullani integrand
                    (f(a x) - f(b x))/x of that kernel f, which the
                    probe-then-verify pipeline and the catalog integrate;
-                   compile_family walks a tree once for many bindings;
-                   compile_tail gives the log-tail f(exp(s)) - m of a
-                   kernel f of limit or mean m at infinity, which the
-                   Frullani oracle of the catalog and of the pipeline
-                   integrates
+                   compile_family walks a tree once for many bindings
+                   and gives all three roles of one kernel f: f itself,
+                   that integrand, and the log-tail f(exp(s)) - m of f
+                   of limit or mean m at infinity, which the Frullani
+                   oracle of the catalog and of the pipeline integrates
 
 The compiled code is plain floating-point Python with no domain checks.  A
 node that reads only constants and parameters runs once per binding, and a
@@ -37,16 +37,17 @@ evaluate, which gives that point's value or DomainError, so evaluate is
 both the reference and the compiled code's exceptional path.
 
 Only the kernel's point function is generated per shape; the Frullani
-integrand's is one Python closure over it.  Each compiled kernel and
-integrand also carries two G7/K15 panels, straight-line code built from
-quadrature's panel template with the point's body written out at each of
-the 15 nodes: panel() gives its panel(lo, hi), and mapped_panel() the panel
-of integrate_decaying's map x = t^2/(1-t).  Each is compiled the first time
-a shape's kernel or integrand asks for it, so a shape compiles only the
-panels that run.  quadrature runs them in place of gauss_kronrod_panel, one
-call per panel instead of one per node.  A panel where a node raises or is
-not finite returns None, and quadrature reruns it point by point, so every
-result and error stays the same bits.
+integrand's and the log-tail's are Python closures over it.  Each compiled
+kernel, integrand and tail also carries two G7/K15 panels, straight-line
+code built from quadrature's panel template with the point's body written
+out at each of the 15 nodes: panel() gives its panel(lo, hi), and
+mapped_panel() the panel of integrate_decaying's map x = t^2/(1-t).  Each
+is compiled the first time a shape's kernel, integrand or tail asks for
+it, so a shape compiles only the panels that run.  quadrature runs them
+in place of gauss_kronrod_panel, one call per panel instead of one per
+node.  A panel where a node raises or is not finite returns None, and
+quadrature reruns it point by point, so every result and error stays the
+same bits.
 
 Trees are named tuples of their fields, so structural equality and hashing
 are plain == and hash(), and a field cannot be assigned.  Each node kind
@@ -489,10 +490,11 @@ def _shape(
 
 
 def _block(
-    shape: tuple[Union[str, int], ...], prefix: str, scale: str = ""
+    shape: tuple[Union[str, int], ...], prefix: str, through: str = ""
 ) -> tuple[list[str], str, list[str]]:
-    """Straight-line source for shape applied to x, or to scale * x where
-    scale is given, with constant i read as ci: the lines of the nodes that
+    """Straight-line source for shape applied to x, or to the node the
+    template through makes of x where it is given ("a * {0}", "b * {0}" or
+    exp's), with constant i read as ci: the lines of the nodes that
     depend on x; the result's operand text; and the lines of the nodes that
     read constants only (k0, k1, ...), which do not depend on x.  Every
     node is a pure function of its operands, so a node computed already,
@@ -517,7 +519,7 @@ def _block(
                     reads[arg] += template.count(f"{{{slot}}}")
         return index[template, args]
 
-    x = node(f"{scale} * {{0}}", ("x",)) if scale else "x"
+    x = node(through, ("x",)) if through else "x"
     operands: list[Union[str, int]] = []
     read = 0  # constants read so far
     for token in shape:
@@ -561,17 +563,19 @@ def _block(
 def _bodies(
     shape: tuple[Union[str, int], ...]
 ) -> tuple[dict[str, tuple[tuple[str, ...], str]], tuple[str, ...], tuple[str, ...]]:
-    """The straight-line lines and result text of the kernel at x and of
-    its Frullani integrand at x, by role; the kernel's constant-only lines,
-    which build runs once; and the names those bodies read from build
-    besides x, a and b: the constants, then the targets of those lines.
-    Made once per shape, for its builder and its panels."""
+    """The straight-line lines and result text of the kernel, its Frullani
+    integrand and its log-tail at x, by role; the kernel's constant-only
+    lines, which build runs once; and the names those bodies read from
+    build besides x, a, b and m: the constants, then the targets of those
+    lines.  Made once per shape, for its builder and its panels."""
     kernel, result, hoisted = _block(shape, "t")
-    at_a, result_a, _ = _block(shape, "u", "a")
-    at_b, result_b, _ = _block(shape, "v", "b")
+    at_a, result_a, _ = _block(shape, "u", "a * {0}")
+    at_b, result_b, _ = _block(shape, "v", "b * {0}")
+    at_exp, result_exp, _ = _block(shape, "w", _NODE_LINES["exp"])
     bodies = {
         "kernel": (tuple(kernel), result),
         "integrand": ((*at_a, *at_b), f"({result_a} - {result_b}) / x"),
+        "tail": (tuple(at_exp), f"{result_exp} - m"),
     }
     names = [f"c{i}" for i in range(shape.count("c"))]
     return bodies, tuple(hoisted), (*names, *(line.split(" = ")[0] for line in hoisted))
@@ -579,14 +583,17 @@ def _bodies(
 
 @functools.lru_cache(maxsize=4 * _SHAPE_CACHE_SIZE)
 def _panel_maker(shape: tuple[Union[str, int], ...], role: str, mapped: bool) -> Callable:
-    """make(c0, c1, ..., k0, k1, ...[, a, b]) for one shape: it returns
-    the G7/K15 panel of the kernel or Frullani integrand (role) over the
-    names build binds (_bodies) and, for the integrand, the scales a and b,
-    or the panel of integrate_decaying's map of it (quadrature.panel_source)."""
+    """make(c0, c1, ..., k0, k1, ...[, a, b | m]) for one shape: it returns
+    the G7/K15 panel of role, the kernel, the Frullani integrand (also over
+    a and b) or the log-tail (also over m), over the names build binds
+    (_bodies), or the panel of integrate_decaying's map of it
+    (quadrature.panel_source)."""
     bodies, _, names = _bodies(shape)
     lines, value = bodies[role]
     if role == "integrand":
         names = [*names, "a", "b"]
+    elif role == "tail":
+        names = [*names, "m"]
     namespace = dict(_HELPERS, **PANEL_GLOBALS)
     exec(
         f"def make({', '.join(names)}):\n"
@@ -647,20 +654,22 @@ def _builder(shape: tuple[Union[str, int], ...]) -> Callable[..., tuple[Callable
 
 def compile_family(
     expr: Expression, names: Iterable[str] = ()
-) -> Callable[[Mapping[str, float]], tuple[Callable, Callable]]:
+) -> Callable[[Mapping[str, float]], tuple[Callable, Callable, Callable]]:
     """Compile a tree in x and the parameters names, walking it once.
 
     Returns bind(params), which binds every parameter to a number and gives
-    the kernel, a function of x, and frullani(a, b), which returns the
-    Frullani integrand x -> (f(a*x) - f(b*x)) / x of that kernel f.  All
-    bindings share the code of compile_kernel, and all integrands one
-    closure; a parameter the binding lacks raises UnboundVariableError, and
+    three roles of one kernel f: f, a function of x; frullani(a, b), which
+    returns the Frullani integrand x -> (f(a*x) - f(b*x)) / x; and tail(m),
+    which returns the log-tail s -> f(exp(s)) - m of f of limit or mean m
+    at infinity, exp saturating to inf as in evaluate.  All bindings share
+    the code of compile_kernel, and all integrands and tails one closure
+    each; a parameter the binding lacks raises UnboundVariableError, and
     any variable that is neither x nor a parameter raises it here.
     """
     shape, slots = _shape(expr, frozenset(names))
     build = _builder(shape)
 
-    def bind(params: Mapping[str, float]) -> tuple[Callable, Callable]:
+    def bind(params: Mapping[str, float]) -> tuple[Callable, Callable, Callable]:
         try:
             constants = [float(params[s]) if isinstance(s, str) else s for s in slots]
         except KeyError as exc:
@@ -679,7 +688,17 @@ def compile_family(
             scaled = None if bound is None else (*bound, a, b)
             return _with_panels(integrand, shape, "integrand", scaled)
 
-        return _with_panels(kernel, shape, "kernel", bound), frullani
+        def tail(m: float) -> Callable[[float], float]:
+            def log_tail(s: float) -> float:
+                try:
+                    u = math.exp(s)
+                except OverflowError:
+                    u = math.inf
+                return kernel(u) - m
+
+            return _with_panels(log_tail, shape, "tail", None if bound is None else (*bound, m))
+
+        return _with_panels(kernel, shape, "kernel", bound), frullani, tail
 
     return bind
 
@@ -718,33 +737,8 @@ def compile_frullani(
     does.  The integrand carries its own panel() and mapped_panel(), as the
     kernel does."""
     params = params or {}
-    kernel, frullani = compile_family(expr, params)(params)
+    kernel, frullani, _ = compile_family(expr, params)(params)
     return kernel, frullani(a, b)
-
-
-# the parameter a tail binds its mean under; no parsed text names it
-_MEAN = "<mean>"
-
-
-def compile_tail(
-    expr: Expression, names: Iterable[str] = ()
-) -> Callable[[Mapping[str, float], float], Callable[[float], float]]:
-    """Compile the log-tail s -> f(exp(s)) - m of a kernel f, a tree in x
-    and the parameters names, walking it once.
-
-    Returns bind(params, m), which binds every parameter to a number and
-    the limit or mean m of f at infinity, and gives the tail: the kernel
-    f(exp(x)) - m of compile_family, with its own panel() and
-    mapped_panel().  quadrature.integrate_frullani integrates it over
-    s = ln u.
-    """
-    at_exp = substitute(expr, "x", Call("exp", Var("x")))
-    family = compile_family(BinOp("-", at_exp, Var(_MEAN)), (*names, _MEAN))
-
-    def bind(params: Mapping[str, float], m: float) -> Callable[[float], float]:
-        return family({**params, _MEAN: m})[0]
-
-    return bind
 
 
 # precedence levels used by unparse; higher binds tighter

@@ -212,8 +212,9 @@ def tree_limit_at_infinity(expr) -> float | None:
     to their rounding.  Leading terms that cancel leave the order they
     cancelled at, with a little o: (x+1) - (x+2) is o(x), and no limit.
     Returns None wherever the tree does not decide a finite limit: leading
-    terms that cancel at a growing order; 1^inf, as in (1+c/x)^x, whose ln
-    is of a limit of exactly 1; a bounded oscillation, as sin(x); growth;
+    terms that cancel at a growing order; 1^inf, as in (1+c/x)^x, whose
+    exponent x ln(1+c/x) is x times o(1); a bounded oscillation, as
+    sin(x); growth;
     a constant that is not a finite double, as exp(1000); a variable
     other than x.  None says nothing about the kernel.
     """
@@ -388,8 +389,11 @@ def _call(func: str, kind: tuple) -> tuple | None:
             return kind  # expm1, log1p, sin and atan of u are u (1 + o(1))
     elif kind[0] == "term" and kind[2:] == (0, 0):
         # a finite limit L: each function is continuous where it is
-        # defined, and _folded refuses L where it is not
+        # defined, and _folded refuses L where it is not; one exactly 0 at L,
+        # as ln at 1, is o(1), but not exp, which is 0 only by underflow
         limit = _folded(Call(func, Const(kind[1])))
+        if limit and limit[1] == 0.0 and func != "exp":
+            return ("bound", True, 0, 0)
         return limit and _term(limit[1], 0, 0)
     if func in ("ln", "log1p"):
         # ln(c x^p (ln x)^q) = p ln x + q ln ln x + ln c + o(1) for c > 0,

@@ -21,7 +21,8 @@ Three layers:
                               the generic panel reruns it, so both give the
                               same bits.
   integrate_decaying          semi-infinite integrals of decaying integrands
-                              (the pipeline's oracle), mapped onto (0, 1) by
+                              (the pipeline's oracle where the tree leaves
+                              f(inf) undetermined), mapped onto (0, 1) by
                               x = t^2/(1-t), graded at t = 0; a compiled
                               integrand's f.mapped_panel() inlines the map
                               too.
@@ -50,7 +51,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -142,6 +142,8 @@ def base_frequency(freqs: Sequence[float]) -> float:
     to the smallest frequency if the values do not rationalize sensibly.
     A ratio typed to nine decimals, such as 1.414213562, rationalizes to a
     base near 1e-6, too fine for a common grid."""
+    from fractions import Fraction  # with decimal, a sixth of the import time
+
     pos = sorted(f for f in freqs if f > 0)
     if not pos:
         raise ValueError("need at least one positive frequency")

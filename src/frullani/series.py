@@ -26,7 +26,7 @@ import math
 import sys
 from functools import lru_cache
 
-from .expr import compile_frullani, compile_tail, parse
+from .expr import compile_family, parse
 from .frozen import Frozen
 from .quadrature import integrate_frullani_oscillatory
 
@@ -225,10 +225,10 @@ def imaginary_exponential_check(
 
     these are the real and imaginary parts of the a -> 0 linearisation of
     the kernel and the reason only the real part survives.  The integrand
-    and the tail, of mean 0, are compiled from one parsed kernel, cos(x)
-    or sin(x).  Returns the (cos, sin) value pair; raises if either
-    oscillatory integration fails to converge.  p = q short-circuits to
-    (0, 0), the zero integrand.
+    and the tail, of mean 0, are two roles of one compiled family of the
+    kernel, cos(x) or sin(x).  Returns the (cos, sin) value pair; raises
+    if either oscillatory integration fails to converge.  p = q
+    short-circuits to (0, 0), the zero integrand.
     """
     if not (p > 0 and q > 0):
         raise ValueError("p and q must be positive")
@@ -236,10 +236,8 @@ def imaginary_exponential_check(
         return 0.0, 0.0
     values = []
     for label in ("cos", "sin"):
-        kernel = parse(f"{label}(x)")
-        g = compile_frullani(kernel, p, q)[1]
-        tail = compile_tail(kernel)({}, 0.0)
-        res = integrate_frullani_oscillatory(g, (p, q), tail, tol)
+        _, frullani, tail = compile_family(parse(f"{label}(x)"))({})
+        res = integrate_frullani_oscillatory(frullani(p, q), (p, q), tail(0.0), tol)
         if not res.converged:
             raise RuntimeError(
                 f"oscillatory oracle did not converge for the {label} part: "

@@ -1,11 +1,11 @@
 """Records through the compiled G7/K15 panels equal records through the
 generic panel.
 
-Every compiled kernel and Frullani integrand carries its own panels
-(expr), which quadrature runs in place of gauss_kronrod_panel.  Wrapped in
-a plain function, the same integrand has no panel of its own and takes the
-generic one.  The two routes must give the same record in every field but
-wall time.
+Every compiled kernel, Frullani integrand and log-tail carries its own
+panels (expr), which quadrature runs in place of gauss_kronrod_panel.
+Wrapped in a plain function, the same integrand has no panel of its own and
+takes the generic one.  The two routes must give the same record in every
+field but wall time.
 """
 
 import pytest
@@ -53,23 +53,32 @@ def _plain(f):
 @pytest.fixture
 def generic_panels(monkeypatch):
     """Wrap every integrand, kernel and tail the catalog and the pipeline
-    bind in a plain function."""
-    bind, compile_frullani, compile_tail = catalog._bind, engine.compile_frullani, engine.compile_tail
+    bind in a plain function.  Returns the means of the tails the
+    pipeline's compiled families made, each wrapped."""
+    bind, compile_family = catalog._bind, engine.compile_family
+    tail_means = []
 
     def plain_bind(entry, params):
         integrand, scales, tail = bind(entry, params)
         return _plain(integrand), scales, tail and _plain(tail)
 
-    def plain_compile(expr, a, b, params=None):
-        return tuple(map(_plain, compile_frullani(expr, a, b, params)))
+    def plain_family(expr, names=()):
+        bind_family = compile_family(expr, names)
 
-    def plain_tail(expr, names=()):
-        bind_tail = compile_tail(expr, names)
-        return lambda params, m: _plain(bind_tail(params, m))
+        def plain_roles(params):
+            kernel, frullani, tail = bind_family(params)
+
+            def plain_tail(m):
+                tail_means.append(m)
+                return _plain(tail(m))
+
+            return _plain(kernel), lambda a, b: _plain(frullani(a, b)), plain_tail
+
+        return plain_roles
 
     monkeypatch.setattr(catalog, "_bind", plain_bind)
-    monkeypatch.setattr(engine, "compile_frullani", plain_compile)
-    monkeypatch.setattr(engine, "compile_tail", plain_tail)
+    monkeypatch.setattr(engine, "compile_family", plain_family)
+    return tail_means
 
 
 def _fields(rec):
@@ -114,6 +123,8 @@ def test_defect_records_match_the_generic_panel(compiled_records, generic_panels
 def test_pipeline_records_match_the_generic_panel(compiled_records, generic_panels):
     records = _pipeline_records()
     assert records == compiled_records["pipeline"]
+    # the Frullani oracle integrated the wrapped tails
+    assert len(generic_panels) == sum("oracle=frullani" in r["detail"] for r in records) > 0
     # the inputs reach every ending: a pass on either oracle, a map that
     # reached t = 1, an early stop of the oracle and a kernel without a limit
     statuses = [r["status"] for r in records]

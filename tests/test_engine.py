@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frullani import catalog, engine
+from frullani import catalog, engine, expr
 from frullani.engine import (
     ApplicabilityReport,
     FrullaniProblem,
@@ -53,7 +53,9 @@ class TestProblemValidation:
         assert p.kernel(2.0) == math.exp(-2.0)
         assert p == q and hash(p) == hash(q)
         assert "kernel" not in repr(p) and "integrand" not in repr(p)
+        assert "tail" not in repr(p)
         assert p.integrand(1.0) == math.exp(-1.0) - math.exp(-2.0)
+        assert p.tail(0.25)(1.0) == math.exp(-math.e) - 0.25
         assert p != prob("exp(-2*x)")
 
     def test_rejects_constant_kernels(self):
@@ -231,6 +233,14 @@ class TestPipeline:
         rec = evaluate_pipeline(prob(src), 1e-13)
         assert rec.detail.startswith("limits=probe f0=")
         assert f" {route} kernel=" in rec.detail
+
+    def test_a_new_kernel_shape_compiles_one_builder(self):
+        # the kernel, its integrand and its log-tail are three roles of one
+        # compiled family: a shape not seen before adds one builder
+        expr._builder.cache_clear()
+        rec = evaluate_pipeline(prob("1.2*exp(-x)+0.7"), 1e-6)
+        assert rec.status == "PASS" and "oracle=frullani" in rec.detail
+        assert expr._builder.cache_info().currsize == 1
 
     def test_tree_limit_is_not_the_probe_limit(self, monkeypatch):
         # a wrong M from the tree shows as FAIL against the probe's closed

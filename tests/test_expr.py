@@ -21,8 +21,8 @@ from frullani.expr import (
     UnboundVariableError,
     Var,
     compile_frullani,
+    compile_family,
     compile_kernel,
-    compile_tail,
     evaluate,
     free_variables,
     parse,
@@ -227,21 +227,31 @@ class TestSubstitute:
         assert substitute(tree, "x", parse("exp(x)")) == tree
 
 
+def _tail(tree, params=None, m=0.0):
+    """The log-tail s -> f(exp(s)) - m of the kernel tree, the third role
+    of its compiled family."""
+    params = params or {}
+    return compile_family(tree, params)(params)[2](m)
+
+
 class TestCompileTail:
     @pytest.mark.parametrize("s", [-40.0, -1.0, 0.0, 2.5, 20.0, 709.0])
     def test_tail_is_the_kernel_at_exp_less_the_mean(self, s):
         tree = parse("log1p(2*a*cos(x) + a*a)")
         m = math.log(4.0)
-        tail = compile_tail(tree, ("a",))({"a": 2.0}, m)
+        tail = _tail(tree, {"a": 2.0}, m)
         assert tail(s) == evaluate(tree, {"a": 2.0, "x": math.exp(s)}) - m
 
     def test_one_compile_serves_every_binding_and_mean(self):
-        bind = compile_tail(parse("a*cos(x)"), ["a"])
-        assert bind({"a": 2.0}, 0.5)(0.0) == 2.0 * math.cos(1.0) - 0.5
-        assert bind({"a": -1.0}, 0.0)(0.0) == -math.cos(1.0)
+        bind = compile_family(parse("a*cos(x)"), ["a"])
+        tail = bind({"a": 2.0})[2]
+        assert tail(0.5)(0.0) == 2.0 * math.cos(1.0) - 0.5
+        assert tail(0.0)(0.0) == 2.0 * math.cos(1.0)
+        assert bind({"a": -1.0})[2](0.0)(0.0) == -math.cos(1.0)
+        assert tail(0.5).panel()(0.0, 1.0) != tail(0.0).panel()(0.0, 1.0)
 
     def test_tail_carries_its_panels(self):
-        tail = compile_tail(parse("sin(x)"))({}, 0.0)
+        tail = _tail(parse("sin(x)"))
         # the integral of sin(u)/u over (1, e), by the compiled panels and
         # by the generic one
         plain = integrate_adaptive(lambda s: math.sin(math.exp(s)), 0.0, 1.0, 1e-12)
@@ -251,13 +261,13 @@ class TestCompileTail:
         assert tail.panel() is tail.panel()
 
     def test_past_the_range_of_exp_is_a_domain_error(self):
-        tail = compile_tail(parse("cos(x)"))({}, 0.0)
+        tail = _tail(parse("cos(x)"))
         with pytest.raises(DomainError):
             tail(711.0)
 
     def test_unknown_parameter_is_unbound(self):
         with pytest.raises(UnboundVariableError):
-            compile_tail(parse("a*cos(x)"))
+            compile_family(parse("a*cos(x)"))
 
 
 # trees the parser itself can produce: constants are nonnegative finite
@@ -451,12 +461,14 @@ class TestCompileKernel:
 
     def test_bindings_of_a_family_share_code(self):
         bind = expr.compile_family(parse("log1p(b/a*exp(-x))"), ("a", "b"))
-        first, frullani_first = bind({"a": 1.0, "b": 2.0})
-        second, frullani_second = bind({"a": 3.0, "b": 0.5})
+        first, frullani_first, tail_first = bind({"a": 1.0, "b": 2.0})
+        second, frullani_second, tail_second = bind({"a": 3.0, "b": 0.5})
         assert first.__code__ is second.__code__
         assert first(0.5) == math.log1p(2.0 / 1.0 * math.exp(-0.5))
         assert second(0.5) == math.log1p(0.5 / 3.0 * math.exp(-0.5))
         assert frullani_first(1.0, 2.0).__code__ is frullani_second(3.0, 4.0).__code__
+        assert tail_first(0.0).__code__ is tail_second(1.0).__code__
+        assert tail_second(1.0)(0.5) == second(math.exp(0.5)) - 1.0
         with pytest.raises(UnboundVariableError) as info:
             bind({"a": 1.0})
         assert info.value.name == "b"

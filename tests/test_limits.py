@@ -238,9 +238,9 @@ def _within_4_ulp(value, exact):
     return value is not None and abs(value - exact) <= 4 * math.ulp(exact)
 
 
-# the constants of the pipeline-kernels generator's families, c = 1.0 left
-# out: ln(1.0 + d*exp(-x)) is the log of a limit of exactly 1
-_CONSTANTS = [(0.2, 5.0, 0.5), (0.73, 1.41, 1.7), (2.35, 0.3, 3.0), (5.0, 5.0, 2.2)]
+# the constants of the pipeline-kernels generator's families; at c = 1.0,
+# ln(1.0 + d*exp(-x)) is the log of a limit of exactly 1
+_CONSTANTS = [(0.2, 5.0, 0.5), (0.73, 1.41, 1.7), (1.0, 2.64, 3.6), (2.35, 0.3, 3.0), (5.0, 5.0, 2.2)]
 _DECIDED_FAMILIES = ("exp-affine", "atan", "log-exp", "shifted-power", "ratio-power",
                      "sqrt-ratio", "log-ratio")
 
@@ -281,7 +281,8 @@ def test_tree_gives_the_catalogs_declared_limit(entry, params):
 
 @pytest.mark.parametrize("text", [
     "(1+4.4/x)^x",  # 1^inf
-    "ln(1.0+0.5*exp(-x))",  # the log of a limit of exactly 1
+    "x*ln(1+1/x)",  # x times o(1)
+    "exp(-800+exp(-x))",  # exp of a finite limit, underflowing to 0
     "sin(x)",
     "cos(x)",
     "x",
@@ -296,6 +297,7 @@ def test_tree_leaves_undetermined(text):
 
 @pytest.mark.parametrize("text, limit", [
     ("2", 2.0),
+    ("ln(1.0+0.5*exp(-x))", 0.0),  # the log of a limit of exactly 1 is o(1)
     ("((x+1)-(x+2))/x", 0.0),  # o(x)/x
     ("(expm1(-2*x) - expm1(-x))/x", 0.0),  # leading terms cancel at order 1
     ("exp(x*log1p(2.5/x))", math.exp(2.5)),

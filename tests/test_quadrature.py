@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from frullani.catalog import default_grid, entry_ids, instantiate
-from frullani.expr import FUNCTIONS, BinOp, Call, Const, ExprError, Neg, Var, compile_frullani, parse
+from frullani.expr import (
+    FUNCTIONS, BinOp, Call, Const, ExprError, Neg, Var, compile_family, compile_frullani, parse,
+)
 from frullani.quadrature import (
     IntegrandError,
     OscillatorySpec,
@@ -617,7 +619,9 @@ _compiled_integrands = st.one_of(
         _short,
         _short,
     ),
-    st.tuples(st.just("tree"), _folding_trees, st.sampled_from(["kernel", "integrand"]), _short, _short),
+    st.tuples(
+        st.just("tree"), _folding_trees, st.sampled_from(["kernel", "integrand", "tail"]), _short, _short
+    ),
 )
 # (0, 1) for the mapped panel, down to a few ulps wide
 _unit_intervals = st.tuples(st.floats(0.0, 1.0), st.floats(-16.0, 0.0)).map(
@@ -627,15 +631,15 @@ _unit_intervals = st.tuples(st.floats(0.0, 1.0), st.floats(-16.0, 0.0)).map(
 
 def _compiled_integrand(source):
     """The integrand a catalog binding or pipeline kernel integrates, or a
-    tree's compiled kernel or Frullani integrand."""
+    tree's compiled kernel, Frullani integrand or log-tail of mean a."""
     if source[0] == "catalog":
         _, entry_id, k = source
         grid = default_grid(entry_id)
         return instantiate(entry_id, grid[k % len(grid)])[0]
     if source[0] == "tree":
         _, tree, role, a, b = source
-        kernel, integrand = compile_frullani(tree, a, b)
-        return kernel if role == "kernel" else integrand
+        kernel, frullani, tail = compile_family(tree)({})
+        return {"kernel": kernel, "integrand": frullani(a, b), "tail": tail(a)}[role]
     _, text, a, b = source
     return compile_frullani(parse(text), a, b)[1]
 
@@ -728,9 +732,12 @@ class TestMatchesReference:
     @example(("pipeline", "atan(1.0*x)", 1.5, 1.5), (-2.0, -1.0), (0.2, 0.3))
     # values near 4e307, finite, whose sum overflows
     @example(("pipeline", "1/x", 1.0, 2.0), (1.1e-154, 1.2e-154), (0.2, 0.3))
-    # single-use nodes past the deepest fold, for both roles
+    # single-use nodes past the deepest fold, for every role
     @example(("tree", _chain(40), "kernel", 1.0, 2.0), (0.5, 1.5), (0.2, 0.3))
     @example(("tree", _chain(40), "integrand", 1.5, 0.7), (0.5, 1.5), (0.2, 0.3))
+    @example(("tree", _chain(40), "tail", 1.5, 0.7), (0.5, 1.5), (0.2, 0.3))
+    # exp(s) in (709.78, 710] raises in the tail's compiled code
+    @example(("tree", Call("atan", Var("x")), "tail", 1.5, 0.7), (709.7, 709.9), (0.2, 0.3))
     def test_compiled_panel_bits(self, source, interval, unit_interval):
         f = _compiled_integrand(source)
         lo, hi = interval
@@ -750,6 +757,7 @@ class TestMatchesReference:
             (("pipeline", "exp(x)", 1.0, 2.0), (800.0, 900.0), False),
             (("catalog", "R-3.1", 0), (1.0 - 2.0**-52, 1.0), True),
             (("pipeline", "1/x", 1.0, 2.0), (1.1e-154, 1.2e-154), False),
+            (("tree", Call("atan", Var("x")), "tail", 1.5, 0.7), (709.7, 709.9), False),
         ],
     )
     def test_compiled_panel_hands_failures_to_the_generic_panel(self, source, interval, mapped):
