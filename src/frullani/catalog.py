@@ -17,19 +17,21 @@ does not read M: a wrong declaration shifts the oracle's answer by the
 error in M times ln(beta/alpha), and ends FAIL.  This module builds no
 expression tree of its own.
 
-Seven entries give the printed integrand as its own text, where it is not
+Six entries give the printed integrand as its own text, where it is not
 written through the kernel: GR-3.476.1 (x^p), GR-4.297.7 (over x^2),
 GR-4.267.8 (over ln t on (0, 1)), GR-3.329 (the kernel's x cancelled, in
-expm1 form), R-3.5 and R-3.6 (sine products).  No entry carries Python
-numerics: an exp that overflows saturates to inf inside the compiled code.
-The limits the kernels carry also let the probe-based engine pipeline be
-cross-checked against the catalog's closed forms.
+expm1 form), R-3.5 and R-3.6 (sine products).  GR-4.267.8 also names its
+substitution t = exp(-x), under which its integral over (0, 1) is the
+Frullani integral of expm1(-x), GR-3.434.2's kernel.  No entry carries
+Python numerics: an exp that overflows saturates to inf inside the
+compiled code.  The limits the kernels carry also let the probe-based
+engine pipeline be cross-checked against the catalog's closed forms.
 
-Verification integrates GR-4.267.8 over (0, 1), and every entry with a
-kernel by integrate_frullani, an oscillatory one through
-integrate_frullani_oscillatory, which keeps a common tail grid where the
-scales share one; GR-3.476.1 integrates its kernel's power-1 integrand and
-divides by p, as the pipeline does.  No exception escapes a
+Verification integrates every entry by integrate_frullani, an oscillatory
+one through integrate_frullani_oscillatory, which keeps a common tail grid
+where the scales share one; an entry with a power or a substitution
+integrates its kernel's power-1 integrand in x, which GR-3.476.1 divides
+by p, as the pipeline does.  No exception escapes a
 VerificationRecord.
 """
 
@@ -42,17 +44,12 @@ from typing import Callable, NamedTuple, Optional
 
 # base_frequency, STATUSES and VerificationRecord are re-exported as part of
 # this module's API.  The oracles are called through this module's names.
-from .quadrature import (
-    base_frequency,
-    integrate_adaptive,
-    integrate_frullani,
-    integrate_frullani_oscillatory,
-)
+from .quadrature import base_frequency, integrate_frullani, integrate_frullani_oscillatory
 
-# Not called here, since every kernel entry takes integrate_frullani; the
-# benchmark's tracer wraps the name catalog.integrate_decaying, so it must
-# stay importable from this module.
-from .quadrature import integrate_decaying  # noqa: F401
+# Not called here, since every entry takes integrate_frullani; the
+# benchmark's tracer wraps the names catalog.integrate_adaptive and
+# catalog.integrate_decaying, so they must stay importable from this module.
+from .quadrature import integrate_adaptive, integrate_decaying  # noqa: F401
 from .expr import compile_family, evaluate, parse
 from .records import STATUSES, VerificationRecord, judge, nonfinite_closed_form, skipped
 from .series import gr_4_324_2_closed, log_ratio
@@ -76,7 +73,6 @@ __all__ = [
 
 CLASS_TOLERANCE = {
     "smooth-decay": 1e-6,
-    "finite-interval": 1e-6,
     "oscillatory": 1e-4,
 }
 
@@ -107,13 +103,17 @@ class CatalogEntry(NamedTuple):
     # pair (alpha, beta) as texts in the parameters: unless integrand is
     # given, the printed integrand is [f(alpha x) - f(beta x)]/x.  Scales
     # that are two parameters are the pair the zero law equates.
-    kernel: Optional[str] = None
-    scales: Optional[tuple[str, str]] = None
+    kernel: str
+    scales: tuple[str, str]
     # the power p as text in the parameters, where the kernel takes x^p:
     # the printed integrand is then [f(alpha x^p) - f(beta x^p)]/x
     power: Optional[str] = None
+    # the printed variable t as text in x, where the printed integral is
+    # over t: under t = exp(-x) it is the integral over (0, inf) of
+    # [f(alpha x) - f(beta x)]/x
+    substitution: Optional[str] = None
     # the printed integrand where the kernel does not give it, as expression
-    # text in x and the parameters
+    # text in x (or in t, written x) and the parameters
     integrand: Optional[str] = None
     # (f(0+), f(inf)) of the kernel, where both exist; the oracle's tail
     # f(e^s) - f(inf) takes the second
@@ -127,7 +127,7 @@ class CatalogEntry(NamedTuple):
     def scale_params(self) -> Optional[tuple[str, str]]:
         """The scale pair as two parameter names, for the zero law; None
         when the entry has no such pair."""
-        if self.scales is not None and all(s in self.param_names for s in self.scales):
+        if all(s in self.param_names for s in self.scales):
             return self.scales
         return None
 
@@ -156,14 +156,18 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         entry_id="GR-4.267.8",
         source="G&R 4.267.8",
-        eval_class="finite-interval",
+        eval_class="smooth-decay",
         param_names=("a", "b"),
         constraints=(_positive("a", "b"),),
         closed_form=lambda p: log_ratio(p["b"], p["a"]),
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 2.0, "b": 2.0}),
+        kernel="expm1(-x)",
         scales=("a", "b"),
-        # (t^(b-1) - t^(a-1))/ln t; exactly t = 1 raises DomainError
+        substitution="exp(-x)",
+        # (t^(b-1) - t^(a-1))/ln t over (0, 1), x standing for t; exactly
+        # t = 1 raises DomainError
         integrand="(expm1((b - 1)*ln(x)) - expm1((a - 1)*ln(x)))/ln(x)",
+        kernel_limits=lambda p: (0.0, -1.0),
         note=(
             "the printed closed form inverts the ratio; the printed integrand "
             "(t^(b-1) - t^(a-1))/ln t equals ln(b/a), e.g. +0.28768 at a=1.5, "
@@ -537,21 +541,19 @@ def _compiled(text: str, names: tuple[str, ...]):
     return compile_family(_parsed(text), names)
 
 
-def _bind(entry: CatalogEntry, params: dict) -> tuple[Callable[[float], float], tuple, Optional[Callable]]:
+def _bind(entry: CatalogEntry, params: dict) -> tuple[Callable[[float], float], tuple, Callable]:
     """What the oracle integrates at a checked binding: the integrand, the
-    scale pair and, for an entry with a kernel f, the tail f(e^s) - M
-    (expr.compile_family's third role), M being the f(inf) of
-    kernel_limits, else the declared mean, else 0.  The integrand is the
-    printed one, but for an entry with a power p it is the kernel's at
-    power 1, [f(alpha x) - f(beta x)]/x, whose integral is p times the
-    printed one's.  Each text they need is bound once, and the scales are
-    evaluated once."""
+    scale pair and the tail f(e^s) - M of the kernel f (expr.compile_family's
+    third role), M being the f(inf) of kernel_limits, else the declared
+    mean, else 0.  The integrand is the printed one where it is in x at
+    power 1; otherwise it is the kernel's [f(alpha x) - f(beta x)]/x, whose
+    integral is p times the printed one's for an entry with a power p, and
+    the printed one's for an entry with a substitution.  Each text they
+    need is bound once, and the scales are evaluated once."""
     names = entry.param_names
     scales = tuple(evaluate(_parsed(text), params) for text in entry.scales)
-    if entry.kernel is None:
-        return _compiled(entry.integrand, names)(params)[0], scales, None
     _, frullani, tail = _compiled(entry.kernel, names)(params)
-    if entry.integrand is None or entry.power is not None:
+    if entry.integrand is None or entry.power is not None or entry.substitution is not None:
         integrand = frullani(*scales)
     else:
         integrand = _compiled(entry.integrand, names)(params)[0]
@@ -573,7 +575,7 @@ def instantiate(entry_id: str, params: dict):
     clean, violated = _check_params(entry, params)
     if violated is not None:
         raise ConstraintViolation(entry_id, violated)
-    if entry.power is None:
+    if entry.integrand is None:
         integrand = _bind(entry, clean)[0]
     else:
         integrand = _compiled(entry.integrand, entry.param_names)(clean)[0]
@@ -613,8 +615,6 @@ def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> Ve
     integrand, scales, tail = _bind(entry, clean)
 
     def oracle(share: float):
-        if entry.eval_class == "finite-interval":
-            return integrate_adaptive(integrand, 0.0, 1.0, share)
         if entry.eval_class == "oscillatory":
             return integrate_frullani_oscillatory(integrand, scales, tail, share)
         if entry.power is None:

@@ -26,13 +26,11 @@ from .expr import Expression, compile_family, free_variables, unparse
 # the name engine.evaluate, so it must stay importable from this module.
 from .expr import evaluate  # noqa: F401
 from .frozen import Frozen
-from .limits import LimitVerdict, ProbeError, limit_at_infinity, limit_at_zero_plus
+from .limits import LimitVerdict, limit_at_infinity, limit_at_zero_plus
 # under its own name: the benchmark's tracer wraps engine.limit_at_infinity
 # as the probe
 from .limits import tree_limit_at_infinity as tree_limit
-from .quadrature import (
-    MAX_PANELS, SEGMENT_PANELS, QuadratureResult, integrate_decaying, integrate_frullani,
-)
+from .quadrature import integrate_decaying, integrate_frullani
 from .records import VerificationRecord, judge, nonfinite_closed_form, skipped
 from .series import log_ratio
 
@@ -131,13 +129,8 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
 
     Only then is the tree asked for M = f(inf) (limits.tree_limit_at_infinity).
     Where it decides M, the oracle is integrate_frullani with the tail
-    f(e^s) - M (prob.tail).  Where it does not, the oracle is
-    integrate_decaying, first with SEGMENT_PANELS panels.  If that does not
-    converge, it reruns with MAX_PANELS panels, unless the mapped integrand
-    has no limit at t = 1 (x [f(ax) - f(bx)] probes no-limit at infinity)
-    and the error estimate, cut in proportion to the panel count, would
-    still miss the tolerance at MAX_PANELS.  The record then ends
-    ORACLE_FAILED after the first pass.
+    f(e^s) - M (prob.tail).  Where it does not, the oracle is one
+    integrate_decaying call.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
@@ -161,10 +154,7 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
         f"limits=probe f0={f0!r} finf={finf!r} oracle={route} kernel={unparse(prob.f)}"
     )
 
-    f, a, b, p = prob.kernel, prob.a, prob.b, prob.power
-
-    def far(x: float) -> float:
-        return x * (f(a * x) - f(b * x))
+    p = prob.power
 
     # u = x^p turns dx/x into du/(p u): integrate the power-1 integrand and
     # divide by p last, as closed_form does; the quadrature tolerance is
@@ -173,39 +163,10 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
         if share * p == 0.0:
             raise ValueError(f"oracle tolerance tol*power/4 = {tol!r}*{p!r}/4 underflows to 0.0")
         if m is None:
-            res = _decaying_oracle(prob.integrand, far, share * p)
+            res = integrate_decaying(prob.integrand, share * p)
         else:
-            res = integrate_frullani(prob.integrand, (a, b), prob.tail(m), share * p)
+            res = integrate_frullani(prob.integrand, (prob.a, prob.b), prob.tail(m), share * p)
         return res._replace(value=res.value / p, error_estimate=res.error_estimate / p)
 
     return judge("eval", params, expected, oracle, tol, start, provenance)
 
-
-def _decaying_oracle(
-    integrand: Callable[[float], float], far: Callable[[float], float], tol: float
-) -> QuadratureResult:
-    """integrate_decaying within SEGMENT_PANELS panels, else within
-    MAX_PANELS, unless far probes no-limit and the projected error misses
-    tol.  far is x [f(ax) - f(bx)], which is the integrand mapped by
-    x = t^2/(1-t) as t -> 1, up to a factor tending to 1: the map grades
-    t = 0 only, and near t = 1 it is x = t/(1-t) to leading order."""
-    first = integrate_decaying(integrand, tol, SEGMENT_PANELS)
-    if first.converged:
-        return first
-    try:
-        verdict = limit_at_infinity(far)
-    except ProbeError:
-        verdict = None
-    # bisection of a bounded, oscillating mapped integrand cuts the error
-    # estimate at best in proportion to the panel count
-    projected = first.error_estimate * SEGMENT_PANELS / MAX_PANELS
-    if verdict is not None and verdict.kind == "no-limit" and projected > tol:
-        return first._replace(diagnostic=(
-            f"{first.diagnostic}; x*[f(ax) - f(bx)] at infinity: {verdict.describe()}, "
-            f"so the mapped integrand has no limit at t = 1 and {MAX_PANELS} panels "
-            f"would leave an error estimate near {projected:.3e} > {tol:.3e}"
-        ))
-    full = integrate_decaying(integrand, tol)
-    return full._replace(
-        function_evaluations=first.function_evaluations + full.function_evaluations
-    )

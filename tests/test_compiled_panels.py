@@ -13,7 +13,7 @@ import pytest
 from frullani import catalog, engine, expr, quadrature
 from frullani.catalog import default_grid, entry_ids, verify_entry
 from frullani.engine import FrullaniProblem, evaluate_pipeline
-from frullani.expr import compile_frullani, parse
+from frullani.expr import compile_family, parse
 from frullani.quadrature import integrate_decaying
 
 # The catalog inputs perfbench/defects.py names: (entry, params, tol).
@@ -27,7 +27,7 @@ DEFECT_INPUTS = (
 )
 # One binding per pipeline-kernels family and special kind: (kernel, a, b,
 # power), and two whose (1+1/x)^x factor leaves f(inf) to the decaying map:
-# the first reaches t = 1, the second stops after 200 panels.
+# the first reaches t = 1, the second ends at the 2000-panel cap.
 PIPELINE_INPUTS = (
     ("1.5*exp(-x)+0.5", 1.0, 2.0, 1.0),
     ("atan(2.3*x)", 0.7, 3.1, 0.5),
@@ -60,7 +60,7 @@ def generic_panels(monkeypatch):
 
     def plain_bind(entry, params):
         integrand, scales, tail = bind(entry, params)
-        return _plain(integrand), scales, tail and _plain(tail)
+        return _plain(integrand), scales, _plain(tail)
 
     def plain_family(expr, names=()):
         bind_family = compile_family(expr, names)
@@ -126,11 +126,11 @@ def test_pipeline_records_match_the_generic_panel(compiled_records, generic_pane
     # the Frullani oracle integrated the wrapped tails
     assert len(generic_panels) == sum("oracle=frullani" in r["detail"] for r in records) > 0
     # the inputs reach every ending: a pass on either oracle, a map that
-    # reached t = 1, an early stop of the oracle and a kernel without a limit
+    # reached t = 1, a map at its panel cap and a kernel without a limit
     statuses = [r["status"] for r in records]
     assert {"PASS", "ORACLE_FAILED", "NOT_APPLICABLE"} <= set(statuses)
     for ending in ("oracle=frullani", "oracle=decaying map", "reached t = 1",
-                   "panel cap of 200 panels reached"):
+                   "panel cap of 2000 panels reached"):
         assert any(ending in r["detail"] for r in records)
 
 
@@ -151,7 +151,7 @@ def test_default_grid_runs_no_generic_panel(monkeypatch):
 def test_a_shape_compiles_only_the_panels_that_run():
     expr._panel_maker.cache_clear()
     tree = parse("exp(-1.25*x)*(3.5+x)")
-    integrands = [compile_frullani(tree, a, 2.0)[1] for a in (1.0, 3.0)]
+    integrands = [compile_family(tree)({})[1](a, 2.0) for a in (1.0, 3.0)]
     assert expr._panel_maker.cache_info().currsize == 0
     for integrand in integrands:
         assert integrate_decaying(integrand, 1e-10).converged

@@ -20,7 +20,6 @@ from frullani.expr import (
     ParseError,
     UnboundVariableError,
     Var,
-    compile_frullani,
     compile_family,
     compile_kernel,
     evaluate,
@@ -404,21 +403,22 @@ class TestCompileKernel:
             got = [kernel(x) for x in points]
             assert all(map(_same_float, got, want)), (unparse(tree), got, want)
             assert set(fallback) == {709.79, 709.9, 710.0}, unparse(tree)
-        _, integrand = compile_frullani(frullani_tree, 1.0, 1000.0)
+        integrand = compile_family(frullani_tree)({})[1](1.0, 1000.0)
         fallback.clear()
         got = [integrand(x) for x in far]
         assert all(map(_same_float, got, frullani_wants)), (got, frullani_wants)
         assert fallback == []
 
     def test_failure_in_the_b_half_of_an_integrand(self):
-        kernel, integrand = compile_frullani(parse("ln(3 - x)"), 1.0, 4.0)
+        kernel, frullani, _ = compile_family(parse("ln(3 - x)"))({})
+        integrand = frullani(1.0, 4.0)
         assert kernel(1.0) == math.log(2.0)
         with pytest.raises(DomainError) as info:
             integrand(1.0)
         assert info.value.func == "ln" and info.value.argument == -1.0
-        _, integrand = compile_frullani(parse("exp(x)"), 1.0, 1000.0)
+        integrand = compile_family(parse("exp(x)"))({})[1](1.0, 1000.0)
         assert integrand(1.0) == -math.inf
-        _, integrand = compile_frullani(parse("x + ln(0)"), 1.0, 2.0)
+        integrand = compile_family(parse("x + ln(0)"))({})[1](1.0, 2.0)
         with pytest.raises(DomainError) as info:
             integrand(1.0)
         assert info.value.func == "ln" and info.value.argument == 0.0
@@ -430,7 +430,7 @@ class TestCompileKernel:
         with pytest.raises(DomainError) as info:
             kernel(1.0)
         assert info.value.argument == -2.0
-        _, integrand = compile_frullani(tree, 2.0, 5.0, {"c": 3.0, "k": 2.0})
+        integrand = compile_family(tree, ("c", "k"))({"c": 3.0, "k": 2.0})[1](2.0, 5.0)
         with pytest.raises(DomainError) as info:
             integrand(1.0)
         assert info.value.argument == -1.0
@@ -481,7 +481,7 @@ class TestCompileKernel:
         for _ in range(2999):
             tree = BinOp("+", tree, Var("x"))
         assert compile_kernel(tree)(1.0) == 3000.0
-        _, integrand = compile_frullani(tree, 1.0, 2.0)
+        integrand = compile_family(tree)({})[1](1.0, 2.0)
         with _recursion_limit(10_000):
             _integrates_as_evaluated(tree, integrand, 1.0, 2.0)
 
@@ -491,7 +491,8 @@ class TestCompileKernel:
         tree = Var("x")
         for i in range(300):
             tree = Neg(tree) if i % 2 else Call("sin", tree)
-        kernel, integrand = compile_frullani(tree, 1.0, 2.0)
+        kernel, frullani, _ = compile_family(tree)({})
+        integrand = frullani(1.0, 2.0)
         assert kernel(0.5) == evaluate(tree, {"x": 0.5})
         _integrates_as_evaluated(tree, integrand, 1.0, 2.0)
 
@@ -577,7 +578,8 @@ def test_compiled_kernel_agrees_with_evaluate_bitwise(tree, x):
     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
 )
 def test_frullani_integrand_agrees_with_the_kernel_bitwise(tree, x, a, b):
-    kernel, integrand = compile_frullani(tree, a, b)
+    kernel, frullani, _ = compile_family(tree)({})
+    integrand = frullani(a, b)
 
     def outcome(fn):
         try:
@@ -613,7 +615,8 @@ _parameter_trees = st.recursive(
 @given(_parameter_trees, _abscissas, st.floats(), st.floats())
 def test_parameters_agree_with_evaluate_bitwise(tree, x, p, q):
     params = {"p": p, "q": q}
-    kernel, integrand = compile_frullani(tree, 1.5, 0.25, params)
+    kernel, frullani, _ = compile_family(tree, params)(params)
+    integrand = frullani(1.5, 0.25)
     kind, got = _outcome(kernel, x)
     want_kind, want = _outcome(lambda v: evaluate(tree, {**params, "x": v}), x)
     assert kind == want_kind
@@ -652,8 +655,8 @@ class TestShapeCache:
             assert _same_float(reference(x), evaluate(tree(1.5, 0.25), {"x": x}))
 
     def test_integrands_share_code_across_scales(self):
-        _, first = compile_frullani(parse("1.2*exp(-x) + 0.7"), 1.3, 2.9)
-        _, second = compile_frullani(parse("0.4*exp(-x) + 2"), 0.5, 8.0)
+        first = compile_family(parse("1.2*exp(-x) + 0.7"))({})[1](1.3, 2.9)
+        second = compile_family(parse("0.4*exp(-x) + 2"))({})[1](0.5, 8.0)
         assert first.__code__ is second.__code__
         assert first(0.5) != second(0.5)
 

@@ -263,7 +263,7 @@ def _catalog_kernels():
     cases = []
     for eid in catalog.entry_ids():
         entry = catalog.get_entry(eid)
-        if entry.kernel is None or entry.kernel_limits is None:
+        if entry.kernel_limits is None:
             continue
         for i, params in enumerate(entry.default_grid):
             cases.append(pytest.param(entry, dict(params), id=f"{eid}-grid{i}"))

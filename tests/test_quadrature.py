@@ -8,9 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from frullani.catalog import default_grid, entry_ids, instantiate
 from frullani.expr import (
-    FUNCTIONS, BinOp, Call, Const, ExprError, Neg, Var, compile_family, compile_frullani, parse,
+    FUNCTIONS, BinOp, Call, Const, ExprError, Neg, Var, compile_family, parse,
 )
 from frullani.quadrature import (
+    MAX_PANELS,
     IntegrandError,
     OscillatorySpec,
     QuadratureResult,
@@ -148,7 +149,7 @@ class TestAdaptive:
     def test_first_panel_within_tol_returns_the_resummed_panel(self):
         # what the spatial resum of one panel gives, 0 + value: +0.0 for an
         # all -0.0 integrand, generic or compiled
-        atan_at_equal_scales = compile_frullani(parse("atan(x)"), 1.5, 1.5)[1]
+        atan_at_equal_scales = compile_family(parse("atan(x)"))({})[1](1.5, 1.5)
         for f in (lambda x: -0.0, atan_at_equal_scales):
             res = integrate_adaptive(f, -2.0, -1.0, 1e-9)
             assert math.copysign(1.0, res.value) == 1.0
@@ -240,19 +241,22 @@ class TestDecaying:
         assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-9)
 
     def test_converged_run_is_independent_of_the_budget(self):
-        # bisection is deterministic: a run that converges within 200
-        # panels is the full-budget run, bit for bit
+        # bisection is deterministic: the full-budget run of a map that
+        # converges within 200 panels is its 200-panel run, bit for bit
         f = lambda x: (math.exp(-x) - math.exp(-2.0 * x)) / x
-        assert integrate_decaying(f, 1e-10, 200) == integrate_decaying(f, 1e-10)
+        res = integrate_decaying(f, 1e-10)
+        assert res.converged and res.function_evaluations < 15 * (2 * 200 - 1)
+        assert res == integrate_adaptive(reference_mapped(f), 0.0, 1.0, 1e-10, 200)
 
     def test_budget_names_its_cap(self):
-        # bounded and oscillating on the mapped axis: no budget converges
+        # bounded and oscillating on the mapped axis: the full budget of
+        # MAX_PANELS panels does not converge
         k = lambda x: math.cos(x) / (1.0 + x)
         f = lambda x: (k(1.3 * x) - k(2.7 * x)) / x
-        res = integrate_decaying(f, 1e-12, 20)
+        res = integrate_decaying(f, 1e-12)
         assert not res.converged
-        assert res.function_evaluations == 15 + 30 * 19
-        assert res.diagnostic == "panel cap of 20 panels reached"
+        assert res.function_evaluations == 15 + 30 * (MAX_PANELS - 1)
+        assert res.diagnostic == f"panel cap of {MAX_PANELS} panels reached"
 
     def test_survives_fast_underflow(self):
         # exp(-x^2) underflows to exactly 0 far out on the mapped axis;
@@ -641,7 +645,7 @@ def _compiled_integrand(source):
         kernel, frullani, tail = compile_family(tree)({})
         return {"kernel": kernel, "integrand": frullani(a, b), "tail": tail(a)}[role]
     _, text, a, b = source
-    return compile_frullani(parse(text), a, b)[1]
+    return compile_family(parse(text))({})[1](a, b)
 
 
 def _run_compiled(own, f):
@@ -715,8 +719,8 @@ class TestMatchesReference:
     ])
     def test_mapped_signed_zero(self, f):
         # the map keeps a -0.0 value's sign, which reference_mapped drops
-        assert _outcome(integrate_decaying, f, 1e-8, 50) == _outcome(
-            integrate_adaptive, reference_mapped(f), 0.0, 1.0, 1e-8, 50
+        assert _outcome(integrate_decaying, f, 1e-8) == _outcome(
+            integrate_adaptive, reference_mapped(f), 0.0, 1.0, 1e-8
         )
 
     @settings(max_examples=450, deadline=None)
