@@ -9,8 +9,9 @@ the formula applies, evaluates the closed form, and can cross-check against
 a quadrature oracle.  The oracle takes Frullani's own substitution
 (quadrature.integrate_frullani) on the tail role of the kernel's compiled
 family, with f(inf) read from its expression tree
-(limits.tree_limit_at_infinity), and the graded decaying map where the
-tree does not decide f(inf).  The closed form keeps the probe's limits,
+(limits.tree_limit_at_infinity) and the head graded at 0 by x = u^2, so
+that a kernel like sqrt(x) there costs a few panels; and the graded
+decaying map where the tree does not decide f(inf).  The closed form keeps the probe's limits,
 so a wrong limit from either source ends FAIL, not PASS.
 """
 
@@ -129,8 +130,10 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
 
     Only then is the tree asked for M = f(inf) (limits.tree_limit_at_infinity).
     Where it decides M, the oracle is integrate_frullani with the tail
-    f(e^s) - M (prob.tail).  Where it does not, the oracle is one
-    integrate_decaying call.
+    f(e^s) - M (prob.tail) and the graded head, x = u^2, which maps an
+    algebraic singularity of the integrand at 0 like x^(-1/2) to a
+    constant.  Where it does not, the oracle is one integrate_decaying
+    call.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
@@ -165,7 +168,9 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
         if m is None:
             res = integrate_decaying(prob.integrand, share * p)
         else:
-            res = integrate_frullani(prob.integrand, (prob.a, prob.b), prob.tail(m), share * p)
+            res = integrate_frullani(
+                prob.integrand, (prob.a, prob.b), prob.tail(m), share * p, graded=True
+            )
         return res._replace(value=res.value / p, error_estimate=res.error_estimate / p)
 
     return judge("eval", params, expected, oracle, tol, start, provenance)

@@ -37,10 +37,11 @@ both the reference and the compiled code's exceptional path.
 
 Only the kernel's point function is generated per shape; the Frullani
 integrand's and the log-tail's are Python closures over it.  Each compiled
-kernel, integrand and tail also carries two G7/K15 panels, straight-line
+kernel, integrand and tail also carries three G7/K15 panels, straight-line
 code built from quadrature's panel template with the point's body written
-out at each of the 15 nodes: panel() gives its panel(lo, hi), and
-mapped_panel() the panel of integrate_decaying's map x = t^2/(1-t).  Each
+out at each of the 15 nodes: panel() gives its panel(lo, hi),
+mapped_panel() the panel of integrate_decaying's map x = t^2/(1-t), and
+graded_panel() that of integrate_frullani's graded head x = t^2.  Each
 is compiled the first time a shape's kernel, integrand or tail asks for
 it, so a shape compiles only the panels that run.  quadrature runs them
 in place of gauss_kronrod_panel, one call per panel instead of one per
@@ -581,11 +582,11 @@ def _bodies(
 
 
 @functools.lru_cache(maxsize=4 * _SHAPE_CACHE_SIZE)
-def _panel_maker(shape: tuple[Union[str, int], ...], role: str, mapped: bool) -> Callable:
+def _panel_maker(shape: tuple[Union[str, int], ...], role: str, mapping: str | None) -> Callable:
     """make(c0, c1, ..., k0, k1, ...[, a, b | m]) for one shape: it returns
     the G7/K15 panel of role, the kernel, the Frullani integrand (also over
     a and b) or the log-tail (also over m), over the names build binds
-    (_bodies), or the panel of integrate_decaying's map of it
+    (_bodies), or, with mapping, the panel of that map of it
     (quadrature.panel_source)."""
     bodies, _, names = _bodies(shape)
     lines, value = bodies[role]
@@ -596,32 +597,33 @@ def _panel_maker(shape: tuple[Union[str, int], ...], role: str, mapped: bool) ->
     namespace = dict(_HELPERS, **PANEL_GLOBALS)
     exec(
         f"def make({', '.join(names)}):\n"
-        f"{_indented(panel_source(lines, value, mapped).splitlines(), 4)}"
+        f"{_indented(panel_source(lines, value, mapping).splitlines(), 4)}"
         "    return panel\n",
         namespace,
     )
     return namespace["make"]
 
 
-def _panel(shape: tuple[Union[str, int], ...], role: str, mapped: bool, args: tuple) -> Callable:
+def _panel(shape: tuple[Union[str, int], ...], role: str, mapping: str | None, args: tuple) -> Callable:
     """() -> the panel _panel_maker makes over args, made at the first call,
     so a shape compiles only the panels that run."""
     made: list[Callable] = []
 
     def panel() -> Callable:
         if not made:
-            made.append(_panel_maker(shape, role, mapped)(*args))
+            made.append(_panel_maker(shape, role, mapping)(*args))
         return made[0]
 
     return panel
 
 
 def _with_panels(f: Callable, shape: tuple[Union[str, int], ...], role: str, args) -> Callable:
-    """f, carrying panel() and mapped_panel(), its panels as role over
-    args (_panel), unless args is None."""
+    """f, carrying panel(), mapped_panel() and graded_panel(), its panels
+    as role over args (_panel), unless args is None."""
     if args is not None:
-        f.panel = _panel(shape, role, False, args)
-        f.mapped_panel = _panel(shape, role, True, args)
+        f.panel = _panel(shape, role, None, args)
+        f.mapped_panel = _panel(shape, role, "decaying", args)
+        f.graded_panel = _panel(shape, role, "graded", args)
     return f
 
 
@@ -720,8 +722,9 @@ def compile_kernel(
     its constants and parameters as arguments, so all trees and bindings
     that differ only in those share one code object.  Any other variable
     raises UnboundVariableError here rather than at call time.  The
-    function's attributes panel() and mapped_panel() give its G7/K15
-    panels, which integrate_adaptive and integrate_decaying run.
+    function's attributes panel(), mapped_panel() and graded_panel() give
+    its G7/K15 panels, which integrate_adaptive, integrate_decaying and
+    integrate_frullani's graded head run.
     """
     params = params or {}
     return compile_family(expr, params)(params)[0]

@@ -3,12 +3,14 @@
 Three layers:
 
   integrate_adaptive          Gauss-Kronrod 7/15 panels, globally adaptive
-                              bisection of the worst panel.  The rule is open
-                              (no endpoint evaluations), so integrands with a
-                              removable endpoint singularity just work.  The
-                              panel is written once as source text: the 15
-                              nodes (_NODES, _ORDER) and the Kronrod, Gauss
-                              and error sums (_SUMS).  gauss_kronrod_panel
+                              bisection of the worst panel until the error
+                              sum meets tol or the rounding floor of the
+                              panel sum.  The rule is open (no endpoint
+                              evaluations), so integrands with a removable
+                              endpoint singularity just work.  The panel is
+                              written once as source text: the 15 nodes
+                              (_NODES, _ORDER) and the Kronrod, Gauss and
+                              error sums (_SUMS).  gauss_kronrod_panel
                               calls f at each node of _abscissae and sums the
                               values with _kronrod, both built from that text.
                               An integrand compiled by expr carries its own
@@ -35,15 +37,17 @@ Three layers:
 
 integrate_frullani integrates a Frullani integrand g(x) = [f(alpha x) -
 f(beta x)]/x over the whole line: an adaptive head on (0, c], c =
-pi/max(alpha, beta), and then Frullani's own substitution, which makes the
-tail beyond c the finite integral of (f(u) - M)/u over (alpha c, beta c), M
-being the limit of f at infinity or, for an oscillating f, its mean there
-(Ostrowski, 1949): in s = ln u, the caller's tail(s) = f(e^s) - M over
-(ln alpha c, ln beta c).  A true limit or mean M' costs (M' - M)
-ln(beta/alpha).  integrate_frullani_oscillatory runs it too, unless the
-faster scale over the base frequency (the gcd of the two) is at most
-SEGMENT_PANELS: then one accelerated tail of g runs on the common
-half-period grid pi/base.
+pi/max(alpha, beta), graded at 0 by x = u^2 where the caller asks (the
+pipeline does, the catalog does not; a compiled integrand's
+f.graded_panel() inlines the map), and then Frullani's own substitution,
+which makes the tail beyond c the finite integral of (f(u) - M)/u over
+(alpha c, beta c), M being the limit of f at infinity or, for an
+oscillating f, its mean there (Ostrowski, 1949): in s = ln u, the
+caller's tail(s) = f(e^s) - M over (ln alpha c, ln beta c).  A true limit
+or mean M' costs (M' - M) ln(beta/alpha).  integrate_frullani_oscillatory
+runs it too, unless the faster scale over the base frequency (the gcd of
+the two) is at most SEGMENT_PANELS: then one accelerated tail of g runs on
+the common half-period grid pi/base.
 """
 
 from __future__ import annotations
@@ -299,26 +303,33 @@ def panel(lo, hi):
     if not isfinite({total}):
         return None
 {sums}"""
-# The map x = t^2/(1-t) of integrate_decaying's mapped function at node t,
-# as r = t/(1-t) and x = t r, and its Jacobian dx/dt = r (2 + r) applied to
-# the value v at x: the bits mapped gives, where 1 - t is not 0.  Edit the
+# The maps of a compiled panel, by name: the lines that take the node t to
+# x, and the Jacobian dx/dt applied to the integrand's value v at x.
+# "decaying" is integrate_decaying's x = t^2/(1-t), as r = t/(1-t) and
+# x = t r, with dx/dt = r (2 + r), where 1 - t is not 0; "graded" is the
+# graded head of integrate_frullani, x = t^2 with dx/dt = 2 t.  Each gives
+# the bits of the function that maps a generic integrand the same way,
+# mapped in integrate_decaying or graded in integrate_frullani: edit the
 # two together.
-_MAP = ("r = t / (1.0 - t)", "x = t * r")
-_MAPPED_VALUE = "v * (r * (2.0 + r))"
+_MAPS = {
+    "decaying": (("r = t / (1.0 - t)", "x = t * r"), "v * (r * (2.0 + r))"),
+    "graded": (("x = t * t",), "v * (2.0 * t)"),
+}
 
 
-def panel_source(lines: Sequence[str], value: str, mapped: bool = False) -> str:
+def panel_source(lines: Sequence[str], value: str, mapping: str | None = None) -> str:
     """Source of panel(lo, hi), one G7/K15 panel of the integrand whose
     value at x the straight-line lines and then the expression value
     compute, as straight-line code: the lines run once per node, in
     evaluation order, into the node values p0, m0, ..., p6, m6, fc, and
-    the Kronrod and Gauss sums follow in line.  With mapped, the integrand
-    is the one integrate_decaying integrates over t in (0, 1).  It returns
-    what gauss_kronrod_panel returns for the per-point function, or None
-    where a node raises or gives a non-finite value.  Names it reads are
-    in PANEL_GLOBALS."""
-    if mapped:
-        node, point, result = "t", [*_MAP, *lines, f"v = {value}"], _MAPPED_VALUE
+    the Kronrod and Gauss sums follow in line.  With mapping, a key of
+    _MAPS, the panel is that of the integrand mapped to the node t.  It
+    returns what gauss_kronrod_panel returns for the per-point function, or
+    None where a node raises or gives a non-finite value.  Names it reads
+    are in PANEL_GLOBALS."""
+    if mapping:
+        to_x, jacobian = _MAPS[mapping]
+        node, point, result = "t", [*to_x, *lines, f"v = {value}"], jacobian
     else:
         node, point, result = "x", lines, value
     points = [line for name, at in _ORDER for line in (f"{node} = {at}", *point, f"{name} = {result}")]
@@ -342,11 +353,13 @@ def integrate_adaptive(
     When converged is True the returned value is finite, error_estimate
     is at most tol, and tol is at least the rounding floor of the panel
     sum, 2^-53 times the sum of |panel value|: no estimate below one
-    rounding unit of the sum bounds its error.  The estimate on failure is
-    the honest panel-error sum, and the diagnostic names why refinement
-    stopped: a value or error sum that is not finite, the panel cap, or
-    panels too narrow to split at floating-point resolution; or, for an
-    estimate within tol, the floor above tol.
+    rounding unit of the sum bounds its error.  Bisection stops once the
+    error sum is within tol or within that floor, whichever is larger, so
+    a tol below the floor costs no panels past it.  The estimate on
+    failure is the honest panel-error sum, and the diagnostic names why
+    refinement stopped: a value or error sum that is not finite, the panel
+    cap, or panels too narrow to split at floating-point resolution; or,
+    for an estimate within the floor, the floor above tol.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("need finite lo < hi")
@@ -362,8 +375,10 @@ def integrate_adaptive(
     panels = [(-err, 0, lo, hi, value, err)]
     counter = 1
     err_total = err
+    # the running sum of |panel value|: bisection stops at its rounding floor
+    magnitude = abs(value)
     at_resolution = False
-    while err_total > tol and len(panels) < max_panels:
+    while err_total > tol and err_total > magnitude * _UNIT_ROUNDOFF and len(panels) < max_panels:
         neg_err, _, plo, phi, pval, perr = heappop(panels)
         mid = 0.5 * (plo + phi)
         if mid <= plo or mid >= phi:
@@ -384,6 +399,7 @@ def integrate_adaptive(
         heappush(panels, (-rerr, counter + 1, mid, phi, rval, rerr))
         counter += 2
         err_total += lerr + rerr - perr
+        magnitude += abs(lval) + abs(rval) - abs(pval)
     # resum in spatial order: deterministic and slightly kinder to rounding;
     # every sum here runs left to right (sum() is compensated from Python 3.12)
     panels.sort(key=_LOWER)
@@ -395,7 +411,7 @@ def integrate_adaptive(
     floor = magnitude * _UNIT_ROUNDOFF
     # each bisection adds one panel and spends two
     evals = 15 * (2 * len(panels) - 1)
-    if err_total <= tol and math.isfinite(total):
+    if err_total <= max(tol, floor) and math.isfinite(total):
         if tol >= floor:
             return QuadratureResult(total, err_total, evals, True)
         diagnostic = f"tolerance {tol:.3e} is below the rounding floor {floor:.3e} of the panel sum"
@@ -428,8 +444,8 @@ def integrate_decaying(f: Callable[[float], float], tol: float) -> QuadratureRes
     count.
     """
 
-    # the same map as _MAP and _MAPPED_VALUE, which f's compiled mapped
-    # panel inlines: edit the two together
+    # the same map as _MAPS["decaying"], which f's compiled mapped panel
+    # inlines: edit the two together
     def mapped(t: float) -> float:
         try:
             r = t / (1.0 - t)
@@ -603,21 +619,27 @@ def integrate_frullani(
     scales: tuple[float, float],
     tail: Callable[[float], float],
     tol: float,
+    graded: bool = False,
 ) -> QuadratureResult:
     """Integral of g(x) = [f(alpha x) - f(beta x)]/x over (0, inf), for a
     kernel f and the positive scales (alpha, beta), with tail(s) = f(e^s) - M,
     M being the limit of f at infinity, or its mean there.
 
     The head of g on (0, c] is integrated adaptively, c = pi/max(alpha,
-    beta) holding half a period of the faster scale.  Frullani's
-    substitution (u = alpha x in one term, u = beta x in the other) turns
-    the tail beyond c into the finite integral of (f(u) - M)/u over
-    (alpha c, beta c), which is that of tail over (ln alpha c, ln beta c).
-    The answer is only as right as M: a kernel whose true limit or mean M'
-    differs is off by (M' - M) ln(beta/alpha), and converges.  Budgets are
-    40% for the head and 60% for the tail, and the diagnostic names each
-    piece that did not converge.  Equal scales give exactly 0.0 before any
-    quadrature.  Raises ValueError when c is not finite.
+    beta) holding half a period of the faster scale.  With graded, the
+    head is taken in u, x = u^2, as the integral of g(u^2) 2u over
+    (0, sqrt c]: an f with f - f(0+) ~ x^s near 0 gives g ~ x^(s-1), which
+    becomes 2 u^(2s-1), so x^(-1/2) maps to a constant and every algebraic
+    singularity at 0 is milder; a compiled g's graded_panel() inlines
+    the map.  Frullani's substitution (u = alpha x in one term, u = beta x
+    in the other) turns the tail beyond c into the finite integral of
+    (f(u) - M)/u over (alpha c, beta c), which is that of tail over
+    (ln alpha c, ln beta c).  The answer is only as right as M: a kernel
+    whose true limit or mean M' differs is off by (M' - M) ln(beta/alpha),
+    and converges.  Budgets are 40% for the head and 60% for the tail, and
+    the diagnostic names, in x, each piece that did not converge.  Equal
+    scales give exactly 0.0 before any quadrature.  Raises ValueError when
+    c is not finite.
     """
     alpha, beta = scales
     if alpha == beta:
@@ -629,22 +651,46 @@ def integrate_frullani(
     # ln(alpha c) and ln(beta c) as sums of logs, which neither overflow nor
     # underflow where the products would
     lo, hi = sorted(math.log(math.pi) + math.log(s) - math.log(fast) for s in (alpha, beta))
-    head = integrate_adaptive(g, 0.0, end, 0.4 * tol)
+    if graded:
+        # the same map as _MAPS["graded"], which g's compiled graded panel
+        # inlines: edit the two together
+        def head_integrand(u: float) -> float:
+            return g(u * u) * (2.0 * u)
+
+        head_integrand.panel = getattr(g, "graded_panel", None)
+        head = integrate_adaptive(head_integrand, 0.0, math.sqrt(end), 0.4 * tol)
+    else:
+        head = integrate_adaptive(g, 0.0, end, 0.4 * tol)
     body = integrate_adaptive(tail, lo, hi, 0.6 * tol)
     return _joined(
         head.value + (body.value if alpha < beta else -body.value),
-        ((f"head on (0, {end!r}]", head), (f"kernel on ({alpha * end!r}, {beta * end!r})", body)),
+        head,
+        body,
+        lambda: (f"head on (0, {end!r}]", f"kernel on ({alpha * end!r}, {beta * end!r})"),
     )
 
 
-def _joined(value: float, pieces: Sequence[tuple[str, QuadratureResult]]) -> QuadratureResult:
-    """The result of the named pieces, whose values add up to value."""
+def _joined(
+    value: float,
+    head: QuadratureResult,
+    rest: QuadratureResult,
+    names: Callable[[], tuple[str, str]],
+) -> QuadratureResult:
+    """The result of the pieces head and rest, whose values add up to value.
+    names() gives their names, formatted only where a piece did not
+    converge, for the diagnostic."""
+    converged = head.converged and rest.converged
+    diagnostic = ""
+    if not converged:
+        diagnostic = "; ".join(
+            f"{name}: {res.diagnostic}" for name, res in zip(names(), (head, rest)) if not res.converged
+        )
     return QuadratureResult(
         value,
-        math.fsum(res.error_estimate for _, res in pieces),
-        sum(res.function_evaluations for _, res in pieces),
-        all(res.converged for _, res in pieces),
-        "; ".join(f"{name}: {res.diagnostic}" for name, res in pieces if not res.converged),
+        head.error_estimate + rest.error_estimate,
+        head.function_evaluations + rest.function_evaluations,
+        converged,
+        diagnostic,
     )
 
 
@@ -675,5 +721,7 @@ def integrate_frullani_oscillatory(
     rest = integrate_oscillatory_tail(g, grid, 0.6 * tol)
     return _joined(
         head.value + rest.value,
-        ((f"head on (0, {start!r}]", head), ("tail on the common grid", rest)),
+        head,
+        rest,
+        lambda: (f"head on (0, {start!r}]", "tail on the common grid"),
     )

@@ -15,8 +15,9 @@ independent of the package's extrapolation machinery.
 Also holds loop-form reference copies of the G7/K15 panel and the
 oscillatory tail accelerator (reference_panel, reference_tail, with the
 accelerator's abscissae, picks and tableau: reference_ts, reference_picks
-and reference_extrapolate), and
-of the map x = t^2/(1-t) of integrate_decaying (reference_mapped).  The
+and reference_extrapolate), of the map x = t^2/(1-t) of
+integrate_decaying (reference_mapped), and of the graded head x = u^2 of
+integrate_frullani (reference_graded).  The
 package's versions are unrolled, incremental, planned once per grid or
 compiled with the integrand inlined; the tests require them to return the
 same bits as these plain forms.  Every float sum here is a left-to-right
@@ -226,6 +227,16 @@ def reference_mapped(f: Callable[[float], float]) -> Callable[[float], float]:
         return v * (r * (2.0 + r))
 
     return mapped
+
+
+def reference_graded(f: Callable[[float], float]) -> Callable[[float], float]:
+    """u -> f(x) dx/du at x = u^2, dx/du = 2 u: the integrand of
+    integrate_frullani's graded head over (0, sqrt c]."""
+
+    def graded(u: float) -> float:
+        return f(u * u) * (2.0 * u)
+
+    return graded
 
 
 # --- oscillatory tail, accelerated from scratch at every segment ------------

@@ -161,7 +161,7 @@ class TestVerify:
             "oracle did not converge: head on (0, 3.1415926535897933e-06]: "
             "tolerance 1.000e-18 is below the rounding floor 1.830e-16 of the panel sum; "
             "kernel on (3.141592653589793, 3.1415926535897933e-06): "
-            "panel error sum rounded above tolerance"
+            "tolerance 1.500e-18 is below the rounding floor 1.435e-15 of the panel sum"
         )
 
     @pytest.mark.parametrize("tol", ["1e-8", "1e-10"])

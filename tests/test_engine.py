@@ -188,13 +188,26 @@ class TestPipeline:
 
     def test_pole_in_integrand_is_oracle_failure(self):
         # 1/(x-3) probes finite at both ends but the oracle must cross the
-        # pole at x = 3, which surfaces as an embedded failure, not a crash
+        # pole at x = 3, which surfaces as an embedded failure, not a crash:
+        # no node lands on the pole, and both pieces bisect towards it up
+        # to the panel cap
         rec = evaluate_pipeline(prob("1/(x - 3)"), 1e-6)
         assert rec.status == "ORACLE_FAILED"
-        assert "oracle" in rec.detail
-        # the oracle raised, so no count reached the record
-        assert "oracle raised" in rec.detail
-        assert rec.evaluations == 0
+        assert rec.detail.endswith(
+            "oracle did not converge: head on (0, 1.5707963267948966]: panel cap of 2000 panels "
+            "reached; kernel on (1.5707963267948966, 3.141592653589793): panel cap of 2000 "
+            "panels reached"
+        )
+        assert rec.evaluations == 2 * 15 * (2 * 2000 - 1)
+
+    @pytest.mark.xfail(strict=True, reason="the split route samples f only on (0, pi]")
+    def test_pole_beyond_the_oracle_samples_is_not_a_pass(self):
+        # the pole at x = 10 leaves the integral undefined, but the probe
+        # reads finite limits at both ends, and the oracle samples f only on
+        # (0, pi], the head's a x and b x and the kernel piece: a confident
+        # wrong PASS
+        rec = evaluate_pipeline(prob("1/(x - 10)"), 1e-6)
+        assert rec.status != "PASS"
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
@@ -207,11 +220,12 @@ class TestPipeline:
 
     @pytest.mark.parametrize("src, a, b, power, numeric, evaluations", [
         # M from the tree: Frullani's substitution
-        ("1.2*exp(-x)+0.7", 1.3, 2.9, 1.0, "0x1.ecf6302eeef0ep-1", 30),
-        ("sqrt(x)/(1+sqrt(x))", 1.35394, 7.95975, 0.930343, "-0x1.e76cf1428a6c8p+0", 1440),
-        ("sqrt(x)/(1+sqrt(x))", 0.764035, 2.74109, 0.225619, "-0x1.6a614c4cad674p+2", 1560),
-        ("cos(x)/(1+x)", 1.0, 2.0, 1.0, "0x1.62e42fefa39f3p-1", 60),
-        ("abs(sin(x))/x", 1.0, 2.0, 1.0, "0x1.62e42fefa39eep-1", 30),
+        # (the head graded, x = u^2, on (0, sqrt(c)])
+        ("1.2*exp(-x)+0.7", 1.3, 2.9, 1.0, "0x1.ecf6302eeef00p-1", 30),
+        ("sqrt(x)/(1+sqrt(x))", 1.35394, 7.95975, 0.930343, "-0x1.e76cf1550d8aep+0", 30),
+        ("sqrt(x)/(1+sqrt(x))", 0.764035, 2.74109, 0.225619, "-0x1.6a614c5082a24p+2", 30),
+        ("cos(x)/(1+x)", 1.0, 2.0, 1.0, "0x1.62e42fefa3b31p-1", 30),
+        ("abs(sin(x))/x", 1.0, 2.0, 1.0, "0x1.62e42fefa39f2p-1", 30),
         # the tree leaves (1+c/x)^x undetermined: the decaying map
         ("(1+2.5/x)^x", 0.8, 3.1, 1.0, "-0x1.e4b5da0905d3ep+3", 285),
     ])

@@ -29,6 +29,7 @@ from frullani.quadrature import (
 from reference import (
     ci,
     reference_extrapolate,
+    reference_graded,
     reference_mapped,
     reference_panel,
     reference_picks,
@@ -114,7 +115,8 @@ class TestAdaptive:
         (math.exp, 0.0, 1.0, 1e-12, 2000),
         (lambda x: x**-0.9, 0.0, 1.0, 1e-12, 50),
         # the floating-point-resolution path, as in the test below
-        (lambda x: (x - 1.0) * 1e20, 1.0, 1.0 + 8 * math.ulp(1.0), 1e-300, 2000),
+        (lambda x: 1e20 if x > 1.0 + 4 * math.ulp(1.0) else 0.0,
+         1.0, 1.0 + 8 * math.ulp(1.0), 1e-300, 2000),
     ])
     def test_evaluations_count_the_panels(self, g, lo, hi, tol, cap):
         # n panels left after bisection took 2n - 1 panel runs of 15 nodes
@@ -186,13 +188,27 @@ class TestAdaptive:
         assert res.diagnostic == "panel sums not finite: value inf, error 0.0"
 
     def test_floating_point_resolution_is_named(self):
-        # eight ulps wide: bisection reaches single-ulp panels long before
-        # the cap, and their rounded nodes keep the error estimate above 0
+        # eight ulps wide with a step at the fourth: bisection reaches
+        # single-ulp panels long before the cap, and the step keeps their
+        # error estimate above the rounding floor of the panel sum
+        lo = 1.0
+        hi = lo + 8 * math.ulp(lo)
+        res = integrate_adaptive(lambda x: 1e20 if x > lo + 4 * math.ulp(lo) else 0.0, lo, hi, 1e-300)
+        assert not res.converged
+        assert res.diagnostic == "the error left sits in panels at floating-point resolution"
+        assert res.function_evaluations == 135
+
+    def test_bisection_stops_at_the_rounding_floor(self):
+        # eight ulps wide and linear: the first panel's error estimate,
+        # left by its rounded nodes, is already within one rounding unit of
+        # the panel sum, which no bisection can go below
         lo = 1.0
         hi = lo + 8 * math.ulp(lo)
         res = integrate_adaptive(lambda x: (x - 1.0) * 1e20, lo, hi, 1e-300)
-        assert not res.converged
-        assert res.diagnostic == "the error left sits in panels at floating-point resolution"
+        assert (res.function_evaluations, res.converged) == (15, False)
+        assert res.diagnostic == (
+            "tolerance 1.000e-300 is below the rounding floor 1.752e-26 of the panel sum"
+        )
 
     def test_tolerance_below_the_rounding_floor_is_not_converged(self):
         # a constant has no Gauss-Kronrod error, but its sum of 1000 rounds
@@ -431,6 +447,20 @@ class TestFrullani:
         g = lambda x: (math.cos(alpha * x) - math.cos(beta * x)) / x
         split = integrate_frullani(g, scales, cos_tail, 1e-5)
         assert integrate_frullani_oscillatory(g, scales, cos_tail, 1e-5) == split
+
+    def test_graded_head_meets_tol_on_a_square_root_singularity(self):
+        # f = sqrt(x)/(1+sqrt(x)) has f - f(0) ~ x^(1/2), so g ~ x^(-1/2) at
+        # 0, which x = u^2 maps to a constant: a few panels where the plain
+        # head bisects towards 0 for thousands of evaluations
+        f = lambda x: math.sqrt(x) / (1.0 + math.sqrt(x))
+        g = lambda x: (f(x) - f(3.0 * x)) / x
+        tail = lambda s: f(math.exp(s)) - 1.0
+        graded = integrate_frullani(g, (1.0, 3.0), tail, 1e-12, graded=True)
+        plain = integrate_frullani(g, (1.0, 3.0), tail, 1e-12)
+        assert graded.converged and plain.converged
+        assert graded.function_evaluations <= 90 < 1000 < plain.function_evaluations
+        assert graded.value == pytest.approx(plain.value, abs=1e-12)
+        assert graded.value == pytest.approx(-math.log(3.0), abs=1e-12)
 
     def test_a_head_end_that_overflows_is_named(self):
         with pytest.raises(ValueError) as info:
@@ -752,6 +782,20 @@ class TestMatchesReference:
         lo, hi = unit_interval
         assert _outcome(_run_compiled(getattr(f, "mapped_panel", None), mapped), lo, hi) == _outcome(
             reference_panel, mapped, lo, hi
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_compiled_integrands, _intervals)
+    # the pipeline's graded head of a kernel like sqrt(x) at 0
+    @example(("pipeline", "sqrt(x)/(1+sqrt(x))", 0.76, 2.74), (0.0, 1e-3))
+    # u^2 underflows to 0, where the integrand divides by x
+    @example(("pipeline", "atan(x)", 1.0, 2.0), (0.0, 1e-170))
+    def test_compiled_graded_panel_bits(self, source, interval):
+        f = _compiled_integrand(source)
+        graded = reference_graded(f)
+        lo, hi = interval
+        assert _outcome(_run_compiled(getattr(f, "graded_panel", None), graded), lo, hi) == _outcome(
+            reference_panel, graded, lo, hi
         )
 
     @pytest.mark.parametrize(
