@@ -10,12 +10,13 @@ is [f(alpha x) - f(beta x)]/x, or [f(alpha x^p) - f(beta x^p)]/x where the
 entry names a power p.  The text is compiled like a typed kernel
 (expr.compile_family), once per entry, and bound to each binding's numbers.
 The same compiled family gives the tail the oracle integrates under
-Frullani's substitution, f(e^s) - M, M being the kernel's f(inf)
-from its declared kernel_limits or, for an oscillating kernel, its mean at
-infinity, which the entry declares where it is not 0.  The closed form
-does not read M: a wrong declaration shifts the oracle's answer by the
-error in M times ln(beta/alpha), and ends FAIL.  This module builds no
-expression tree of its own.
+Frullani's substitution, f(e^s) - M.  M is the one number an entry
+declares beyond the printed text: the kernel's limit at infinity or, for
+an oscillating kernel, its mean there, 0 unless declared.  Eight entries
+declare it; GR-4.324.2's is its kernel's Jensen mean, 2 ln max(1, |a|).
+The closed form does not read M: a wrong declaration shifts the oracle's
+answer by the error in M times ln(beta/alpha), and ends FAIL.  This
+module builds no expression tree of its own.
 
 Six entries give the printed integrand as its own text, where it is not
 written through the kernel: GR-3.476.1 (x^p), GR-4.297.7 (over x^2),
@@ -24,8 +25,7 @@ expm1 form), R-3.5 and R-3.6 (sine products).  GR-4.267.8 also names its
 substitution t = exp(-x), under which its integral over (0, 1) is the
 Frullani integral of expm1(-x), GR-3.434.2's kernel.  No entry carries
 Python numerics: an exp that overflows saturates to inf inside the
-compiled code.  The limits the kernels carry also let the probe-based
-engine pipeline be cross-checked against the catalog's closed forms.
+compiled code.
 
 Verification integrates every entry by integrate_frullani, an oscillatory
 one through integrate_frullani_oscillatory, which keeps a common tail grid
@@ -115,12 +115,10 @@ class CatalogEntry(NamedTuple):
     # the printed integrand where the kernel does not give it, as expression
     # text in x (or in t, written x) and the parameters
     integrand: Optional[str] = None
-    # (f(0+), f(inf)) of the kernel, where both exist; the oracle's tail
-    # f(e^s) - f(inf) takes the second
-    kernel_limits: Optional[Callable[[dict], tuple[float, float]]] = None
-    # the mean m at infinity of an oscillatory kernel where it is not 0; the
-    # tail f(e^s) - m takes it out, and a true mean M costs (M - m) ln(b/a)
-    mean: Optional[Callable[[dict], float]] = None
+    # M, the kernel's limit at infinity or, where it oscillates, its mean
+    # there, declared where it is not 0: the oracle's tail f(e^s) - M takes
+    # it out, and a true M' costs (M' - M) ln(beta/alpha)
+    m: Callable[[dict], float] = lambda p: 0.0
     note: str = ""
 
     @property
@@ -151,7 +149,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 3.0, "b": 3.0}),
         kernel="expm1(-x)",
         scales=("a", "b"),
-        kernel_limits=lambda p: (0.0, -1.0),
+        m=lambda p: -1.0,
     ),
     CatalogEntry(
         entry_id="GR-4.267.8",
@@ -167,7 +165,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         # (t^(b-1) - t^(a-1))/ln t over (0, 1), x standing for t; exactly
         # t = 1 raises DomainError
         integrand="(expm1((b - 1)*ln(x)) - expm1((a - 1)*ln(x)))/ln(x)",
-        kernel_limits=lambda p: (0.0, -1.0),
+        m=lambda p: -1.0,
         note=(
             "the printed closed form inverts the ratio; the printed integrand "
             "(t^(b-1) - t^(a-1))/ln t equals ln(b/a), e.g. +0.28768 at a=1.5, "
@@ -190,7 +188,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         scales=("v", "u"),
         power="p",
         integrand="(expm1(-v*x^p) - expm1(-u*x^p))/x",
-        kernel_limits=lambda p: (0.0, -1.0),
+        m=lambda p: -1.0,
     ),
     CatalogEntry(
         entry_id="GR-3.436",
@@ -206,7 +204,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         ),
         kernel="(expm1(-q*x) - expm1(-p*x))/x",
         scales=("a", "b"),
-        kernel_limits=lambda p: (p["p"] - p["q"], 0.0),
     ),
     CatalogEntry(
         entry_id="GR-3.329",
@@ -231,7 +228,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
             "a*exp(-c)*exp(-c*expm1(a*x))/(-expm1(-a*x))"
             " - b*exp(-c)*exp(-c*expm1(b*x))/(-expm1(-b*x))"
         ),
-        kernel_limits=lambda p: (math.exp(-p["c"]), 0.0),
         note="positivity of c is inferred from convergence, not printed",
     ),
     CatalogEntry(
@@ -248,7 +244,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         ),
         kernel="(x + c)^(-mu)",
         scales=("a", "b"),
-        kernel_limits=lambda p: (math.pow(p["c"], -p["mu"]), 0.0),
     ),
     CatalogEntry(
         entry_id="GR-4.536.2",
@@ -260,7 +255,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         default_grid=({"p": 2.0, "q": 1.0}, {"p": 10.0, "q": 1.0}, {"p": 2.0, "q": 2.0}),
         kernel="atan(x)",
         scales=("p", "q"),
-        kernel_limits=lambda p: (0.0, 0.5 * math.pi),
+        m=lambda p: 0.5 * math.pi,
     ),
     CatalogEntry(
         entry_id="GR-4.319.3",
@@ -278,7 +273,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         # ln(a + b e^{-x}) less its ln(a) part, which cancels
         kernel="log1p(b/a*exp(-x))",
         scales=("p", "q"),
-        kernel_limits=lambda prm: (math.log1p(prm["b"] / prm["a"]), 0.0),
         note="closed form ln(a/(a+b)) ln(p/q) is evaluated as ln(1+b/a) ln(q/p)",
     ),
     CatalogEntry(
@@ -292,7 +286,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         kernel="a*b*log1p(x)/x",
         scales=("a", "b"),
         integrand="(b*log1p(a*x) - a*log1p(b*x))/(x*x)",
-        kernel_limits=lambda p: (p["a"] * p["b"], 0.0),
     ),
     CatalogEntry(
         entry_id="GR-3.484",
@@ -309,7 +302,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         # (1 + a/x)^x, stable at both ends
         kernel="exp(x*log1p(a/x))",
         scales=("q", "p"),
-        kernel_limits=lambda prm: (1.0, math.exp(prm["a"])),
+        m=lambda prm: math.exp(prm["a"]),
     ),
     CatalogEntry(
         entry_id="GR-3.412.1",
@@ -327,10 +320,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         ),
         kernel="(a + b*exp(-x))/(c*exp(x) + g + h*exp(-x))",
         scales=("p", "q"),
-        kernel_limits=lambda prm: (
-            (prm["a"] + prm["b"]) / (prm["c"] + prm["g"] + prm["h"]),
-            0.0,
-        ),
     ),
     CatalogEntry(
         entry_id="GR-4.324.2",
@@ -357,7 +346,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         scales=("p", "q"),
         # 1 + 2a cos x + a^2 = |1 + a e^(ix)|^2, so by Jensen's formula the
         # mean over a period is 2 ln max(1, |a|)
-        mean=lambda prm: 2.0 * math.log(max(1.0, abs(prm["a"]))),
+        m=lambda prm: 2.0 * math.log(max(1.0, abs(prm["a"]))),
     ),
     CatalogEntry(
         entry_id="R-3.1",
@@ -369,7 +358,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         default_grid=({"a": 2.0, "b": 1.0}, {"a": 10.0, "b": 1.0}, {"a": 2.0, "b": 2.0}),
         kernel="atan(x)",
         scales=("a", "b"),
-        kernel_limits=lambda p: (0.0, 0.5 * math.pi),
+        m=lambda p: 0.5 * math.pi,
     ),
     CatalogEntry(
         entry_id="R-3.2",
@@ -387,7 +376,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         # ln(p + q e^{-x}) less its ln(p) part, which cancels
         kernel="log1p(q/p*exp(-x))",
         scales=("a", "b"),
-        kernel_limits=lambda prm: (math.log1p(prm["q"] / prm["p"]), 0.0),
     ),
     CatalogEntry(
         entry_id="R-3.3",
@@ -404,7 +392,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         ),
         kernel="((x + p)/(x + q))^n",
         scales=("a", "b"),
-        kernel_limits=lambda prm: (math.pow(prm["p"] / prm["q"], prm["n"]), 1.0),
+        m=lambda p: 1.0,
     ),
     CatalogEntry(
         entry_id="R-3.4",
@@ -459,7 +447,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 2.0, "b": 2.0}),
         kernel="exp(-x)*sin(x)",
         scales=("a", "b"),
-        kernel_limits=lambda p: (0.0, 0.0),
     ),
     CatalogEntry(
         entry_id="R-3.9",
@@ -471,7 +458,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         default_grid=({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 10.0}, {"a": 3.0, "b": 3.0}),
         kernel="exp(-x)*cos(x)",
         scales=("a", "b"),
-        kernel_limits=lambda p: (1.0, 0.0),
     ),
 )
 
@@ -544,12 +530,12 @@ def _compiled(text: str, names: tuple[str, ...]):
 def _bind(entry: CatalogEntry, params: dict) -> tuple[Callable[[float], float], tuple, Callable]:
     """What the oracle integrates at a checked binding: the integrand, the
     scale pair and the tail f(e^s) - M of the kernel f (expr.compile_family's
-    third role), M being the f(inf) of kernel_limits, else the declared
-    mean, else 0.  The integrand is the printed one where it is in x at
-    power 1; otherwise it is the kernel's [f(alpha x) - f(beta x)]/x, whose
-    integral is p times the printed one's for an entry with a power p, and
-    the printed one's for an entry with a substitution.  Each text they
-    need is bound once, and the scales are evaluated once."""
+    third role), M being the entry's m.  The integrand is the printed one
+    where it is in x at power 1; otherwise it is the kernel's
+    [f(alpha x) - f(beta x)]/x, whose integral is p times the printed
+    one's for an entry with a power p, and the printed one's for an entry
+    with a substitution.  Each text they need is bound once, and the
+    scales are evaluated once."""
     names = entry.param_names
     scales = tuple(evaluate(_parsed(text), params) for text in entry.scales)
     _, frullani, tail = _compiled(entry.kernel, names)(params)
@@ -557,11 +543,7 @@ def _bind(entry: CatalogEntry, params: dict) -> tuple[Callable[[float], float], 
         integrand = frullani(*scales)
     else:
         integrand = _compiled(entry.integrand, names)(params)[0]
-    if entry.kernel_limits is not None:
-        limit = entry.kernel_limits(params)[1]
-    else:
-        limit = entry.mean(params) if entry.mean else 0.0
-    return integrand, scales, tail(limit)
+    return integrand, scales, tail(entry.m(params))
 
 
 def instantiate(entry_id: str, params: dict):

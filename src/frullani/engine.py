@@ -48,12 +48,12 @@ class FrullaniProblem(Frozen):
     """One integral: the kernel f (an expression in x, parameters already
     bound to numbers), the two scale factors, and the argument power.
 
-    kernel is f, integrand (f(a x) - f(b x)) / x, a closure over it, and
-    tail(m) the maker of the log-tail f(e^s) - m, all three roles of one
-    compiled family (expr.compile_family), bound once when the problem is
-    made; they take no part in equality, hashing or repr."""
+    kernel is f, integrand (f(a x) - f(b x)) / x, a closure over it, tail(m)
+    the maker of the log-tail f(e^s) - m, all three roles of one compiled
+    family (expr.compile_family) bound once when the problem is made, and
+    walk its walk of f; none takes part in equality, hashing or repr."""
 
-    __slots__ = ("f", "a", "b", "power", "kernel", "integrand", "tail")
+    __slots__ = ("f", "a", "b", "power", "kernel", "integrand", "tail", "walk")
     _compared = __slots__[:4]
 
     def __init__(self, f: Expression, a: float, b: float, power: float = 1.0):
@@ -66,8 +66,10 @@ class FrullaniProblem(Frozen):
                 f"kernel must have exactly the free variable x, got "
                 f"{sorted(names) or 'none'}"
             )
-        kernel, frullani, tail = compile_family(f)({})
-        self._set(f=f, a=a, b=b, power=power, kernel=kernel, integrand=frullani(a, b), tail=tail)
+        family = compile_family(f)
+        kernel, frullani, tail = family({})
+        self._set(f=f, a=a, b=b, power=power, kernel=kernel, integrand=frullani(a, b), tail=tail,
+                  walk=family.walk)
 
 
 class ApplicabilityReport(NamedTuple):
@@ -151,7 +153,7 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
         return nonfinite_closed_form("eval", params, start, repr(expected))
     # M from the tree, never from the probe: the closed form already rests
     # on the probe, and an M shared with it would cancel its error
-    m = tree_limit(prob.f)
+    m = tree_limit(prob.f, prob.walk)
     route = "decaying map (tree undetermined)" if m is None else f"frullani M={m!r} (tree)"
     provenance = (
         f"limits=probe f0={f0!r} finf={finf!r} oracle={route} kernel={unparse(prob.f)}"

@@ -37,17 +37,17 @@ both the reference and the compiled code's exceptional path.
 
 Only the kernel's point function is generated per shape; the Frullani
 integrand's and the log-tail's are Python closures over it.  Each compiled
-kernel, integrand and tail also carries three G7/K15 panels, straight-line
+role also carries the G7/K15 panels quadrature runs on it, straight-line
 code built from quadrature's panel template with the point's body written
-out at each of the 15 nodes: panel() gives its panel(lo, hi),
-mapped_panel() the panel of integrate_decaying's map x = t^2/(1-t), and
-graded_panel() that of integrate_frullani's graded head x = t^2.  Each
-is compiled the first time a shape's kernel, integrand or tail asks for
-it, so a shape compiles only the panels that run.  quadrature runs them
-in place of gauss_kronrod_panel, one call per panel instead of one per
-node.  A panel where a node raises or is not finite returns None, and
-quadrature reruns it point by point, so every result and error stays the
-same bits.
+out at each of the 15 nodes: panel() gives its panel(lo, hi), and the
+Frullani integrand alone also has mapped_panel(), the panel of
+integrate_decaying's map x = t^2/(1-t), and graded_panel(), that of
+integrate_frullani's graded head x = t^2.  Each is compiled the first time
+a shape's role asks for it, so a shape compiles only the panels that run.
+quadrature runs them in place of gauss_kronrod_panel, one call per panel
+instead of one per node.  A panel where a node raises or is not finite
+returns None, and quadrature reruns it point by point, so every result and
+error stays the same bits.
 
 Trees are named tuples of their fields, so structural equality and hashing
 are plain == and hash(), and a field cannot be assigned.  Each node kind
@@ -618,12 +618,14 @@ def _panel(shape: tuple[Union[str, int], ...], role: str, mapping: str | None, a
 
 
 def _with_panels(f: Callable, shape: tuple[Union[str, int], ...], role: str, args) -> Callable:
-    """f, carrying panel(), mapped_panel() and graded_panel(), its panels
-    as role over args (_panel), unless args is None."""
+    """f, carrying panel(), its panel as role over args (_panel), unless
+    args is None; the Frullani integrand, which integrate_decaying and the
+    graded head also run, carries mapped_panel() and graded_panel() too."""
     if args is not None:
         f.panel = _panel(shape, role, None, args)
-        f.mapped_panel = _panel(shape, role, "decaying", args)
-        f.graded_panel = _panel(shape, role, "graded", args)
+        if role == "integrand":
+            f.mapped_panel = _panel(shape, role, "decaying", args)
+            f.graded_panel = _panel(shape, role, "graded", args)
     return f
 
 
@@ -666,6 +668,7 @@ def compile_family(
     the code of compile_kernel, and all integrands and tails one closure
     each; a parameter the binding lacks raises UnboundVariableError, and
     any variable that is neither x nor a parameter raises it here.
+    bind.walk is the tree's walk (_shape's), for limits' tree pass to read.
     """
     shape, slots = _shape(expr, frozenset(names))
     build = _builder(shape)
@@ -701,6 +704,7 @@ def compile_family(
 
         return _with_panels(kernel, shape, "kernel", bound), frullani, tail
 
+    bind.walk = shape, slots
     return bind
 
 
@@ -722,9 +726,8 @@ def compile_kernel(
     its constants and parameters as arguments, so all trees and bindings
     that differ only in those share one code object.  Any other variable
     raises UnboundVariableError here rather than at call time.  The
-    function's attributes panel(), mapped_panel() and graded_panel() give
-    its G7/K15 panels, which integrate_adaptive, integrate_decaying and
-    integrate_frullani's graded head run.
+    function's attribute panel() gives its G7/K15 panel, which
+    integrate_adaptive runs.
     """
     params = params or {}
     return compile_family(expr, params)(params)[0]

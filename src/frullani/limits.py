@@ -203,9 +203,9 @@ _O1 = ("bound", False, 0, 0)
 _DECAYS = ("bound", False, -math.inf, 0)
 
 
-def tree_limit_at_infinity(expr) -> float | None:
+def tree_limit_at_infinity(expr, walk=None) -> float | None:
     """The limit as x -> +infinity of the kernel expr, a tree in x alone,
-    read from the tree in one post-order walk (expr._shape's).
+    read from its post-order walk (expr._shape's, or walk where given).
 
     Constant subtrees are folded with evaluate's arithmetic, and leading
     coefficients are combined in floating point, so a value is exact up
@@ -214,13 +214,12 @@ def tree_limit_at_infinity(expr) -> float | None:
     Returns None wherever the tree does not decide a finite limit: leading
     terms that cancel at a growing order; 1^inf, as in (1+c/x)^x, whose
     exponent x ln(1+c/x) is x times o(1); a bounded oscillation, as
-    sin(x); growth;
-    a constant that is not a finite double, as exp(1000); a variable
-    other than x.  None says nothing about the kernel.
+    sin(x); growth; a constant that is not a finite double, as exp(1000);
+    a variable other than x.  None says nothing about the kernel.
     """
     try:
         # the nodes in post-order, every constant read from slots in turn
-        shape, slots = _shape(expr, frozenset())
+        shape, slots = walk or _shape(expr, frozenset())
     except ExprError:  # a variable other than x
         return None
     constants = iter(slots)

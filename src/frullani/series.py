@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .expr import compile_family, parse
 from .frozen import Frozen
-from .quadrature import integrate_frullani_oscillatory
+from .quadrature import integrate_frullani
 
 __all__ = [
     "SeriesParams",
@@ -224,10 +224,11 @@ def imaginary_exponential_check(
         integral_0^inf (sin px - sin qx)/x dx = 0
 
     these are the real and imaginary parts of the a -> 0 linearisation of
-    the kernel and the reason only the real part survives.  The integrand
-    and the tail, of mean 0, are two roles of one compiled family of the
-    kernel, cos(x) or sin(x).  Returns the (cos, sin) value pair; raises
-    if either oscillatory integration fails to converge.  p = q
+    the kernel and the reason only the real part survives.  Each is
+    integrated by Frullani's substitution (quadrature.integrate_frullani),
+    on the integrand and the tail, of mean 0, two roles of one compiled
+    family of the kernel, cos(x) or sin(x).  Returns the (cos, sin) value
+    pair; raises if either integration fails to converge.  p = q
     short-circuits to (0, 0), the zero integrand.
     """
     if not (p > 0 and q > 0):
@@ -237,10 +238,10 @@ def imaginary_exponential_check(
     values = []
     for label in ("cos", "sin"):
         _, frullani, tail = compile_family(parse(f"{label}(x)"))({})
-        res = integrate_frullani_oscillatory(frullani(p, q), (p, q), tail(0.0), tol)
+        res = integrate_frullani(frullani(p, q), (p, q), tail(0.0), tol)
         if not res.converged:
             raise RuntimeError(
-                f"oscillatory oracle did not converge for the {label} part: "
+                f"Frullani oracle did not converge for the {label} part: "
                 f"{res.diagnostic}"
             )
         values.append(res.value)

@@ -39,16 +39,10 @@ def scales(entry, params):
     return tuple(evaluate(parse(text), params) for text in entry.scales)
 
 
-def declared_mean(entry, params):
-    """The oscillatory entry's mean at infinity at a binding, 0 unless
-    declared."""
-    return entry.mean(params) if entry.mean is not None else 0.0
-
-
 def tail(entry, params):
-    """The oscillatory entry's split-route tail s -> f(e^s) - m at a
-    binding, through the compiled kernel."""
-    f, m = compile_kernel(parse(entry.kernel), params), declared_mean(entry, params)
+    """The oscillatory entry's split-route tail s -> f(e^s) - M at a
+    binding, through the compiled kernel, M being the entry's m."""
+    f, m = compile_kernel(parse(entry.kernel), params), entry.m(params)
     return lambda s: f(math.exp(s)) - m
 
 
@@ -116,11 +110,21 @@ class TestInventory:
         for eid in ALL_IDS:
             assert len(default_grid(eid)) == 3
 
+    def test_only_a_nonzero_m_is_declared(self):
+        # M is 0 where the entry omits it; the eight entries that declare it
+        # each have a binding where it is not 0
+        omitted = catalog.CatalogEntry._field_defaults["m"]
+        declared = {eid for eid in ALL_IDS if get_entry(eid).m is not omitted}
+        assert declared == {"GR-3.434.2", "GR-4.267.8", "GR-3.476.1", "GR-4.536.2",
+                            "R-3.1", "R-3.3", "GR-3.484", "GR-4.324.2"}
+        assert omitted({}) == 0.0
+        for eid in declared:
+            assert any(get_entry(eid).m(params) != 0.0 for params in default_grid(eid)), eid
+
     def test_oscillatory_entries_declare_frequencies(self):
         for eid in ALL_IDS:
             e = get_entry(eid)
             if e.eval_class != "oscillatory":
-                assert e.mean is None
                 continue
             for params in e.default_grid:
                 alpha, beta = scales(e, params)
@@ -460,7 +464,7 @@ class TestConfidentFailures:
 class TestSmoothSplitRoute:
     """Smooth-decay entries take Frullani's substitution: the head on
     (0, pi/max(alpha, beta)] and the kernel's tail f(e^s) - f(inf) over
-    (ln alpha c, ln beta c), with f(inf) from the entry's kernel_limits."""
+    (ln alpha c, ln beta c), with f(inf) from the entry's m."""
 
     @pytest.mark.parametrize("entry_id, params, tol", [
         # the decaying map's mass sat at x of about 345-700, where every
@@ -495,19 +499,20 @@ class TestSmoothSplitRoute:
 
     @pytest.mark.parametrize("eid", [e for e in ALL_IDS if get_entry(e).eval_class == "smooth-decay"])
     def test_declared_limit_far_out(self, eid):
-        # the tail takes the kernel's f(inf) from its declaration, which the
-        # closed form does not read; far out the kernel must be there
+        # the tail takes the kernel's f(inf) from the entry's m, 0 where it
+        # is not declared, which the closed form does not read; far out the
+        # kernel must be there
         entry = get_entry(eid)
         for params in entry.default_grid:
             f = compile_kernel(parse(entry.kernel), params)
-            limit = entry.kernel_limits(params)[1]
+            limit = entry.m(params)
             for x in (1e12, 1e14):
                 assert f(x) == pytest.approx(limit, abs=1e-9 * max(1.0, abs(limit))), (params, x)
 
     def test_a_wrong_declared_limit_fails(self, monkeypatch):
         # a limit of 0.01 in place of 0 shifts the answer by 0.01 ln 2
         entry = get_entry("GR-3.232")
-        wrong = entry._replace(kernel_limits=lambda p: (math.pow(p["c"], -p["mu"]), 0.01))
+        wrong = entry._replace(m=lambda p: 0.01)
         monkeypatch.setitem(catalog._BY_ID, "GR-3.232", wrong)
         rec = verify_entry("GR-3.232", {"a": 1.0, "b": 2.0, "c": 1.0, "mu": 2.0})
         assert rec.status == "FAIL"
@@ -733,8 +738,8 @@ class TestSplitScales:
 
     @pytest.mark.parametrize("eid", OSCILLATORY_IDS)
     def test_declared_mean(self, eid):
-        # the split route takes the kernel's mean at infinity from its
-        # declaration, 0 where there is none.  The average over a hundred
+        # the split route takes the kernel's mean at infinity from the
+        # entry's m, 0 where it is not declared.  The average over a hundred
         # periods of 2 pi far out must match it.
         entry = get_entry(eid)
         window = 200.0 * math.pi
@@ -742,7 +747,7 @@ class TestSplitScales:
             f = compile_kernel(parse(entry.kernel), params)
             far = integrate_adaptive(f, 1e4, 1e4 + window, 1e-9)
             assert far.converged
-            assert far.value / window == pytest.approx(declared_mean(entry, params), abs=1e-9)
+            assert far.value / window == pytest.approx(entry.m(params), abs=1e-9)
 
     @pytest.mark.parametrize("a", [-1e3, -3.0, -1.5, -0.5, 0.0, 0.2, 0.5, 0.999, 1.001, 2.0, 3.5, 1e3])
     def test_jensen_mean_is_the_period_average(self, a):
@@ -751,13 +756,13 @@ class TestSplitScales:
         params = {"a": a, "p": 1.0, "q": 2.0}
         period = integrate_adaptive(compile_kernel(parse(entry.kernel), params), 0.0, 2.0 * math.pi, 1e-13)
         assert period.converged
-        m = entry.mean(params)
+        m = entry.m(params)
         assert abs(m - period.value / (2.0 * math.pi)) <= 1e-13 * max(1.0, abs(m))
 
     @pytest.mark.parametrize("eid", ALL_IDS)
     def test_compiled_tail_is_the_substituted_tree(self, eid):
         # the tail the catalog binds is f(exp(s)) - M, evaluated bit for bit,
-        # M being the kernel's f(inf), else its mean; past s = 709.78, exp
+        # M being the entry's m; past s = 709.78, exp
         # saturates to inf, through evaluate in the compiled code
         entry = get_entry(eid)
         tree = substitute(parse(entry.kernel), "x", parse("exp(x)"))
@@ -771,10 +776,7 @@ class TestSplitScales:
 
         for params in entry.default_grid:
             bound = catalog._bind(entry, params)[2]
-            if entry.kernel_limits is not None:
-                m = entry.kernel_limits(params)[1]
-            else:
-                m = declared_mean(entry, params)
+            m = entry.m(params)
             points = [rng.uniform(-700.0, math.log(math.pi)) for _ in range(32)]
             for s in (*points, 709.9, 710.0, 711.0):
                 want = outcome(lambda s: evaluate(tree, {**params, "x": s}) - m, s)

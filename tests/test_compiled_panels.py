@@ -2,7 +2,8 @@
 generic panel.
 
 Every compiled kernel, Frullani integrand and log-tail carries its own
-panels (expr), which quadrature runs in place of gauss_kronrod_panel.
+panels (expr), the ones quadrature runs on it, in place of
+gauss_kronrod_panel.
 Wrapped in a plain function, the same integrand has no panel of its own and
 takes the generic one.  The two routes must give the same record in every
 field but wall time.
@@ -74,6 +75,7 @@ def generic_panels(monkeypatch):
 
             return _plain(kernel), lambda a, b: _plain(frullani(a, b)), plain_tail
 
+        plain_roles.walk = bind_family.walk
         return plain_roles
 
     monkeypatch.setattr(catalog, "_bind", plain_bind)
@@ -159,3 +161,13 @@ def test_a_shape_compiles_only_the_panels_that_run():
     # compiled once
     info = expr._panel_maker.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+
+def test_each_role_carries_only_the_panels_quadrature_runs():
+    # integrate_adaptive runs every role's panel; integrate_decaying and the
+    # graded head run only the Frullani integrand's
+    kernel, frullani, tail = compile_family(parse("exp(-1.25*x)*(3.5+x)"))({})
+    panels = ("panel", "mapped_panel", "graded_panel")
+    assert [name for name in panels if hasattr(kernel, name)] == ["panel"]
+    assert [name for name in panels if hasattr(tail(0.0), name)] == ["panel"]
+    assert [name for name in panels if hasattr(frullani(1.0, 2.0), name)] == list(panels)

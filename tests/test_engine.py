@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frullani import catalog, engine, expr
+from frullani import catalog, engine, expr, limits
 from frullani.engine import (
     ApplicabilityReport,
     FrullaniProblem,
@@ -15,6 +15,7 @@ from frullani.engine import (
 )
 from frullani.expr import BinOp, Call, Const, Neg, Var, compile_kernel, evaluate, parse, unparse
 from frullani.quadrature import integrate_decaying
+from test_limits import _NO_LIMIT
 
 
 def prob(src, a=1.0, b=2.0, power=1.0):
@@ -255,10 +256,26 @@ class TestPipeline:
         assert rec.status == "PASS" and "oracle=frullani" in rec.detail
         assert expr._builder.cache_info().currsize == 1
 
+    @pytest.mark.parametrize("src", ["atan(x)", "(1+2.5/x)^x"])
+    def test_a_request_walks_its_tree_once(self, src, monkeypatch):
+        # the tree pass reads the walk the compiled family was made from
+        walks = []
+
+        def counted(*args):
+            walks.append(args)
+            return real(*args)
+
+        real = expr._shape
+        monkeypatch.setattr(expr, "_shape", counted)
+        monkeypatch.setattr(limits, "_shape", counted)
+        rec = evaluate_pipeline(prob(src), 1e-6)
+        assert "(tree" in rec.detail
+        assert len(walks) == 1
+
     def test_tree_limit_is_not_the_probe_limit(self, monkeypatch):
         # a wrong M from the tree shows as FAIL against the probe's closed
         # form; the oracle never reads the probe's f(inf)
-        monkeypatch.setattr(engine, "tree_limit", lambda f: 0.5)
+        monkeypatch.setattr(engine, "tree_limit", lambda f, walk: 0.5)
         rec = evaluate_pipeline(prob("exp(-x)"), 1e-6)
         assert rec.status == "FAIL"
         assert rec.numeric == pytest.approx(math.log(2.0) - 0.5 * math.log(2.0), abs=1e-6)
@@ -334,7 +351,7 @@ def _kernel_cases():
     cases = []
     for eid in catalog.entry_ids():
         entry = catalog.get_entry(eid)
-        if entry.kernel_limits is None:
+        if eid in _NO_LIMIT:  # the pipeline declines these
             continue
         for i, params in enumerate(entry.default_grid):
             cases.append(pytest.param(eid, dict(params), id=f"{eid}-grid{i}"))
@@ -370,6 +387,5 @@ def test_pipeline_agrees_with_catalog_closed_forms(eid, params):
     assert rec.status == "PASS", rec.detail
     expected = entry.closed_form(params)
     assert abs(rec.numeric - expected) <= 1e-6
-    # and the probe limits agree with the analytic pair
-    f0, finf = entry.kernel_limits(params)
-    assert abs(rec.expected - closed_form(FrullaniProblem(tree, a, b, power), f0, finf)) <= 1e-6
+    # and the closed form from the probed limits is the printed one
+    assert abs(rec.expected - expected) <= 1e-6

@@ -259,11 +259,15 @@ def test_tree_gives_the_special_kernels_limit(kind):
         assert tree_limit_at_infinity(parse(text)) == finf, text
 
 
+# the catalog kernels that oscillate with no limit at infinity
+_NO_LIMIT = ("GR-4.324.2", "R-3.4", "R-3.5", "R-3.6")
+
+
 def _catalog_kernels():
     cases = []
     for eid in catalog.entry_ids():
         entry = catalog.get_entry(eid)
-        if entry.kernel_limits is None:
+        if eid in _NO_LIMIT:
             continue
         for i, params in enumerate(entry.default_grid):
             cases.append(pytest.param(entry, dict(params), id=f"{eid}-grid{i}"))
@@ -275,8 +279,7 @@ def test_tree_gives_the_catalogs_declared_limit(entry, params):
     tree = parse(entry.kernel)
     for name, value in params.items():
         tree = substitute(tree, name, Const(value))
-    finf = entry.kernel_limits(params)[1]
-    assert _within_4_ulp(tree_limit_at_infinity(tree), finf)
+    assert tree_limit_at_infinity(tree) == entry.m(params)
 
 
 @pytest.mark.parametrize("text", [
@@ -341,3 +344,22 @@ def test_tree_agrees_with_the_probe_on_the_fuzz_corpus():
 def test_tree_agrees_with_the_probe_on_the_pipeline_workload(seed):
     texts = {req.kernel for req in workloads.pipeline_kernels(seed).requests}
     assert sorted(text for text in texts if not _agrees_with_the_probe(text)) == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tree_gives_every_declared_m_bit_for_bit(seed):
+    # the catalog declares M, 0 where it omits it, and the tree pass reads
+    # it from the bound kernel: on every benchmark binding of a kernel with
+    # a limit at infinity the two agree to the bit, and on the others the
+    # tree decides nothing
+    requests = workloads.catalog_smooth(seed).requests + workloads.catalog_oscillatory(seed).requests
+    kernels = {eid: parse(catalog.get_entry(eid).kernel) for eid in catalog.entry_ids()}
+    for req in requests:
+        tree = kernels[req.entry]
+        for name, value in req.params.items():
+            tree = substitute(tree, name, Const(value))
+        m = tree_limit_at_infinity(tree)
+        if req.entry in _NO_LIMIT:
+            assert m is None, req
+        else:
+            assert m is not None and m.hex() == catalog.get_entry(req.entry).m(req.params).hex(), req

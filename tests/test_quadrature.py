@@ -643,20 +643,26 @@ def _chain(depth):
     return tree
 
 
-_compiled_integrands = st.one_of(
-    st.tuples(st.just("catalog"), st.sampled_from(entry_ids()), st.integers(0, 3)),
-    st.tuples(
-        st.just("pipeline"),
-        st.tuples(st.sampled_from(_PIPELINE_KERNELS), _short, _short, _short).map(
-            lambda t: t[0].format(c=t[1], d=t[2], m=t[3])
+def _compiled_sources(roles):
+    """Catalog bindings, pipeline kernels, and trees compiled in roles."""
+    return st.one_of(
+        st.tuples(st.just("catalog"), st.sampled_from(entry_ids()), st.integers(0, 3)),
+        st.tuples(
+            st.just("pipeline"),
+            st.tuples(st.sampled_from(_PIPELINE_KERNELS), _short, _short, _short).map(
+                lambda t: t[0].format(c=t[1], d=t[2], m=t[3])
+            ),
+            _short,
+            _short,
         ),
-        _short,
-        _short,
-    ),
-    st.tuples(
-        st.just("tree"), _folding_trees, st.sampled_from(["kernel", "integrand", "tail"]), _short, _short
-    ),
-)
+        st.tuples(st.just("tree"), _folding_trees, st.sampled_from(roles), _short, _short),
+    )
+
+
+_compiled_integrands = _compiled_sources(["kernel", "integrand", "tail"])
+# the only role with mapped and graded panels: the kernel and the tail carry
+# just panel(), the one integrate_adaptive runs on them
+_frullani_integrands = _compiled_sources(["integrand"])
 # (0, 1) for the mapped panel, down to a few ulps wide
 _unit_intervals = st.tuples(st.floats(0.0, 1.0), st.floats(-16.0, 0.0)).map(
     lambda t: (t[0], min(1.0, t[0] + 10.0 ** t[1]))
@@ -754,30 +760,41 @@ class TestMatchesReference:
         )
 
     @settings(max_examples=450, deadline=None)
-    @given(_compiled_integrands, _intervals, _unit_intervals)
+    @given(_compiled_integrands, _intervals)
     # an exp argument in (709.78, 710] raises in the compiled code, and
     # evaluate saturates it to inf, so the kernel's value stays finite
-    @example(("catalog", "GR-3.412.1", 0), (709.8, 710.0), (0.2, 0.3))
+    @example(("catalog", "GR-3.412.1", 0), (709.8, 710.0))
     # exp(a x) - exp(b x) is inf - inf: not finite
-    @example(("pipeline", "exp(x)", 1.0, 2.0), (800.0, 900.0), (0.2, 0.3))
-    # nodes so close to t = 1 that 1 - t rounds to 0
-    @example(("catalog", "R-3.1", 0), (1.0, 2.0), (1.0 - 2.0**-52, 1.0))
+    @example(("pipeline", "exp(x)", 1.0, 2.0), (800.0, 900.0))
     # equal scales on negative x: every value is -0.0
-    @example(("pipeline", "atan(1.0*x)", 1.5, 1.5), (-2.0, -1.0), (0.2, 0.3))
+    @example(("pipeline", "atan(1.0*x)", 1.5, 1.5), (-2.0, -1.0))
     # values near 4e307, finite, whose sum overflows
-    @example(("pipeline", "1/x", 1.0, 2.0), (1.1e-154, 1.2e-154), (0.2, 0.3))
+    @example(("pipeline", "1/x", 1.0, 2.0), (1.1e-154, 1.2e-154))
     # single-use nodes past the deepest fold, for every role
-    @example(("tree", _chain(40), "kernel", 1.0, 2.0), (0.5, 1.5), (0.2, 0.3))
-    @example(("tree", _chain(40), "integrand", 1.5, 0.7), (0.5, 1.5), (0.2, 0.3))
-    @example(("tree", _chain(40), "tail", 1.5, 0.7), (0.5, 1.5), (0.2, 0.3))
+    @example(("tree", _chain(40), "kernel", 1.0, 2.0), (0.5, 1.5))
+    @example(("tree", _chain(40), "integrand", 1.5, 0.7), (0.5, 1.5))
+    @example(("tree", _chain(40), "tail", 1.5, 0.7), (0.5, 1.5))
     # exp(s) in (709.78, 710] raises in the tail's compiled code
-    @example(("tree", Call("atan", Var("x")), "tail", 1.5, 0.7), (709.7, 709.9), (0.2, 0.3))
-    def test_compiled_panel_bits(self, source, interval, unit_interval):
+    @example(("tree", Call("atan", Var("x")), "tail", 1.5, 0.7), (709.7, 709.9))
+    def test_compiled_panel_bits(self, source, interval):
         f = _compiled_integrand(source)
         lo, hi = interval
         assert _outcome(_run_compiled(getattr(f, "panel", None), f), lo, hi) == _outcome(
             reference_panel, f, lo, hi
         )
+
+    @settings(max_examples=450, deadline=None)
+    @given(_frullani_integrands, _unit_intervals)
+    # nodes so close to t = 1 that 1 - t rounds to 0
+    @example(("catalog", "R-3.1", 0), (1.0 - 2.0**-52, 1.0))
+    # the Frullani integrands of the plain panel's examples
+    @example(("catalog", "GR-3.412.1", 0), (0.2, 0.3))
+    @example(("pipeline", "exp(x)", 1.0, 2.0), (0.2, 0.3))
+    @example(("pipeline", "atan(1.0*x)", 1.5, 1.5), (0.2, 0.3))
+    @example(("pipeline", "1/x", 1.0, 2.0), (0.2, 0.3))
+    @example(("tree", _chain(40), "integrand", 1.5, 0.7), (0.2, 0.3))
+    def test_compiled_mapped_panel_bits(self, source, unit_interval):
+        f = _compiled_integrand(source)
         mapped = reference_mapped(f)
         lo, hi = unit_interval
         assert _outcome(_run_compiled(getattr(f, "mapped_panel", None), mapped), lo, hi) == _outcome(
@@ -785,7 +802,7 @@ class TestMatchesReference:
         )
 
     @settings(max_examples=200, deadline=None)
-    @given(_compiled_integrands, _intervals)
+    @given(_frullani_integrands, _intervals)
     # the pipeline's graded head of a kernel like sqrt(x) at 0
     @example(("pipeline", "sqrt(x)/(1+sqrt(x))", 0.76, 2.74), (0.0, 1e-3))
     # u^2 underflows to 0, where the integrand divides by x
