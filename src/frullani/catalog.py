@@ -30,9 +30,10 @@ compiled code.
 Verification integrates every entry by integrate_frullani, an oscillatory
 one through integrate_frullani_oscillatory, which keeps a common tail grid
 where the scales share one; an entry with a power or a substitution
-integrates its kernel's power-1 integrand in x, which GR-3.476.1 divides
-by p, as the pipeline does.  No exception escapes a
-VerificationRecord.
+integrates its kernel's power-1 integrand in x.  records.judge evaluates
+the closed form, applies GR-3.476.1's power rule to the oracle's tolerance
+and result, as it does for the pipeline, and gives the verdict.  No
+exception escapes a VerificationRecord.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .quadrature import base_frequency, integrate_frullani, integrate_frullani_o
 # catalog.integrate_decaying, so they must stay importable from this module.
 from .quadrature import integrate_adaptive, integrate_decaying  # noqa: F401
 from .expr import compile_family, evaluate, parse
-from .records import STATUSES, VerificationRecord, judge, nonfinite_closed_form, skipped
+from .records import STATUSES, VerificationRecord, judge, skipped
 from .series import gr_4_324_2_closed, log_ratio
 
 __all__ = [
@@ -584,30 +585,17 @@ def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> Ve
         return skipped(entry_id, shown, "CONSTRAINT_VIOLATION", start, str(exc))
     if violated is not None:
         return skipped(entry_id, clean, "CONSTRAINT_VIOLATION", start, violated)
-    try:
-        expected = entry.closed_form(clean)
-    except (ArithmeticError, ValueError) as exc:
-        # constraints held, but the closed form overflows or leaves its
-        # domain in floating point (GR-3.232's c^-mu at c=0.001, mu=200)
-        expected, cause = math.nan, str(exc)
-    else:
-        cause = repr(expected)
-    if not math.isfinite(expected):
-        return nonfinite_closed_form(entry_id, clean, start, cause)
-    integrand, scales, tail = _bind(entry, clean)
+    power = 1.0 if entry.power is None else evaluate(_parsed(entry.power), clean)
 
     def oracle(share: float):
+        # bound after judge checks the closed form: GR-3.484's m, e^a,
+        # overflows where its closed form does
+        integrand, scales, tail = _bind(entry, clean)
         if entry.eval_class == "oscillatory":
             return integrate_frullani_oscillatory(integrand, scales, tail, share)
-        if entry.power is None:
-            return integrate_frullani(integrand, scales, tail, share)
-        # u = x^p turns dx/x into du/(p u): the power-1 integral divided by
-        # p, at a tolerance scaled by p, as the pipeline's oracle does
-        p = evaluate(_parsed(entry.power), clean)
-        res = integrate_frullani(integrand, scales, tail, share * p)
-        return res._replace(value=res.value / p, error_estimate=res.error_estimate / p)
+        return integrate_frullani(integrand, scales, tail, share)
 
-    return judge(entry_id, clean, expected, oracle, tol, start)
+    return judge(entry_id, clean, lambda: entry.closed_form(clean), oracle, tol, start, power=power)
 
 
 def parse_grid_file(text: str) -> dict[str, list[dict]]:

@@ -32,7 +32,7 @@ from .limits import LimitVerdict, limit_at_infinity, limit_at_zero_plus
 # as the probe
 from .limits import tree_limit_at_infinity as tree_limit
 from .quadrature import integrate_decaying, integrate_frullani
-from .records import VerificationRecord, judge, nonfinite_closed_form, skipped
+from .records import VerificationRecord, judge, skipped
 from .series import log_ratio
 
 __all__ = [
@@ -125,17 +125,17 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
     id "eval"; the detail field records that the limits came from the probe
     and which oracle ran.
 
-    Not-applicable problems short-circuit with status NOT_APPLICABLE, and a
-    closed form that is not a finite double ends CONSTRAINT_VIOLATION, as in
-    the catalog; an oracle that fails to converge (or cannot evaluate the
-    integrand) yields ORACLE_FAILED.
-
-    Only then is the tree asked for M = f(inf) (limits.tree_limit_at_infinity).
-    Where it decides M, the oracle is integrate_frullani with the tail
-    f(e^s) - M (prob.tail) and the graded head, x = u^2, which maps an
-    algebraic singularity of the integrand at 0 like x^(-1/2) to a
-    constant.  Where it does not, the oracle is one integrate_decaying
-    call.
+    Not-applicable problems short-circuit with status NOT_APPLICABLE.  For
+    the rest, the tree is asked for M = f(inf) (limits.tree_limit_at_infinity),
+    which only chooses the oracle's route.  Where it decides M, the oracle is
+    integrate_frullani with the tail f(e^s) - M (prob.tail) and the graded
+    head, x = u^2, which maps an algebraic singularity of the integrand at 0
+    like x^(-1/2) to a constant.  Where it does not, the oracle is one
+    integrate_decaying call.  Either integrates the power-1 integrand:
+    records.judge, as for the catalog, ends a closed form that is not a
+    finite double in CONSTRAINT_VIOLATION, applies the power rule u = x^p
+    to the oracle's tolerance and result, and gives ORACLE_FAILED where the
+    oracle fails to converge or cannot evaluate the integrand.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
@@ -147,33 +147,20 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
 
     f0 = report.verdict_at_zero.value
     finf = report.verdict_at_infinity.value
-    expected = closed_form(prob, f0, finf)
-    if not math.isfinite(expected):
-        # f0 - finf or its quotient by a tiny power overflows
-        return nonfinite_closed_form("eval", params, start, repr(expected))
-    # M from the tree, never from the probe: the closed form already rests
-    # on the probe, and an M shared with it would cancel its error
+    # M from the tree, never from the probe: the closed form rests on the
+    # probe, and an M shared with it would cancel its error
     m = tree_limit(prob.f, prob.walk)
     route = "decaying map (tree undetermined)" if m is None else f"frullani M={m!r} (tree)"
     provenance = (
         f"limits=probe f0={f0!r} finf={finf!r} oracle={route} kernel={unparse(prob.f)}"
     )
 
-    p = prob.power
-
-    # u = x^p turns dx/x into du/(p u): integrate the power-1 integrand and
-    # divide by p last, as closed_form does; the quadrature tolerance is
-    # scaled by p so the divided error still meets the oracle's share
     def oracle(share: float):
-        if share * p == 0.0:
-            raise ValueError(f"oracle tolerance tol*power/4 = {tol!r}*{p!r}/4 underflows to 0.0")
         if m is None:
-            res = integrate_decaying(prob.integrand, share * p)
-        else:
-            res = integrate_frullani(
-                prob.integrand, (prob.a, prob.b), prob.tail(m), share * p, graded=True
-            )
-        return res._replace(value=res.value / p, error_estimate=res.error_estimate / p)
+            return integrate_decaying(prob.integrand, share)
+        return integrate_frullani(prob.integrand, (prob.a, prob.b), prob.tail(m), share, graded=True)
 
-    return judge("eval", params, expected, oracle, tol, start, provenance)
-
+    return judge(
+        "eval", params, lambda: closed_form(prob, f0, finf), oracle, tol, start, provenance,
+        prob.power,
+    )

@@ -2,8 +2,9 @@
 
 Both verification routes, the catalog (catalog.verify_entry) and the
 probe-then-verify pipeline (engine.evaluate_pipeline), end in a
-VerificationRecord built here: skipped() for a binding that never reached an
-oracle, judge() for one that did.
+VerificationRecord built here: skipped() for a binding that failed its
+checks, judge() for one that passed them.  judge() alone evaluates the
+closed form and applies the power rule u = x^p to the oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .quadrature import IntegrandError, QuadratureResult
 
 __all__ = [
     "VerificationRecord", "STATUSES", "BAD_STATUSES", "SKIP_STATUSES",
-    "skipped", "nonfinite_closed_form", "judge",
+    "skipped", "judge",
 ]
 
 STATUSES = ("PASS", "FAIL", "NOT_APPLICABLE", "ORACLE_FAILED", "CONSTRAINT_VIOLATION")
@@ -59,45 +60,56 @@ def skipped(
     )
 
 
-def nonfinite_closed_form(
-    entry_id: str, params: dict, start: float, cause: str
-) -> VerificationRecord:
-    """The CONSTRAINT_VIOLATION record for a binding whose constraints hold
-    but whose closed form overflows or leaves its domain in floating point;
-    cause is the non-finite value or the error that stopped it."""
-    return skipped(
-        entry_id, params, "CONSTRAINT_VIOLATION", start,
-        f"closed form is not a finite double at this binding: {cause}",
-    )
-
-
 def judge(
     entry_id: str,
     params: dict,
-    expected: float,
+    closed_form: Callable[[], float],
     oracle: Callable[[float], QuadratureResult],
     tol: float,
     start: float,
     provenance: str = "",
+    power: float = 1.0,
 ) -> VerificationRecord:
-    """Run the oracle and compare its value with the closed form.
+    """The one verdict step for a binding that passed its checks.
 
-    The oracle is called with its own tolerance, a quarter of tol: the
-    quadrature error it may leave is then small beside the comparison's
-    tolerance.  ORACLE_FAILED when the oracle raises or does not converge,
-    PASS when |expected - value| <= tol, FAIL otherwise.  The detail names
-    the reason for every status but PASS, after the provenance when one is
-    given.
+    CONSTRAINT_VIOLATION when the closed_form thunk raises ArithmeticError
+    or ValueError or gives a value that is not a finite double; only then
+    does the oracle run.  It integrates the power-1 integrand: u = x^p turns
+    dx/x into du/(p u), so it is called with tolerance tol * 0.25 * p (a
+    quarter of tol, scaled so that the divided error meets that quarter),
+    and its value and error estimate are divided by p last, as the closed
+    form divides by p.  ORACLE_FAILED when that tolerance underflows to
+    0.0, or the oracle raises or does not converge; PASS when
+    |expected - value| <= tol, FAIL otherwise.  The detail names the
+    reason for every status but PASS, after the provenance when one is
+    given and the closed form was finite.
     """
     try:
-        res = oracle(tol * 0.25)
+        expected = closed_form()
+    except (ArithmeticError, ValueError) as exc:
+        expected, cause = math.nan, str(exc)
+    else:
+        cause = repr(expected)
+    if not math.isfinite(expected):
+        return skipped(
+            entry_id, params, "CONSTRAINT_VIOLATION", start,
+            f"closed form is not a finite double at this binding: {cause}",
+        )
+    share = tol * 0.25 * power
+    try:
+        if share == 0.0:
+            raise ValueError(
+                f"oracle tolerance tol*power/4 = {tol!r}*{power!r}/4 underflows to 0.0"
+            )
+        res = oracle(share)
     except _ORACLE_ERRORS as exc:
         return VerificationRecord(
             entry_id, params, expected, math.nan, math.nan, math.nan,
             "ORACLE_FAILED", time.perf_counter() - start,
             _join(provenance, f"oracle raised: {exc}"),
         )
-    abs_error = abs(expected - res.value)
+    value = res.value / power
+    abs_error = abs(expected - value)
     if not res.converged:
         status, reason = "ORACLE_FAILED", f"oracle did not converge: {res.diagnostic}"
     elif abs_error <= tol:
@@ -105,7 +117,7 @@ def judge(
     else:
         status, reason = "FAIL", f"|closed - oracle| = {abs_error:.3e} > tol = {tol:.3e}"
     return VerificationRecord(
-        entry_id, params, expected, res.value, abs_error, res.error_estimate,
+        entry_id, params, expected, value, abs_error, res.error_estimate / power,
         status, time.perf_counter() - start, _join(provenance, reason),
         res.function_evaluations,
     )

@@ -26,6 +26,7 @@ from frullani.quadrature import (
     SEGMENT_PANELS,
     OscillatorySpec,
     integrate_adaptive,
+    integrate_frullani,
     integrate_frullani_oscillatory,
     integrate_oscillatory_tail,
 )
@@ -517,6 +518,18 @@ class TestSmoothSplitRoute:
         rec = verify_entry("GR-3.232", {"a": 1.0, "b": 2.0, "c": 1.0, "mu": 2.0})
         assert rec.status == "FAIL"
         assert rec.abs_error == pytest.approx(0.01 * math.log(2.0), abs=1e-12)
+
+    def test_power_rule_divides_the_power_one_integral(self):
+        # u = x^p: the oracle integrates the kernel's power-1 integrand at
+        # tol/4 * p, and the record holds its value and estimate over p
+        params = {"v": 1.0, "u": 2.0, "p": 0.3}
+        rec = verify_entry("GR-3.476.1", params, 1e-9)
+        integrand, pair, m_tail = catalog._bind(get_entry("GR-3.476.1"), params)
+        res = integrate_frullani(integrand, pair, m_tail, 1e-9 * 0.25 * 0.3)
+        assert rec.status == "PASS", rec.detail
+        assert rec.numeric == res.value / 0.3
+        assert rec.oracle_error == res.error_estimate / 0.3
+        assert rec.evaluations == res.function_evaluations
 
 
 class TestZeroLaw:

@@ -75,6 +75,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("entry, binding, cause", [
         ("GR-3.232", "a=1,b=2,c=0.001,mu=200", "math range error"),
+        # and its declared M, e^a, would overflow too if it were bound first
+        ("GR-3.484", "a=1000,p=1,q=2", "math range error"),
         ("GR-4.297.7", "b=1e10,a=1e300", "-inf"),
         ("GR-4.297.7", "a=1e200,b=1e200", "nan"),
     ])
@@ -89,6 +91,17 @@ class TestVerify:
         assert fields(captured.out.splitlines()[0])["status"] == "CONSTRAINT_VIOLATION"
         assert captured.err == (
             f"  closed form is not a finite double at this binding: {cause}\n"
+        )
+
+    def test_underflowed_oracle_tolerance_is_named(self, capsys):
+        # the same rule as eval (TestEval): 1e-6*1e-318/4 rounds to 0.0
+        rc = main(["verify", "GR-3.476.1", "--params", "v=1,u=1.0000000001,p=1e-318"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert fields(captured.out.splitlines()[0])["status"] == "ORACLE_FAILED"
+        assert captured.err == (
+            "  oracle raised: oracle tolerance tol*power/4 = 1e-06*1e-318/4 "
+            "underflows to 0.0\n"
         )
 
     def test_unknown_entry_is_usage_error(self, capsys):

@@ -14,7 +14,8 @@ from frullani.engine import (
     evaluate_pipeline,
 )
 from frullani.expr import BinOp, Call, Const, Neg, Var, compile_kernel, evaluate, parse, unparse
-from frullani.quadrature import integrate_decaying
+from frullani.quadrature import QuadratureResult, integrate_decaying
+from frullani.records import judge
 from test_limits import _NO_LIMIT
 
 
@@ -345,6 +346,61 @@ class TestOracleBudget:
         rec = evaluate_pipeline(prob(_SLOW_COS, a=1.3, b=2.7), 1e-6)
         assert rec.status == "ORACLE_FAILED"
         assert len(probed) == 1
+
+
+class TestJudge:
+    """records.judge, the one verdict step of the catalog and the pipeline."""
+
+    RESULT = QuadratureResult(0.1, 3e-10, 45, True)
+
+    def oracle(self, calls):
+        def run(share):
+            calls.append(share)
+            return self.RESULT
+        return run
+
+    @pytest.mark.parametrize("closed, cause", [
+        (lambda: math.exp(1000.0), "math range error"),
+        (lambda: math.inf, "inf"),
+        (lambda: -math.inf, "-inf"),
+        (lambda: math.nan, "nan"),
+    ])
+    def test_closed_form_off_the_doubles_never_calls_the_oracle(self, closed, cause):
+        calls = []
+        rec = judge("X", {}, closed, self.oracle(calls), 1e-6, 0.0, "limits=probe")
+        assert rec.status == "CONSTRAINT_VIOLATION"
+        assert rec.detail == f"closed form is not a finite double at this binding: {cause}"
+        assert math.isnan(rec.expected) and rec.evaluations == 0
+        assert calls == []
+
+    def test_power_one_keeps_the_oracles_bits(self):
+        calls = []
+        rec = judge("X", {}, lambda: 0.1, self.oracle(calls), 1e-6, 0.0)
+        assert calls == [1e-6 * 0.25]
+        assert rec.status == "PASS"
+        assert rec.numeric == self.RESULT.value
+        assert rec.oracle_error == self.RESULT.error_estimate
+        assert rec.evaluations == 45
+
+    @pytest.mark.parametrize("power", [3.0, 0.05, 7.5])
+    def test_power_divides_value_and_estimate(self, power):
+        calls = []
+        expected = self.RESULT.value / power
+        rec = judge("X", {}, lambda: expected, self.oracle(calls), 1e-6, 0.0, power=power)
+        assert calls == [1e-6 * 0.25 * power]
+        assert rec.status == "PASS"
+        assert rec.numeric == self.RESULT.value / power
+        assert rec.oracle_error == self.RESULT.error_estimate / power
+        assert rec.abs_error == 0.0
+
+    def test_underflowed_tolerance_is_named(self):
+        calls = []
+        rec = judge("X", {}, lambda: 1.0, self.oracle(calls), 1e-30, 0.0, "p", 1e-300)
+        assert rec.status == "ORACLE_FAILED"
+        assert rec.detail == (
+            "p; oracle raised: oracle tolerance tol*power/4 = 1e-30*1e-300/4 underflows to 0.0"
+        )
+        assert calls == []
 
 
 def _kernel_cases():
