@@ -9,8 +9,9 @@ the formula applies, evaluates the closed form, and can cross-check against
 a quadrature oracle.  The oracle takes Frullani's own substitution
 (quadrature.integrate_frullani) on the tail role of the kernel's compiled
 family, with f(inf) read from its expression tree
-(limits.tree_limit_at_infinity) and the head graded at 0 by x = u^2, so
-that a kernel like sqrt(x) there costs a few panels; and the graded
+(limits.tree_limit_at_infinity), the same oracle as the catalog's, whose
+head grades itself by x = u^4 where it finds the integrand singular at 0,
+so that a kernel like sqrt(x) there costs a few panels; and the graded
 decaying map where the tree does not decide f(inf).  The closed form keeps the probe's limits,
 so a wrong limit from either source ends FAIL, not PASS.
 """
@@ -128,9 +129,9 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
     Not-applicable problems short-circuit with status NOT_APPLICABLE.  For
     the rest, the tree is asked for M = f(inf) (limits.tree_limit_at_infinity),
     which only chooses the oracle's route.  Where it decides M, the oracle is
-    integrate_frullani with the tail f(e^s) - M (prob.tail) and the graded
-    head, x = u^2, which maps an algebraic singularity of the integrand at 0
-    like x^(-1/2) to a constant.  Where it does not, the oracle is one
+    integrate_frullani with the tail f(e^s) - M (prob.tail), as for the
+    catalog: its head grades itself by x = u^4 where it finds the integrand
+    singular at 0, as x^(-1/2) is.  Where it does not, the oracle is one
     integrate_decaying call.  Either integrates the power-1 integrand:
     records.judge, as for the catalog, ends a closed form that is not a
     finite double in CONSTRAINT_VIOLATION, applies the power rule u = x^p
@@ -158,7 +159,7 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
     def oracle(share: float):
         if m is None:
             return integrate_decaying(prob.integrand, share)
-        return integrate_frullani(prob.integrand, (prob.a, prob.b), prob.tail(m), share, graded=True)
+        return integrate_frullani(prob.integrand, (prob.a, prob.b), prob.tail(m), share)
 
     return judge(
         "eval", params, lambda: closed_form(prob, f0, finf), oracle, tol, start, provenance,

@@ -42,7 +42,7 @@ code built from quadrature's panel template with the point's body written
 out at each of the 15 nodes: panel() gives its panel(lo, hi), and the
 Frullani integrand alone also has mapped_panel(), the panel of
 integrate_decaying's map x = t^2/(1-t), and graded_panel(), that of
-integrate_frullani's graded head x = t^2.  Each is compiled the first time
+integrate_frullani's graded head x = t^4.  Each is compiled the first time
 a shape's role asks for it, so a shape compiles only the panels that run.
 quadrature runs them in place of gauss_kronrod_panel, one call per panel
 instead of one per node.  A panel where a node raises or is not finite
@@ -94,8 +94,10 @@ class UnboundVariableError(EvaluationError):
         super().__init__(f"unbound variable '{name}'")
 
 
-class DomainError(EvaluationError):
-    """A function or operator was applied outside its real domain."""
+class DomainError(EvaluationError, ValueError):
+    """A function or operator was applied outside its real domain.  A
+    ValueError, as math's domain errors are, so that a quadrature panel
+    names the abscissa where an integrand's fallback raises it."""
 
     def __init__(self, func: str, argument: float):
         self.func = func

@@ -37,13 +37,13 @@ Three layers:
 
 integrate_frullani integrates a Frullani integrand g(x) = [f(alpha x) -
 f(beta x)]/x over the whole line: an adaptive head on (0, c], c =
-pi/max(alpha, beta), graded at 0 by x = u^2 where the caller asks (the
-pipeline does, the catalog does not; a compiled integrand's
-f.graded_panel() inlines the map), and then Frullani's own substitution,
-which makes the tail beyond c the finite integral of (f(u) - M)/u over
-(alpha c, beta c), M being the limit of f at infinity or, for an
-oscillating f, its mean there (Ostrowski, 1949): in s = ln u, the
-caller's tail(s) = f(e^s) - M over (ln alpha c, ln beta c).  A true limit
+pi/max(alpha, beta), which tests at its first bisection whether g is
+singular at 0 and, where it is, restarts graded by x = u^4 (a compiled
+integrand's f.graded_panel() inlines the map); and then Frullani's own
+substitution, which makes the tail beyond c the finite integral of
+(f(u) - M)/u over (alpha c, beta c), M being the limit of f at infinity
+or, for an oscillating f, its mean there (Ostrowski, 1949): in s = ln u,
+the caller's tail(s) = f(e^s) - M over (ln alpha c, ln beta c).  A true limit
 or mean M' costs (M' - M) ln(beta/alpha).  integrate_frullani_oscillatory
 runs it too, unless the faster scale over the base frequency (the gcd of
 the two) is at most SEGMENT_PANELS: then one accelerated tail of g runs on
@@ -112,6 +112,14 @@ _EULER_WSUM = float(sum(_EULER_WEIGHTS))
 SEGMENT_PANELS = 200
 # Most panels one integrate_adaptive call may spend by default.
 MAX_PANELS = 2000
+# integrate_frullani's head is singular at 0 where, at its first bisection,
+# the half at 0 keeps at least this share of the parent's error.  Near x^s
+# or ln x at 0 the error on (0, h] falls like h^(s+1), so a half keeps
+# 2^-(s+1) of it, a quarter or more for s <= 1; an analytic head loses
+# orders of magnitude.
+_SINGULAR_SHARE = 0.25
+# the diagnostic of an integrate_adaptive run that test stopped
+_SINGULAR_AT_LO = f"the half at the lower end kept {_SINGULAR_SHARE} of the error or more"
 # the lower end of a panel (-err, counter, lo, hi, value, err) of integrate_adaptive
 _LOWER = itemgetter(2)
 # 2^-53, the relative rounding unit of a double
@@ -307,13 +315,13 @@ def panel(lo, hi):
 # x, and the Jacobian dx/dt applied to the integrand's value v at x.
 # "decaying" is integrate_decaying's x = t^2/(1-t), as r = t/(1-t) and
 # x = t r, with dx/dt = r (2 + r), where 1 - t is not 0; "graded" is the
-# graded head of integrate_frullani, x = t^2 with dx/dt = 2 t.  Each gives
-# the bits of the function that maps a generic integrand the same way,
-# mapped in integrate_decaying or graded in integrate_frullani: edit the
-# two together.
+# head integrate_frullani grades where it finds g singular at 0, x = t^4 as
+# w = t^2 and x = w^2, with dx/dt = 4 w t.  Each gives the bits of the
+# function that maps a generic integrand the same way, mapped in
+# integrate_decaying or graded in integrate_frullani: edit the two together.
 _MAPS = {
     "decaying": (("r = t / (1.0 - t)", "x = t * r"), "v * (r * (2.0 + r))"),
-    "graded": (("x = t * t",), "v * (2.0 * t)"),
+    "graded": (("w = t * t", "x = w * w"), "v * (4.0 * w * t)"),
 }
 
 
@@ -347,6 +355,8 @@ def integrate_adaptive(
     hi: float,
     tol: float,
     max_panels: int = MAX_PANELS,
+    *,
+    _singular_test: bool = False,
 ) -> QuadratureResult:
     """Globally adaptive G7/K15 integration of f over the finite [lo, hi].
 
@@ -359,7 +369,11 @@ def integrate_adaptive(
     failure is the honest panel-error sum, and the diagnostic names why
     refinement stopped: a value or error sum that is not finite, the panel
     cap, or panels too narrow to split at floating-point resolution; or,
-    for an estimate within the floor, the floor above tol.
+    for an estimate within the floor, the floor above tol.  With
+    _singular_test, integrate_frullani's private test of its head, the run
+    stops at its first bisection where the half at lo keeps at least
+    _SINGULAR_SHARE of its parent's error, having spent 45 evaluations,
+    with the diagnostic _SINGULAR_AT_LO.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("need finite lo < hi")
@@ -395,6 +409,9 @@ def integrate_adaptive(
             continue
         lval, lerr = (panel and panel(plo, mid)) or gauss_kronrod_panel(f, plo, mid)
         rval, rerr = (panel and panel(mid, phi)) or gauss_kronrod_panel(f, mid, phi)
+        if counter == 1 and _singular_test and lerr >= _SINGULAR_SHARE * perr:
+            # the first bisection: the half at lo kept the share of the error
+            return QuadratureResult(lval + rval, lerr + rerr, 45, False, _SINGULAR_AT_LO)
         heappush(panels, (-lerr, counter, plo, mid, lval, lerr))
         heappush(panels, (-rerr, counter + 1, mid, phi, rval, rerr))
         counter += 2
@@ -619,27 +636,29 @@ def integrate_frullani(
     scales: tuple[float, float],
     tail: Callable[[float], float],
     tol: float,
-    graded: bool = False,
 ) -> QuadratureResult:
     """Integral of g(x) = [f(alpha x) - f(beta x)]/x over (0, inf), for a
     kernel f and the positive scales (alpha, beta), with tail(s) = f(e^s) - M,
     M being the limit of f at infinity, or its mean there.
 
     The head of g on (0, c] is integrated adaptively, c = pi/max(alpha,
-    beta) holding half a period of the faster scale.  With graded, the
-    head is taken in u, x = u^2, as the integral of g(u^2) 2u over
-    (0, sqrt c]: an f with f - f(0+) ~ x^s near 0 gives g ~ x^(s-1), which
-    becomes 2 u^(2s-1), so x^(-1/2) maps to a constant and every algebraic
-    singularity at 0 is milder; a compiled g's graded_panel() inlines
-    the map.  Frullani's substitution (u = alpha x in one term, u = beta x
-    in the other) turns the tail beyond c into the finite integral of
-    (f(u) - M)/u over (alpha c, beta c), which is that of tail over
-    (ln alpha c, ln beta c).  The answer is only as right as M: a kernel
-    whose true limit or mean M' differs is off by (M' - M) ln(beta/alpha),
-    and converges.  Budgets are 40% for the head and 60% for the tail, and
-    the diagnostic names, in x, each piece that did not converge.  Equal
-    scales give exactly 0.0 before any quadrature.  Raises ValueError when
-    c is not finite.
+    beta) holding half a period of the faster scale.  The head chooses its
+    own map at its first bisection: where the half at 0 keeps at least
+    _SINGULAR_SHARE of the error, g is singular at 0, and the head restarts
+    in u, x = u^4, as the integral of g(u^4) 4u^3 over (0, c^(1/4)], its
+    record counting the 45 evaluations of the test.  An f with f - f(0+) ~
+    x^s near 0 gives g ~ x^(s-1), which becomes 4 u^(4s-1): x^(-1/2) maps
+    to 4u, and ln x to u^3 ln u.  A compiled g's graded_panel() inlines the
+    map.  An analytic head carries on from the panels of the test.
+    Frullani's substitution (u = alpha x in one term, u = beta x in the
+    other) turns the tail beyond c into the finite integral of (f(u) - M)/u
+    over (alpha c, beta c), which is that of tail over (ln alpha c,
+    ln beta c).  The answer is only as right as M: a kernel whose true
+    limit or mean M' differs is off by (M' - M) ln(beta/alpha), and
+    converges.  Budgets are 40% for the head and 60% for the tail, and the
+    diagnostic names, in x, each piece that did not converge.  Equal scales
+    give exactly 0.0 before any quadrature.  Raises ValueError when c is
+    not finite.
     """
     alpha, beta = scales
     if alpha == beta:
@@ -651,16 +670,18 @@ def integrate_frullani(
     # ln(alpha c) and ln(beta c) as sums of logs, which neither overflow nor
     # underflow where the products would
     lo, hi = sorted(math.log(math.pi) + math.log(s) - math.log(fast) for s in (alpha, beta))
-    if graded:
+    head = integrate_adaptive(g, 0.0, end, 0.4 * tol, _singular_test=True)
+    if head.diagnostic is _SINGULAR_AT_LO:
         # the same map as _MAPS["graded"], which g's compiled graded panel
         # inlines: edit the two together
         def head_integrand(u: float) -> float:
-            return g(u * u) * (2.0 * u)
+            w = u * u
+            return g(w * w) * (4.0 * w * u)
 
         head_integrand.panel = getattr(g, "graded_panel", None)
-        head = integrate_adaptive(head_integrand, 0.0, math.sqrt(end), 0.4 * tol)
-    else:
-        head = integrate_adaptive(g, 0.0, end, 0.4 * tol)
+        spent = head.function_evaluations
+        head = integrate_adaptive(head_integrand, 0.0, math.sqrt(math.sqrt(end)), 0.4 * tol)
+        head = head._replace(function_evaluations=spent + head.function_evaluations)
     body = integrate_adaptive(tail, lo, hi, 0.6 * tol)
     return _joined(
         head.value + (body.value if alpha < beta else -body.value),

@@ -16,7 +16,7 @@ Also holds loop-form reference copies of the G7/K15 panel and the
 oscillatory tail accelerator (reference_panel, reference_tail, with the
 accelerator's abscissae, picks and tableau: reference_ts, reference_picks
 and reference_extrapolate), of the map x = t^2/(1-t) of
-integrate_decaying (reference_mapped), and of the graded head x = u^2 of
+integrate_decaying (reference_mapped), and of the graded head x = u^4 of
 integrate_frullani (reference_graded).  The
 package's versions are unrolled, incremental, planned once per grid or
 compiled with the integrand inlined; the tests require them to return the
@@ -230,11 +230,12 @@ def reference_mapped(f: Callable[[float], float]) -> Callable[[float], float]:
 
 
 def reference_graded(f: Callable[[float], float]) -> Callable[[float], float]:
-    """u -> f(x) dx/du at x = u^2, dx/du = 2 u: the integrand of
-    integrate_frullani's graded head over (0, sqrt c]."""
+    """u -> f(x) dx/du at x = u^4, as w = u^2 and x = w^2, dx/du = 4 w u:
+    the integrand of integrate_frullani's graded head over (0, c^(1/4)]."""
 
     def graded(u: float) -> float:
-        return f(u * u) * (2.0 * u)
+        w = u * u
+        return f(w * w) * (4.0 * w * u)
 
     return graded
 

@@ -268,8 +268,8 @@ PINNED_RECORDS = {
         ("PASS", "0x0.0p+0", 0),
     ),
     "GR-3.484": (
-        ("PASS", "0x1.30e6d4c9c2e88p+0", 750),
-        ("PASS", "0x1.d6c35748e67e6p+3", 780),
+        ("PASS", "0x1.30e6d4ca68468p+0", 135),
+        ("PASS", "0x1.d6c35748f8191p+3", 135),
         ("PASS", "0x0.0p+0", 0),
     ),
     "GR-3.412.1": (
@@ -324,7 +324,7 @@ PINNED_RECORDS = {
     ),
 }
 # integrand evaluations of the default grid, per evaluation class
-CLASS_EVALUATIONS = {"smooth-decay": 2730, "oscillatory": 22785}
+CLASS_EVALUATIONS = {"smooth-decay": 1470, "oscillatory": 22785}
 
 
 class TestPinnedArithmetic:

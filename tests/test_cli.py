@@ -393,8 +393,9 @@ class TestEval:
         )
 
     def test_square_root_kernel_at_half_power_passes(self, capsys):
-        # [f(ax) - f(bx)]/x behaves like x^(-1/2) at 0, which the graded map
-        # turns into a constant; the map x = t/(1-t) reached t = 1 here
+        # [f(ax) - f(bx)]/x behaves like x^(-1/2) at 0, which the graded
+        # head's map x = u^4 turns into 4u; the map x = t/(1-t) reached
+        # t = 1 here
         rc = main([
             "eval", "sqrt(x)/(1+sqrt(x))",
             "--a", "2.49255", "--b", "0.595583", "--power", "0.5",

@@ -190,17 +190,25 @@ class TestPipeline:
 
     def test_pole_in_integrand_is_oracle_failure(self):
         # 1/(x-3) probes finite at both ends but the oracle must cross the
-        # pole at x = 3, which surfaces as an embedded failure, not a crash:
-        # no node lands on the pole, and both pieces bisect towards it up
-        # to the panel cap
+        # pole of the integrand's f(2x) at x = 1.5, which surfaces as an
+        # embedded failure, not a crash: the plain head bisects towards it
+        # until a node lands on it, and the record names that node
         rec = evaluate_pipeline(prob("1/(x - 3)"), 1e-6)
         assert rec.status == "ORACLE_FAILED"
         assert rec.detail.endswith(
-            "oracle did not converge: head on (0, 1.5707963267948966]: panel cap of 2000 panels "
-            "reached; kernel on (1.5707963267948966, 3.141592653589793): panel cap of 2000 "
-            "panels reached"
+            "oracle raised: integrand raised DomainError('/ undefined at argument 0.0') at x = 1.5"
         )
-        assert rec.evaluations == 2 * 15 * (2 * 2000 - 1)
+
+    def test_node_on_a_pole_names_its_abscissa(self):
+        # the centre of the head's first panel, c/2 = pi/4, is the pole of
+        # f(2x): evaluate's DomainError is wrapped with the node, as any
+        # other raising node is
+        rec = evaluate_pipeline(prob(f"1/(x - {math.pi / 2!r})"), 1e-6)
+        assert rec.status == "ORACLE_FAILED"
+        assert rec.detail.endswith(
+            "oracle raised: integrand raised DomainError('/ undefined at argument 0.0') "
+            f"at x = {math.pi / 4!r}"
+        )
 
     @pytest.mark.xfail(strict=True, reason="the split route samples f only on (0, pi]")
     def test_pole_beyond_the_oracle_samples_is_not_a_pass(self):
@@ -221,13 +229,15 @@ class TestPipeline:
             evaluate_pipeline(FrullaniProblem(parse("exp(-x)"), 1, 2), tol)
 
     @pytest.mark.parametrize("src, a, b, power, numeric, evaluations", [
-        # M from the tree: Frullani's substitution
-        # (the head graded, x = u^2, on (0, sqrt(c)])
-        ("1.2*exp(-x)+0.7", 1.3, 2.9, 1.0, "0x1.ecf6302eeef00p-1", 30),
-        ("sqrt(x)/(1+sqrt(x))", 1.35394, 7.95975, 0.930343, "-0x1.e76cf1550d8aep+0", 30),
-        ("sqrt(x)/(1+sqrt(x))", 0.764035, 2.74109, 0.225619, "-0x1.6a614c5082a24p+2", 30),
-        ("cos(x)/(1+x)", 1.0, 2.0, 1.0, "0x1.62e42fefa3b31p-1", 30),
-        ("abs(sin(x))/x", 1.0, 2.0, 1.0, "0x1.62e42fefa39f2p-1", 30),
+        # M from the tree: Frullani's substitution, with a plain head on
+        # (0, c], or, where its first bisection finds the integrand
+        # singular at 0, as sqrt(x)'s, 45 evaluations and then the head
+        # graded, x = u^4, on (0, c^(1/4)]
+        ("1.2*exp(-x)+0.7", 1.3, 2.9, 1.0, "0x1.ecf6302eeef0ep-1", 30),
+        ("sqrt(x)/(1+sqrt(x))", 1.35394, 7.95975, 0.930343, "-0x1.e76cf1550d8b3p+0", 45 + 15 + 15),
+        ("sqrt(x)/(1+sqrt(x))", 0.764035, 2.74109, 0.225619, "-0x1.6a614c5082a21p+2", 45 + 45 + 15),
+        ("cos(x)/(1+x)", 1.0, 2.0, 1.0, "0x1.62e42fefa39f3p-1", 60),
+        ("abs(sin(x))/x", 1.0, 2.0, 1.0, "0x1.62e42fefa39eep-1", 30),
         # the tree leaves (1+c/x)^x undetermined: the decaying map
         ("(1+2.5/x)^x", 0.8, 3.1, 1.0, "-0x1.e4b5da0905d3ep+3", 285),
     ])

@@ -448,19 +448,79 @@ class TestFrullani:
         split = integrate_frullani(g, scales, cos_tail, 1e-5)
         assert integrate_frullani_oscillatory(g, scales, cos_tail, 1e-5) == split
 
-    def test_graded_head_meets_tol_on_a_square_root_singularity(self):
-        # f = sqrt(x)/(1+sqrt(x)) has f - f(0) ~ x^(1/2), so g ~ x^(-1/2) at
-        # 0, which x = u^2 maps to a constant: a few panels where the plain
-        # head bisects towards 0 for thousands of evaluations
+    @staticmethod
+    def pieces(g, scales, tail, tol, graded):
+        """The head and the kernel piece of integrate_frullani, run apart:
+        the head plain on (0, c], or graded, x = u^4, on (0, c^(1/4)]."""
+        alpha, beta = scales
+        fast = max(scales)
+        end = math.pi / fast
+        if graded:
+            head = integrate_adaptive(reference_graded(g), 0.0, math.sqrt(math.sqrt(end)), 0.4 * tol)
+        else:
+            head = integrate_adaptive(g, 0.0, end, 0.4 * tol)
+        lo, hi = sorted(math.log(math.pi) + math.log(s) - math.log(fast) for s in scales)
+        body = integrate_adaptive(tail, lo, hi, 0.6 * tol)
+        return head, body, head.value + (body.value if alpha < beta else -body.value)
+
+    @pytest.mark.parametrize("scales", [(2.0, 1.0), (10.0, 1.0)])
+    def test_an_analytic_head_stays_plain(self, scales):
+        # GR-4.536.2's atan at tol 1e-10: the head bisects, the half at 0
+        # loses most of the error, and the head carries on from the panels
+        # of the test, with the bits and evaluations of a plain run
+        g, tail = self.atan_pair(*scales), self.atan_tail(0.5 * math.pi)
+        res = integrate_frullani(g, scales, tail, 1e-10)
+        head, body, value = self.pieces(g, scales, tail, 1e-10, graded=False)
+        assert head.function_evaluations > 15
+        assert res.converged
+        assert res.value.hex() == value.hex()
+        assert res.function_evaluations == head.function_evaluations + body.function_evaluations
+
+    @staticmethod
+    def gr_3_484(a, p, q):
+        """GR-3.484's integrand [f(q x) - f(p x)]/x, f = (1 + a/x)^x, whose
+        f - 1 ~ x ln(a/x) at 0 gives g a ln x singularity, its tail, and
+        its closed form (e^a - 1) ln(q/p)."""
+        f = lambda x: math.exp(x * math.log1p(a / x))
+        g = lambda x: (f(q * x) - f(p * x)) / x
+        tail = lambda s: f(math.exp(s)) - math.exp(a)
+        return g, (q, p), tail, math.expm1(a) * math.log(q / p)
+
+    @staticmethod
+    def sqrt_ratio(a, b):
+        """f = sqrt(x)/(1+sqrt(x)), whose f - f(0) ~ x^(1/2) gives g ~
+        x^(-1/2) at 0, with its tail and closed form -ln(b/a)."""
         f = lambda x: math.sqrt(x) / (1.0 + math.sqrt(x))
-        g = lambda x: (f(x) - f(3.0 * x)) / x
+        g = lambda x: (f(a * x) - f(b * x)) / x
         tail = lambda s: f(math.exp(s)) - 1.0
-        graded = integrate_frullani(g, (1.0, 3.0), tail, 1e-12, graded=True)
-        plain = integrate_frullani(g, (1.0, 3.0), tail, 1e-12)
-        assert graded.converged and plain.converged
-        assert graded.function_evaluations <= 90 < 1000 < plain.function_evaluations
-        assert graded.value == pytest.approx(plain.value, abs=1e-12)
-        assert graded.value == pytest.approx(-math.log(3.0), abs=1e-12)
+        return g, (a, b), tail, -math.log(b / a)
+
+    @pytest.mark.parametrize("case", [
+        gr_3_484(1.0, 1.0, 2.0), gr_3_484(2.0, 1.0, 10.0), gr_3_484(0.2, 1.0, 1000.0),
+        sqrt_ratio(1.0, 3.0), sqrt_ratio(0.76, 2.74),
+    ])
+    def test_a_head_singular_at_0_is_graded(self, case):
+        # the half at 0 keeps a quarter of the error or more: the head
+        # spends the 45 evaluations of the test and restarts graded
+        g, scales, tail, closed = case
+        tol = 1e-10
+        res = integrate_frullani(g, scales, tail, tol)
+        head, body, value = self.pieces(g, scales, tail, tol, graded=True)
+        assert res.converged, res.diagnostic
+        assert res.value.hex() == value.hex()
+        assert res.function_evaluations == 45 + head.function_evaluations + body.function_evaluations
+        assert abs(res.value - closed) <= tol
+
+    def test_graded_head_meets_tol_on_a_square_root_singularity(self):
+        # g ~ x^(-1/2) at 0, which x = u^4 maps to 4u: a few panels where
+        # the plain head bisects towards 0 for thousands of evaluations
+        g, scales, tail, closed = self.sqrt_ratio(1.0, 3.0)
+        res = integrate_frullani(g, scales, tail, 1e-12)
+        plain, body, value = self.pieces(g, scales, tail, 1e-12, graded=False)
+        assert res.converged and plain.converged
+        assert res.function_evaluations <= 150 < 1000 < plain.function_evaluations
+        assert res.value == pytest.approx(value, abs=1e-12)
+        assert res.value == pytest.approx(closed, abs=1e-12)
 
     def test_a_head_end_that_overflows_is_named(self):
         with pytest.raises(ValueError) as info:
@@ -803,10 +863,10 @@ class TestMatchesReference:
 
     @settings(max_examples=200, deadline=None)
     @given(_frullani_integrands, _intervals)
-    # the pipeline's graded head of a kernel like sqrt(x) at 0
+    # the graded head of a kernel like sqrt(x) at 0
     @example(("pipeline", "sqrt(x)/(1+sqrt(x))", 0.76, 2.74), (0.0, 1e-3))
-    # u^2 underflows to 0, where the integrand divides by x
-    @example(("pipeline", "atan(x)", 1.0, 2.0), (0.0, 1e-170))
+    # u^4 underflows to 0, where the integrand divides by x
+    @example(("pipeline", "atan(x)", 1.0, 2.0), (0.0, 1e-85))
     def test_compiled_graded_panel_bits(self, source, interval):
         f = _compiled_integrand(source)
         graded = reference_graded(f)
