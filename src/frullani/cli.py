@@ -7,7 +7,8 @@ Subcommands:
   verify-all  check every entry over its grid, with text or json reports
   eval        run the probe-then-integrate pipeline on a kernel expression
   series      closed form vs truncated series for the log-cosine identity
-  limits      probe a kernel's limits at 0+ and infinity
+  limits      probe a kernel's limits at 0+ and infinity, and read its
+              limit at infinity from the expression tree
 
 Record lines are stable:
 
@@ -32,7 +33,7 @@ import sys
 from . import catalog
 from .engine import FrullaniProblem, diagnose, evaluate_pipeline
 from .expr import ExprError, compile_kernel, free_variables, parse as parse_expr
-from .limits import ProbeError
+from .limits import ProbeError, tree_limit_at_infinity
 from .records import BAD_STATUSES, SKIP_STATUSES, VerificationRecord
 from .series import SeriesParams, gr_4_324_2_closed, gr_4_324_2_series
 
@@ -237,6 +238,8 @@ def _cmd_limits(args) -> int:
     print(f"at 0+: {report.verdict_at_zero.describe()}")
     print(f"at infinity: {report.verdict_at_infinity.describe()}")
     print(f"applicable: {'yes' if report.applicable else 'no'}")
+    m = tree_limit_at_infinity(tree)
+    print("tree at infinity: " + ("undetermined" if m is None else f"{m!r} (source=tree)"))
     return 0
 
 

@@ -11,9 +11,11 @@ a quadrature oracle.  The oracle takes Frullani's own substitution
 family, with f(inf) read from its expression tree
 (limits.tree_limit_at_infinity), the same oracle as the catalog's, whose
 head grades itself by x = u^4 where it finds the integrand singular at 0,
-so that a kernel like sqrt(x) there costs a few panels; and the graded
-decaying map where the tree does not decide f(inf).  The closed form keeps the probe's limits,
-so a wrong limit from either source ends FAIL, not PASS.
+so that a kernel like sqrt(x) there costs a few panels.  The tree decides
+1^inf too, so (1+c/x)^x takes M = e^c.  The graded decaying map is left for
+a tree that does not decide f(inf), as ((x+1)/x)^x, whose quotient keeps no
+next term.  The closed form keeps the probe's limits, so a wrong limit
+from either source ends FAIL, not PASS.
 """
 
 from __future__ import annotations

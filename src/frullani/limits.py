@@ -20,9 +20,12 @@ tree_limit_at_infinity reads the limit at infinity from a kernel's
 expression tree instead, with no sampling: one walk that places each node
 as a constant, a leading term c x^p (ln x)^q, a growth faster than any
 power, or a bound O(x^p (ln x)^q), after Gruntz's most-rapidly-varying
-method restricted to leading terms.  It gives a number where the tree
-decides a finite limit and None everywhere else.  The probe and the tree
-share no code, so where both give a value each checks the other.
+method restricted to leading terms, and one order deeper where a sum tends
+to a constant: L + r keeps its vanishing remainder r, so ln(1 + r) is r and
+1^inf, as (1+c/x)^x = exp(x ln(1+c/x)), tends to e^c.  It gives a number
+where the tree decides a finite limit and None everywhere else.  The probe
+and the tree share no code, so where both give a value each checks the
+other.
 """
 
 from __future__ import annotations
@@ -195,6 +198,10 @@ def limit_at_infinity(f: Callable[[float], float]) -> LimitVerdict:
 #   ("fast", s)          tends to s*inf faster than any power of x
 #   ("bound", o, p, q)   O(x^p (ln x)^q), or o(x^p (ln x)^q) where o is
 #                        True; p = -inf is below every power, as exp(-x)
+#   ("near", L, r)       L + r: a sum whose leading part is the constant L
+#                        (finite, non-zero) keeps r, the term or bound that
+#                        its other addends leave, which vanishes; sums and
+#                        ln at L = 1 read r, every other rule the term L
 # so kind[2:4] is (p, q) of a term and of a bound.  A node the pass cannot
 # place is None, and so is every node above it.
 _X = ("term", 1.0, 1, 0)
@@ -211,11 +218,15 @@ def tree_limit_at_infinity(expr, walk=None) -> float | None:
     coefficients are combined in floating point, so a value is exact up
     to their rounding.  Leading terms that cancel leave the order they
     cancelled at, with a little o: (x+1) - (x+2) is o(x), and no limit.
+    A sum whose leading part is a constant L keeps the remainder r its
+    other addends leave, so ln(L + r) at L = 1 is r, and 1^inf is decided:
+    (1+c/x)^x = exp(x ln(1+c/x)) = exp(x c/x (1 + o(1))) tends to e^c.
     Returns None wherever the tree does not decide a finite limit: leading
-    terms that cancel at a growing order; 1^inf, as in (1+c/x)^x, whose
-    exponent x ln(1+c/x) is x times o(1); a bounded oscillation, as
-    sin(x); growth; a constant that is not a finite double, as exp(1000);
-    a variable other than x.  None says nothing about the kernel.
+    terms that cancel at a growing order; 1^inf where the base is not a
+    sum, as ((x+1)/(x+2))^x, since a quotient keeps no remainder; a bounded
+    oscillation, as sin(x); growth; a constant that is not a finite
+    double, as exp(1000); a variable other than x.  None says nothing about
+    the kernel.
     """
     try:
         # the nodes in post-order, every constant read from slots in turn
@@ -242,6 +253,8 @@ def tree_limit_at_infinity(expr, walk=None) -> float | None:
     kind = kinds[0]
     if kind[0] == "const":
         return kind[1] if math.isfinite(kind[1]) else None
+    if kind[0] == "near":
+        return kind[1]
     if _vanishes(kind):
         return 0.0
     return kind[1] if kind[0] == "term" and kind[2:] == (0, 0) else None
@@ -271,6 +284,8 @@ def _negated(kind: tuple) -> tuple:
         return (kind[0], -kind[1])
     if kind[0] == "term":
         return ("term", -kind[1], kind[2], kind[3])
+    if kind[0] == "near":
+        return ("near", -kind[1], _negated(kind[2]))
     return kind
 
 
@@ -292,12 +307,12 @@ def _binary(op: str, a: tuple, b: tuple) -> tuple | None:
         if op in ("+", "-"):
             return b if op == "+" else _negated(b)
         return None if b[0] == ("fast" if op == "*" else "bound") else ("const", 0.0)
-    # any other constant is the term c x^0
-    a, b = (("term", k[1], 0, 0) if k[0] == "const" else k for k in (a, b))
-    if op == "+":
-        return _sum(a, b)
-    if op == "-":
-        return _sum(a, _negated(b))
+    if op in ("+", "-"):
+        # any other constant is the term c x^0
+        a, b = (("term", k[1], 0, 0) if k[0] == "const" else k for k in (a, b))
+        return _sum(a, b if op == "+" else _negated(b))
+    # and so is L + r in a product or a quotient
+    a, b = (("term", k[1], 0, 0) if k[0] in ("const", "near") else k for k in (a, b))
     if op == "*":
         return _product(a, b)
     return _quotient(a, b)
@@ -313,13 +328,38 @@ def _sum(a: tuple, b: tuple) -> tuple | None:
         if a[0] == b[0] and a[1] != b[1]:
             return None
         return a if a[0] == "fast" else b
+    if a[0] == "near" or b[0] == "near":
+        return _near_sum(a, b) if a[0] == "near" else _near_sum(b, a)
     if a[0] == b[0] == "term" and a[2:] == b[2:]:
         c = a[1] + b[1]
         if c == 0.0:
             # the leading terms cancel: o(x^p (ln x)^q) is left
             return ("bound", True, a[2], a[3])
         return _term(c, a[2], a[3])
-    return max(a, b, key=_order)
+    lead = max(a, b, key=_order)
+    if lead[0] == "term" and lead[2:] == (0, 0):
+        # a constant leads, so the other addend vanishes: keep it
+        return ("near", lead[1], b if lead is a else a)
+    return lead
+
+
+def _near_sum(a: tuple, b: tuple) -> tuple | None:
+    """L + r plus b: constants add to constants and remainders to
+    remainders, and a b of higher order than a constant is the sum."""
+    if b[0] == "near":
+        c, r = b[1], _sum(a[2], b[2])
+    elif b[0] == "term" and b[2:] == (0, 0):
+        c, r = b[1], a[2]
+    elif _order(b) < (0, 0, 1):
+        c, r = 0.0, _sum(a[2], b)
+    else:
+        return b
+    total = a[1] + c
+    if total == 0.0:
+        return r  # the constants cancel: the remainder leads
+    if r is None:
+        return _term(total, 0, 0)  # a remainder coefficient overflowed
+    return ("near", total, r) if math.isfinite(total) else None
 
 
 def _sign(kind: tuple) -> int:
@@ -354,6 +394,8 @@ def _power(a: tuple, b: tuple) -> tuple | None:
         product = log and _binary("*", b, log)
         return product and _call("exp", product)
     e = b[1]
+    if a[0] == "near":
+        a = ("term", a[1], 0, 0)
     return _raised(a, e, lambda c: math.pow(c, e)) if math.isfinite(e) else None
 
 
@@ -375,6 +417,10 @@ def _raised(kind: tuple, e: float, coefficient) -> tuple | None:
 def _call(func: str, kind: tuple) -> tuple | None:
     if kind[0] == "const":
         return _folded(Call(func, Const(kind[1])))
+    if kind[0] == "near":
+        if func == "ln" and kind[1] == 1.0:
+            return kind[2]  # ln(1 + r) is r (1 + o(1)), as log1p(r) is
+        kind = ("term", kind[1], 0, 0)
     if func == "sqrt":
         return _raised(kind, 0.5, math.sqrt)
     if func == "abs":

@@ -420,10 +420,10 @@ class TestEval:
         assert captured.err == ""
 
     def test_mapped_abscissa_reaching_one_is_named(self, capsys):
-        # (1+1/x)^x leaves f(inf) to the decaying map, which reaches t = 1
-        # on this kernel as it did on sqrt(x)/(1+sqrt(x)) alone
+        # ((x+1)/x)^x leaves f(inf) to the decaying map, which reaches
+        # t = 1 on this kernel as it did on sqrt(x)/(1+sqrt(x)) alone
         rc = main([
-            "eval", "(1+1/x)^x*sqrt(x)/(1+sqrt(x))",
+            "eval", "((x+1)/x)^x*sqrt(x)/(1+sqrt(x))",
             "--a", "0.764035", "--b", "2.74109", "--power", "0.225619",
         ])
         captured = capsys.readouterr()
@@ -438,7 +438,7 @@ class TestEval:
     def test_non_convergence_names_the_panel_cap(self, capsys):
         # the mapped integrand oscillates without limit at t = 1, so the
         # oracle spends its 2000 panels and says so
-        rc = main(["eval", "cos(x)*(1+1/x)^x/(1+x)", "--a", "1", "--b", "2"])
+        rc = main(["eval", "cos(x)*((x+1)/x)^x/(1+x)", "--a", "1", "--b", "2"])
         captured = capsys.readouterr()
         assert rc == 1
         assert fields(captured.out.splitlines()[0])["status"] == "ORACLE_FAILED"
@@ -550,6 +550,17 @@ class TestLimits:
         assert rc == 0
         assert "no-limit" in out[1]
         assert out[2] == "applicable: no"
+        assert out[3] == "tree at infinity: undetermined"
+
+    def test_tree_verdict_beside_the_probes(self, capsys):
+        # the probe's verdicts keep their lines; the tree's follows them,
+        # so its e^4.4 shows beside the probe's misread 1.0
+        rc = main(["limits", "(1+4.4/x)^x"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert out[1].startswith("at infinity: ")
+        assert out[2] == "applicable: yes"
+        assert out[3:] == [f"tree at infinity: {math.exp(4.4)!r} (source=tree)"]
 
     def test_foreign_variable(self, capsys):
         rc = main(["limits", "exp(-x) + y"])

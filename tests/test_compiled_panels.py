@@ -27,7 +27,7 @@ DEFECT_INPUTS = (
     ("GR-4.324.2", {"a": 0.5, "p": 1.0, "q": 2.0}, 1e-8),
 )
 # One binding per pipeline-kernels family and special kind: (kernel, a, b,
-# power), and two whose (1+1/x)^x factor leaves f(inf) to the decaying map:
+# power), and two whose ((x+1)/x)^x factor leaves f(inf) to the decaying map:
 # the first reaches t = 1, the second ends at the 2000-panel cap.
 PIPELINE_INPUTS = (
     ("1.5*exp(-x)+0.5", 1.0, 2.0, 1.0),
@@ -41,8 +41,8 @@ PIPELINE_INPUTS = (
     ("sin(x)", 1.0, 2.0, 1.0),
     ("1/(1+x^0.1)", 1.0, 2.0, 1.0),
     ("cos(x)/(1+x)", 1.0, 2.0, 1.0),
-    ("(1+1/x)^x*sqrt(x)/(1+sqrt(x))", 0.764035, 2.74109, 0.225619),
-    ("cos(x)*(1+1/x)^x/(1+x)", 1.0, 2.0, 1.0),
+    ("((x+1)/x)^x*sqrt(x)/(1+sqrt(x))", 0.764035, 2.74109, 0.225619),
+    ("cos(x)*((x+1)/x)^x/(1+x)", 1.0, 2.0, 1.0),
 )
 
 

@@ -238,8 +238,8 @@ class TestPipeline:
         ("sqrt(x)/(1+sqrt(x))", 0.764035, 2.74109, 0.225619, "-0x1.6a614c5082a21p+2", 45 + 45 + 15),
         ("cos(x)/(1+x)", 1.0, 2.0, 1.0, "0x1.62e42fefa39f3p-1", 60),
         ("abs(sin(x))/x", 1.0, 2.0, 1.0, "0x1.62e42fefa39eep-1", 30),
-        # the tree leaves (1+c/x)^x undetermined: the decaying map
-        ("(1+2.5/x)^x", 0.8, 3.1, 1.0, "-0x1.e4b5da0905d3ep+3", 285),
+        # 1^inf: the tree reads M = e^2.5 from (1+c/x)^x = exp(x ln(1+c/x))
+        ("(1+2.5/x)^x", 0.8, 3.1, 1.0, "-0x1.e4b5da08fd120p+3", 135),
     ])
     def test_oracle_arithmetic_is_pinned(self, src, a, b, power, numeric, evaluations):
         # the compiled integrand must do the arithmetic of
@@ -252,7 +252,9 @@ class TestPipeline:
     @pytest.mark.parametrize("src, route", [
         ("exp(-x)", "oracle=frullani M=0.0 (tree)"),
         ("atan(x)", "oracle=frullani M=1.5707963267948966 (tree)"),
-        ("(1+2.5/x)^x", "oracle=decaying map (tree undetermined)"),
+        ("(1+2.5/x)^x", "oracle=frullani M=12.182493960703473 (tree)"),
+        # the quotient carries no next term, so ((x+c)/x)^x stays 1^inf
+        ("((x+2.5)/x)^x", "oracle=decaying map (tree undetermined)"),
     ])
     def test_record_names_its_oracle(self, src, route):
         rec = evaluate_pipeline(prob(src), 1e-13)
@@ -292,8 +294,9 @@ class TestPipeline:
         assert rec.numeric == pytest.approx(math.log(2.0) - 0.5 * math.log(2.0), abs=1e-6)
 
 
-# undetermined by the tree, through its (1+1/x)^x factor, which tends to e
-_SLOW_COS = "cos(x)*(1+1/x)^x/(1+x)"
+# undetermined by the tree, through its ((x+1)/x)^x factor, which tends to
+# e: the quotient rule carries no next term, so the factor stays 1^inf
+_SLOW_COS = "cos(x)*((x+1)/x)^x/(1+x)"
 
 
 def _full_budget(src, a, b, tol, p=1.0):
@@ -319,9 +322,9 @@ class TestOracleBudget:
         # x [f(ax) - f(bx)] has no limit at infinity, yet the full budget
         # meets the tolerance
         pytest.param(_SLOW_COS, 3e-3, id="slow-cos-0.003"),
-        pytest.param("abs(sin(x))*(1+1/x)^x/x", 1e-2, id="slow-abs-sin-0.01"),
+        pytest.param("abs(sin(x))*((x+1)/x)^x/x", 1e-2, id="slow-abs-sin-0.01"),
         # a finite far limit
-        pytest.param("cos(x)*(1+1/x)^x/(1+x)^2", 1e-6, id="slow-cos-squared-1e-06"),
+        pytest.param("cos(x)*((x+1)/x)^x/(1+x)^2", 1e-6, id="slow-cos-squared-1e-06"),
     ])
     def test_rerun_matches_one_full_budget_call(self, src, tol):
         rec = evaluate_pipeline(prob(src, a=1.3, b=2.7), tol)
@@ -333,7 +336,7 @@ class TestOracleBudget:
         )
 
     def test_power_divides_the_first_pass_result(self):
-        src, a, b, p, tol = "(1+1/x)^x*exp(-x)", 1.35394, 7.95975, 0.930343, 1e-6
+        src, a, b, p, tol = "((x+1)/x)^x*exp(-x)", 1.35394, 7.95975, 0.930343, 1e-6
         full = _full_budget(src, a, b, tol, p)
         rec = evaluate_pipeline(prob(src, a, b, p), tol)
         assert full.converged and rec.status == "PASS"

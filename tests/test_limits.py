@@ -283,8 +283,11 @@ def test_tree_gives_the_catalogs_declared_limit(entry, params):
 
 
 @pytest.mark.parametrize("text", [
-    "(1+4.4/x)^x",  # 1^inf
-    "x*ln(1+1/x)",  # x times o(1)
+    "((x+1)/(x+2))^x",  # 1^inf through a quotient, which keeps no next term
+    "(2+1/x)^x",  # 2^inf grows
+    "(1+1/sqrt(x))^x",  # exp(sqrt(x)) grows
+    "(1+sin(x)/x)^x",  # exp(O(1)), no limit
+    "sqrt(x^2+1)-x",  # leading terms that cancel under a root
     "exp(-800+exp(-x))",  # exp of a finite limit, underflowing to 0
     "sin(x)",
     "cos(x)",
@@ -304,6 +307,14 @@ def test_tree_leaves_undetermined(text):
     ("((x+1)-(x+2))/x", 0.0),  # o(x)/x
     ("(expm1(-2*x) - expm1(-x))/x", 0.0),  # leading terms cancel at order 1
     ("exp(x*log1p(2.5/x))", math.exp(2.5)),
+    # 1^inf: ln(1 + r) is r, so u^v = exp(v ln u) reads the remainder
+    ("(1+4.4/x)^x", math.exp(4.4)),
+    ("x*ln(1+1/x)", 1.0),
+    ("(1-1/x)^x", math.exp(-1.0)),
+    ("(1+1/x)^(2*x)", math.exp(2.0)),
+    ("(1+1/x^2)^x", 1.0),
+    ("(1+1/x-1/x)^x", 1.0),  # the remainders cancel: (1 + o(1/x))^x
+    ("x*((1+1/x)-1)", 1.0),  # the constants cancel: the remainder leads
     ("x^(-x)", 0.0),
     ("x*exp(-exp(x))", 0.0),
     ("1/ln(2.718281828+x)", 0.0),
@@ -324,6 +335,30 @@ def test_tree_walk_is_not_bounded_by_the_recursion_limit():
     assert tree_limit_at_infinity(tree) == pytest.approx(2.0 / (1.0 + math.sqrt(5.0)), rel=1e-15)
 
 
+_SHORT_DECIMALS = st.integers(-500, 500).filter(bool).map(lambda k: k / 100)
+_ORDERS = st.sampled_from([0.5, 1.0, 2.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=_SHORT_DECIMALS, p=_ORDERS, q=_ORDERS)
+def test_tree_decides_one_to_the_infinity(c, p, q):
+    # (1 + c x^-p)^(x^q) = exp(c x^(q-p) (1 + o(1)))
+    limit = tree_limit_at_infinity(parse(f"(1+({c})*x^(-{p}))^(x^{q})"))
+    if p > q:
+        assert limit == 1.0
+    elif p == q:
+        assert limit == math.exp(c)
+    else:
+        assert limit == (None if c > 0 else 0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="the probe's samples of (1+4.4/x)^x lose their digits "
+                   "to the rounding of 1 + 4.4/x and settle on 1.0 from x = 2^56 (ROADMAP item 4)")
+def test_probe_reads_the_compound_limit():
+    v = limit_at_infinity(compile_kernel(parse("(1+4.4/x)^x")))
+    assert v.is_finite and v.value == pytest.approx(math.exp(4.4), rel=1e-6)
+
+
 def _agrees_with_the_probe(text):
     """The tree against a probe verdict whose samples settled: where both
     give a value, they agree to 1e-6 relative to max(1, |limit|)."""
@@ -341,9 +376,29 @@ def test_tree_agrees_with_the_probe_on_the_fuzz_corpus():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_tree_agrees_with_the_probe_on_the_pipeline_workload(seed):
+def test_tree_gives_the_generators_limit_on_the_pipeline_workload(seed, monkeypatch):
+    # the generator's own f(inf) for each text, where it gives one: the
+    # tree decides every such text, to a relative 1e-12
+    limits = {text: pair[1] for texts, pair in workloads._SPECIAL_KERNELS.values()
+              if pair is not None for text in texts}
+    family = workloads._kernel_family
+
+    def recorded(*args):
+        text, f0, finf = family(*args)
+        limits[text] = finf
+        return text, f0, finf
+
+    monkeypatch.setattr(workloads, "_kernel_family", recorded)
     texts = {req.kernel for req in workloads.pipeline_kernels(seed).requests}
-    assert sorted(text for text in texts if not _agrees_with_the_probe(text)) == []
+    for text in texts & limits.keys():
+        tree, finf = tree_limit_at_infinity(parse(text)), limits[text]
+        assert tree is not None and abs(tree - finf) <= 1e-12 * abs(finf), text
+    # the non-applicable kernels have no limit pair; of them only 1/x has
+    # a limit at infinity
+    assert {text: tree_limit_at_infinity(parse(text)) for text in texts - limits.keys()} == {
+        text: 0.0 if text == "1/x" else None
+        for text in workloads._SPECIAL_KERNELS["non-applicable"][0]
+    }
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
