@@ -20,8 +20,8 @@ tree_limit_at_infinity reads the limit at infinity from a kernel's
 expression tree instead, with no sampling: one walk that places each node
 as a constant, a leading term c x^p (ln x)^q, a growth faster than any
 power, or a bound O(x^p (ln x)^q), after Gruntz's most-rapidly-varying
-method restricted to leading terms, and one order deeper where a sum tends
-to a constant: L + r keeps its vanishing remainder r, so ln(1 + r) is r and
+method restricted to leading terms, and one order deeper where a sum of
+exact constants L and vanishing addends r keeps r, so ln(1 + r) is r and
 1^inf, as (1+c/x)^x = exp(x ln(1+c/x)), tends to e^c.  It gives a number
 where the tree decides a finite limit and None everywhere else.  The probe
 and the tree share no code, so where both give a value each checks the
@@ -198,10 +198,10 @@ def limit_at_infinity(f: Callable[[float], float]) -> LimitVerdict:
 #   ("fast", s)          tends to s*inf faster than any power of x
 #   ("bound", o, p, q)   O(x^p (ln x)^q), or o(x^p (ln x)^q) where o is
 #                        True; p = -inf is below every power, as exp(-x)
-#   ("near", L, r)       L + r: a sum whose leading part is the constant L
-#                        (finite, non-zero) keeps r, the term or bound that
-#                        its other addends leave, which vanishes; sums and
-#                        ln at L = 1 read r, every other rule the term L
+#   ("near", L, r)       L + r: a sum of exact constants, which add to L
+#                        (finite, non-zero), and of addends that vanish,
+#                        whose sum r is a term or a bound; sums and ln at
+#                        L = 1 read r, every other rule the term L
 # so kind[2:4] is (p, q) of a term and of a bound.  A node the pass cannot
 # place is None, and so is every node above it.
 _X = ("term", 1.0, 1, 0)
@@ -218,12 +218,14 @@ def tree_limit_at_infinity(expr, walk=None) -> float | None:
     coefficients are combined in floating point, so a value is exact up
     to their rounding.  Leading terms that cancel leave the order they
     cancelled at, with a little o: (x+1) - (x+2) is o(x), and no limit.
-    A sum whose leading part is a constant L keeps the remainder r its
-    other addends leave, so ln(L + r) at L = 1 is r, and 1^inf is decided:
-    (1+c/x)^x = exp(x ln(1+c/x)) = exp(x c/x (1 + o(1))) tends to e^c.
+    A sum of exact constants, L, and of addends that vanish, r, keeps r,
+    so ln(L + r) at L = 1 is r, and 1^inf is decided: (1+c/x)^x =
+    exp(x ln(1+c/x)) = exp(x c/x (1 + o(1))) tends to e^c.  Only a constant
+    of the tree is exact: a node that merely tends to one, as (x+1)/x or
+    exp(1/x), keeps no remainder, so no addend beside it is read as its rest.
     Returns None wherever the tree does not decide a finite limit: leading
-    terms that cancel at a growing order; 1^inf where the base is not a
-    sum, as ((x+1)/(x+2))^x, since a quotient keeps no remainder; a bounded
+    terms that cancel at a growing order; 1^inf where the base's 1 is not
+    an exact constant, as ((x+1)/(x+2))^x or ((x+1)/x + 1/x)^x; a bounded
     oscillation, as sin(x); growth; a constant that is not a finite
     double, as exp(1000); a variable other than x.  None says nothing about
     the kernel.
@@ -308,14 +310,16 @@ def _binary(op: str, a: tuple, b: tuple) -> tuple | None:
             return b if op == "+" else _negated(b)
         return None if b[0] == ("fast" if op == "*" else "bound") else ("const", 0.0)
     if op in ("+", "-"):
-        # any other constant is the term c x^0
-        a, b = (("term", k[1], 0, 0) if k[0] == "const" else k for k in (a, b))
         return _sum(a, b if op == "+" else _negated(b))
-    # and so is L + r in a product or a quotient
-    a, b = (("term", k[1], 0, 0) if k[0] in ("const", "near") else k for k in (a, b))
+    a, b = _lead(a), _lead(b)
     if op == "*":
         return _product(a, b)
     return _quotient(a, b)
+
+
+def _lead(kind: tuple) -> tuple:
+    """A constant, or L + r, read as the term c x^0 that leads it."""
+    return ("term", kind[1], 0, 0) if kind[0] in ("const", "near") else kind
 
 
 def _order(kind: tuple) -> tuple:
@@ -328,33 +332,32 @@ def _sum(a: tuple, b: tuple) -> tuple | None:
         if a[0] == b[0] and a[1] != b[1]:
             return None
         return a if a[0] == "fast" else b
-    if a[0] == "near" or b[0] == "near":
-        return _near_sum(a, b) if a[0] == "near" else _near_sum(b, a)
+    if b[0] in ("const", "near"):
+        a, b = b, a
+    if a[0] in ("const", "near"):
+        return _near_sum(a, b)
     if a[0] == b[0] == "term" and a[2:] == b[2:]:
         c = a[1] + b[1]
         if c == 0.0:
             # the leading terms cancel: o(x^p (ln x)^q) is left
             return ("bound", True, a[2], a[3])
         return _term(c, a[2], a[3])
-    lead = max(a, b, key=_order)
-    if lead[0] == "term" and lead[2:] == (0, 0):
-        # a constant leads, so the other addend vanishes: keep it
-        return ("near", lead[1], b if lead is a else a)
-    return lead
+    return max(a, b, key=_order)
 
 
 def _near_sum(a: tuple, b: tuple) -> tuple | None:
-    """L + r plus b: constants add to constants and remainders to
-    remainders, and a b of higher order than a constant is the sum."""
-    if b[0] == "near":
-        c, r = b[1], _sum(a[2], b[2])
-    elif b[0] == "term" and b[2:] == (0, 0):
-        c, r = b[1], a[2]
-    elif _order(b) < (0, 0, 1):
-        c, r = 0.0, _sum(a[2], b)
-    else:
-        return b
-    total = a[1] + c
+    """a, an exact constant or L + r, plus b, a node that reads x: the
+    constants add, and so do the remainders where b vanishes.  Any other
+    b only tends to its limit, with a remainder the pass does not know, so
+    a is read as its constant term there."""
+    total, r = a[1], a[2] if a[0] == "near" else None
+    if b[0] in ("const", "near"):
+        total += b[1]
+        b = b[2] if b[0] == "near" else None
+    elif not _vanishes(b):
+        return _sum(_lead(a), b)
+    if b is not None:
+        r = b if r is None else _sum(r, b)
     if total == 0.0:
         return r  # the constants cancel: the remainder leads
     if r is None:
@@ -394,9 +397,7 @@ def _power(a: tuple, b: tuple) -> tuple | None:
         product = log and _binary("*", b, log)
         return product and _call("exp", product)
     e = b[1]
-    if a[0] == "near":
-        a = ("term", a[1], 0, 0)
-    return _raised(a, e, lambda c: math.pow(c, e)) if math.isfinite(e) else None
+    return _raised(_lead(a), e, lambda c: math.pow(c, e)) if math.isfinite(e) else None
 
 
 def _raised(kind: tuple, e: float, coefficient) -> tuple | None:
@@ -417,10 +418,9 @@ def _raised(kind: tuple, e: float, coefficient) -> tuple | None:
 def _call(func: str, kind: tuple) -> tuple | None:
     if kind[0] == "const":
         return _folded(Call(func, Const(kind[1])))
-    if kind[0] == "near":
-        if func == "ln" and kind[1] == 1.0:
-            return kind[2]  # ln(1 + r) is r (1 + o(1)), as log1p(r) is
-        kind = ("term", kind[1], 0, 0)
+    if kind[0] == "near" and func == "ln" and kind[1] == 1.0:
+        return kind[2]  # ln(1 + r) is r (1 + o(1)), as log1p(r) is
+    kind = _lead(kind)
     if func == "sqrt":
         return _raised(kind, 0.5, math.sqrt)
     if func == "abs":

@@ -242,7 +242,7 @@ def _within_4_ulp(value, exact):
 # ln(1.0 + d*exp(-x)) is the log of a limit of exactly 1
 _CONSTANTS = [(0.2, 5.0, 0.5), (0.73, 1.41, 1.7), (1.0, 2.64, 3.6), (2.35, 0.3, 3.0), (5.0, 5.0, 2.2)]
 _DECIDED_FAMILIES = ("exp-affine", "atan", "log-exp", "shifted-power", "ratio-power",
-                     "sqrt-ratio", "log-ratio")
+                     "compound", "sqrt-ratio", "log-ratio")
 
 
 @pytest.mark.parametrize("family", _DECIDED_FAMILIES)
@@ -284,6 +284,12 @@ def test_tree_gives_the_catalogs_declared_limit(entry, params):
 
 @pytest.mark.parametrize("text", [
     "((x+1)/(x+2))^x",  # 1^inf through a quotient, which keeps no next term
+    # bases that only tend to 1 keep no remainder, so a vanishing addend
+    # beside them is not the whole rest: their limits are e^2, e^2, e^1.5, e^2
+    "((x+1)/x+1/x)^x",
+    "(exp(1/x)+1/x)^x",
+    "(sqrt(1+1/x)+1/x)^x",
+    "((1+1/x)+exp(1/x)-1)^x",
     "(2+1/x)^x",  # 2^inf grows
     "(1+1/sqrt(x))^x",  # exp(sqrt(x)) grows
     "(1+sin(x)/x)^x",  # exp(O(1)), no limit
@@ -315,6 +321,7 @@ def test_tree_leaves_undetermined(text):
     ("(1+1/x^2)^x", 1.0),
     ("(1+1/x-1/x)^x", 1.0),  # the remainders cancel: (1 + o(1/x))^x
     ("x*((1+1/x)-1)", 1.0),  # the constants cancel: the remainder leads
+    ("(1/x+(1+1/x))^x", math.exp(2.0)),  # a vanishing addend joins the remainder
     ("x^(-x)", 0.0),
     ("x*exp(-exp(x))", 0.0),
     ("1/ln(2.718281828+x)", 0.0),
