@@ -40,10 +40,10 @@ integrand's and the log-tail's are Python closures over it.  Each compiled
 role also carries the G7/K15 panels quadrature runs on it, straight-line
 code built from quadrature's panel template with the point's body written
 out at each of the 15 nodes: panel() gives its panel(lo, hi), and the
-Frullani integrand alone also has mapped_panel(), the panel of
-integrate_decaying's map x = t^2/(1-t), and graded_panel(), that of
-integrate_frullani's graded head x = t^4.  Each is compiled the first time
-a shape's role asks for it, so a shape compiles only the panels that run.
+Frullani integrand alone also has graded_panel(), the panel of
+integrate_frullani's graded head x = t^4.  integrate_decaying's map runs
+on the generic panel.  Each is compiled the first time a shape's role asks
+for it, so a shape compiles only the panels that run, four at most.
 quadrature runs them in place of gauss_kronrod_panel, one call per panel
 instead of one per node.  A panel where a node raises or is not finite
 returns None, and quadrature reruns it point by point, so every result and
@@ -583,13 +583,15 @@ def _bodies(
     return bodies, tuple(hoisted), (*names, *(line.split(" = ")[0] for line in hoisted))
 
 
+# a shape's four panels: the kernel's, the Frullani integrand's plain and
+# graded ones, and the log-tail's
 @functools.lru_cache(maxsize=4 * _SHAPE_CACHE_SIZE)
-def _panel_maker(shape: tuple[Union[str, int], ...], role: str, mapping: str | None) -> Callable:
+def _panel_maker(shape: tuple[Union[str, int], ...], role: str, graded: bool) -> Callable:
     """make(c0, c1, ..., k0, k1, ...[, a, b | m]) for one shape: it returns
     the G7/K15 panel of role, the kernel, the Frullani integrand (also over
     a and b) or the log-tail (also over m), over the names build binds
-    (_bodies), or, with mapping, the panel of that map of it
-    (quadrature.panel_source)."""
+    (_bodies), or, with graded, the panel of the integrand graded by
+    x = t^4 (quadrature.panel_source)."""
     bodies, _, names = _bodies(shape)
     lines, value = bodies[role]
     if role == "integrand":
@@ -599,21 +601,21 @@ def _panel_maker(shape: tuple[Union[str, int], ...], role: str, mapping: str | N
     namespace = dict(_HELPERS, **PANEL_GLOBALS)
     exec(
         f"def make({', '.join(names)}):\n"
-        f"{_indented(panel_source(lines, value, mapping).splitlines(), 4)}"
+        f"{_indented(panel_source(lines, value, graded).splitlines(), 4)}"
         "    return panel\n",
         namespace,
     )
     return namespace["make"]
 
 
-def _panel(shape: tuple[Union[str, int], ...], role: str, mapping: str | None, args: tuple) -> Callable:
+def _panel(shape: tuple[Union[str, int], ...], role: str, graded: bool, args: tuple) -> Callable:
     """() -> the panel _panel_maker makes over args, made at the first call,
     so a shape compiles only the panels that run."""
     made: list[Callable] = []
 
     def panel() -> Callable:
         if not made:
-            made.append(_panel_maker(shape, role, mapping)(*args))
+            made.append(_panel_maker(shape, role, graded)(*args))
         return made[0]
 
     return panel
@@ -621,13 +623,12 @@ def _panel(shape: tuple[Union[str, int], ...], role: str, mapping: str | None, a
 
 def _with_panels(f: Callable, shape: tuple[Union[str, int], ...], role: str, args) -> Callable:
     """f, carrying panel(), its panel as role over args (_panel), unless
-    args is None; the Frullani integrand, which integrate_decaying and the
-    graded head also run, carries mapped_panel() and graded_panel() too."""
+    args is None; the Frullani integrand, which the graded head also runs,
+    carries graded_panel() too."""
     if args is not None:
-        f.panel = _panel(shape, role, None, args)
+        f.panel = _panel(shape, role, False, args)
         if role == "integrand":
-            f.mapped_panel = _panel(shape, role, "decaying", args)
-            f.graded_panel = _panel(shape, role, "graded", args)
+            f.graded_panel = _panel(shape, role, True, args)
     return f
 
 

@@ -25,9 +25,9 @@ Three layers:
   integrate_decaying          semi-infinite integrals of decaying integrands
                               (the pipeline's oracle where the tree leaves
                               f(inf) undetermined), mapped onto (0, 1) by
-                              x = t^2/(1-t), graded at t = 0; a compiled
-                              integrand's f.mapped_panel() inlines the map
-                              too.
+                              x = t^2/(1-t), graded at t = 0, with a Python
+                              closure for the map, which runs on the generic
+                              panel whether or not f is compiled.
   integrate_oscillatory_tail  conditionally convergent tails: fixed-width
                               half-period segments, partial sums accelerated
                               by iterated Euler averaging plus extrapolation
@@ -39,9 +39,10 @@ integrate_frullani integrates a Frullani integrand g(x) = [f(alpha x) -
 f(beta x)]/x over the whole line: an adaptive head on (0, c], c =
 pi/max(alpha, beta), which tests at its first bisection whether g is
 singular at 0 and, where it is, restarts graded by x = u^4 (a compiled
-integrand's f.graded_panel() inlines the map); and then Frullani's own
-substitution, which makes the tail beyond c the finite integral of
-(f(u) - M)/u over (alpha c, beta c), M being the limit of f at infinity
+integrand's f.graded_panel() inlines that map, _GRADED, the one map a
+compiled panel carries); and then Frullani's own substitution, which
+makes the tail beyond c the finite integral of (f(u) - M)/u over
+(alpha c, beta c), M being the limit of f at infinity
 or, for an oscillating f, its mean there (Ostrowski, 1949): in s = ln u,
 the caller's tail(s) = f(e^s) - M over (ln alpha c, ln beta c).  A true limit
 or mean M' costs (M' - M) ln(beta/alpha).  integrate_frullani_oscillatory
@@ -311,32 +312,26 @@ def panel(lo, hi):
     if not isfinite({total}):
         return None
 {sums}"""
-# The maps of a compiled panel, by name: the lines that take the node t to
-# x, and the Jacobian dx/dt applied to the integrand's value v at x.
-# "decaying" is integrate_decaying's x = t^2/(1-t), as r = t/(1-t) and
-# x = t r, with dx/dt = r (2 + r), where 1 - t is not 0; "graded" is the
-# head integrate_frullani grades where it finds g singular at 0, x = t^4 as
-# w = t^2 and x = w^2, with dx/dt = 4 w t.  Each gives the bits of the
-# function that maps a generic integrand the same way, mapped in
-# integrate_decaying or graded in integrate_frullani: edit the two together.
-_MAPS = {
-    "decaying": (("r = t / (1.0 - t)", "x = t * r"), "v * (r * (2.0 + r))"),
-    "graded": (("w = t * t", "x = w * w"), "v * (4.0 * w * t)"),
-}
+# The graded head's map in a compiled panel: the lines that take the node t
+# to x = t^4, as w = t^2 and x = w^2, and the Jacobian dx/dt = 4 w t applied
+# to the integrand's value v at x.  It gives the bits of head_integrand in
+# integrate_frullani, which grades a generic g the same way: edit the two
+# together.
+_GRADED = (("w = t * t", "x = w * w"), "v * (4.0 * w * t)")
 
 
-def panel_source(lines: Sequence[str], value: str, mapping: str | None = None) -> str:
+def panel_source(lines: Sequence[str], value: str, graded: bool) -> str:
     """Source of panel(lo, hi), one G7/K15 panel of the integrand whose
     value at x the straight-line lines and then the expression value
     compute, as straight-line code: the lines run once per node, in
     evaluation order, into the node values p0, m0, ..., p6, m6, fc, and
-    the Kronrod and Gauss sums follow in line.  With mapping, a key of
-    _MAPS, the panel is that of the integrand mapped to the node t.  It
-    returns what gauss_kronrod_panel returns for the per-point function, or
-    None where a node raises or gives a non-finite value.  Names it reads
-    are in PANEL_GLOBALS."""
-    if mapping:
-        to_x, jacobian = _MAPS[mapping]
+    the Kronrod and Gauss sums follow in line.  With graded, the panel is
+    that of the integrand graded to the node t by x = t^4 (_GRADED), as
+    integrate_frullani's head runs it.  It returns what gauss_kronrod_panel
+    returns for the per-point function, or None where a node raises or
+    gives a non-finite value.  Names it reads are in PANEL_GLOBALS."""
+    if graded:
+        to_x, jacobian = _GRADED
         node, point, result = "t", [*to_x, *lines, f"v = {value}"], jacobian
     else:
         node, point, result = "x", lines, value
@@ -458,11 +453,10 @@ def integrate_decaying(f: Callable[[float], float], tol: float) -> QuadratureRes
     and the mapped integrand is x^2 f(x) (1 + O(1/x)): when x^2 f(x) keeps
     oscillating as x grows, the mapped integrand has no limit at t = 1 and
     bisection cuts the error estimate at best in proportion to the panel
-    count.
+    count.  The map is a Python function of f, so every panel of it runs
+    through gauss_kronrod_panel, f compiled or not.
     """
 
-    # the same map as _MAPS["decaying"], which f's compiled mapped panel
-    # inlines: edit the two together
     def mapped(t: float) -> float:
         try:
             r = t / (1.0 - t)
@@ -474,8 +468,6 @@ def integrate_decaying(f: Callable[[float], float], tol: float) -> QuadratureRes
             ) from None
         return f(t * r) * (r * (2.0 + r))
 
-    # f.mapped_panel() is the compiled panel of mapped, where f has one
-    mapped.panel = getattr(f, "mapped_panel", None)
     return integrate_adaptive(mapped, 0.0, 1.0, tol)
 
 
@@ -672,8 +664,8 @@ def integrate_frullani(
     lo, hi = sorted(math.log(math.pi) + math.log(s) - math.log(fast) for s in (alpha, beta))
     head = integrate_adaptive(g, 0.0, end, 0.4 * tol, _singular_test=True)
     if head.diagnostic is _SINGULAR_AT_LO:
-        # the same map as _MAPS["graded"], which g's compiled graded panel
-        # inlines: edit the two together
+        # the same map as _GRADED, which g's compiled graded panel inlines:
+        # edit the two together
         def head_integrand(u: float) -> float:
             w = u * u
             return g(w * w) * (4.0 * w * u)

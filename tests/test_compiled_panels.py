@@ -15,7 +15,7 @@ from frullani import catalog, engine, expr, quadrature
 from frullani.catalog import default_grid, entry_ids, verify_entry
 from frullani.engine import FrullaniProblem, evaluate_pipeline
 from frullani.expr import compile_family, parse
-from frullani.quadrature import integrate_decaying
+from frullani.quadrature import integrate_adaptive
 
 # The catalog inputs perfbench/defects.py names: (entry, params, tol).
 DEFECT_INPUTS = (
@@ -156,18 +156,24 @@ def test_a_shape_compiles_only_the_panels_that_run():
     integrands = [compile_family(tree)({})[1](a, 2.0) for a in (1.0, 3.0)]
     assert expr._panel_maker.cache_info().currsize == 0
     for integrand in integrands:
-        assert integrate_decaying(integrand, 1e-10).converged
-    # both bindings ran the one mapped panel of the shape's integrand,
-    # compiled once
+        assert integrate_adaptive(integrand, 0.0, 1.0, 1e-10).converged
+    # both bindings ran the one plain panel of the shape's integrand,
+    # compiled once, and neither compiled the graded one
     info = expr._panel_maker.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 
 
 def test_each_role_carries_only_the_panels_quadrature_runs():
-    # integrate_adaptive runs every role's panel; integrate_decaying and the
-    # graded head run only the Frullani integrand's
+    # integrate_adaptive runs every role's panel, and the graded head the
+    # Frullani integrand's graded one; integrate_decaying runs none
+    expr._panel_maker.cache_clear()
     kernel, frullani, tail = compile_family(parse("exp(-1.25*x)*(3.5+x)"))({})
-    panels = ("panel", "mapped_panel", "graded_panel")
-    assert [name for name in panels if hasattr(kernel, name)] == ["panel"]
-    assert [name for name in panels if hasattr(tail(0.0), name)] == ["panel"]
-    assert [name for name in panels if hasattr(frullani(1.0, 2.0), name)] == list(panels)
+    roles = {"kernel": kernel, "integrand": frullani(1.0, 2.0), "tail": tail(0.0)}
+    carried = {role: [name for name in dir(f) if name.endswith("panel")] for role, f in roles.items()}
+    assert carried == {"kernel": ["panel"], "integrand": ["graded_panel", "panel"], "tail": ["panel"]}
+    # every panel of one shape fills the four _panel_maker entries its
+    # cache bound assumes
+    for role, names in carried.items():
+        for name in names:
+            assert getattr(roles[role], name)() is not None
+    assert expr._panel_maker.cache_info().currsize == 4

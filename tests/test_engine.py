@@ -211,12 +211,13 @@ class TestPipeline:
         )
 
     @pytest.mark.xfail(strict=True, reason="the split route samples f only on (0, pi]")
-    def test_pole_beyond_the_oracle_samples_is_not_a_pass(self):
+    @pytest.mark.parametrize("src", ["1/(x - 10)", "exp(-x)/(x - 10)"])
+    def test_pole_beyond_the_oracle_samples_is_not_a_pass(self, src):
         # the pole at x = 10 leaves the integral undefined, but the probe
         # reads finite limits at both ends, and the oracle samples f only on
         # (0, pi], the head's a x and b x and the kernel piece: a confident
         # wrong PASS
-        rec = evaluate_pipeline(prob("1/(x - 10)"), 1e-6)
+        rec = evaluate_pipeline(prob(src), 1e-6)
         assert rec.status != "PASS"
 
     def test_tolerance_validation(self):

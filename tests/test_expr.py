@@ -29,7 +29,7 @@ from frullani.expr import (
     unparse,
 )
 from frullani.quadrature import integrate_adaptive
-from reference import reference_mapped, reference_panel
+from reference import reference_graded, reference_panel
 
 
 def ev(src, **bindings):
@@ -509,17 +509,17 @@ def _recursion_limit(limit):
 
 def _integrates_as_evaluated(tree, integrand, a, b):
     """The compiled Frullani integrand of tree at scales a, b, through its
-    own plain and mapped panels, gives the bits of the generic panel over
+    own plain and graded panels, gives the bits of the generic panel over
     the integrand evaluate computes."""
 
     def evaluated(x):
         return (evaluate(tree, {"x": a * x}) - evaluate(tree, {"x": b * x})) / x
 
     assert integrate_adaptive(integrand, 1.0, 2.0, 1e-9) == integrate_adaptive(evaluated, 1.0, 2.0, 1e-9)
-    mapped_panel = integrand.mapped_panel()
-    assert mapped_panel is not None
-    own = [v.hex() for v in mapped_panel(0.2, 0.3)]
-    assert own == [v.hex() for v in reference_panel(reference_mapped(evaluated), 0.2, 0.3)]
+    graded_panel = integrand.graded_panel()
+    assert graded_panel is not None
+    own = [v.hex() for v in graded_panel(0.2, 0.3)]
+    assert own == [v.hex() for v in reference_panel(reference_graded(evaluated), 0.2, 0.3)]
 
 
 # trees in x only, with constants the parser cannot produce (negative, -0.0,
