@@ -8,7 +8,10 @@ Subcommands:
   eval        run the probe-then-integrate pipeline on a kernel expression
   series      closed form vs truncated series for the log-cosine identity
   limits      probe a kernel's limits at 0+ and infinity, and read its
-              limit at infinity from the expression tree
+              limit at infinity from the walk its kernel was compiled from
+
+eval and limits take a kernel in x alone: expr.compile_family refuses any
+other variable, and both exit 2 with one message that names it.
 
 Record lines are stable:
 
@@ -32,7 +35,7 @@ import sys
 
 from . import catalog
 from .engine import FrullaniProblem, diagnose, evaluate_pipeline
-from .expr import ExprError, compile_kernel, free_variables, parse as parse_expr
+from .expr import ExprError, UnboundVariableError, compile_family, parse as parse_expr
 from .limits import ProbeError, tree_limit_at_infinity
 from .records import BAD_STATUSES, SKIP_STATUSES, VerificationRecord
 from .series import SeriesParams, gr_4_324_2_closed, gr_4_324_2_series
@@ -82,6 +85,10 @@ def _parse_bindings(text: str) -> dict:
     if not params:
         raise UsageError("--params is empty")
     return params
+
+
+def _only_x(exc: UnboundVariableError) -> UsageError:
+    return UsageError(f"expression may only use the variable x, found {exc.name}")
 
 
 def _record_line(rec: VerificationRecord) -> str:
@@ -190,6 +197,8 @@ def _cmd_eval(args) -> int:
         raise UsageError(f"bad expression: {exc}") from None
     try:
         prob = FrullaniProblem(tree, args.a, args.b, args.power)
+    except UnboundVariableError as exc:
+        raise _only_x(exc) from None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     try:
@@ -225,20 +234,17 @@ def _cmd_limits(args) -> int:
         tree = parse_expr(args.expr)
     except ExprError as exc:
         raise UsageError(f"bad expression: {exc}") from None
-    free = free_variables(tree)
-    if free - {"x"}:
-        raise UsageError(
-            "expression may only use the variable x, found "
-            + ", ".join(sorted(free - {"x"}))
-        )
     try:
-        report = diagnose(compile_kernel(tree))
+        family = compile_family(tree)
+        report = diagnose(family({})[0])
+    except UnboundVariableError as exc:
+        raise _only_x(exc) from None
     except ProbeError as exc:
         raise UsageError(str(exc)) from None
     print(f"at 0+: {report.verdict_at_zero.describe()}")
     print(f"at infinity: {report.verdict_at_infinity.describe()}")
     print(f"applicable: {'yes' if report.applicable else 'no'}")
-    m = tree_limit_at_infinity(tree)
+    m = tree_limit_at_infinity(family.walk)
     print("tree at infinity: " + ("undetermined" if m is None else f"{m!r} (source=tree)"))
     return 0
 

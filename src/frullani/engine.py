@@ -8,7 +8,7 @@ The engine probes the two limits numerically (limits module), decides whether
 the formula applies, evaluates the closed form, and can cross-check against
 a quadrature oracle.  The oracle takes Frullani's own substitution
 (quadrature.integrate_frullani) on the tail role of the kernel's compiled
-family, with f(inf) read from its expression tree
+family, with f(inf) read from the walk that family was compiled from
 (limits.tree_limit_at_infinity), the same oracle as the catalog's, whose
 head grades itself by x = u^4 where it finds the integrand singular at 0,
 so that a kernel like sqrt(x) there costs a few panels.  The tree decides
@@ -24,7 +24,7 @@ import math
 import time
 from typing import Callable, NamedTuple
 
-from .expr import Expression, compile_family, free_variables, unparse
+from .expr import Expression, compile_family, unparse
 
 # Not called here, since kernels are compiled; the benchmark's tracer wraps
 # the name engine.evaluate, so it must stay importable from this module.
@@ -54,7 +54,9 @@ class FrullaniProblem(Frozen):
     kernel is f, integrand (f(a x) - f(b x)) / x, a closure over it, tail(m)
     the maker of the log-tail f(e^s) - m, all three roles of one compiled
     family (expr.compile_family) bound once when the problem is made, and
-    walk its walk of f; none takes part in equality, hashing or repr."""
+    walk its walk of f; none takes part in equality, hashing or repr.  A
+    variable other than x raises compile_family's UnboundVariableError, and
+    a kernel that does not read x, so f(a x) = f(b x), ValueError."""
 
     __slots__ = ("f", "a", "b", "power", "kernel", "integrand", "tail", "walk")
     _compared = __slots__[:4]
@@ -63,13 +65,9 @@ class FrullaniProblem(Frozen):
         for name, v in (("a", a), ("b", b), ("power", power)):
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite")
-        names = free_variables(f)
-        if names != frozenset({"x"}):
-            raise ValueError(
-                f"kernel must have exactly the free variable x, got "
-                f"{sorted(names) or 'none'}"
-            )
         family = compile_family(f)
+        if "x" not in family.walk[0]:
+            raise ValueError("kernel must read the variable x")
         kernel, frullani, tail = family({})
         self._set(f=f, a=a, b=b, power=power, kernel=kernel, integrand=frullani(a, b), tail=tail,
                   walk=family.walk)
@@ -129,16 +127,17 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
     and which oracle ran.
 
     Not-applicable problems short-circuit with status NOT_APPLICABLE.  For
-    the rest, the tree is asked for M = f(inf) (limits.tree_limit_at_infinity),
-    which only chooses the oracle's route.  Where it decides M, the oracle is
-    integrate_frullani with the tail f(e^s) - M (prob.tail), as for the
-    catalog: its head grades itself by x = u^4 where it finds the integrand
-    singular at 0, as x^(-1/2) is.  Where it does not, the oracle is one
-    integrate_decaying call.  Either integrates the power-1 integrand:
-    records.judge, as for the catalog, ends a closed form that is not a
-    finite double in CONSTRAINT_VIOLATION, applies the power rule u = x^p
-    to the oracle's tolerance and result, and gives ORACLE_FAILED where the
-    oracle fails to converge or cannot evaluate the integrand.
+    the rest, the kernel's walk is asked for M = f(inf)
+    (limits.tree_limit_at_infinity), which only chooses the oracle's route.
+    Where it decides M, the oracle is integrate_frullani with the tail
+    f(e^s) - M (prob.tail), as for the catalog: its head grades itself by
+    x = u^4 where it finds the integrand singular at 0, as x^(-1/2) is.
+    Where it does not, the oracle is one integrate_decaying call.  Either
+    integrates the power-1 integrand: records.judge, as for the catalog,
+    ends a closed form that is not a finite double in CONSTRAINT_VIOLATION,
+    applies the power rule u = x^p to the oracle's tolerance and result, and
+    gives ORACLE_FAILED where the oracle fails to converge or cannot
+    evaluate the integrand.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
@@ -152,7 +151,7 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
     finf = report.verdict_at_infinity.value
     # M from the tree, never from the probe: the closed form rests on the
     # probe, and an M shared with it would cancel its error
-    m = tree_limit(prob.f, prob.walk)
+    m = tree_limit(prob.walk)
     route = "decaying map (tree undetermined)" if m is None else f"frullani M={m!r} (tree)"
     provenance = (
         f"limits=probe f0={f0!r} finf={finf!r} oracle={route} kernel={unparse(prob.f)}"

@@ -17,8 +17,9 @@ Three ways to use a tree:
                    numbers, to a straight-line Python function that returns
                    exactly what evaluate returns, compiling each tree shape
                    once with its constants and parameters as arguments;
-                   compile_family walks a tree once for many bindings
-                   and gives all three roles of one kernel f: f itself,
+                   compile_family walks a tree once for many bindings,
+                   the walk limits' tree pass reads too, and gives all
+                   three roles of one kernel f: f itself,
                    the Frullani integrand (f(a x) - f(b x))/x, which the
                    probe-then-verify pipeline and the catalog integrate,
                    and the log-tail f(exp(s)) - m of f of limit or mean
@@ -136,7 +137,7 @@ FUNCTIONS = ("exp", "expm1", "ln", "log1p", "sin", "cos", "atan", "sqrt", "abs")
 # unary minus and binary operator puts what it encloses one level deeper, so
 # "x+x+x" reaches level 2 and "((x))" level 2 as well.  Input past the limit
 # raises ParseError; the limit keeps the recursive parser and tree walks
-# (evaluate, free_variables, unparse) well inside Python's recursion limit.
+# (evaluate, unparse) well inside Python's recursion limit.
 MAX_DEPTH = 100
 
 _NUMBER = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
@@ -272,18 +273,6 @@ def parse(source: str) -> Expression:
     input, and on input nested more than MAX_DEPTH levels deep.
     """
     return _Parser(source).parse()
-
-
-def free_variables(expr: Expression) -> frozenset[str]:
-    if isinstance(expr, Const):
-        return frozenset()
-    if isinstance(expr, Var):
-        return frozenset((expr.name,))
-    if isinstance(expr, Neg):
-        return free_variables(expr.operand)
-    if isinstance(expr, Call):
-        return free_variables(expr.arg)
-    return free_variables(expr.left) | free_variables(expr.right)
 
 
 def substitute(expr: Expression, name: str, replacement: Expression) -> Expression:
@@ -442,35 +431,26 @@ _SHAPE_CACHE_SIZE = 128
 
 def _shape(
     expr: Expression, names: frozenset[str]
-) -> tuple[tuple[Union[str, int], ...], list[Union[float, str]]]:
-    """The nodes of a tree in x and the parameters names, in the
-    left-to-right post-order evaluate walks them in ("c" for a constant or
-    a parameter's first reading, the index i of the i-th "c" for a
-    parameter read again, "x", "neg", a function name or an operator, each
-    name checked, so no input text reaches generated source), and what
-    each "c" reads in the same order: a constant's value or a parameter's
-    name.  The walk keeps its own stack, so tree depth is not bounded by
-    Python's recursion limit."""
-    shape: list[Union[str, int]] = []
+) -> tuple[tuple[str, ...], list[Union[float, str]]]:
+    """The walk of a tree in x and the parameters names: its nodes in the
+    left-to-right post-order evaluate walks them in ("c" for each read of a
+    constant or a parameter, "x", "neg", a function name or an operator,
+    each name checked, so no input text reaches generated source), and its
+    slots, what each "c" reads in the same order: a constant's value or a
+    parameter's name.  The walk keeps its own stack, so tree depth is not
+    bounded by Python's recursion limit."""
+    shape: list[str] = []
     slots: list[Union[float, str]] = []
-    first: dict[str, int] = {}  # parameter name -> index of its "c"
     pending: list[tuple[Expression, bool]] = [(expr, False)]
     while pending:
         node, children_done = pending.pop()
-        if isinstance(node, Const):
-            shape.append("c")
-            slots.append(node.value)
-        elif isinstance(node, Var):
-            if node.name == "x":
-                shape.append("x")
-            elif node.name in first:
-                shape.append(first[node.name])
-            elif node.name in names:
-                first[node.name] = len(slots)
-                shape.append("c")
-                slots.append(node.name)
-            else:
+        if isinstance(node, Var) and node.name == "x":
+            shape.append("x")
+        elif isinstance(node, (Const, Var)):
+            if isinstance(node, Var) and node.name not in names:
                 raise UnboundVariableError(node.name)
+            shape.append("c")
+            slots.append(node[0])  # a constant's value or a parameter's name
         elif not children_done:
             pending.append((node, True))
             if isinstance(node, BinOp):
@@ -492,7 +472,7 @@ def _shape(
 
 
 def _block(
-    shape: tuple[Union[str, int], ...], prefix: str, through: str = ""
+    shape: tuple[str, ...], prefix: str, through: str = ""
 ) -> tuple[list[str], str, list[str]]:
     """Straight-line source for shape applied to x, or to the node the
     template through makes of x where it is given ("a * {0}", "b * {0}" or
@@ -528,8 +508,6 @@ def _block(
         if token == "c":
             operands.append(f"c{read}")
             read += 1
-        elif isinstance(token, int):
-            operands.append(f"c{token}")
         elif token == "x":
             operands.append(x)
         else:
@@ -563,7 +541,7 @@ def _block(
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _bodies(
-    shape: tuple[Union[str, int], ...]
+    shape: tuple[str, ...]
 ) -> tuple[dict[str, tuple[tuple[str, ...], str]], tuple[str, ...], tuple[str, ...]]:
     """The straight-line lines and result text of the kernel, its Frullani
     integrand and its log-tail at x, by role; the kernel's constant-only
@@ -586,7 +564,7 @@ def _bodies(
 # a shape's four panels: the kernel's, the Frullani integrand's plain and
 # graded ones, and the log-tail's
 @functools.lru_cache(maxsize=4 * _SHAPE_CACHE_SIZE)
-def _panel_maker(shape: tuple[Union[str, int], ...], role: str, graded: bool) -> Callable:
+def _panel_maker(shape: tuple[str, ...], role: str, graded: bool) -> Callable:
     """make(c0, c1, ..., k0, k1, ...[, a, b | m]) for one shape: it returns
     the G7/K15 panel of role, the kernel, the Frullani integrand (also over
     a and b) or the log-tail (also over m), over the names build binds
@@ -608,7 +586,7 @@ def _panel_maker(shape: tuple[Union[str, int], ...], role: str, graded: bool) ->
     return namespace["make"]
 
 
-def _panel(shape: tuple[Union[str, int], ...], role: str, graded: bool, args: tuple) -> Callable:
+def _panel(shape: tuple[str, ...], role: str, graded: bool, args: tuple) -> Callable:
     """() -> the panel _panel_maker makes over args, made at the first call,
     so a shape compiles only the panels that run."""
     made: list[Callable] = []
@@ -621,7 +599,7 @@ def _panel(shape: tuple[Union[str, int], ...], role: str, graded: bool, args: tu
     return panel
 
 
-def _with_panels(f: Callable, shape: tuple[Union[str, int], ...], role: str, args) -> Callable:
+def _with_panels(f: Callable, shape: tuple[str, ...], role: str, args) -> Callable:
     """f, carrying panel(), its panel as role over args (_panel), unless
     args is None; the Frullani integrand, which the graded head also runs,
     carries graded_panel() too."""
@@ -633,7 +611,7 @@ def _with_panels(f: Callable, shape: tuple[Union[str, int], ...], role: str, arg
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _builder(shape: tuple[Union[str, int], ...]) -> Callable[..., tuple[Callable, tuple | None]]:
+def _builder(shape: tuple[str, ...]) -> Callable[..., tuple[Callable, tuple | None]]:
     """build(fallback, c0, c1, ...) for one shape: it returns the kernel
     over those constants and the values of the names its panels read
     (_bodies).  Nodes that read constants only run once, in build; where
@@ -671,7 +649,9 @@ def compile_family(
     the code of compile_kernel, and all integrands and tails one closure
     each; a parameter the binding lacks raises UnboundVariableError, and
     any variable that is neither x nor a parameter raises it here.
-    bind.walk is the tree's walk (_shape's), for limits' tree pass to read.
+    bind.walk is the tree's walk (_shape's): its tokens, whose leaves are
+    only "c" and "x", and its slots, which limits' tree pass reads with
+    each parameter's name replaced by its number.
     """
     shape, slots = _shape(expr, frozenset(names))
     build = _builder(shape)

@@ -16,16 +16,16 @@ This is a heuristic classifier, not a proof: an oscillation slower than the
 sampled window, or decay slower than any geometric rate, can be misreported.
 Callers that need certainty must supply analytic limits instead.
 
-tree_limit_at_infinity reads the limit at infinity from a kernel's
-expression tree instead, with no sampling: one walk that places each node
-as a constant, a leading term c x^p (ln x)^q, a growth faster than any
-power, or a bound O(x^p (ln x)^q), after Gruntz's most-rapidly-varying
-method restricted to leading terms, and one order deeper where a sum of
-exact constants L and vanishing addends r keeps r, so ln(1 + r) is r and
-1^inf, as (1+c/x)^x = exp(x ln(1+c/x)), tends to e^c.  It gives a number
-where the tree decides a finite limit and None everywhere else.  The probe
-and the tree share no code, so where both give a value each checks the
-other.
+tree_limit_at_infinity reads the limit at infinity from a kernel's walk
+(expr.compile_family's) instead, with no sampling: one pass that places
+each node as a constant, a leading term c x^p (ln x)^q, a growth faster
+than any power, or a bound O(x^p (ln x)^q), after Gruntz's
+most-rapidly-varying method restricted to leading terms, and one order
+deeper where a sum of exact constants L and vanishing addends r keeps r, so
+ln(1 + r) is r and 1^inf, as (1+c/x)^x = exp(x ln(1+c/x)), tends to e^c.
+It gives a number where the tree decides a finite limit and None everywhere
+else.  The probe and the tree share no code, so where both give a value
+each checks the other.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .expr import _OPERATORS, BinOp, Call, Const, ExprError, _shape, evaluate
+from .expr import _OPERATORS, BinOp, Call, Const, ExprError, evaluate
 from .frozen import Frozen
 
 OVERFLOW_GUARD = 1e12
@@ -210,9 +210,10 @@ _O1 = ("bound", False, 0, 0)
 _DECAYS = ("bound", False, -math.inf, 0)
 
 
-def tree_limit_at_infinity(expr, walk=None) -> float | None:
-    """The limit as x -> +infinity of the kernel expr, a tree in x alone,
-    read from its post-order walk (expr._shape's, or walk where given).
+def tree_limit_at_infinity(walk) -> float | None:
+    """The limit as x -> +infinity of a kernel in x, read from its walk
+    (expr.compile_family's bind.walk): its post-order tokens and the slots
+    its constants read, each parameter's slot holding its number.
 
     Constant subtrees are folded with evaluate's arithmetic, and leading
     coefficients are combined in floating point, so a value is exact up
@@ -223,23 +224,22 @@ def tree_limit_at_infinity(expr, walk=None) -> float | None:
     exp(x ln(1+c/x)) = exp(x c/x (1 + o(1))) tends to e^c.  Only a constant
     of the tree is exact: a node that merely tends to one, as (x+1)/x or
     exp(1/x), keeps no remainder, so no addend beside it is read as its rest.
-    Returns None wherever the tree does not decide a finite limit: leading
+    Returns None wherever the walk does not decide a finite limit: leading
     terms that cancel at a growing order; 1^inf where the base's 1 is not
     an exact constant, as ((x+1)/(x+2))^x or ((x+1)/x + 1/x)^x; a bounded
     oscillation, as sin(x); growth; a constant that is not a finite
-    double, as exp(1000); a variable other than x.  None says nothing about
-    the kernel.
+    double, as exp(1000); a slot that is not a number, as a parameter's
+    name left unbound.  None says nothing about the kernel.
     """
-    try:
-        # the nodes in post-order, every constant read from slots in turn
-        shape, slots = walk or _shape(expr, frozenset())
-    except ExprError:  # a variable other than x
-        return None
+    shape, slots = walk
     constants = iter(slots)
     kinds: list = []
     for token in shape:
         if token == "c":
-            kind = ("const", next(constants))
+            value = next(constants)
+            if isinstance(value, str):
+                return None
+            kind = ("const", value)
         elif token == "x":
             kind = _X
         elif token == "neg":

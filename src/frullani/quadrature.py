@@ -84,6 +84,7 @@ class IntegrandError(RuntimeError):
     def __init__(self, abscissa: float, value: float, cause: str = ""):
         self.abscissa = abscissa
         self.value = value
+        self.cause = cause
         what = cause or f"returned {value!r}"
         super().__init__(f"integrand {what} at x = {abscissa!r}")
 
@@ -454,7 +455,8 @@ def integrate_decaying(f: Callable[[float], float], tol: float) -> QuadratureRes
     oscillating as x grows, the mapped integrand has no limit at t = 1 and
     bisection cuts the error estimate at best in proportion to the panel
     count.  The map is a Python function of f, so every panel of it runs
-    through gauss_kronrod_panel, f compiled or not.
+    through gauss_kronrod_panel, f compiled or not.  An IntegrandError
+    names the x its node t maps to.
     """
 
     def mapped(t: float) -> float:
@@ -468,7 +470,13 @@ def integrate_decaying(f: Callable[[float], float], tol: float) -> QuadratureRes
             ) from None
         return f(t * r) * (r * (2.0 + r))
 
-    return integrate_adaptive(mapped, 0.0, 1.0, tol)
+    try:
+        return integrate_adaptive(mapped, 0.0, 1.0, tol)
+    except IntegrandError as exc:
+        t = exc.abscissa
+        if t == math.inf:  # the map's own, at t = 1
+            raise
+        raise IntegrandError(t * (t / (1.0 - t)), exc.value, exc.cause) from exc
 
 
 @functools.lru_cache(maxsize=128)
@@ -641,7 +649,8 @@ def integrate_frullani(
     record counting the 45 evaluations of the test.  An f with f - f(0+) ~
     x^s near 0 gives g ~ x^(s-1), which becomes 4 u^(4s-1): x^(-1/2) maps
     to 4u, and ln x to u^3 ln u.  A compiled g's graded_panel() inlines the
-    map.  An analytic head carries on from the panels of the test.
+    map.  An IntegrandError of the graded head names the x its node u
+    maps to.  An analytic head carries on from the panels of the test.
     Frullani's substitution (u = alpha x in one term, u = beta x in the
     other) turns the tail beyond c into the finite integral of (f(u) - M)/u
     over (alpha c, beta c), which is that of tail over (ln alpha c,
@@ -672,7 +681,11 @@ def integrate_frullani(
 
         head_integrand.panel = getattr(g, "graded_panel", None)
         spent = head.function_evaluations
-        head = integrate_adaptive(head_integrand, 0.0, math.sqrt(math.sqrt(end)), 0.4 * tol)
+        try:
+            head = integrate_adaptive(head_integrand, 0.0, math.sqrt(math.sqrt(end)), 0.4 * tol)
+        except IntegrandError as exc:
+            w = exc.abscissa * exc.abscissa
+            raise IntegrandError(w * w, exc.value, exc.cause) from exc
         head = head._replace(function_evaluations=spent + head.function_evaluations)
     body = integrate_adaptive(tail, lo, hi, 0.6 * tol)
     return _joined(

@@ -364,6 +364,21 @@ class TestEval:
         rc = main(["eval", "exp(-y)", "--a", "1", "--b", "2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("kernel, named", [
+        # the graded head's node u = 0.5597575674601238 is x = u^4, the pole
+        ("sqrt(x)/(1+x) + 1/(x - 0.09817477042468105)",
+         "integrand raised DomainError('/ undefined at argument 0.0') at x = 0.09817477042468105"),
+        # the decaying map's node t = 0.9989319213901016 is x = t^2/(1-t),
+        # where the kernel reads inf/inf
+        ("2^x/3^x", "integrand returned nan at x = 934.261742838391"),
+    ], ids=["graded-head", "decaying-map"])
+    def test_a_failure_under_a_map_names_x(self, kernel, named, capsys):
+        rc = main(["eval", kernel, "--a", "1", "--b", "2"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert fields(captured.out.splitlines()[0])["status"] == "ORACLE_FAILED"
+        assert captured.err.endswith(f"oracle raised: {named}\n")
+
     def test_overflowing_literal_is_bad_expression(self, capsys):
         rc = main(["eval", "atan(1e999)+exp(-x)", "--a", "1", "--b", "2"])
         assert rc == 2
@@ -566,6 +581,18 @@ class TestLimits:
         rc = main(["limits", "exp(-x) + y"])
         assert rc == 2
         assert "found y" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "x*y", "--a", "1", "--b", "2"],
+        ["limits", "x*y"],
+    ], ids=["eval", "limits"])
+    def test_foreign_variable_has_one_message(self, argv, capsys):
+        # both commands take the variable rule from compiling the kernel
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: expression may only use the variable x, found y\n"
 
     def test_bad_expression(self, capsys):
         rc = main(["limits", "1 +"])

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frullani import catalog, engine, expr, limits
+from frullani import catalog, engine, expr
 from frullani.engine import (
     ApplicabilityReport,
     FrullaniProblem,
@@ -13,7 +13,9 @@ from frullani.engine import (
     diagnose,
     evaluate_pipeline,
 )
-from frullani.expr import BinOp, Call, Const, Neg, Var, compile_kernel, evaluate, parse, unparse
+from frullani.expr import (
+    BinOp, Call, Const, Neg, UnboundVariableError, Var, compile_kernel, evaluate, parse, unparse,
+)
 from frullani.quadrature import QuadratureResult, integrate_decaying
 from frullani.records import judge
 from test_limits import _NO_LIMIT
@@ -43,10 +45,12 @@ class TestProblemValidation:
             FrullaniProblem(parse("exp(-x)"), **base)
 
     def test_rejects_foreign_variables(self):
-        with pytest.raises(ValueError):
+        # the variable rule is compile_family's
+        with pytest.raises(UnboundVariableError):
             prob("exp(-y)")
-        with pytest.raises(ValueError):
+        with pytest.raises(UnboundVariableError) as info:
             prob("exp(-x) + y")
+        assert info.value.name == "y"
 
     def test_compiled_kernel_is_left_out_of_equality_and_hash(self):
         p, q = prob("exp(-x)"), prob("exp(-x)")
@@ -281,7 +285,6 @@ class TestPipeline:
 
         real = expr._shape
         monkeypatch.setattr(expr, "_shape", counted)
-        monkeypatch.setattr(limits, "_shape", counted)
         rec = evaluate_pipeline(prob(src), 1e-6)
         assert "(tree" in rec.detail
         assert len(walks) == 1
@@ -289,7 +292,7 @@ class TestPipeline:
     def test_tree_limit_is_not_the_probe_limit(self, monkeypatch):
         # a wrong M from the tree shows as FAIL against the probe's closed
         # form; the oracle never reads the probe's f(inf)
-        monkeypatch.setattr(engine, "tree_limit", lambda f, walk: 0.5)
+        monkeypatch.setattr(engine, "tree_limit", lambda walk: 0.5)
         rec = evaluate_pipeline(prob("exp(-x)"), 1e-6)
         assert rec.status == "FAIL"
         assert rec.numeric == pytest.approx(math.log(2.0) - 0.5 * math.log(2.0), abs=1e-6)

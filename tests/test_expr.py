@@ -23,7 +23,6 @@ from frullani.expr import (
     compile_family,
     compile_kernel,
     evaluate,
-    free_variables,
     parse,
     substitute,
     unparse,
@@ -198,15 +197,24 @@ class TestEvaluate:
         assert info.value.func == "log1p" and info.value.argument == x
 
 
-class TestFreeVariables:
+class TestWalkVariables:
+    # a walk's leaves are "x" and "c", one "c" for each read of a constant
+    # or a parameter; compiling refuses any other variable
+
     def test_single(self):
-        assert free_variables(parse("exp(-x)")) == {"x"}
+        assert compile_family(parse("exp(-x)")).walk == (("x", "neg", "exp"), [])
 
     def test_multiple(self):
-        assert free_variables(parse("a*x + b*y")) == {"a", "b", "x", "y"}
+        shape, slots = compile_family(parse("a*x + a*b"), "ab").walk
+        assert shape == ("c", "x", "*", "c", "c", "*", "+")
+        assert slots == ["a", "a", "b"]
+        with pytest.raises(UnboundVariableError) as info:
+            compile_family(parse("a*x + b*y"), "ab")
+        assert info.value.name == "y"
 
     def test_constants_only(self):
-        assert free_variables(parse("1 + 2^3")) == frozenset()
+        walk = compile_family(parse("1 + 2^3")).walk
+        assert walk == (("c", "c", "c", "^", "+"), [1.0, 2.0, 3.0])
 
 
 class TestSubstitute:

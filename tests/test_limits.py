@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frullani import catalog
-from frullani.expr import BinOp, Const, compile_kernel, parse, substitute
+from frullani.expr import BinOp, Const, compile_family, compile_kernel, parse
 from frullani.limits import (
     LimitVerdict,
     ProbeError,
@@ -234,6 +234,19 @@ def test_growth_past_a_scaled_guard_still_diverges():
 
 # ------------------------------------------------------------- the tree pass
 
+def _walk(tree, names=()):
+    """The walk of tree, an expression tree or its text, that its compiled
+    family reads (expr.compile_family), each parameter of names in a slot
+    of its own."""
+    return compile_family(parse(tree) if isinstance(tree, str) else tree, names).walk
+
+
+def _bound(walk, params):
+    """walk with each parameter's slot holding its value in params."""
+    shape, slots = walk
+    return shape, [params[s] if isinstance(s, str) else s for s in slots]
+
+
 def _within_4_ulp(value, exact):
     return value is not None and abs(value - exact) <= 4 * math.ulp(exact)
 
@@ -249,14 +262,14 @@ _DECIDED_FAMILIES = ("exp-affine", "atan", "log-exp", "shifted-power", "ratio-po
 @pytest.mark.parametrize("c, d, m", _CONSTANTS)
 def test_tree_gives_the_generators_limit(family, c, d, m):
     text, _, finf = workloads._kernel_family(family, c, d, m)
-    assert _within_4_ulp(tree_limit_at_infinity(parse(text)), finf), text
+    assert _within_4_ulp(tree_limit_at_infinity(_walk(text)), finf), text
 
 
 @pytest.mark.parametrize("kind", ["slow-drift", "oscillatory-finite"])
 def test_tree_gives_the_special_kernels_limit(kind):
     texts, (_, finf) = workloads._SPECIAL_KERNELS[kind]
     for text in texts:
-        assert tree_limit_at_infinity(parse(text)) == finf, text
+        assert tree_limit_at_infinity(_walk(text)) == finf, text
 
 
 # the catalog kernels that oscillate with no limit at infinity
@@ -276,10 +289,15 @@ def _catalog_kernels():
 
 @pytest.mark.parametrize("entry, params", _catalog_kernels())
 def test_tree_gives_the_catalogs_declared_limit(entry, params):
-    tree = parse(entry.kernel)
-    for name, value in params.items():
-        tree = substitute(tree, name, Const(value))
-    assert tree_limit_at_infinity(tree) == entry.m(params)
+    walk = _bound(_walk(entry.kernel, entry.param_names), params)
+    assert tree_limit_at_infinity(walk) == entry.m(params)
+
+
+def test_a_walk_left_unbound_decides_nothing():
+    # a parameter's slot holds its name until it is bound to a number
+    walk = _walk("atan(a*x)", ["a"])
+    assert tree_limit_at_infinity(walk) is None
+    assert tree_limit_at_infinity(_bound(walk, {"a": 2.0})) == 0.5 * math.pi
 
 
 @pytest.mark.parametrize("text", [
@@ -304,7 +322,7 @@ def test_tree_gives_the_catalogs_declared_limit(entry, params):
     "(x+1)-(x+2)",  # leading terms that cancel
 ])
 def test_tree_leaves_undetermined(text):
-    assert tree_limit_at_infinity(parse(text)) is None
+    assert tree_limit_at_infinity(_walk(text)) is None
 
 
 @pytest.mark.parametrize("text, limit", [
@@ -330,7 +348,7 @@ def test_tree_leaves_undetermined(text):
     ("exp(-ln(x)^0.5)", 0.0),
 ])
 def test_tree_decides(text, limit):
-    assert tree_limit_at_infinity(parse(text)) == limit
+    assert tree_limit_at_infinity(_walk(text)) == limit
 
 
 def test_tree_walk_is_not_bounded_by_the_recursion_limit():
@@ -339,7 +357,7 @@ def test_tree_walk_is_not_bounded_by_the_recursion_limit():
     tree = parse("x")
     for _ in range(3 * sys.getrecursionlimit()):
         tree = BinOp("/", Const(1.0), BinOp("+", Const(1.0), tree))
-    assert tree_limit_at_infinity(tree) == pytest.approx(2.0 / (1.0 + math.sqrt(5.0)), rel=1e-15)
+    assert tree_limit_at_infinity(_walk(tree)) == pytest.approx(2.0 / (1.0 + math.sqrt(5.0)), rel=1e-15)
 
 
 _SHORT_DECIMALS = st.integers(-500, 500).filter(bool).map(lambda k: k / 100)
@@ -350,7 +368,7 @@ _ORDERS = st.sampled_from([0.5, 1.0, 2.0])
 @given(c=_SHORT_DECIMALS, p=_ORDERS, q=_ORDERS)
 def test_tree_decides_one_to_the_infinity(c, p, q):
     # (1 + c x^-p)^(x^q) = exp(c x^(q-p) (1 + o(1)))
-    limit = tree_limit_at_infinity(parse(f"(1+({c})*x^(-{p}))^(x^{q})"))
+    limit = tree_limit_at_infinity(_walk(f"(1+({c})*x^(-{p}))^(x^{q})"))
     if p > q:
         assert limit == 1.0
     elif p == q:
@@ -369,7 +387,7 @@ def test_probe_reads_the_compound_limit():
 def _agrees_with_the_probe(text):
     """The tree against a probe verdict whose samples settled: where both
     give a value, they agree to 1e-6 relative to max(1, |limit|)."""
-    tree = tree_limit_at_infinity(parse(text))
+    tree = tree_limit_at_infinity(_walk(text))
     if tree is None:
         return True
     verdict = limit_at_infinity(compile_kernel(parse(text)))
@@ -398,11 +416,11 @@ def test_tree_gives_the_generators_limit_on_the_pipeline_workload(seed, monkeypa
     monkeypatch.setattr(workloads, "_kernel_family", recorded)
     texts = {req.kernel for req in workloads.pipeline_kernels(seed).requests}
     for text in texts & limits.keys():
-        tree, finf = tree_limit_at_infinity(parse(text)), limits[text]
+        tree, finf = tree_limit_at_infinity(_walk(text)), limits[text]
         assert tree is not None and abs(tree - finf) <= 1e-12 * abs(finf), text
     # the non-applicable kernels have no limit pair; of them only 1/x has
     # a limit at infinity
-    assert {text: tree_limit_at_infinity(parse(text)) for text in texts - limits.keys()} == {
+    assert {text: tree_limit_at_infinity(_walk(text)) for text in texts - limits.keys()} == {
         text: 0.0 if text == "1/x" else None
         for text in workloads._SPECIAL_KERNELS["non-applicable"][0]
     }
@@ -411,17 +429,15 @@ def test_tree_gives_the_generators_limit_on_the_pipeline_workload(seed, monkeypa
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_tree_gives_every_declared_m_bit_for_bit(seed):
     # the catalog declares M, 0 where it omits it, and the tree pass reads
-    # it from the bound kernel: on every benchmark binding of a kernel with
-    # a limit at infinity the two agree to the bit, and on the others the
-    # tree decides nothing
+    # it from the entry's walk with the binding's values in its slots: on
+    # every benchmark binding of a kernel with a limit at infinity the two
+    # agree to the bit, and on the others the tree decides nothing
     requests = workloads.catalog_smooth(seed).requests + workloads.catalog_oscillatory(seed).requests
-    kernels = {eid: parse(catalog.get_entry(eid).kernel) for eid in catalog.entry_ids()}
+    entries = {eid: catalog.get_entry(eid) for eid in catalog.entry_ids()}
+    walks = {eid: _walk(entry.kernel, entry.param_names) for eid, entry in entries.items()}
     for req in requests:
-        tree = kernels[req.entry]
-        for name, value in req.params.items():
-            tree = substitute(tree, name, Const(value))
-        m = tree_limit_at_infinity(tree)
+        m = tree_limit_at_infinity(_bound(walks[req.entry], req.params))
         if req.entry in _NO_LIMIT:
             assert m is None, req
         else:
-            assert m is not None and m.hex() == catalog.get_entry(req.entry).m(req.params).hex(), req
+            assert m is not None and m.hex() == entries[req.entry].m(req.params).hex(), req
