@@ -7,8 +7,9 @@ Subcommands:
   verify-all  check every entry over its grid, with text or json reports
   eval        run the probe-then-integrate pipeline on a kernel expression
   series      closed form vs truncated series for the log-cosine identity
-  limits      probe a kernel's limits at 0+ and infinity, and read its
-              limit at infinity from the walk its kernel was compiled from
+  limits      a kernel's limits at 0+ and infinity, as eval's pipeline
+              reads them, then the limits at infinity and at 0+ read from
+              the walk its kernel was compiled from
 
 eval and limits take a kernel in x alone: expr.compile_family refuses any
 other variable, and both exit 2 with one message that names it.
@@ -36,7 +37,7 @@ import sys
 from . import catalog
 from .engine import FrullaniProblem, diagnose, evaluate_pipeline
 from .expr import ExprError, UnboundVariableError, compile_family, parse as parse_expr
-from .limits import ProbeError, tree_limit_at_infinity
+from .limits import ProbeError, tree_limit_at_infinity, tree_limit_at_zero_plus
 from .records import BAD_STATUSES, SKIP_STATUSES, VerificationRecord
 from .series import SeriesParams, gr_4_324_2_closed, gr_4_324_2_series
 
@@ -236,7 +237,7 @@ def _cmd_limits(args) -> int:
         raise UsageError(f"bad expression: {exc}") from None
     try:
         family = compile_family(tree)
-        report = diagnose(family({})[0])
+        report = diagnose(family({})[0], family.walk)
     except UnboundVariableError as exc:
         raise _only_x(exc) from None
     except ProbeError as exc:
@@ -244,8 +245,9 @@ def _cmd_limits(args) -> int:
     print(f"at 0+: {report.verdict_at_zero.describe()}")
     print(f"at infinity: {report.verdict_at_infinity.describe()}")
     print(f"applicable: {'yes' if report.applicable else 'no'}")
-    m = tree_limit_at_infinity(family.walk)
-    print("tree at infinity: " + ("undetermined" if m is None else f"{m!r} (source=tree)"))
+    for side, limit in (("infinity", tree_limit_at_infinity), ("0+", tree_limit_at_zero_plus)):
+        m = limit(family.walk)
+        print(f"tree at {side}: " + ("undetermined" if m is None else f"{m!r} (source=tree)"))
     return 0
 
 
@@ -286,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--terms", type=int, required=True)
     p_series.set_defaults(func=_cmd_series)
 
-    p_limits = sub.add_parser("limits", help="probe a kernel's limits")
+    p_limits = sub.add_parser("limits", help="a kernel's limits at 0+ and infinity")
     p_limits.add_argument("expr", help="kernel f as an expression in x")
     p_limits.set_defaults(func=_cmd_limits)
 

@@ -4,7 +4,9 @@ For f with finite limits at 0+ and infinity and positive scale factors a, b,
 
     integral_0^inf (f(a x^p) - f(b x^p)) / x dx = (1/p) [f(0) - f(inf)] ln(b/a)
 
-The engine probes the two limits numerically (limits module), decides whether
+The engine reads f(0+) from the walk the kernel was compiled from
+(limits.tree_limit_at_zero_plus), probing it numerically only where the
+walk is silent, probes f(inf) numerically (limits module), decides whether
 the formula applies, evaluates the closed form, and can cross-check against
 a quadrature oracle.  The oracle takes Frullani's own substitution
 (quadrature.integrate_frullani) on the tail role of the kernel's compiled
@@ -14,8 +16,10 @@ head grades itself by x = u^4 where it finds the integrand singular at 0,
 so that a kernel like sqrt(x) there costs a few panels.  The tree decides
 1^inf too, so (1+c/x)^x takes M = e^c.  The graded decaying map is left for
 a tree that does not decide f(inf), as ((x+1)/x)^x, whose quotient keeps no
-next term.  The closed form keeps the probe's limits, so a wrong limit
-from either source ends FAIL, not PASS.
+next term.  The closed form keeps the probe's f(inf), and the oracle the
+tree's, so a wrong f(inf) from either source ends FAIL, not PASS; the
+oracle never reads f(0+), so it checks the closed form's f(0+), from
+either source, on its own.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .expr import Expression, compile_family, unparse
 # the name engine.evaluate, so it must stay importable from this module.
 from .expr import evaluate  # noqa: F401
 from .frozen import Frozen
-from .limits import LimitVerdict, limit_at_infinity, limit_at_zero_plus
+from .limits import LimitVerdict, limit_at_infinity, limit_at_zero_plus, tree_limit_at_zero_plus
 # under its own name: the benchmark's tracer wraps engine.limit_at_infinity
 # as the probe
 from .limits import tree_limit_at_infinity as tree_limit
@@ -80,15 +84,21 @@ class ApplicabilityReport(NamedTuple):
     reason: str
 
 
-def diagnose(kernel: Callable[[float], float]) -> ApplicabilityReport:
-    """Probe a compiled kernel at 0+ and infinity; applicable iff both limits
+def diagnose(kernel: Callable[[float], float], walk) -> ApplicabilityReport:
+    """The limits of a compiled kernel at 0+ and infinity, given the walk it
+    was compiled from (expr.compile_family's); applicable iff both limits
     are finite.
 
-    Each probe follows the limits module's one sampling plan (x = 0.5**k and
-    x = 2.0**k for k = 0 .. 59).  Evaluation failures inside the probe
-    propagate as ProbeError with the offending abscissa.
+    f(0+) is read from the walk (limits.tree_limit_at_zero_plus), as
+    LimitVerdict.finite(value, 0.0) with no evidence, since it took no
+    samples; only where the walk is silent is the kernel probed at 0+.
+    f(inf) is always probed.  Each probe follows the limits module's one
+    sampling plan (x = 0.5**k and x = 2.0**k for k = 0 .. 59).  Evaluation
+    failures inside a probe propagate as ProbeError with the offending
+    abscissa.
     """
-    at_zero = limit_at_zero_plus(kernel)
+    f0 = tree_limit_at_zero_plus(walk)
+    at_zero = limit_at_zero_plus(kernel) if f0 is None else LimitVerdict.finite(f0, 0.0)
     at_inf = limit_at_infinity(kernel)
     applicable = at_zero.is_finite and at_inf.is_finite
     if applicable:
@@ -121,10 +131,11 @@ def closed_form(prob: FrullaniProblem, f0: float, finf: float) -> float:
 
 
 def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
-    """Diagnose, evaluate the closed form from the probed limits, and verify
+    """Diagnose, evaluate the closed form from diagnose's limits, and verify
     against the quadrature oracle.  Returns a VerificationRecord with entry
-    id "eval"; the detail field records that the limits came from the probe
-    and which oracle ran.
+    id "eval"; the detail field names the source of each limit, as
+    f0=... (tree) or f0=... (probe) and finf=... (probe), and which oracle
+    ran.
 
     Not-applicable problems short-circuit with status NOT_APPLICABLE.  For
     the rest, the kernel's walk is asked for M = f(inf)
@@ -143,18 +154,20 @@ def evaluate_pipeline(prob: FrullaniProblem, tol: float) -> VerificationRecord:
         raise ValueError("tol must be positive and finite")
     params = {"a": prob.a, "b": prob.b, "power": prob.power}
     start = time.perf_counter()
-    report = diagnose(prob.kernel)
+    report = diagnose(prob.kernel, prob.walk)
     if not report.applicable:
         return skipped("eval", params, "NOT_APPLICABLE", start, report.reason)
 
     f0 = report.verdict_at_zero.value
     finf = report.verdict_at_infinity.value
-    # M from the tree, never from the probe: the closed form rests on the
-    # probe, and an M shared with it would cancel its error
+    # M from the tree, never from the probe: the closed form's f(inf) is
+    # the probe's, and an M shared with it would cancel its error
     m = tree_limit(prob.walk)
     route = "decaying map (tree undetermined)" if m is None else f"frullani M={m!r} (tree)"
+    # the tree's verdict took no samples
+    source = "probe" if report.verdict_at_zero.evidence else "tree"
     provenance = (
-        f"limits=probe f0={f0!r} finf={finf!r} oracle={route} kernel={unparse(prob.f)}"
+        f"f0={f0!r} ({source}) finf={finf!r} (probe) oracle={route} kernel={unparse(prob.f)}"
     )
 
     def oracle(share: float):

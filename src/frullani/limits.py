@@ -1,4 +1,5 @@
-"""Numerical one-sided limit classification at 0+ and at infinity.
+"""One-sided limits at 0+ and at infinity: a numerical probe, and a pass
+over the kernel's tree.
 
 Both probes follow one fixed sampling plan: the zero-side probe samples f at
 x = 0.5**k and the infinity-side probe at x = 2.0**k, for k = 0 .. 59, in
@@ -23,9 +24,11 @@ than any power, or a bound O(x^p (ln x)^q), after Gruntz's
 most-rapidly-varying method restricted to leading terms, and one order
 deeper where a sum of exact constants L and vanishing addends r keeps r, so
 ln(1 + r) is r and 1^inf, as (1+c/x)^x = exp(x ln(1+c/x)), tends to e^c.
-It gives a number where the tree decides a finite limit and None everywhere
-else.  The probe and the tree share no code, so where both give a value
-each checks the other.
+tree_limit_at_zero_plus runs the same pass with each x read as 1/t, and
+t -> infinity, so it reads f(0+) from the same walk.  Each gives a number
+where the tree decides a finite limit and None everywhere else.  The probe
+and the tree share no code, so where both give a value each checks the
+other.
 """
 
 from __future__ import annotations
@@ -205,6 +208,7 @@ def limit_at_infinity(f: Callable[[float], float]) -> LimitVerdict:
 # so kind[2:4] is (p, q) of a term and of a bound.  A node the pass cannot
 # place is None, and so is every node above it.
 _X = ("term", 1.0, 1, 0)
+_RECIPROCAL = ("term", 1.0, -1, 0)  # x = 1/t as t -> +inf: the leaf x at 0+
 _ONE = ("term", 1.0, 0, 0)
 _O1 = ("bound", False, 0, 0)
 _DECAYS = ("bound", False, -math.inf, 0)
@@ -231,6 +235,24 @@ def tree_limit_at_infinity(walk) -> float | None:
     double, as exp(1000); a slot that is not a number, as a parameter's
     name left unbound.  None says nothing about the kernel.
     """
+    return _tree_limit(walk, _X)
+
+
+def tree_limit_at_zero_plus(walk) -> float | None:
+    """The limit as x -> 0+ of a kernel in x, read from its walk as
+    tree_limit_at_infinity reads the limit at infinity, of f(1/t) as
+    t -> +infinity: each leaf x enters as 1/t, the term t^-1, the kind the
+    pass gives 1/x.  The value is therefore, bit for bit, the one
+    tree_limit_at_infinity gives the walk of expr.substitute(tree, "x",
+    1/x), with no second tree.  ln(1+x)/x is 1 through ln(1 + r) = r, and
+    1/x, which diverges, gives None, as every kernel the pass cannot
+    decide does.
+    """
+    return _tree_limit(walk, _RECIPROCAL)
+
+
+def _tree_limit(walk, leaf: tuple) -> float | None:
+    """The one pass of both tree limits: leaf is the kind each x enters as."""
     shape, slots = walk
     constants = iter(slots)
     kinds: list = []
@@ -241,7 +263,7 @@ def tree_limit_at_infinity(walk) -> float | None:
                 return None
             kind = ("const", value)
         elif token == "x":
-            kind = _X
+            kind = leaf
         elif token == "neg":
             kind = _negated(kinds.pop())
         elif token in _OPERATORS:

@@ -355,6 +355,18 @@ class TestEval:
         assert fields(captured.out.splitlines()[0])["status"] == "NOT_APPLICABLE"
         assert "no-limit" in captured.err
 
+    def test_tree_f0_reaches_the_oracle_past_a_probe_failure(self, capsys):
+        # the 0+ probe's x = 0.5 lands where sqrt's argument is negative,
+        # which used to end in exit 2; the tree reads f(0+) = sqrt(0.4), so
+        # the oracle runs, and names the x where the integrand is undefined
+        rc = main(["eval", "sqrt(abs(x-0.5)-0.1)*exp(-x)", "--a", "1", "--b", "2"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert fields(captured.out.splitlines()[0])["status"] == "ORACLE_FAILED"
+        assert captured.err.startswith(f"  f0={math.sqrt(0.4)!r} (tree) finf=")
+        assert "oracle raised: integrand raised DomainError('sqrt undefined" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_bad_expression(self, capsys):
         rc = main(["eval", "exp(", "--a", "1", "--b", "2"])
         assert rc == 2
@@ -568,14 +580,16 @@ class TestLimits:
         assert out[3] == "tree at infinity: undetermined"
 
     def test_tree_verdict_beside_the_probes(self, capsys):
-        # the probe's verdicts keep their lines; the tree's follows them,
-        # so its e^4.4 shows beside the probe's misread 1.0
+        # the verdicts keep their lines; the tree's follow them, so its
+        # e^4.4 shows beside the probe's misread 1.0, and then its f(0+),
+        # x ln(1+4.4/x) -> 0
         rc = main(["limits", "(1+4.4/x)^x"])
         out = capsys.readouterr().out.splitlines()
         assert rc == 0
         assert out[1].startswith("at infinity: ")
         assert out[2] == "applicable: yes"
-        assert out[3:] == [f"tree at infinity: {math.exp(4.4)!r} (source=tree)"]
+        assert out[3:] == [f"tree at infinity: {math.exp(4.4)!r} (source=tree)",
+                           "tree at 0+: 1.0 (source=tree)"]
 
     def test_foreign_variable(self, capsys):
         rc = main(["limits", "exp(-x) + y"])

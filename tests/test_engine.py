@@ -14,7 +14,8 @@ from frullani.engine import (
     evaluate_pipeline,
 )
 from frullani.expr import (
-    BinOp, Call, Const, Neg, UnboundVariableError, Var, compile_kernel, evaluate, parse, unparse,
+    BinOp, Call, Const, Neg, UnboundVariableError, Var, compile_family, compile_kernel, evaluate,
+    parse, unparse,
 )
 from frullani.quadrature import QuadratureResult, integrate_decaying
 from frullani.records import judge
@@ -27,6 +28,13 @@ def prob(src, a=1.0, b=2.0, power=1.0):
 
 def kernel(src):
     return compile_kernel(parse(src))
+
+
+def compiled(src):
+    """The compiled kernel of src and the walk it was compiled from, the
+    two arguments of diagnose."""
+    family = compile_family(parse(src))
+    return family({})[0], family.walk
 
 
 class TestProblemValidation:
@@ -71,7 +79,7 @@ class TestProblemValidation:
 
 class TestDiagnose:
     def test_decaying_kernel_is_applicable(self):
-        rep = diagnose(kernel("exp(-x)"))
+        rep = diagnose(*compiled("exp(-x)"))
         assert isinstance(rep, ApplicabilityReport)
         assert rep.applicable
         assert rep.verdict_at_zero.value == pytest.approx(1.0, abs=1e-9)
@@ -79,24 +87,24 @@ class TestDiagnose:
         assert rep.reason == "both limits finite"
 
     def test_oscillatory_kernel_is_rejected_at_infinity(self):
-        rep = diagnose(kernel("cos(x)"))
+        rep = diagnose(*compiled("cos(x)"))
         assert not rep.applicable
         assert "at infinity" in rep.reason
         assert "no-limit" in rep.reason
 
     def test_log_cosine_kernel_is_rejected(self):
-        rep = diagnose(kernel("ln(1 + 2*0.5*cos(x) + 0.25)"))
+        rep = diagnose(*compiled("ln(1 + 2*0.5*cos(x) + 0.25)"))
         assert not rep.applicable
         assert "no-limit" in rep.reason
 
     def test_divergent_kernel_is_rejected_at_zero(self):
-        rep = diagnose(kernel("1/x"))
+        rep = diagnose(*compiled("1/x"))
         assert not rep.applicable
         assert "at 0+" in rep.reason
         assert "diverges" in rep.reason
 
     def test_compound_interest_kernel(self):
-        rep = diagnose(kernel("(1 + 1/x)^x"))
+        rep = diagnose(*compiled("(1 + 1/x)^x"))
         assert rep.applicable
         assert rep.verdict_at_infinity.value == pytest.approx(math.e, abs=1e-6)
 
@@ -168,7 +176,7 @@ class TestPipeline:
         assert rec.entry_id == "eval"
         assert rec.evaluations > 0 and rec.evaluations % 15 == 0
         assert rec.numeric == pytest.approx(math.log(2.0), abs=1e-8)
-        assert "limits=probe" in rec.detail
+        assert rec.detail.startswith("f0=1.0 (tree) finf=")
         assert "exp(-x)" in rec.detail
 
     def test_equal_scales_pass_at_zero(self):
@@ -184,13 +192,22 @@ class TestPipeline:
         assert rec.evaluations == 0
 
     def test_probe_accuracy_bounds_verification(self):
-        # the expected value carries probe error around 1e-11, so verifying
-        # far below that must FAIL honestly rather than round to agreement
-        rec = evaluate_pipeline(prob("exp(-x)"), 1e-13)
+        # the expected value carries the probe's f(inf), here -5.8e-11, so
+        # verifying far below that must FAIL honestly rather than round to
+        # agreement
+        rec = evaluate_pipeline(prob("1/(1+x)"), 1e-13)
         assert rec.status == "FAIL"
         assert rec.abs_error > 1e-13
-        assert "limits=probe" in rec.detail
+        assert rec.detail.startswith("f0=1.0 (tree) finf=")
+        assert " (probe) oracle=" in rec.detail
         assert "|closed - oracle|" in rec.detail
+
+    def test_tree_f0_is_exact(self):
+        # the tree reads exp(-x) at 0+ as exactly 1, where the probe read
+        # 1.0000000000291, and the probe's f(inf) is within 1e-13 of 0
+        rec = evaluate_pipeline(prob("exp(-x)"), 1e-13)
+        assert rec.status == "PASS"
+        assert rec.detail.startswith("f0=1.0 (tree) finf=")
 
     def test_pole_in_integrand_is_oracle_failure(self):
         # 1/(x-3) probes finite at both ends but the oracle must cross the
@@ -263,7 +280,8 @@ class TestPipeline:
     ])
     def test_record_names_its_oracle(self, src, route):
         rec = evaluate_pipeline(prob(src), 1e-13)
-        assert rec.detail.startswith("limits=probe f0=")
+        assert rec.detail.startswith("f0=")
+        assert " (tree) finf=" in rec.detail and " (probe) oracle=" in rec.detail
         assert f" {route} kernel=" in rec.detail
 
     def test_a_new_kernel_shape_compiles_one_builder(self):
@@ -288,6 +306,46 @@ class TestPipeline:
         rec = evaluate_pipeline(prob(src), 1e-6)
         assert "(tree" in rec.detail
         assert len(walks) == 1
+
+    @pytest.mark.parametrize("src", [
+        "exp(-x)", "atan(x)", "ln(1+x)/x", "sqrt(x)/(1+sqrt(x))", "(1+2.5/x)^x",
+        "((x+2.98)/(x+0.23))^2.8", "sqrt(abs(x-0.5)-0.1)*exp(-x)",
+    ])
+    def test_a_tree_decided_f0_is_not_probed(self, src, monkeypatch):
+        def refuse(kernel):
+            raise AssertionError("probed at 0+")
+
+        monkeypatch.setattr(engine, "limit_at_zero_plus", refuse)
+        rec = evaluate_pipeline(prob(src), 1e-6)
+        assert rec.detail.startswith("f0=")
+        assert " (tree) finf=" in rec.detail
+
+    @pytest.mark.parametrize("src, status, detail", [
+        ("1/x", "NOT_APPLICABLE", "at 0+: diverges(+inf)"),
+        # exp(-x) and exp(-2x) cancel at their leading term, 1, so the tree
+        # is silent at 0+, and the probe reads f(0+)
+        ("(exp(-x) - exp(-2*x))/x", "PASS", "f0=1.0000000001600755 (probe) finf="),
+    ])
+    def test_a_silent_tree_probes_at_zero(self, src, status, detail, monkeypatch):
+        real, probed = engine.limit_at_zero_plus, []
+
+        def counted(kernel):
+            probed.append(kernel)
+            return real(kernel)
+
+        monkeypatch.setattr(engine, "limit_at_zero_plus", counted)
+        rec = evaluate_pipeline(prob(src), 1e-6)
+        assert rec.status == status
+        assert rec.detail.startswith(detail)
+        assert len(probed) == 1
+
+    def test_tree_f0_mends_the_probes_misread(self):
+        # the probe read f(0+) of this ratio-power kernel 1.06e-7 off, and
+        # the record FAILed at 2.6e-6; the tree reads (2.98/0.23)^2.8
+        rec = evaluate_pipeline(prob("((x+2.98)/(x+0.23))^2.8", 0.637564, 2.41344, 0.0535707), 1e-6)
+        assert rec.status == "PASS"
+        assert rec.abs_error < 1e-8
+        assert rec.detail.startswith(f"f0={(2.98 / 0.23) ** 2.8!r} (tree) finf=")
 
     def test_tree_limit_is_not_the_probe_limit(self, monkeypatch):
         # a wrong M from the tree shows as FAIL against the probe's closed
@@ -347,7 +405,7 @@ class TestOracleBudget:
         assert (rec.numeric, rec.oracle_error, rec.evaluations) == (
             full.value / p, full.error_estimate / p, full.function_evaluations
         )
-        assert rec.detail.startswith("limits=probe f0=")
+        assert rec.detail.startswith("f0=1.0 (tree) finf=")
         assert rec.detail.endswith(f"oracle=decaying map (tree undetermined) kernel={unparse(parse(src))}")
 
     def test_oracle_runs_no_far_probe(self, monkeypatch):

@@ -1,5 +1,5 @@
 """Limit classifier: finite, divergent, and oscillatory verdicts; the tree
-pass at infinity."""
+pass at infinity and at 0+."""
 
 import math
 import os
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frullani import catalog
-from frullani.expr import BinOp, Const, compile_family, compile_kernel, parse
+from frullani.expr import BinOp, Const, compile_family, compile_kernel, parse, substitute
 from frullani.limits import (
     LimitVerdict,
     ProbeError,
@@ -17,6 +17,7 @@ from frullani.limits import (
     limit_at_infinity,
     limit_at_zero_plus,
     tree_limit_at_infinity,
+    tree_limit_at_zero_plus,
 )
 from test_cli import _FUZZ_KERNELS
 
@@ -441,3 +442,61 @@ def test_tree_gives_every_declared_m_bit_for_bit(seed):
             assert m is None, req
         else:
             assert m is not None and m.hex() == entries[req.entry].m(req.params).hex(), req
+
+
+# ------------------------------------------------------ the tree pass at 0+
+
+def _bits(value):
+    return None if value is None else value.hex()
+
+
+def _zero_side_cases():
+    """(text or tree, parameter names, binding) of every catalog entry on its
+    default grid, and of the pipeline-kernels families."""
+    cases = []
+    for eid in catalog.entry_ids():
+        entry = catalog.get_entry(eid)
+        for i, params in enumerate(entry.default_grid):
+            cases.append(pytest.param(entry.kernel, entry.param_names, dict(params),
+                                      id=f"{eid}-grid{i}"))
+    for family in _DECIDED_FAMILIES:
+        text = workloads._kernel_family(family, *_CONSTANTS[1])[0]
+        cases.append(pytest.param(text, (), {}, id=family))
+    return cases
+
+
+@pytest.mark.parametrize("text, names, params", _zero_side_cases())
+def test_tree_at_zero_is_the_tree_at_infinity_of_f_of_one_over_x(text, names, params):
+    # x enters as the kind the pass gives 1/x, so the pass at 0+ of a walk
+    # is, to the bit, the pass at infinity of the walk of f(1/x)
+    reciprocal = substitute(parse(text), "x", BinOp("/", Const(1.0), parse("x")))
+    at_zero = tree_limit_at_zero_plus(_bound(_walk(text, names), params))
+    assert _bits(at_zero) == _bits(tree_limit_at_infinity(_bound(_walk(reciprocal, names), params)))
+
+
+@pytest.mark.parametrize("family", _DECIDED_FAMILIES)
+@pytest.mark.parametrize("c, d, m", _CONSTANTS)
+def test_tree_gives_the_generators_limit_at_zero(family, c, d, m):
+    text, f0, _ = workloads._kernel_family(family, c, d, m)
+    assert tree_limit_at_zero_plus(_walk(text)) == f0, text
+
+
+@pytest.mark.parametrize("text, limit", [
+    ("1/x", None),  # diverges
+    ("ln(x)", None),
+    ("sin(1/x)", None),  # bounded oscillation
+    ("ln(x - 1)", None),  # ln(-1): the pass refuses a limit outside the domain
+    ("exp(-x)", 1.0),
+    ("sin(x)/x", 1.0),
+    # exp(-x) and exp(-2x) each read as 1, with no next term: they cancel
+    # to o(1), and o(1)/x decides nothing
+    ("(exp(-x) - exp(-2*x))/x", None),
+    ("x*ln(x)", 0.0),
+    ("x^x", 1.0),  # exp(x ln x), and x ln x -> 0
+    ("(1+4.4/x)^x", 1.0),
+    ("1/(1+x^0.1)", 1.0),  # the drift the probe cannot settle
+    ("cos(x)/(1+x)", 1.0),
+    ("abs(sin(x))/x", 1.0),
+])
+def test_tree_at_zero(text, limit):
+    assert tree_limit_at_zero_plus(_walk(text)) == limit
