@@ -518,14 +518,11 @@ def _check_params(entry: CatalogEntry, params: dict) -> tuple[dict, Optional[str
     return clean, violated
 
 
-# The caches are keyed by the catalog's own texts, a fixed set.
-_parsed = functools.cache(parse)
-
-
+# Keyed by the catalog's own texts, a fixed set.
 @functools.cache
 def _compiled(text: str, names: tuple[str, ...]):
     """The text of an entry compiled once, for every binding of names."""
-    return compile_family(_parsed(text), names)
+    return compile_family(parse(text), names)
 
 
 def _bind(entry: CatalogEntry, params: dict) -> tuple[Callable[[float], float], tuple, Callable]:
@@ -538,7 +535,7 @@ def _bind(entry: CatalogEntry, params: dict) -> tuple[Callable[[float], float], 
     with a substitution.  Each text they need is bound once, and the
     scales are evaluated once."""
     names = entry.param_names
-    scales = tuple(evaluate(_parsed(text), params) for text in entry.scales)
+    scales = tuple(evaluate(parse(text), params) for text in entry.scales)
     _, frullani, tail = _compiled(entry.kernel, names)(params)
     if entry.integrand is None or entry.power is not None or entry.substitution is not None:
         integrand = frullani(*scales)
@@ -585,7 +582,7 @@ def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> Ve
         return skipped(entry_id, shown, "CONSTRAINT_VIOLATION", start, str(exc))
     if violated is not None:
         return skipped(entry_id, clean, "CONSTRAINT_VIOLATION", start, violated)
-    power = 1.0 if entry.power is None else evaluate(_parsed(entry.power), clean)
+    power = 1.0 if entry.power is None else evaluate(parse(entry.power), clean)
 
     def oracle(share: float):
         # bound after judge checks the closed form: GR-3.484's m, e^a,

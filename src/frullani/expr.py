@@ -9,7 +9,8 @@ a guess, and so is a literal that overflows to infinity.
 
 Three ways to use a tree:
 
-  parse / unparse  recursive-descent parser with offsets in its errors, and
+  parse / unparse  recursive-descent parser with offsets in its errors,
+                   which keeps the trees of the last texts it parsed, and
                    the printer that round-trips its trees
   evaluate         the reference evaluator: walks the tree under a dict of
                    bindings, a pure function of (tree, bindings)
@@ -266,11 +267,19 @@ class _Parser:
         raise self._fail(f"unexpected '{ch}'", "a number, name or '('")
 
 
+# Source texts whose trees parse keeps; the least recently used goes first.
+_PARSE_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse(source: str) -> Expression:
     """Parse source text into an expression tree.
 
     Raises ParseError (with offset and an expected-token hint) on malformed
-    input, and on input nested more than MAX_DEPTH levels deep.
+    input, and on input nested more than MAX_DEPTH levels deep.  The trees
+    of the last _PARSE_CACHE_SIZE texts are kept, so the same text gives
+    the same tree, shared, as a tree cannot change; a text that raised is
+    parsed, and raises, again.
     """
     return _Parser(source).parse()
 

@@ -80,6 +80,8 @@ def generic_panels(monkeypatch):
 
     monkeypatch.setattr(catalog, "_bind", plain_bind)
     monkeypatch.setattr(engine, "compile_family", plain_family)
+    # a kernel the table kept would keep its compiled roles
+    engine._kernels.clear()
     return tail_means
 
 

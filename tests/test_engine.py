@@ -17,8 +17,10 @@ from frullani.expr import (
     BinOp, Call, Const, Neg, UnboundVariableError, Var, compile_family, compile_kernel, evaluate,
     parse, unparse,
 )
+from frullani.limits import ProbeError
 from frullani.quadrature import QuadratureResult, integrate_decaying
 from frullani.records import judge
+from test_compiled_panels import _fields
 from test_limits import _NO_LIMIT
 
 
@@ -61,7 +63,11 @@ class TestProblemValidation:
         assert info.value.name == "y"
 
     def test_compiled_kernel_is_left_out_of_equality_and_hash(self):
-        p, q = prob("exp(-x)"), prob("exp(-x)")
+        # problems on one kernel share its compiled roles: compile it again
+        # across a cleared table
+        p = prob("exp(-x)")
+        engine._kernels.clear()
+        q = prob("exp(-x)")
         assert p.kernel is not q.kernel
         assert p.kernel(2.0) == math.exp(-2.0)
         assert p == q and hash(p) == hash(q)
@@ -421,6 +427,78 @@ class TestOracleBudget:
         rec = evaluate_pipeline(prob(_SLOW_COS, a=1.3, b=2.7), 1e-6)
         assert rec.status == "ORACLE_FAILED"
         assert len(probed) == 1
+
+
+# the 8 pipeline-kernels family texts, then its special kernels
+_FAMILY_AND_SPECIAL = (
+    "1.5*exp(-x)+0.5", "atan(2.3*x)", "ln(1.2+0.8*exp(-x))", "(x+1.5)^(-1.2)",
+    "((x+0.5)/(x+2.0))^1.5", "(1+4.4/x)^x", "sqrt(x)/(1+sqrt(x))", "ln(1+x)/x",
+    "sin(x)", "ln(1+x)", "cos(x)", "exp(x)", "x", "1/x",
+    "1/(1+x^0.1)", "1/(1+x^0.15)", "1/(1+x^0.2)", "cos(x)/(1+x)", "abs(sin(x))/x",
+)
+
+
+class TestKernelTable:
+    """The engine's one table of kernels: each kept kernel's compiled family
+    and, from the first evaluate_pipeline call on it, its diagnosis."""
+
+    def test_a_warm_table_gives_the_cold_records(self, monkeypatch):
+        def record(text):
+            return _fields(evaluate_pipeline(prob(text, 0.7, 3.1, 0.5), 1e-6))
+
+        cold = []
+        for text in _FAMILY_AND_SPECIAL:
+            engine._kernels.clear()
+            expr.parse.cache_clear()
+            cold.append(record(text))
+        # the table fills on another binding, then serves every kernel
+        for text in _FAMILY_AND_SPECIAL:
+            evaluate_pipeline(prob(text), 1e-6)
+
+        def refuse(*args):
+            raise AssertionError("a kept kernel ran its miss path")
+
+        monkeypatch.setattr(engine, "compile_family", refuse)
+        monkeypatch.setattr(engine, "diagnose", refuse)
+        monkeypatch.setattr(engine, "tree_limit", refuse)
+        assert [record(text) for text in _FAMILY_AND_SPECIAL] == cold
+
+    def test_negative_zero_is_not_zero(self):
+        # == and hash() do not tell the two trees apart; the table does
+        zero = prob("x*0.0")
+        tree = BinOp("*", Var("x"), Const(-0.0))
+        assert tree == zero.f and hash(tree) == hash(zero.f)
+        negative = FrullaniProblem(tree, 1.0, 2.0)
+        assert math.copysign(1.0, negative.walk[1][0]) == -1.0
+        assert math.copysign(1.0, negative.kernel(1.0)) == -1.0
+        assert math.copysign(1.0, zero.walk[1][0]) == 1.0
+        assert math.copysign(1.0, prob("x*0.0").kernel(1.0)) == 1.0
+
+    def test_the_table_keeps_at_most_128_kernels(self):
+        for i in range(1, 201):
+            prob(f"exp(-{i}*x)")
+        assert len(engine._kernels) == 128
+
+    def test_the_least_recently_used_kernel_goes_first(self):
+        for i in range(1, 129):
+            prob(f"exp(-{i}*x)")
+        prob("exp(-1*x)")
+        prob("exp(-129*x)")
+        assert parse("exp(-1*x)") in engine._kernels
+        assert parse("exp(-2*x)") not in engine._kernels
+
+    def test_a_probe_that_raised_is_not_kept(self):
+        for _ in range(2):
+            with pytest.raises(ProbeError):
+                evaluate_pipeline(prob("ln(x - 1)"), 1e-6)
+        assert engine._kernels[parse("ln(x - 1)")].diagnosis is None
+
+    @pytest.mark.parametrize("src, error", [("x*y", UnboundVariableError), ("3 + 4", ValueError)])
+    def test_a_kernel_that_raised_is_not_kept(self, src, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                prob(src)
+        assert not engine._kernels
 
 
 class TestJudge:

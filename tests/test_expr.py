@@ -67,6 +67,15 @@ class TestParsePrecedence:
         assert ev("1.5e-3") == 1.5e-3
         assert ev("2e2") == 200.0
 
+    def test_a_text_gives_one_shared_tree(self):
+        assert parse("1 + 2*x") is parse("1 + 2*x")
+        assert parse("1 + 2*x") is not parse.__wrapped__("1 + 2*x")
+
+    def test_cache_stays_bounded(self):
+        for n in range(expr._PARSE_CACHE_SIZE + 10):
+            parse(f"x + {n}")
+        assert parse.cache_info().currsize == expr._PARSE_CACHE_SIZE
+
 
 class TestParseErrors:
     def test_implicit_multiplication_rejected(self):
@@ -96,8 +105,10 @@ class TestParseErrors:
             parse("")
 
     def test_dangling_operator(self):
-        with pytest.raises(ParseError):
-            parse("1 +")
+        # raised again on every call: parse keeps no text that raised
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                parse("1 +")
 
     def test_overflowing_literal_rejected_at_its_offset(self):
         # repr(inf) is "inf", which would reparse as a variable
