@@ -57,14 +57,12 @@ from .series import gr_4_324_2_closed, log_ratio
 
 __all__ = [
     "Constraint",
-    "ConstraintViolation",
     "CatalogEntry",
     "VerificationRecord",
     "STATUSES",
     "list_entries",
     "get_entry",
     "entry_ids",
-    "instantiate",
     "verify_entry",
     "default_grid",
     "class_tolerance",
@@ -81,15 +79,6 @@ CLASS_TOLERANCE = {
 class Constraint(NamedTuple):
     prose: str
     holds: Callable[[dict], bool]
-
-
-class ConstraintViolation(ValueError):
-    """Parameters violate an entry's constraint; carries the prose."""
-
-    def __init__(self, entry_id: str, prose: str):
-        self.entry_id = entry_id
-        self.prose = prose
-        super().__init__(f"{entry_id}: constraint violated: {prose}")
 
 
 class CatalogEntry(NamedTuple):
@@ -121,14 +110,6 @@ class CatalogEntry(NamedTuple):
     # it out, and a true M' costs (M' - M) ln(beta/alpha)
     m: Callable[[dict], float] = lambda p: 0.0
     note: str = ""
-
-    @property
-    def scale_params(self) -> Optional[tuple[str, str]]:
-        """The scale pair as two parameter names, for the zero law; None
-        when the entry has no such pair."""
-        if all(s in self.param_names for s in self.scales):
-            return self.scales
-        return None
 
 
 def _positive(*names: str) -> Constraint:
@@ -544,26 +525,8 @@ def _bind(entry: CatalogEntry, params: dict) -> tuple[Callable[[float], float], 
     return integrand, scales, tail(entry.m(params))
 
 
-def instantiate(entry_id: str, params: dict):
-    """(printed integrand callable, expected closed-form value) for one
-    binding.
-
-    Raises ConstraintViolation when a constraint predicate rejects the
-    parameters, ValueError on wrong parameter names.
-    """
-    entry = get_entry(entry_id)
-    clean, violated = _check_params(entry, params)
-    if violated is not None:
-        raise ConstraintViolation(entry_id, violated)
-    if entry.integrand is None:
-        integrand = _bind(entry, clean)[0]
-    else:
-        integrand = _compiled(entry.integrand, entry.param_names)(clean)[0]
-    return integrand, entry.closed_form(clean)
-
-
 def verify_entry(entry_id: str, params: dict, tol: Optional[float] = None) -> VerificationRecord:
-    """Instantiate, integrate with the class-appropriate oracle, compare.
+    """Bind, integrate with the class-appropriate oracle, compare.
 
     All failures are embedded in the record's status, never raised (except
     for an unknown entry id, which is a caller error).  The record's params

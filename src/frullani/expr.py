@@ -14,18 +14,18 @@ Three ways to use a tree:
                    the printer that round-trips its trees
   evaluate         the reference evaluator: walks the tree under a dict of
                    bindings, a pure function of (tree, bindings)
-  compile_kernel   lowers a tree in x, and in named parameters bound to
-                   numbers, to a straight-line Python function that returns
-                   exactly what evaluate returns, compiling each tree shape
-                   once with its constants and parameters as arguments;
-                   compile_family walks a tree once for many bindings,
-                   the walk limits' tree pass reads too, and gives all
-                   three roles of one kernel f: f itself,
-                   the Frullani integrand (f(a x) - f(b x))/x, which the
-                   probe-then-verify pipeline and the catalog integrate,
-                   and the log-tail f(exp(s)) - m of f of limit or mean
-                   m at infinity, which the Frullani oracle of the
-                   catalog and of the pipeline integrates
+  compile_family   walks a tree in x, and in named parameters, once, and
+                   lowers it to straight-line Python that returns exactly
+                   what evaluate returns, compiling each tree shape once
+                   with its constants and parameters as arguments; each
+                   binding of the parameters to numbers gives three roles
+                   of one kernel f: f itself, the Frullani integrand
+                   (f(a x) - f(b x))/x, which the probe-then-verify
+                   pipeline and the catalog integrate, and the log-tail
+                   f(exp(s)) - m of f of limit or mean m at infinity,
+                   which the Frullani oracle of the catalog and of the
+                   pipeline integrates; the walk is the one limits' tree
+                   pass reads
 
 The compiled code is plain floating-point Python with no domain checks.  A
 node that reads only constants and parameters runs once per binding, and a
@@ -282,19 +282,6 @@ def parse(source: str) -> Expression:
     parsed, and raises, again.
     """
     return _Parser(source).parse()
-
-
-def substitute(expr: Expression, name: str, replacement: Expression) -> Expression:
-    """The tree with every variable called name replaced by replacement."""
-    if isinstance(expr, Var):
-        return replacement if expr.name == name else expr
-    if isinstance(expr, Neg):
-        return Neg(substitute(expr.operand, name, replacement))
-    if isinstance(expr, Call):
-        return Call(expr.func, substitute(expr.arg, name, replacement))
-    if isinstance(expr, BinOp):
-        return BinOp(expr.op, substitute(expr.left, name, replacement), substitute(expr.right, name, replacement))
-    return expr
 
 
 def _pow(base: float, exponent: float) -> float:
@@ -654,10 +641,14 @@ def compile_family(
     three roles of one kernel f: f, a function of x; frullani(a, b), which
     returns the Frullani integrand x -> (f(a*x) - f(b*x)) / x; and tail(m),
     which returns the log-tail s -> f(exp(s)) - m of f of limit or mean m
-    at infinity, exp saturating to inf as in evaluate.  All bindings share
-    the code of compile_kernel, and all integrands and tails one closure
-    each; a parameter the binding lacks raises UnboundVariableError, and
-    any variable that is neither x nor a parameter raises it here.
+    at infinity, exp saturating to inf as in evaluate.  f(x) returns
+    exactly what evaluate(expr, {**params, "x": x}) returns and raises the
+    same DomainError; a hand-built tree past Python's recursion limit
+    (parse bounds its trees at MAX_DEPTH) ends in RecursionError where f
+    falls back to evaluate.  All trees and bindings of one shape share one
+    code object, and all integrands and tails one closure each; a
+    parameter the binding lacks raises UnboundVariableError, and any
+    variable that is neither x nor a parameter raises it here.
     bind.walk is the tree's walk (_shape's): its tokens, whose leaves are
     only "c" and "x", and its slots, which limits' tree pass reads with
     each parameter's name replaced by its number.
@@ -698,31 +689,6 @@ def compile_family(
 
     bind.walk = shape, slots
     return bind
-
-
-def compile_kernel(
-    expr: Expression, params: Mapping[str, float] | None = None
-) -> Callable[[float], float]:
-    """Compile a tree in x, and in the parameters params binds to numbers,
-    into a function of a float x.
-
-    The function runs the tree as straight-line Python with no domain
-    checks, in the order evaluate walks it; exp and expm1 of an argument
-    past 710 give inf there, as evaluate does.  A point where that raises
-    (another overflow, an argument outside a function's domain) runs again
-    through evaluate, so the function returns exactly what
-    evaluate(expr, {**params, "x": x}) returns and raises the same
-    DomainError.  evaluate recurses; parse bounds its trees at MAX_DEPTH,
-    but a hand-built tree past Python's recursion limit ends in
-    RecursionError at such a point.  Each tree shape is compiled once, with
-    its constants and parameters as arguments, so all trees and bindings
-    that differ only in those share one code object.  Any other variable
-    raises UnboundVariableError here rather than at call time.  The
-    function's attribute panel() gives its G7/K15 panel, which
-    integrate_adaptive runs.
-    """
-    params = params or {}
-    return compile_family(expr, params)(params)[0]
 
 
 # precedence levels used by unparse; higher binds tighter

@@ -243,8 +243,8 @@ def tree_limit_at_zero_plus(walk) -> float | None:
     tree_limit_at_infinity reads the limit at infinity, of f(1/t) as
     t -> +infinity: each leaf x enters as 1/t, the term t^-1, the kind the
     pass gives 1/x.  The value is therefore, bit for bit, the one
-    tree_limit_at_infinity gives the walk of expr.substitute(tree, "x",
-    1/x), with no second tree.  ln(1+x)/x is 1 through ln(1 + r) = r, and
+    tree_limit_at_infinity gives the walk of the tree with each x replaced
+    by 1/x, with no second tree.  ln(1+x)/x is 1 through ln(1 + r) = r, and
     1/x, which diverges, gives None, as every kernel the pass cannot
     decide does.
     """

@@ -22,6 +22,11 @@ package's versions are unrolled, incremental, planned once per grid or
 compiled with the integrand inlined; the tests require them to return the
 same bits as these plain forms.  Every float sum here is a left-to-right
 loop: sum() of floats is compensated from Python 3.12 on.
+
+Last, references the tests read a kernel or a catalog entry through, which
+the package itself does not need: substitute (a tree with a variable
+replaced), scale_params (an entry's scale pair as two parameter names) and
+printed_integrand (an entry's printed integrand at a binding).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import cmath
 import math
 from typing import Callable, Sequence
 
+from frullani.expr import BinOp, Call, Expression, Neg, Var, compile_family, evaluate, parse
 from frullani.quadrature import (
     _MAX_SEGMENTS,
     _WG,
@@ -386,3 +392,36 @@ def reference_tail(
     if not math.isfinite(est):
         best = running
     return QuadratureResult(best, est, evals, False, diagnostic)
+
+
+def substitute(expr: Expression, name: str, replacement: Expression) -> Expression:
+    """The tree with every variable called name replaced by replacement."""
+    if isinstance(expr, Var):
+        return replacement if expr.name == name else expr
+    if isinstance(expr, Neg):
+        return Neg(substitute(expr.operand, name, replacement))
+    if isinstance(expr, Call):
+        return Call(expr.func, substitute(expr.arg, name, replacement))
+    if isinstance(expr, BinOp):
+        return BinOp(expr.op, substitute(expr.left, name, replacement), substitute(expr.right, name, replacement))
+    return expr
+
+
+def scale_params(entry) -> tuple[str, str] | None:
+    """A catalog entry's scale pair as two parameter names, for the zero
+    law; None when the entry has no such pair."""
+    if all(s in entry.param_names for s in entry.scales):
+        return entry.scales
+    return None
+
+
+def printed_integrand(entry, params: dict) -> Callable[[float], float]:
+    """A catalog entry's printed integrand at a binding: its own integrand
+    text where it gives one, else the kernel's Frullani integrand
+    [f(alpha x) - f(beta x)]/x at the entry's scales, each compiled by
+    compile_family as the catalog compiles it."""
+    names = entry.param_names
+    if entry.integrand is not None:
+        return compile_family(parse(entry.integrand), names)(params)[0]
+    alpha, beta = (evaluate(parse(text), params) for text in entry.scales)
+    return compile_family(parse(entry.kernel), names)(params)[1](alpha, beta)

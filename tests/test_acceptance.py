@@ -30,6 +30,7 @@ from frullani.series import (
     imaginary_exponential_check,
     parity_weight,
 )
+from reference import scale_params
 
 
 def _report(num: int, ok: bool, text: str) -> None:
@@ -204,9 +205,9 @@ def test_criterion_11_zero_law_across_catalog():
     bad = []
     for eid in catalog.entry_ids():
         entry = catalog.get_entry(eid)
-        if entry.scale_params is None:
+        if scale_params(entry) is None:
             continue
-        s0, s1 = entry.scale_params
+        s0, s1 = scale_params(entry)
         params = dict(entry.default_grid[0])
         params[s1] = params[s0]
         rec = catalog.verify_entry(eid, params)

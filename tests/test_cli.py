@@ -14,6 +14,7 @@ from frullani.cli import main
 from frullani.expr import MAX_DEPTH
 from frullani.records import STATUSES
 from frullani.series import gr_4_324_2_closed
+from reference import scale_params
 
 RECORD_RE = re.compile(
     r"^entry=\S+ params=\S* expected=\S+ numeric=\S+ "
@@ -707,8 +708,8 @@ class TestFuzz:
     def test_verify_random_binding(self, data):
         entry = catalog.get_entry(data.draw(st.sampled_from(catalog.entry_ids())))
         params = {name: data.draw(_magnitudes()) for name in entry.param_names}
-        if entry.scale_params is not None and data.draw(st.booleans()):
-            first, second = entry.scale_params
+        if scale_params(entry) is not None and data.draw(st.booleans()):
+            first, second = scale_params(entry)
             params[second] = params[first]
         binding = ",".join(f"{k}={v!r}" for k, v in params.items())
         _assert_documented_outcome(

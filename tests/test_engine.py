@@ -14,7 +14,7 @@ from frullani.engine import (
     evaluate_pipeline,
 )
 from frullani.expr import (
-    BinOp, Call, Const, Neg, UnboundVariableError, Var, compile_family, compile_kernel, evaluate,
+    BinOp, Call, Const, Neg, UnboundVariableError, Var, compile_family, evaluate,
     parse, unparse,
 )
 from frullani.limits import ProbeError
@@ -29,7 +29,7 @@ def prob(src, a=1.0, b=2.0, power=1.0):
 
 
 def kernel(src):
-    return compile_kernel(parse(src))
+    return compile_family(parse(src))({})[0]
 
 
 def compiled(src):
@@ -438,6 +438,16 @@ _FAMILY_AND_SPECIAL = (
 )
 
 
+def _refuse_the_miss_path(monkeypatch):
+    """Make the table's miss path raise: compile_family, diagnose and
+    tree_limit, as engine calls them."""
+    def refuse(*args):
+        raise AssertionError("a kept kernel ran its miss path")
+
+    for name in ("compile_family", "diagnose", "tree_limit"):
+        monkeypatch.setattr(engine, name, refuse)
+
+
 class TestKernelTable:
     """The engine's one table of kernels: each kept kernel's compiled family
     and, from the first evaluate_pipeline call on it, its diagnosis."""
@@ -454,14 +464,22 @@ class TestKernelTable:
         # the table fills on another binding, then serves every kernel
         for text in _FAMILY_AND_SPECIAL:
             evaluate_pipeline(prob(text), 1e-6)
-
-        def refuse(*args):
-            raise AssertionError("a kept kernel ran its miss path")
-
-        monkeypatch.setattr(engine, "compile_family", refuse)
-        monkeypatch.setattr(engine, "diagnose", refuse)
-        monkeypatch.setattr(engine, "tree_limit", refuse)
+        _refuse_the_miss_path(monkeypatch)
         assert [record(text) for text in _FAMILY_AND_SPECIAL] == cold
+
+    def test_a_text_that_left_the_parse_cache_finds_its_kernel(self, monkeypatch):
+        # parse gives an equal but distinct tree once its text has left the
+        # cache; the table takes it for the kept kernel by == and repr
+        def record(text):
+            return _fields(evaluate_pipeline(prob(text), 1e-6))
+
+        first = {text: (parse(text), record(text)) for text in _FAMILY_AND_SPECIAL}
+        expr.parse.cache_clear()
+        _refuse_the_miss_path(monkeypatch)
+        for text, (tree, want) in first.items():
+            again = parse(text)
+            assert again == tree and again is not tree
+            assert record(text) == want
 
     def test_negative_zero_is_not_zero(self):
         # == and hash() do not tell the two trees apart; the table does

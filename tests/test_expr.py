@@ -21,14 +21,12 @@ from frullani.expr import (
     UnboundVariableError,
     Var,
     compile_family,
-    compile_kernel,
     evaluate,
     parse,
-    substitute,
     unparse,
 )
 from frullani.quadrature import integrate_adaptive
-from reference import reference_graded, reference_panel
+from reference import reference_graded, reference_panel, substitute
 
 
 def ev(src, **bindings):
@@ -229,6 +227,7 @@ class TestWalkVariables:
 
 
 class TestSubstitute:
+    # reference.substitute, which test_catalog and test_limits read trees through
     def test_every_x_is_replaced(self):
         assert substitute(parse("x*exp(-x)"), "x", parse("exp(x)")) == parse("exp(x)*exp(-exp(x))")
 
@@ -339,28 +338,28 @@ def test_negation_flips_sign(tree):
 class TestCompileKernel:
     def test_matches_evaluate_on_a_kernel(self):
         tree = parse("ln(2 + 3*exp(-x)) - sqrt(abs(sin(x)))/x + (1 + 1/x)^x")
-        kernel = compile_kernel(tree)
+        kernel = compile_family(tree)({})[0]
         for x in (0.25, 1.0, 3.5, 1e16):
             assert kernel(x) == evaluate(tree, {"x": x})
 
     def test_domain_error_names_function_and_argument(self):
         with pytest.raises(DomainError) as info:
-            compile_kernel(parse("ln(x - 3)"))(1.0)
+            compile_family(parse("ln(x - 3)"))({})[0](1.0)
         assert info.value.func == "ln" and info.value.argument == -2.0
         with pytest.raises(DomainError) as info:
-            compile_kernel(parse("1/(x - 2)"))(2.0)
+            compile_family(parse("1/(x - 2)"))({})[0](2.0)
         assert info.value.func == "/" and info.value.argument == 0.0
 
     def test_other_variables_fail_at_compile_time(self):
         with pytest.raises(UnboundVariableError) as info:
-            compile_kernel(parse("x + y"))
+            compile_family(parse("x + y"))
         assert info.value.name == "y"
 
     def test_input_text_never_reaches_the_source(self):
         with pytest.raises(UnboundVariableError):
-            compile_kernel(Var("__import__('os')"))
+            compile_family(Var("__import__('os')"))
         with pytest.raises(EvaluationError, match="unknown function"):
-            compile_kernel(Call("exp(x); y = (", Var("x")))
+            compile_family(Call("exp(x); y = (", Var("x")))
 
     @pytest.mark.parametrize("src,x", [
         ("exp(x)", 1e6),
@@ -388,7 +387,7 @@ class TestCompileKernel:
         # the straight-line code raises at these points, or saturates exp and
         # expm1 in line, and gives what evaluate gives
         tree = parse(src)
-        kind, got = _outcome(compile_kernel(tree), x)
+        kind, got = _outcome(compile_family(tree)({})[0], x)
         want_kind, want = _outcome(lambda v: evaluate(tree, {"x": v}), x)
         assert kind == want_kind
         assert _same_float(got, want), (got, want)
@@ -417,7 +416,7 @@ class TestCompileKernel:
         # records x once per node
         monkeypatch.setattr(expr, "evaluate", counted)
         for tree, want in zip(trees, wants):
-            kernel = compile_kernel(tree)
+            kernel = compile_family(tree)({})[0]
             fallback.clear()
             got = [kernel(x) for x in points]
             assert all(map(_same_float, got, want)), (unparse(tree), got, want)
@@ -444,7 +443,7 @@ class TestCompileKernel:
 
     def test_parameters_are_bound_on_both_paths(self):
         tree = parse("ln(x - c)*k")
-        kernel = compile_kernel(tree, {"c": 3.0, "k": 2.0})
+        kernel = compile_family(tree, ("c", "k"))({"c": 3.0, "k": 2.0})[0]
         assert kernel(4.0) == evaluate(tree, {"x": 4.0, "c": 3.0, "k": 2.0})
         with pytest.raises(DomainError) as info:
             kernel(1.0)
@@ -499,7 +498,7 @@ class TestCompileKernel:
         tree = Var("x")
         for _ in range(2999):
             tree = BinOp("+", tree, Var("x"))
-        assert compile_kernel(tree)(1.0) == 3000.0
+        assert compile_family(tree)({})[0](1.0) == 3000.0
         integrand = compile_family(tree)({})[1](1.0, 2.0)
         with _recursion_limit(10_000):
             _integrates_as_evaluated(tree, integrand, 1.0, 2.0)
@@ -583,7 +582,7 @@ def _outcome(fn, x):
 @settings(max_examples=500, deadline=None)
 @given(_kernel_trees, _abscissas)
 def test_compiled_kernel_agrees_with_evaluate_bitwise(tree, x):
-    kind, got = _outcome(compile_kernel(tree), x)
+    kind, got = _outcome(compile_family(tree)({})[0], x)
     want_kind, want = _outcome(lambda v: evaluate(tree, {"x": v}), x)
     assert kind == want_kind
     assert _same_float(got, want), (got, want)
@@ -665,8 +664,8 @@ class TestShapeCache:
         def tree(c, d):
             return BinOp("+", BinOp("*", Const(c), Call("exp", Neg(Var("x")))), Const(d))
 
-        reference = compile_kernel(tree(1.5, 0.25))
-        kernel = compile_kernel(tree(*constants))
+        reference = compile_family(tree(1.5, 0.25))({})[0]
+        kernel = compile_family(tree(*constants))({})[0]
         assert kernel.__code__ is reference.__code__
         for x in (0.0, -0.0, 0.5, 3.0, math.inf, -math.inf):
             want = evaluate(tree(*constants), {"x": x})
@@ -683,6 +682,6 @@ class TestShapeCache:
         # x, x+x, x+x+x, ...: every sum length is its own shape
         tree = Var("x")
         for n in range(1, expr._SHAPE_CACHE_SIZE + 11):
-            assert compile_kernel(tree)(1.0) == n
+            assert compile_family(tree)({})[0](1.0) == n
             tree = BinOp("+", tree, Var("x"))
         assert expr._builder.cache_info().currsize <= expr._SHAPE_CACHE_SIZE

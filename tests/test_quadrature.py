@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from frullani.catalog import default_grid, entry_ids, instantiate
+from frullani.catalog import default_grid, entry_ids, get_entry
 from frullani.expr import (
     FUNCTIONS, BinOp, Call, Const, ExprError, Neg, Var, compile_family, parse,
 )
@@ -28,6 +28,7 @@ from frullani.quadrature import (
 )
 from reference import (
     ci,
+    printed_integrand,
     reference_extrapolate,
     reference_graded,
     reference_mapped,
@@ -285,7 +286,8 @@ class TestDecaying:
         # GR-3.476.1's printed [f(v x^p) - f(u x^p)]/x behaves like x^(p-1)
         # at 0: the map x = t^2/(1-t) makes that t^(2p-1), where x = t/(1-t)
         # left t^(p-1) and took 4,485 evaluations
-        g, expected = instantiate("GR-3.476.1", {"v": 1.0, "u": 2.0, "p": 0.25})
+        entry, params = get_entry("GR-3.476.1"), {"v": 1.0, "u": 2.0, "p": 0.25}
+        g, expected = printed_integrand(entry, params), entry.closed_form(params)
         res = integrate_decaying(g, 0.25e-9)
         assert res.converged
         assert abs(res.value - expected) <= 1e-9
@@ -731,7 +733,7 @@ def _compiled_integrand(source):
     if source[0] == "catalog":
         _, entry_id, k = source
         grid = default_grid(entry_id)
-        return instantiate(entry_id, grid[k % len(grid)])[0]
+        return printed_integrand(get_entry(entry_id), grid[k % len(grid)])
     if source[0] == "tree":
         _, tree, role, a, b = source
         kernel, frullani, tail = compile_family(tree)({})
